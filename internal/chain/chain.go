@@ -6,9 +6,13 @@
 // are identical to plain backpropagation.
 //
 // The recompute sweeps run on the parallel kernel engine in internal/tensor:
-// every stage forward re-executed by an Advance action uses the blocked,
-// batch-parallel, pool-backed kernels, so recomputation proceeds at the same
-// throughput as the initial sweep with no per-recompute scratch allocation.
+// every stage forward re-executed by an Advance action goes through the same
+// register-tiled, batch-parallel, pool-backed GEMM micro-kernels as the
+// initial sweep, so a unit of the recompute factor costs one forward at
+// kernel speed and no per-recompute scratch allocation. Those kernels add
+// every output element's products in ascending k whatever the tiling or the
+// worker count, which is what lets a re-run forward reproduce the first one
+// bit for bit.
 //
 // Checkpoints live in a pluggable store (package store): the default RAM
 // store keeps stage outputs by reference — safe because the nn.Layer
@@ -17,7 +21,9 @@
 // the bit-exact raw tensor codec, so the flash tier of a two-level schedule
 // really spills. Results are bit-identical at any worker count
 // (EDGETRAIN_WORKERS) and across stores, so a checkpointed (and even
-// spilled) step reproduces plain backpropagation exactly.
+// spilled) step reproduces plain backpropagation exactly — gradients, and
+// the batch-norm running statistics too: the executor restores a stage's
+// non-trainable state after every forward of it but the first in a step.
 package chain
 
 import (
@@ -191,8 +197,18 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 	pending := l                // next adjoint step
 	var upstream *tensor.Tensor // gradient flowing into the pending stage
 
+	// Batch-norm running statistics must advance once per step, as they do
+	// under plain backpropagation, however often the schedule re-runs a
+	// stage: firstState keeps each stage's non-trainable state as its first
+	// forward of the step left it, and every later forward of that stage is
+	// followed by a restore.
+	firstState := make([][]float64, l)
 	runForward := func(stage int, input *tensor.Tensor) *tensor.Tensor {
-		return c.Stages[stage-1].Forward(input, train)
+		out := c.Stages[stage-1].Forward(input, train)
+		if s, ok := c.Stages[stage-1].(nn.Stateful); ok && train {
+			pinState(&firstState[stage-1], s.StateTensors())
+		}
+		return out
 	}
 
 	ai := 0
@@ -292,6 +308,24 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 	res.DiskReads = stats.DiskReads - startStats.DiskReads
 	om.record(res, stepStart, fwdDur, bwdDur)
 	return res, nil
+}
+
+// pinState copies the state tensors into *first on the first call for a
+// stage and copies *first back over them on every later one. The tensors are
+// per-channel vectors, so the copy is noise beside the forward it follows.
+func pinState(first *[]float64, state []nn.NamedState) {
+	if *first == nil {
+		kept := []float64{}
+		for _, st := range state {
+			kept = append(kept, st.Tensor.Data()...)
+		}
+		*first = kept
+		return
+	}
+	off := 0
+	for _, st := range state {
+		off += copy(st.Tensor.Data(), (*first)[off:])
+	}
 }
 
 // ExecutePlain runs a conventional forward and backward pass (every stage's

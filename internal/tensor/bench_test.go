@@ -1,6 +1,11 @@
 package tensor
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"github.com/edgeml/edgetrain/internal/parallel"
+)
 
 // Kernel microbenchmarks for the compute engine. Run with -benchmem: the
 // Into variants must report ~0 allocs/op at steady state, and BENCH_baseline.json
@@ -79,6 +84,47 @@ func BenchmarkMatMulNT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMulNTInto(dst, a, c)
+	}
+}
+
+// BenchmarkGemmModelShapes measures the three GEMM storage orders, on one
+// worker, on the im2col shapes of the benchmark student's convolutions
+// (outC x ColRows x ColsN, one per width plus the stem) in the roles a
+// training step uses them — NN for the forward (outC,ColRows)x(ColRows,ColsN),
+// TN for the column gradient (outC,ColRows)ᵀx(outC,ColsN), NT for the weight
+// gradient (outC,ColsN)x(ColRows,ColsN)ᵀ — plus two cubes as the machine
+// reference. The narrow shapes (ColsN = 16 and 4) hold over half the model's
+// FLOPs, and a kernel tuned on the cubes alone can be 3x short there.
+func BenchmarkGemmModelShapes(b *testing.B) {
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	shapes := [][3]int{ // outC, ColRows, ColsN
+		{8, 9, 256}, {8, 72, 256}, {16, 144, 64}, {32, 288, 16}, {64, 576, 4},
+		{128, 128, 128}, {384, 384, 384},
+	}
+	rng := NewRNG(3)
+	for _, s := range shapes {
+		outC, colRows, colsN := s[0], s[1], s[2]
+		w := RandNormal(rng, 0, 1, outC, colRows)
+		col := RandNormal(rng, 0, 1, colRows, colsN)
+		gOut := RandNormal(rng, 0, 1, outC, colsN)
+		out, dcol, dw := New(outC, colsN), New(colRows, colsN), New(outC, colRows)
+		name := fmt.Sprintf("%dx%dx%d", outC, colRows, colsN)
+		flops := 2 * float64(outC) * float64(colRows) * float64(colsN)
+		for _, order := range []struct {
+			name string
+			run  func()
+		}{
+			{"NN", func() { MatMulInto(out, w, col) }},
+			{"TN", func() { MatMulTNInto(dcol, w, gOut) }},
+			{"NT", func() { MatMulNTInto(dw, gOut, col) }},
+		} {
+			b.Run(order.name+"/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					order.run()
+				}
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }
 

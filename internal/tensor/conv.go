@@ -265,7 +265,9 @@ func Conv2DBackward(input, weight *Tensor, hasBias bool, gradOut *Tensor, stride
 			putScratch(dcolp)
 		})
 		for _, p := range partials {
-			axpy(gwd, (*p)[:wLen], 1)
+			for i, v := range (*p)[:wLen] {
+				gwd[i] += v
+			}
 			putScratch(p)
 		}
 	}

@@ -6,38 +6,57 @@ import (
 	"github.com/edgeml/edgetrain/internal/parallel"
 )
 
-// Blocked GEMM kernels. All three storage orders the training loops need are
-// provided natively — NN (a·b), TN (aᵀ·b) and NT (a·bᵀ) — so callers never
-// materialize a Transpose temporary. Each kernel is parallelized over
-// contiguous row panels of the output; a given output element is produced by
-// exactly one chunk and its k-accumulation runs in ascending order, so
-// results are bit-identical to the naive triple loop at every worker count.
+// Register-tiled GEMM kernels. All three storage orders the training loops
+// need are provided natively — NN (a·b), TN (aᵀ·b) and NT (a·bᵀ) — so callers
+// never materialize a Transpose temporary, and every Conv2DInto,
+// Conv2DBackward, nn.Linear and MatMul*Into call bottoms out in one of
+// gemmNN, gemmTN and gemmNTAcc below.
+//
+// Each kernel walks its rows two at a time and hands a two-row strip of dst
+// and one gemmKC-deep k-panel to a micro-kernel (stripNN or stripNT), which
+// holds a gemmMR x gemmNR block of outputs in locals across the panel: load
+// the tile from dst, add the panel's products one k at a time, store it back.
+// A k step is then four loads and four multiply-adds with no store, and the
+// operand rows are sliced before the k loop so it carries no per-element
+// bounds check (stripNN re-slices its strided b row once per step; the
+// allow-list beside this file, bce_allow.txt, is what CI compares
+// -d=ssa/check_bce against). Ragged rows and columns go through gemmEdge, a
+// scalar loop with the same load / accumulate-a-panel / store shape.
+//
+// Ordering guarantee: whichever path produces an output element, it starts
+// from the value in dst (zero for NN and TN) and adds its k products one at a
+// time in ascending k. That is the naive triple loop's arithmetic, so results
+// are bit-identical to it, and — because an element never depends on which
+// chunk or tile it fell in — at every worker count.
 const (
-	// gemmKC is the k-extent of a panel: a gemmKC-row slab of B is streamed
-	// repeatedly against each output row while it is still cache-resident.
+	// gemmKC is the k-extent of a panel: the tile is stored and reloaded
+	// between panels so that a gemmKC-row slab of b stays cache-resident
+	// while the rows of a stream against it.
 	gemmKC = 256
-	// gemmNC is the j-extent of a panel: output rows are updated in
-	// gemmNC-wide strips so the strip stays in L1 across the k-panel.
-	gemmNC = 1024
+	// gemmMR x gemmNR is the register tile. 2x2 is the largest shape whose
+	// accumulators and products the Go compiler keeps in registers: with
+	// eight accumulators (2x4, 4x2) it spills one across the k loop's back
+	// edge and the store-to-load round trip bounds the step; see CHANGES.md
+	// for the measurements.
+	gemmMR = 2
+	gemmNR = 2
 	// gemmChunkFlops is the target number of multiply-adds per parallel
 	// chunk; the row grain is derived from it so small problems stay serial
 	// and large ones cut enough chunks to balance load.
 	gemmChunkFlops = 1 << 17
 )
 
-// gemmRowGrain returns the rows-per-chunk grain for an (m,k)x(k,n) product.
-// It is a pure function of the shape, which keeps chunk boundaries (and
+// gemmRowGrain returns the rows-per-chunk grain for an (m,k)x(k,n) product,
+// a multiple of the tile height so only the last chunk can end on a ragged
+// row. It is a pure function of the shape, which keeps chunk boundaries (and
 // therefore reductions layered on top) independent of the worker count.
 func gemmRowGrain(k, n int) int {
 	work := k * n
 	if work <= 0 {
-		return 1
+		return gemmMR
 	}
 	g := gemmChunkFlops / work
-	if g < 1 {
-		g = 1
-	}
-	return g
+	return max(g-g%gemmMR, gemmMR)
 }
 
 func matmulCheckRank2(a, b *Tensor, op string) {
@@ -124,93 +143,133 @@ func MatMulNTInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// gemmNN computes rows [lo,hi) of dst = a x b with k/j cache blocking.
-// The accumulation order over k is ascending for every output element,
-// matching the naive triple loop bit for bit.
+// gemmNN computes rows [lo,hi) of dst = a x b.
 func gemmNN(dst, a, b []float64, k, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		zeroFloats(dst[i*n : (i+1)*n])
 	}
-	for jc := 0; jc < n; jc += gemmNC {
-		je := min(jc+gemmNC, n)
-		for pc := 0; pc < k; pc += gemmKC {
-			pe := min(pc+gemmKC, k)
-			for i := lo; i < hi; i++ {
-				arow := a[i*k : (i+1)*k]
-				orow := dst[i*n+jc : i*n+je]
-				for p := pc; p < pe; p++ {
-					axpy(orow, b[p*n+jc:p*n+je], arow[p])
-				}
-			}
+	nt := n - n%gemmNR
+	st := gemmStrides{ai: k, ap: 1, bp: n, bj: 1}
+	for pc := 0; pc < k; pc += gemmKC {
+		pe := min(pc+gemmKC, k)
+		i := lo
+		for ; i+gemmMR <= hi; i += gemmMR {
+			a0, a1 := a[i*k+pc:i*k+pe], a[(i+1)*k+pc:(i+1)*k+pe]
+			stripNN(dst[i*n:i*n+nt], dst[(i+1)*n:(i+1)*n+nt], a0, a1, b[pc*n:], n)
 		}
+		gemmEdge(dst, a, b, n, st, lo, i, nt, n, pc, pe)
+		gemmEdge(dst, a, b, n, st, i, hi, 0, n, pc, pe)
 	}
 }
 
-// gemmTN computes rows [lo,hi) of dst = aᵀ x b, a stored (k,m).
+// gemmTN computes rows [lo,hi) of dst = aᵀ x b, a stored (k,m). Two rows of
+// aᵀ are two strided columns of a; they are gathered once per strip into a
+// stack buffer, which turns the rest into gemmNN's micro-kernel.
 func gemmTN(dst, a, b []float64, k, m, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		zeroFloats(dst[i*n : (i+1)*n])
 	}
-	for jc := 0; jc < n; jc += gemmNC {
-		je := min(jc+gemmNC, n)
-		for pc := 0; pc < k; pc += gemmKC {
-			pe := min(pc+gemmKC, k)
-			for i := lo; i < hi; i++ {
-				orow := dst[i*n+jc : i*n+je]
-				for p := pc; p < pe; p++ {
-					axpy(orow, b[p*n+jc:p*n+je], a[p*m+i])
-				}
+	nt := n - n%gemmNR
+	st := gemmStrides{ai: 1, ap: m, bp: n, bj: 1}
+	var cols [gemmMR][gemmKC]float64
+	for pc := 0; pc < k; pc += gemmKC {
+		pe := min(pc+gemmKC, k)
+		i := lo
+		for ; i+gemmMR <= hi; i += gemmMR {
+			a0, a1 := cols[0][:pe-pc], cols[1][:pe-pc]
+			oa := pc*m + i
+			for p := range a0 {
+				ap := a[oa : oa+gemmMR : oa+gemmMR]
+				a0[p], a1[p] = ap[0], ap[1]
+				oa += m
 			}
+			stripNN(dst[i*n:i*n+nt], dst[(i+1)*n:(i+1)*n+nt], a0, a1, b[pc*n:], n)
 		}
+		gemmEdge(dst, a, b, n, st, lo, i, nt, n, pc, pe)
+		gemmEdge(dst, a, b, n, st, i, hi, 0, n, pc, pe)
 	}
 }
 
 // gemmNTAcc accumulates rows [lo,hi) of dst += a x bᵀ, b stored (n,k).
-// Each output element is a single dot product accumulated in ascending k
-// order, so the result is bit-identical to the naive loop.
 func gemmNTAcc(dst, a, b []float64, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			orow[j] += dot(arow, b[j*k:(j+1)*k])
+	nt := n - n%gemmNR
+	st := gemmStrides{ai: k, ap: 1, bp: 1, bj: k}
+	for pc := 0; pc < k; pc += gemmKC {
+		pe := min(pc+gemmKC, k)
+		i := lo
+		for ; i+gemmMR <= hi; i += gemmMR {
+			a0, a1 := a[i*k+pc:i*k+pe], a[(i+1)*k+pc:(i+1)*k+pe]
+			stripNT(dst[i*n:i*n+nt], dst[(i+1)*n:(i+1)*n+nt], a0, a1, b[pc:], k)
+		}
+		gemmEdge(dst, a, b, n, st, lo, i, nt, n, pc, pe)
+		gemmEdge(dst, a, b, n, st, i, hi, 0, n, pc, pe)
+	}
+}
+
+// stripNN accumulates one k-panel into two rows of dst, d0 and d1 (cut to a
+// multiple of gemmNR columns), one register tile at a time: a0 and a1 are the
+// panel's slice of the two rows of a, b starts at the panel's first row, with
+// row stride n.
+func stripNN(d0, d1, a0, a1, b []float64, n int) {
+	d1 = d1[:len(d0)]
+	a1 = a1[:len(a0)]
+	for j := 0; j+gemmNR <= len(d0); j += gemmNR {
+		c00, c01 := d0[j], d0[j+1]
+		c10, c11 := d1[j], d1[j+1]
+		ob := j
+		for p, x0 := range a0 {
+			x1 := a1[p]
+			bp := b[ob : ob+gemmNR : ob+gemmNR]
+			ob += n
+			c00 += x0 * bp[0]
+			c01 += x0 * bp[1]
+			c10 += x1 * bp[0]
+			c11 += x1 * bp[1]
+		}
+		d0[j], d0[j+1] = c00, c01
+		d1[j], d1[j+1] = c10, c11
+	}
+}
+
+// stripNT is stripNN with b stored (n,k): b starts at the panel's first k,
+// with row stride k, so all four operand streams are contiguous.
+func stripNT(d0, d1, a0, a1, b []float64, k int) {
+	d1 = d1[:len(d0)]
+	kc := len(a0)
+	a1 = a1[:kc]
+	for j := 0; j+gemmNR <= len(d0); j += gemmNR {
+		c00, c01 := d0[j], d0[j+1]
+		c10, c11 := d1[j], d1[j+1]
+		b0, b1 := b[j*k:][:kc], b[(j+1)*k:][:kc]
+		for p, x0 := range a0 {
+			x1 := a1[p]
+			c00 += x0 * b0[p]
+			c01 += x0 * b1[p]
+			c10 += x1 * b0[p]
+			c11 += x1 * b1[p]
+		}
+		d0[j], d0[j+1] = c00, c01
+		d1[j], d1[j+1] = c10, c11
+	}
+}
+
+// gemmStrides locates the operands of one storage order: a(i,p) is
+// a[i*ai+p*ap] and b(p,j) is b[p*bp+j*bj].
+type gemmStrides struct{ ai, ap, bp, bj int }
+
+// gemmEdge is the scalar edge loop shared by the three storage orders: it
+// accumulates k-panel [pc,pe) into the dst block [i0,i1) x [j0,j1).
+func gemmEdge(dst, a, b []float64, n int, st gemmStrides, i0, i1, j0, j1, pc, pe int) {
+	for i := i0; i < i1; i++ {
+		for j := j0; j < j1; j++ {
+			s := dst[i*n+j]
+			oa, ob := i*st.ai+pc*st.ap, pc*st.bp+j*st.bj
+			for p := pc; p < pe; p++ {
+				s += a[oa] * b[ob]
+				oa += st.ap
+				ob += st.bp
+			}
+			dst[i*n+j] = s
 		}
 	}
-}
-
-// axpy computes dst[i] += alpha*src[i]; the slices must have equal length.
-// Unrolled by four with sequential adds, so the float rounding matches the
-// plain loop exactly.
-func axpy(dst, src []float64, alpha float64) {
-	n := len(dst)
-	src = src[:n]
-	i := 0
-	for ; i+3 < n; i += 4 {
-		dst[i] += alpha * src[i]
-		dst[i+1] += alpha * src[i+1]
-		dst[i+2] += alpha * src[i+2]
-		dst[i+3] += alpha * src[i+3]
-	}
-	for ; i < n; i++ {
-		dst[i] += alpha * src[i]
-	}
-}
-
-// dot returns the inner product of two equal-length slices, accumulated
-// strictly in ascending index order (single accumulator, sequential adds).
-func dot(a, b []float64) float64 {
-	n := len(a)
-	b = b[:n]
-	s := 0.0
-	i := 0
-	for ; i+3 < n; i += 4 {
-		s += a[i] * b[i]
-		s += a[i+1] * b[i+1]
-		s += a[i+2] * b[i+2]
-		s += a[i+3] * b[i+3]
-	}
-	for ; i < n; i++ {
-		s += a[i] * b[i]
-	}
-	return s
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 
 	"github.com/edgeml/edgetrain/internal/parallel"
@@ -58,6 +59,116 @@ func TestMatMulMatchesNaiveRandomShapes(t *testing.T) {
 		bT := Transpose(b)
 		if got := MatMulNT(a, bT); MaxAbsDiff(got, want) != 0 {
 			t.Fatalf("MatMulNT (%d,%d)x(%d,%d)ᵀ differs from naive", m, k, n, k)
+		}
+	}
+}
+
+// TestGemmKernelsBitIdenticalToNaive is the kernel conformance test: the
+// three row-range kernels under every conv, linear and MatMul call must
+// reproduce the naive triple loop bit for bit — signed zeros included — on
+// the benchmark student's im2col shapes, ragged shapes around the register
+// tile, k of one and k across the gemmKC panel boundary, row sub-ranges that
+// start on an odd row, zero-heavy and signed-zero operands, and (NT) a
+// non-zero destination to accumulate into. Rows outside [lo,hi) must not be
+// touched.
+func TestGemmKernelsBitIdenticalToNaive(t *testing.T) {
+	shapes := [][3]int{ // m, k, n
+		{8, 9, 256}, {8, 72, 256}, {16, 144, 64}, {32, 288, 16}, {64, 576, 4}, // model
+		{7, 13, 5}, {3, 5, 9}, {1, 1, 1},
+		{2*gemmMR - 1, 6, 2*gemmNR - 1}, {2*gemmMR + 1, 6, 2*gemmNR + 1}, // one below / above a tile multiple
+		{6, 1, 6},                                                // k = 1
+		{4, gemmKC + 3, 6}, {5, 2*gemmKC + 1, 3}, {2, gemmKC, 2}, // panel boundary
+	}
+	negZero := math.Copysign(0, -1)
+	fills := map[string]func(rng *RNG, xs []float64){
+		"normal": func(rng *RNG, xs []float64) {
+			for i := range xs {
+				xs[i] = rng.Normal(0, 1)
+			}
+		},
+		"zero-heavy": func(rng *RNG, xs []float64) {
+			for i := range xs {
+				xs[i] = 0
+				if rng.Intn(5) == 0 {
+					xs[i] = rng.Normal(0, 1)
+				}
+			}
+		},
+		"signed-zero": func(rng *RNG, xs []float64) {
+			vals := []float64{0, negZero, 1, -1, negZero, 0.5}
+			for i := range xs {
+				xs[i] = vals[rng.Intn(len(vals))]
+			}
+		},
+	}
+	const sentinel = 12345.0
+	for _, sh := range shapes {
+		m, k, n := sh[0], sh[1], sh[2]
+		ranges := [][2]int{{0, m}}
+		if m >= 2 {
+			ranges = append(ranges, [2]int{1, m})
+		}
+		if m >= 4 {
+			ranges = append(ranges, [2]int{1, m - 1}, [2]int{3, m})
+		}
+		for fill, fn := range fills {
+			rng := NewRNG(uint64(1000*m + 10*k + n))
+			a, b, init := New(m, k), New(k, n), New(m, n)
+			fn(rng, a.data)
+			fn(rng, b.data)
+			fn(rng, init.data) // what NT accumulates into
+			aT, bT := Transpose(a), Transpose(b)
+
+			// want[0] starts every element from +0, want[1] from init.
+			var want [2][]float64
+			for w, start := range [][]float64{make([]float64, m*n), init.data} {
+				want[w] = make([]float64, m*n)
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						s := start[i*n+j]
+						for p := 0; p < k; p++ {
+							s += a.data[i*k+p] * b.data[p*n+j]
+						}
+						want[w][i*n+j] = s
+					}
+				}
+			}
+
+			for _, r := range ranges {
+				lo, hi := r[0], r[1]
+				kernels := []struct {
+					name  string
+					want  []float64
+					start []float64 // copied into rows [lo,hi) of dst first; nil leaves the sentinel
+					run   func(dst []float64)
+				}{
+					{"NN", want[0], nil, func(dst []float64) { gemmNN(dst, a.data, b.data, k, n, lo, hi) }},
+					{"TN", want[0], nil, func(dst []float64) { gemmTN(dst, aT.data, b.data, k, m, n, lo, hi) }},
+					{"NTAcc", want[1], init.data, func(dst []float64) { gemmNTAcc(dst, a.data, bT.data, k, n, lo, hi) }},
+				}
+				for _, kr := range kernels {
+					dst := make([]float64, m*n)
+					for i := range dst {
+						dst[i] = sentinel
+					}
+					if kr.start != nil {
+						copy(dst[lo*n:hi*n], kr.start[lo*n:hi*n])
+					}
+					kr.run(dst)
+					for i := 0; i < m; i++ {
+						for j := 0; j < n; j++ {
+							got, exp := dst[i*n+j], sentinel
+							if i >= lo && i < hi {
+								exp = kr.want[i*n+j]
+							}
+							if math.Float64bits(got) != math.Float64bits(exp) {
+								t.Fatalf("%s %s %dx%dx%d rows [%d,%d): element (%d,%d) = %v (%#x), want %v (%#x)",
+									kr.name, fill, m, k, n, lo, hi, i, j, got, math.Float64bits(got), exp, math.Float64bits(exp))
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

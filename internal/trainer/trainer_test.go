@@ -2,12 +2,14 @@ package trainer
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"github.com/edgeml/edgetrain/internal/chain"
 	"github.com/edgeml/edgetrain/internal/nn"
 	"github.com/edgeml/edgetrain/internal/tensor"
+	"github.com/edgeml/edgetrain/store"
 )
 
 // twoBlobDataset builds a linearly separable two-class dataset of (N, 2)
@@ -324,5 +326,54 @@ func TestIdleSchedulerProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckpointedTrainingMatchesPlainState pins "a checkpointed step
+// reproduces plain backpropagation exactly" for everything a durable
+// checkpoint or a fleet broadcast carries, not just the parameters: the
+// scheduled executor re-runs stage forwards, and batch norm folds the batch
+// statistics into its running mean and variance on every training forward, so
+// without the executor's restore the inference-mode statistics of a
+// checkpointed run drift away from plain backpropagation's.
+func TestCheckpointedTrainingMatchesPlainState(t *testing.T) {
+	ds := imageDataset(24) // six Adam steps at batch 4
+	run := func(p chain.Policy) (state []uint64, evalLoss uint64) {
+		t.Helper()
+		c := convBNChain(5)
+		tr, err := New(c, Config{Epochs: 1, BatchSize: 4, Optimizer: NewAdam(0.01), Policy: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Train(ds); err != nil {
+			t.Fatalf("%s: %v", p.Kind, err)
+		}
+		loss, _, err := Evaluate(c, ds, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return trainingBytes(c), math.Float64bits(loss)
+	}
+	tiered, err := store.NewTiered(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tiered.Close()
+
+	wantState, wantLoss := run(chain.Policy{Kind: "storeall"})
+	for _, p := range []chain.Policy{
+		{Kind: "revolve", Slots: 2},
+		{Kind: "periodic", Interval: 3},
+		{Kind: "logspaced"},
+		{Kind: "sequential", Segments: 3},
+		{Kind: "twolevel", Slots: 1, DiskSlots: 2, Store: tiered},
+	} {
+		state, loss := run(p)
+		if !slices.Equal(state, wantState) {
+			t.Errorf("%s: parameters or batch-norm state differ from plain backpropagation", p.Kind)
+		}
+		if loss != wantLoss {
+			t.Errorf("%s: inference-mode loss %v, want %v", p.Kind, math.Float64frombits(loss), math.Float64frombits(wantLoss))
+		}
 	}
 }
