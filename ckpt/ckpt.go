@@ -32,6 +32,12 @@
 // the predecessor if the latest is corrupt or truncated, so a crash at any
 // instant — including mid-Save — leaves a loadable checkpoint behind.
 //
+// Saver moves that write off the caller's loop: one background goroutine per
+// open Dir runs the same Save on one captured session at a time, and hands
+// the first write error back at the next Submit and at Close. The trainer's
+// periodic saves and the coordinator's per-round state saves both go through
+// it; what it changes is who waits for the fsyncs, never whether they happen.
+//
 // Any structural defect found while loading (bad magic, truncation, CRC
 // mismatch, implausible lengths) is reported as an error wrapping ErrCorrupt,
 // never a panic and never silently wrong tensors.

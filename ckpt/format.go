@@ -99,12 +99,6 @@ type Frame struct {
 	Payload []byte
 }
 
-// rawFrame is one frame before styling: its type and raw payload bytes.
-type rawFrame struct {
-	typ     uint32
-	payload []byte
-}
-
 // encFrame is one frame after styling: encoded payload plus header fields.
 type encFrame struct {
 	typ    uint32
@@ -112,6 +106,17 @@ type encFrame struct {
 	rawLen uint64
 	crc    uint32
 	enc    []byte
+}
+
+// frameHeader lays out the fixed header that precedes a frame's encoded
+// payload in a checkpoint file and on the wire.
+func frameHeader(f encFrame) (fh [FrameHeaderBytes]byte) {
+	binary.LittleEndian.PutUint32(fh[0:], f.typ)
+	binary.LittleEndian.PutUint32(fh[4:], f.style)
+	binary.LittleEndian.PutUint64(fh[8:], uint64(len(f.enc)))
+	binary.LittleEndian.PutUint64(fh[16:], f.rawLen)
+	binary.LittleEndian.PutUint32(fh[24:], f.crc)
+	return fh
 }
 
 // encodeFramePayload styles one payload (verbatim or DEFLATE) and computes
@@ -171,12 +176,7 @@ func WriteFrame(w io.Writer, f Frame, style uint32) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var fh [FrameHeaderBytes]byte
-	binary.LittleEndian.PutUint32(fh[0:], f.Type)
-	binary.LittleEndian.PutUint32(fh[4:], style)
-	binary.LittleEndian.PutUint64(fh[8:], uint64(len(enc)))
-	binary.LittleEndian.PutUint64(fh[16:], uint64(len(f.Payload)))
-	binary.LittleEndian.PutUint32(fh[24:], crc)
+	fh := frameHeader(encFrame{typ: f.Type, style: style, rawLen: uint64(len(f.Payload)), crc: crc, enc: enc})
 	if _, err := w.Write(fh[:]); err != nil {
 		return 0, fmt.Errorf("ckpt: writing frame header: %w", err)
 	}
@@ -242,86 +242,85 @@ func ReadFrame(r io.Reader, maxBytes int64) (Frame, int, error) {
 	return Frame{Type: f.typ, Payload: payload}, n, nil
 }
 
-// buildFrames lays the session out as raw frames in the canonical order:
-// meta, params, layer state, optimizer meta, optimizer slots, workers. The
-// order is part of the format: decode reassembles slices in frame order.
-func buildFrames(s *Session) ([]rawFrame, error) {
-	frames := make([]rawFrame, 0,
-		1+len(s.Params)+len(s.LayerState)+1+len(s.Opt.Slots)+len(s.Workers))
-
-	var meta bytes.Buffer
-	wire.PutString(&meta, s.Kind)
-	wire.PutString(&meta, s.LibraryVersion)
-	wire.PutInt64(&meta, int64(s.Epoch))
-	wire.PutInt64(&meta, int64(s.Step))
-	wire.PutInt64(&meta, int64(s.Round))
-	wire.PutInt64(&meta, int64(s.BatchSize))
-	wire.PutUint64(&meta, s.Seed)
-	wire.PutUint32(&meta, uint32(len(s.RNG)))
-	for _, w := range s.RNG {
-		wire.PutUint64(&meta, w)
-	}
-	wire.PutUint32(&meta, uint32(len(s.Params)))
-	wire.PutUint32(&meta, uint32(len(s.LayerState)))
-	wire.PutUint32(&meta, uint32(len(s.Opt.Slots)))
-	wire.PutUint32(&meta, uint32(len(s.Workers)))
-	frames = append(frames, rawFrame{frameMeta, meta.Bytes()})
-
-	for _, nt := range s.Params {
-		b, err := encodeNamedTensor(nt)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: encoding parameter %q: %w", nt.Name, err)
-		}
-		frames = append(frames, rawFrame{frameParam, b})
-	}
-	for _, nt := range s.LayerState {
-		b, err := encodeNamedTensor(nt)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: encoding layer state %q: %w", nt.Name, err)
-		}
-		frames = append(frames, rawFrame{frameLayerState, b})
-	}
-
-	var om bytes.Buffer
-	wire.PutString(&om, s.Opt.Name)
-	wire.PutInt64(&om, s.Opt.Step)
-	wire.PutUint32(&om, uint32(len(s.Opt.Slots)))
-	frames = append(frames, rawFrame{frameOptMeta, om.Bytes()})
-	for _, slot := range s.Opt.Slots {
-		frames = append(frames, rawFrame{frameOptSlot, encodeOptSlot(slot)})
-	}
-
-	for i := range s.Workers {
-		frames = append(frames, rawFrame{frameWorker, EncodeWorkerState(&s.Workers[i])})
-	}
-	return frames, nil
+// frameCount is the number of frames the session serializes to.
+func frameCount(s *Session) int {
+	return 1 + len(s.Params) + len(s.LayerState) + 1 + len(s.Opt.Slots) + len(s.Workers)
 }
 
-func encodeNamedTensor(nt NamedTensor) ([]byte, error) {
+// putFrame appends the raw payload of the session's i-th frame to b and
+// returns the frame's type. Frames come in the canonical order — meta,
+// params, layer state, optimizer meta, optimizer slots, workers — which is
+// part of the format: decode reassembles slices in frame order.
+func putFrame(s *Session, i int, b *bytes.Buffer) (uint32, error) {
+	if i == 0 {
+		wire.PutString(b, s.Kind)
+		wire.PutString(b, s.LibraryVersion)
+		wire.PutInt64(b, int64(s.Epoch))
+		wire.PutInt64(b, int64(s.Step))
+		wire.PutInt64(b, int64(s.Round))
+		wire.PutInt64(b, int64(s.BatchSize))
+		wire.PutUint64(b, s.Seed)
+		wire.PutUint32(b, uint32(len(s.RNG)))
+		for _, w := range s.RNG {
+			wire.PutUint64(b, w)
+		}
+		wire.PutUint32(b, uint32(len(s.Params)))
+		wire.PutUint32(b, uint32(len(s.LayerState)))
+		wire.PutUint32(b, uint32(len(s.Opt.Slots)))
+		wire.PutUint32(b, uint32(len(s.Workers)))
+		return frameMeta, nil
+	}
+	i--
+	if i < len(s.Params) {
+		if err := putNamedTensor(b, s.Params[i]); err != nil {
+			return 0, fmt.Errorf("ckpt: encoding parameter %q: %w", s.Params[i].Name, err)
+		}
+		return frameParam, nil
+	}
+	i -= len(s.Params)
+	if i < len(s.LayerState) {
+		if err := putNamedTensor(b, s.LayerState[i]); err != nil {
+			return 0, fmt.Errorf("ckpt: encoding layer state %q: %w", s.LayerState[i].Name, err)
+		}
+		return frameLayerState, nil
+	}
+	i -= len(s.LayerState)
+	if i == 0 {
+		wire.PutString(b, s.Opt.Name)
+		wire.PutInt64(b, s.Opt.Step)
+		wire.PutUint32(b, uint32(len(s.Opt.Slots)))
+		return frameOptMeta, nil
+	}
+	i--
+	if i < len(s.Opt.Slots) {
+		putOptSlot(b, s.Opt.Slots[i])
+		return frameOptSlot, nil
+	}
+	putWorkerState(b, &s.Workers[i-len(s.Opt.Slots)])
+	return frameWorker, nil
+}
+
+func putNamedTensor(b *bytes.Buffer, nt NamedTensor) error {
 	if nt.Tensor == nil {
-		return nil, fmt.Errorf("nil tensor")
+		return fmt.Errorf("nil tensor")
 	}
-	var b bytes.Buffer
 	b.Grow(4 + len(nt.Name) + int(nn.EncodedTensorBytes(nt.Tensor)))
-	wire.PutString(&b, nt.Name)
-	if err := nn.WriteTensor(&b, nt.Tensor); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
+	wire.PutString(b, nt.Name)
+	return nn.WriteTensor(b, nt.Tensor)
 }
 
-func encodeOptSlot(slot OptSlot) []byte {
-	var b bytes.Buffer
+func putOptSlot(b *bytes.Buffer, slot OptSlot) {
 	b.Grow(8 + len(slot.Param) + len(slot.Slot) + 8 + 8*len(slot.Data))
-	wire.PutString(&b, slot.Param)
-	wire.PutString(&b, slot.Slot)
-	wire.PutUint64(&b, uint64(len(slot.Data)))
-	var scratch [8]byte
-	for _, v := range slot.Data {
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-		b.Write(scratch[:])
+	wire.PutString(b, slot.Param)
+	wire.PutString(b, slot.Slot)
+	wire.PutUint64(b, uint64(len(slot.Data)))
+	// The values are encoded in place in the buffer's spare capacity (grown
+	// above) and committed with one Write, not one Write per value.
+	data := b.AvailableBuffer()[:8*len(slot.Data)]
+	for i, v := range slot.Data {
+		binary.LittleEndian.PutUint64(data[8*i:], math.Float64bits(v))
 	}
-	return b.Bytes()
+	b.Write(data)
 }
 
 // EncodeWorkerState serializes one worker's durable progress — index, name,
@@ -330,17 +329,21 @@ func encodeOptSlot(slot OptSlot) []byte {
 // recovered worker state to a rejoining node.
 func EncodeWorkerState(w *WorkerState) []byte {
 	var wb bytes.Buffer
-	wire.PutString(&wb, w.Name)
-	wire.PutInt64(&wb, int64(w.Index))
-	wire.PutInt64(&wb, w.Rounds)
-	wire.PutInt64(&wb, w.Samples)
-	wire.PutString(&wb, w.Opt.Name)
-	wire.PutInt64(&wb, w.Opt.Step)
-	wire.PutUint32(&wb, uint32(len(w.Opt.Slots)))
-	for _, slot := range w.Opt.Slots {
-		wb.Write(encodeOptSlot(slot))
-	}
+	putWorkerState(&wb, w)
 	return wb.Bytes()
+}
+
+func putWorkerState(b *bytes.Buffer, w *WorkerState) {
+	wire.PutString(b, w.Name)
+	wire.PutInt64(b, int64(w.Index))
+	wire.PutInt64(b, w.Rounds)
+	wire.PutInt64(b, w.Samples)
+	wire.PutString(b, w.Opt.Name)
+	wire.PutInt64(b, w.Opt.Step)
+	wire.PutUint32(b, uint32(len(w.Opt.Slots)))
+	for _, slot := range w.Opt.Slots {
+		putOptSlot(b, slot)
+	}
 }
 
 // DecodeWorkerState parses a payload written by EncodeWorkerState.
@@ -348,20 +351,26 @@ func DecodeWorkerState(payload []byte) (*WorkerState, error) {
 	return parseWorker(payload)
 }
 
-// encodeAll styles the raw frames — compression and CRC, the expensive part
-// — in parallel. Every frame is encoded independently into its own buffer,
-// so the resulting bytes are identical at any worker count.
-func encodeAll(frames []rawFrame, style uint32) ([]encFrame, error) {
-	out := make([]encFrame, len(frames))
-	errs := make([]error, len(frames))
-	parallel.ForChunks(len(frames), 1, func(i, _, _ int) {
-		f := frames[i]
-		enc, crc, err := encodeFramePayload(f.payload, style)
+// encodeAll builds and styles every frame of the session — compression and
+// CRC, the expensive part — in parallel. Every frame is encoded independently
+// into its own buffer, so the resulting bytes are identical at any worker
+// count.
+func encodeAll(s *Session, style uint32) ([]encFrame, error) {
+	out := make([]encFrame, frameCount(s))
+	errs := make([]error, len(out))
+	parallel.ForChunks(len(out), 1, func(i, _, _ int) {
+		var b bytes.Buffer
+		typ, err := putFrame(s, i, &b)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		enc, crc, err := encodeFramePayload(b.Bytes(), style)
 		if err != nil {
 			errs[i] = fmt.Errorf("ckpt: frame %d: %w", i, err)
 			return
 		}
-		out[i] = encFrame{typ: f.typ, style: style, rawLen: uint64(len(f.payload)), crc: crc, enc: enc}
+		out[i] = encFrame{typ: typ, style: style, rawLen: uint64(b.Len()), crc: crc, enc: enc}
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -371,44 +380,70 @@ func encodeAll(frames []rawFrame, style uint32) ([]encFrame, error) {
 	return out, nil
 }
 
-// Write serializes the session to w in the framed checkpoint format. The
-// bytes written are identical to Encode's: both modes share this code path.
-func Write(w io.Writer, s *Session, opts ...Option) error {
+// writeEncFrame writes one styled frame, header then payload. idx labels the
+// frame in error messages.
+func writeEncFrame(w io.Writer, idx int, f encFrame) error {
+	fh := frameHeader(f)
+	if _, err := w.Write(fh[:]); err != nil {
+		return fmt.Errorf("ckpt: writing frame %d header: %w", idx, err)
+	}
+	if _, err := w.Write(f.enc); err != nil {
+		return fmt.Errorf("ckpt: writing frame %d payload: %w", idx, err)
+	}
+	return nil
+}
+
+// writeSession serializes the session to w. Raw frames are built one at a
+// time in scratch and streamed out — the whole file is never in memory, and a
+// caller that writes many checkpoints (a Dir) passes the same scratch every
+// time; DEFLATE frames, whose compression is worth spreading over the cores,
+// go through encodeAll. The bytes are the same either way a frame is built.
+func writeSession(w io.Writer, s *Session, scratch *bytes.Buffer, opts ...Option) error {
 	var cfg writeConfig
 	cfg.style = StyleRaw
 	for _, o := range opts {
 		o(&cfg)
 	}
-	raw, err := buildFrames(s)
-	if err != nil {
-		return err
-	}
-	enc, err := encodeAll(raw, cfg.style)
-	if err != nil {
-		return err
-	}
+	n := frameCount(s)
 	var head [headerBytes]byte
 	copy(head[:8], Magic)
 	binary.LittleEndian.PutUint32(head[8:], FormatVersion)
-	binary.LittleEndian.PutUint32(head[12:], uint32(len(enc)))
+	binary.LittleEndian.PutUint32(head[12:], uint32(n))
 	if _, err := w.Write(head[:]); err != nil {
 		return fmt.Errorf("ckpt: writing header: %w", err)
 	}
-	var fh [FrameHeaderBytes]byte
-	for i, f := range enc {
-		binary.LittleEndian.PutUint32(fh[0:], f.typ)
-		binary.LittleEndian.PutUint32(fh[4:], f.style)
-		binary.LittleEndian.PutUint64(fh[8:], uint64(len(f.enc)))
-		binary.LittleEndian.PutUint64(fh[16:], f.rawLen)
-		binary.LittleEndian.PutUint32(fh[24:], f.crc)
-		if _, err := w.Write(fh[:]); err != nil {
-			return fmt.Errorf("ckpt: writing frame %d header: %w", i, err)
+	if cfg.style != StyleRaw {
+		enc, err := encodeAll(s, cfg.style)
+		if err != nil {
+			return err
 		}
-		if _, err := w.Write(f.enc); err != nil {
-			return fmt.Errorf("ckpt: writing frame %d payload: %w", i, err)
+		for i, f := range enc {
+			if err := writeEncFrame(w, i, f); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for i := 0; i < n; i++ {
+		scratch.Reset()
+		typ, err := putFrame(s, i, scratch)
+		if err != nil {
+			return err
+		}
+		p := scratch.Bytes()
+		f := encFrame{typ: typ, style: StyleRaw, rawLen: uint64(len(p)), crc: crc32.ChecksumIEEE(p), enc: p}
+		if err := writeEncFrame(w, i, f); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// Write serializes the session to w in the framed checkpoint format. The
+// bytes written are identical to Encode's: both modes share this code path.
+func Write(w io.Writer, s *Session, opts ...Option) error {
+	var scratch bytes.Buffer
+	return writeSession(w, s, &scratch, opts...)
 }
 
 // Encode serializes the session in memory, returning exactly the bytes Write

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -27,11 +28,27 @@ const manifestHeader = "edgetrain checkpoint manifest v1"
 // either the new checkpoint fully published or the previous one intact.
 //
 // A Dir is not safe for concurrent use by multiple goroutines or processes;
-// one training process owns its checkpoint directory.
+// one training process owns its checkpoint directory. While a Saver is open
+// on a Dir the saver's goroutine is that one user: the opener submits
+// sessions to the saver and touches the Dir again only after Close. Open
+// itself assumes ownership too — it reclaims crash leftovers, and another
+// owner's write in flight looks like one — so a reader that wants to Load
+// beside a running writer opens its own Dir before the writer starts.
 type Dir struct {
 	path string
 	seq  int // sequence number of the next checkpoint file
+
+	// Write-path buffers, allocated by the first Save and reused by every
+	// later one (saves are serial): the frame scratch and the file buffer.
+	scratch bytes.Buffer
+	out     *bufio.Writer
 }
+
+// saveBufferBytes sizes the buffer between the frame encoder and the
+// checkpoint file: small frames (a checkpoint has hundreds: biases,
+// batch-norm vectors and their optimizer slots) leave in a few large writes,
+// and a frame bigger than the buffer passes through without a copy.
+const saveBufferBytes = 64 << 10
 
 // manifest is the parsed content of a MANIFEST file.
 type manifest struct {
@@ -166,7 +183,15 @@ func (d *Dir) Save(s *Session, opts ...Option) (string, error) {
 	start := time.Now()
 	name := checkpointName(d.seq)
 	if err := d.writeAtomically(name, func(f *os.File) error {
-		return Write(f, s, opts...)
+		if d.out == nil {
+			d.out = bufio.NewWriterSize(f, saveBufferBytes)
+		} else {
+			d.out.Reset(f)
+		}
+		if err := writeSession(d.out, s, &d.scratch, opts...); err != nil {
+			return err
+		}
+		return d.out.Flush()
 	}); err != nil {
 		return "", err
 	}

@@ -61,7 +61,8 @@ func main() {
 	viewpoint := flag.Float64("viewpoint", 0.8, "node viewpoint skew in [0,1]")
 	seed := flag.Uint64("seed", 1, "random seed")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for durable training checkpoints")
-	ckptEvery := flag.Int("checkpoint-every", 10, "optimisation steps between durable checkpoints")
+	ckptEvery := flag.Int("checkpoint-every", 10,
+		"optimisation steps between durable checkpoints; each is written in the background while the next step runs and is durable before the step after that starts (one snapshot of the model and optimizer state is in memory meanwhile)")
 	ckptCompress := flag.Bool("checkpoint-compress", false, "DEFLATE-compress checkpoint frames")
 	resume := flag.String("resume", "", "resume from the durable checkpoints in this directory")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /trace and /debug/pprof on this address (empty disables)")

@@ -565,7 +565,12 @@ func (c *Coordinator) run() {
 		slots[ws.Index].name = ws.Name
 		slots[ws.Index].state = &ws
 	}
-	saver := c.startSaver()
+	// With a StateDir the one background saver persists every round
+	// boundary; it owns the Dir from here until the Close below.
+	var saver *ckpt.Saver
+	if c.stateDir != nil {
+		saver = ckpt.NewSaver(c.stateDir, -1) // spans on the coordinator's lane
+	}
 	var rounds []fleet.RoundStats
 	err := func() error {
 		if err := c.gather(slots); err != nil {
@@ -593,12 +598,19 @@ func (c *Coordinator) run() {
 				r, rs.Participants, rs.Dropouts, rs.Loss, rs.WallClock.Round(time.Millisecond))
 			if saver != nil {
 				// Snapshot on the round path (cheap clones), write in the
-				// background: the fold never waits on flash.
+				// background. Submit joins the previous round's write, so
+				// a coordinator that cannot persist its state fails here,
+				// one round after the write that failed.
 				s, err := c.captureSession(r+1, slots)
 				if err != nil {
 					return err
 				}
-				saver.enqueue(s)
+				err = saver.Submit(s, func(name string) {
+					c.cfg.Logf("coord: state saved to %s (next round %d)", name, s.Round)
+				})
+				if err != nil {
+					return fmt.Errorf("coord: saving state: %w", err)
+				}
 			}
 			if c.cfg.afterRound != nil {
 				c.cfg.afterRound(r)
@@ -643,8 +655,8 @@ drain:
 	}
 	c.listener.Close()
 	if saver != nil {
-		if serr := saver.drain(); serr != nil && err == nil {
-			err = serr
+		if serr := saver.Close(); serr != nil && err == nil {
+			err = fmt.Errorf("coord: saving state: %w", serr)
 		}
 	}
 

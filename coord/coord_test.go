@@ -318,6 +318,26 @@ func TestCodecCapabilityRejection(t *testing.T) {
 	}
 }
 
+// holdRoundZero returns the beforeUpdate hook of an honest worker in the
+// poison tests and the function that releases it. The honest pair meets the
+// quorum of 2 alone, and left to itself can finish both rounds before the raw
+// client has dialed; held before round 0's upload until the third joiner has
+// its welcome, the poison deterministically lands in round 1.
+func holdRoundZero() (hook func(round int) error, release func()) {
+	welcomed := make(chan struct{})
+	hook = func(round int) error {
+		if round == 0 {
+			select {
+			case <-welcomed:
+			case <-time.After(10 * time.Second):
+				return errors.New("timed out waiting for the third joiner's welcome")
+			}
+		}
+		return nil
+	}
+	return hook, func() { close(welcomed) }
+}
+
 // TestCompressedPoisonDropsWorker sends a compressed update whose NaN exists
 // only after dequantization (the int8 grid is poisoned, the payload bytes are
 // finite): the coordinator must decode, validate the decoded tensors, reject
@@ -353,13 +373,14 @@ func TestCompressedPoisonDropsWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	hold, evilWelcomed := holdRoundZero()
 	var wg sync.WaitGroup
 	honest := make([]error, 2)
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, honest[i] = RunWorker(tr, addr, workerOptions(fmt.Sprintf("w%d", i), 5, eqSamples, nil))
+			_, honest[i] = RunWorker(tr, addr, workerOptions(fmt.Sprintf("w%d", i), 5, eqSamples, hold))
 		}(i)
 	}
 
@@ -374,6 +395,7 @@ func TestCompressedPoisonDropsWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	evilWelcomed()
 	if a.Compression != "topk:1+int8+raw" {
 		t.Fatalf("assigned compression %q", a.Compression)
 	}
@@ -785,13 +807,14 @@ func TestPoisonedUpdateDropsWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	hold, evilWelcomed := holdRoundZero()
 	var wg sync.WaitGroup
 	honest := make([]error, 2)
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, honest[i] = RunWorker(tr, addr, workerOptions(fmt.Sprintf("w%d", i), 5, eqSamples, nil))
+			_, honest[i] = RunWorker(tr, addr, workerOptions(fmt.Sprintf("w%d", i), 5, eqSamples, hold))
 		}(i)
 	}
 
@@ -807,6 +830,7 @@ func TestPoisonedUpdateDropsWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	evilWelcomed()
 	if err := rc.conn.Send(ckpt.Frame{Type: msgPull}); err != nil {
 		t.Fatal(err)
 	}

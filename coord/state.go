@@ -4,10 +4,11 @@ package coord
 // longer a single point of failure: every round boundary snapshots the
 // global model, the global optimizer (all-reduce), the round cursor and the
 // fleet membership with each slot's last committed worker state, and hands
-// the snapshot to a background saver that writes it crash-safe through
-// ckpt.Dir (temp file, fsync, atomic rename, MANIFEST fallback). The
-// snapshot itself is cheap clones on the round path; the flash I/O never
-// blocks a fold.
+// the snapshot to the background ckpt.Saver, which writes it crash-safe
+// through ckpt.Dir (temp file, fsync, atomic rename, MANIFEST fallback). The
+// snapshot itself is cheap clones on the round path; the flash I/O overlaps
+// the next round and blocks a fold only when flash is a whole round behind.
+// A failed write fails the run at the following round boundary.
 //
 // A restarted coordinator opens the same StateDir, loads the newest loadable
 // checkpoint, restores model + optimizer + cursor, and re-seats the
@@ -21,12 +22,10 @@ package coord
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/edgeml/edgetrain/ckpt"
 	"github.com/edgeml/edgetrain/fleet"
 	"github.com/edgeml/edgetrain/internal/trainer"
-	"github.com/edgeml/edgetrain/obs"
 )
 
 // stateKind labels coordinator checkpoints so they are never resumed into a
@@ -93,7 +92,7 @@ func (c *Coordinator) openState() error {
 
 // captureSession snapshots the coordinator's durable state with the given
 // next-round cursor. Runs on the round path, so everything mutable is
-// cloned here: the saver may still be writing this session rounds later.
+// cloned here: the saver writes this session while the next round runs.
 func (c *Coordinator) captureSession(nextRound int, slots []slot) (*ckpt.Session, error) {
 	s := &ckpt.Session{
 		Kind:           stateKind,
@@ -119,64 +118,4 @@ func (c *Coordinator) captureSession(nextRound int, slots []slot) (*ckpt.Session
 		}
 	}
 	return s, nil
-}
-
-// stateSaver serializes checkpoint writes off the round path: the run loop
-// enqueues snapshots, one goroutine owns the ckpt.Dir (a Dir is not safe for
-// concurrent use) and writes them in order. The first write error is kept
-// and surfaced by drain — a coordinator that cannot persist its state must
-// fail the run rather than silently lose durability.
-type stateSaver struct {
-	ch   chan *ckpt.Session
-	done chan struct{}
-	logf func(format string, args ...any)
-
-	mu  sync.Mutex
-	err error
-}
-
-// startSaver launches the background writer, or returns nil without a
-// StateDir.
-func (c *Coordinator) startSaver() *stateSaver {
-	if c.stateDir == nil {
-		return nil
-	}
-	s := &stateSaver{
-		ch:   make(chan *ckpt.Session, 8),
-		done: make(chan struct{}),
-		logf: c.cfg.Logf,
-	}
-	go func() {
-		defer close(s.done)
-		for sess := range s.ch {
-			sp := obs.DefaultTracer().Span("checkpoint-save", sess.Round-1, -1)
-			name, err := c.stateDir.Save(sess)
-			sp.End()
-			if err != nil {
-				s.mu.Lock()
-				if s.err == nil {
-					s.err = fmt.Errorf("coord: saving state: %w", err)
-				}
-				s.mu.Unlock()
-				continue
-			}
-			s.logf("coord: state saved to %s (next round %d)", name, sess.Round)
-		}
-	}()
-	return s
-}
-
-// enqueue hands one snapshot to the writer, applying backpressure if flash
-// is slower than the fold loop for eight consecutive rounds.
-func (s *stateSaver) enqueue(sess *ckpt.Session) {
-	s.ch <- sess
-}
-
-// drain finishes all queued writes and returns the first write error.
-func (s *stateSaver) drain() error {
-	close(s.ch)
-	<-s.done
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }

@@ -1,0 +1,174 @@
+package coord
+
+import (
+	"errors"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/edgeml/edgetrain/ckpt"
+	"github.com/edgeml/edgetrain/fleet"
+	"github.com/edgeml/edgetrain/internal/tensor"
+	"github.com/edgeml/edgetrain/internal/trainer"
+)
+
+// runStateWorkers runs one life of the named workers against addr and waits
+// for them. Their errors are returned, not judged: a worker released by a
+// failing coordinator ends however the coordinator's last frame told it to.
+func runStateWorkers(tr Transport, addr string, n int, seed uint64, samples int) []error {
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = RunWorker(tr, addr, workerOptions(fmt.Sprintf("w%d", i), seed, samples, nil))
+		}(i)
+	}
+	wg.Wait()
+	return errs
+}
+
+// TestFailedStateSaveFailsNextRound takes the StateDir away after round 2
+// of 12 (an unmounted card: every later write fails). A coordinator that
+// cannot persist its state must fail the run at the following round boundary
+// with the ckpt error — not train on to round 12 and report it at the end —
+// and once the directory is back its manifest must name a checkpoint from
+// which a restarted coordinator finishes byte-identical to a fault-free run.
+// Both coordinators must leave no goroutine behind.
+func TestFailedStateSaveFailsNextRound(t *testing.T) {
+	const (
+		workers  = 3
+		rounds   = 12
+		samples  = 24
+		seed     = uint64(13)
+		pulledAt = 2
+	)
+	opt := func() trainer.Optimizer {
+		o, err := trainer.NewOptimizer("momentum", 0.05)
+		if err != nil {
+			panic(err)
+		}
+		return o
+	}
+	agg, err := fleet.NewAggregator("fedavg", opt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]fleet.WorkerSpec, workers)
+	for i := range specs {
+		specs[i].Name = fmt.Sprintf("w%d", i)
+	}
+	ref, err := fleet.New(fleet.Config{Workers: specs, Rounds: rounds, Seed: seed, Aggregator: agg, Optimizer: opt},
+		testModel(seed), testDataset(samples, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if _, err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var want []*tensor.Tensor
+	for _, p := range ref.Global().Params() {
+		want = append(want, p.Value.Clone())
+	}
+
+	baseline := runtime.NumGoroutine()
+	settle := func(what string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines running, %d before the coordinator started", what, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	stateDir := filepath.Join(t.TempDir(), "state")
+	away := stateDir + ".unmounted"
+	cfg := Config{
+		Workers: workers, Rounds: rounds, Samples: samples, Seed: seed,
+		Aggregator: "fedavg", Optimizer: "momentum", LR: 0.05,
+		StateDir: stateDir, Logf: t.Logf,
+	}
+	lastRound := -1
+	cfg1 := cfg
+	cfg1.afterRound = func(r int) {
+		lastRound = r
+		if r == pulledAt {
+			if err := os.Rename(stateDir, away); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	tr := NewLoopback()
+	c1, err := New(cfg1, testModel(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := c1.Start(tr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runStateWorkers(tr, addr, workers, seed, samples)
+	_, err = c1.Wait()
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("coordinator over a vanished StateDir returned %v, want the ckpt error wrapping fs.ErrNotExist", err)
+	}
+	// Round 2's own write may have been in flight when the directory went
+	// (then round 3's boundary reports it); round 3's certainly fails and is
+	// reported at round 4's boundary, before that round's hook.
+	if lastRound > pulledAt+1 {
+		t.Fatalf("coordinator trained on to round %d after losing its StateDir in round %d", lastRound, pulledAt)
+	}
+	c1.Close()
+	settle("failed coordinator")
+
+	if err := os.Rename(away, stateDir); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ckpt.Open(stateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, name, err := d.Load()
+	if err != nil {
+		t.Fatalf("no loadable state after the failed saves: %v", err)
+	}
+	// The write of round 1 was joined before the directory went.
+	if s.Round < pulledAt || s.Round > pulledAt+1 {
+		t.Fatalf("%s resumes at round %d, want %d or %d", name, s.Round, pulledAt, pulledAt+1)
+	}
+
+	c2, err := New(cfg, testModel(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c2.StartRound() != s.Round {
+		t.Fatalf("restarted coordinator resumes at round %d, manifest says %d", c2.StartRound(), s.Round)
+	}
+	addr, err = c2.Start(tr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, werr := range runStateWorkers(tr, addr, workers, seed, samples) {
+		if werr != nil {
+			t.Fatalf("worker %d of the resumed run: %v", i, werr)
+		}
+	}
+	if _, err := c2.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	var got []*tensor.Tensor
+	for _, p := range c2.Global().Params() {
+		got = append(got, p.Value)
+	}
+	assertBitEqual(t, got, want, "resume after failed state saves vs fault-free run")
+	c2.Close()
+	settle("resumed coordinator")
+}

@@ -189,7 +189,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  loaded %s -> resume at epoch %d, batch %d\n", latest, cur.Epoch, cur.Batch)
+	// Saves are written in the background and joined one step later: the
+	// checkpoint taken after step k is durable before step k+2 starts. The
+	// victim saved after step 5 and died in step 8, so that is the one.
+	fmt.Printf("  loaded %s, the checkpoint taken after step %d (the victim died in step %d) -> resume at epoch %d, batch %d\n",
+		latest, cur.Epoch*(samples/batchSize)+cur.Batch, crashStep, cur.Epoch, cur.Batch)
 	cp := &trainer.CheckpointPlan{Dir: dir, EverySteps: every, Seed: modelSeed}
 	if _, err := resumed.TrainFrom(buildDataset(), cur, cp); err != nil {
 		log.Fatal(err)

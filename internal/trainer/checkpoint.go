@@ -26,6 +26,13 @@ type Cursor struct {
 }
 
 // CheckpointPlan configures durable checkpointing for TrainFrom.
+//
+// Saves run in the background (see TrainFrom for the durability contract):
+// for the duration of the TrainFrom call a ckpt.Saver owns Dir, so nothing
+// else may Save into it, and a Hook that wants to read the directory opens
+// its own ckpt.Dir on the same path. One captured session — a clone of the
+// parameters, layer state and optimizer state — is in memory beside the live
+// model while its write is in flight, never more than one.
 type CheckpointPlan struct {
 	// Dir is the checkpoint directory; required.
 	Dir *ckpt.Dir
@@ -53,28 +60,100 @@ func (cp *CheckpointPlan) options() []ckpt.Option {
 	return nil
 }
 
-// save writes one checkpoint under the plan (stamping the plan's seed and
-// RNG state).
-func (cp *CheckpointPlan) save(t *Trainer, cur Cursor) error {
+// saverLane is the trace lane TrainFrom's background writer files its
+// checkpoint-save spans under: beside the step loop's lane (-1), not on it,
+// so a trace shows the write overlapping the next step. Worker slots are
+// non-negative and -1 is the process-wide lane, so -2 collides with neither.
+const saverLane = -2
+
+// planSaver drives TrainFrom's checkpoints through the background saver:
+// snapshot on the step loop, write off it, join one step later.
+type planSaver struct {
+	t     *Trainer
+	cp    *CheckpointPlan
+	saver *ckpt.Saver
+
+	steps     int
+	stepStart time.Time     // when the step now running began (the previous afterStep's end)
+	inFlight  bool          // a submitted save has not been joined
+	stall     time.Duration // step-loop time the save in flight has cost so far
+}
+
+func newPlanSaver(t *Trainer, cp *CheckpointPlan) *planSaver {
+	obs.DefaultTracer().NameLane(saverLane, "checkpoint-saver")
+	return &planSaver{t: t, cp: cp, saver: ckpt.NewSaver(cp.Dir, saverLane, cp.options()...), stepStart: time.Now()}
+}
+
+// join waits until the save in flight is durable and records what that save
+// made the step loop wait in total: its capture, its hand-over and this wait.
+func (ps *planSaver) join() error {
+	if !ps.inFlight {
+		return nil
+	}
 	start := time.Now()
-	sp := obs.DefaultTracer().Span("checkpoint-save", -1, -1)
-	s, err := t.CaptureSession(cur)
+	err := ps.saver.Wait()
+	ps.inFlight = false
+	obs.Default().Histogram("trainer_ckpt_stall_seconds",
+		"Time the step loop waited on one TrainFrom checkpoint (snapshot + joining the background write).", nil).
+		Observe((ps.stall + time.Since(start)).Seconds())
+	if err != nil {
+		return fmt.Errorf("trainer: checkpoint not durable: %w", err)
+	}
+	return nil
+}
+
+// snapshot joins the previous save, captures the training state at cur
+// (stamping the plan's seed and RNG state) and hands it to the writer. At
+// most one snapshot exists at a time: the join comes before the capture.
+func (ps *planSaver) snapshot(cur Cursor) error {
+	sp := obs.DefaultTracer().Span("checkpoint-snapshot", -1, -1)
+	defer func() { sp.EndDetail(fmt.Sprintf("epoch=%d batch=%d", cur.Epoch, cur.Batch)) }()
+	if err := ps.join(); err != nil {
+		return err
+	}
+	captured := time.Now()
+	s, err := ps.t.CaptureSession(cur)
 	if err != nil {
 		return err
 	}
-	s.Seed = cp.Seed
-	if cp.RNG != nil {
-		s.RNG = ckpt.CaptureRNG(cp.RNG)
+	s.Seed = ps.cp.Seed
+	if ps.cp.RNG != nil {
+		s.RNG = ckpt.CaptureRNG(ps.cp.RNG)
 	}
-	_, err = cp.Dir.Save(s, cp.options()...)
-	if err == nil {
-		if reg := obs.Default(); reg != nil {
-			reg.Counter("trainer_ckpt_saves_total", "Periodic checkpoints written by TrainFrom.").Inc()
-			reg.Histogram("trainer_ckpt_save_seconds", "Latency of one TrainFrom checkpoint save (capture + encode + fsync).", nil).
-				Observe(time.Since(start).Seconds())
-		}
-		sp.EndDetail(fmt.Sprintf("epoch=%d batch=%d", cur.Epoch, cur.Batch))
+	reg := obs.Default()
+	err = ps.saver.Submit(s, func(string) {
+		reg.Counter("trainer_ckpt_saves_total", "Checkpoints written by TrainFrom.").Inc()
+		reg.Histogram("trainer_ckpt_save_seconds", "Latency of one TrainFrom checkpoint save (capture + encode + fsync), most of it off the step loop.", nil).
+			Observe(time.Since(captured).Seconds())
+	})
+	if err != nil {
+		return fmt.Errorf("trainer: checkpointing at %+v: %w", cur, err)
 	}
+	ps.inFlight, ps.stall = true, time.Since(captured)
+	return nil
+}
+
+// afterStep is the step loop's hook: every step joins the save the previous
+// step may have submitted, and every EverySteps-th step takes the next one.
+// With tracing on it also files the step just finished as a train-step span
+// on the step loop's lane, so a trace shows each checkpoint-save against the
+// step it overlaps.
+func (ps *planSaver) afterStep(next Cursor) error {
+	ps.steps++
+	if tr := obs.DefaultTracer(); tr != nil {
+		tr.Record(obs.Event{Name: "train-step", Round: -1, Worker: -1, Start: ps.stepStart, Dur: time.Since(ps.stepStart)})
+		defer func() { ps.stepStart = time.Now() }()
+	}
+	if ps.steps%ps.cp.EverySteps == 0 {
+		return ps.snapshot(next)
+	}
+	return ps.join()
+}
+
+// close makes the last submitted save durable and stops the writer.
+func (ps *planSaver) close() error {
+	err := ps.join()
+	ps.saver.Close() // joined above: only stops the goroutine
 	return err
 }
 
@@ -163,8 +242,21 @@ func (t *Trainer) RestoreSession(s *ckpt.Session) (Cursor, error) {
 // per-epoch statistics of the epochs it executed (the first may cover only
 // part of an epoch when resuming mid-epoch).
 //
+// A periodic save does not stop the step loop for the flash write. At a save
+// point the loop snapshots the training state (CaptureSession's clones) and
+// hands it to a background ckpt.Saver, which runs the ordinary crash-safe
+// Dir.Save; the write is joined at the end of the very next step, whatever
+// EverySteps is. The contract: the checkpoint taken after step k is durable
+// before step k+2 starts, so a process killed at any instant resumes from
+// its last or its last-but-one save point. At most one snapshot is in memory
+// at a time. A failed write surfaces one step later as TrainFrom's error,
+// with the manifest still naming the previous checkpoint. TrainFrom returns
+// — normally, with an error, or unwinding a panic from the Hook — only after
+// the last submitted save is durable; the completion checkpoint is durable
+// on a nil return. SaveCheckpoint remains the synchronous form.
+//
 // Train is TrainFrom from the zero cursor with no checkpointing.
-func (t *Trainer) TrainFrom(ds Dataset, start Cursor, cp *CheckpointPlan) ([]EpochStats, error) {
+func (t *Trainer) TrainFrom(ds Dataset, start Cursor, cp *CheckpointPlan) (all []EpochStats, err error) {
 	if start.Epoch < 0 || start.Batch < 0 {
 		return nil, fmt.Errorf("trainer: negative resume cursor %+v", start)
 	}
@@ -181,22 +273,22 @@ func (t *Trainer) TrainFrom(ds Dataset, start Cursor, cp *CheckpointPlan) ([]Epo
 		return nil, fmt.Errorf("trainer: resume cursor batch %d out of range (epoch has %d batches)", start.Batch, nb)
 	}
 
-	stepsDone := 0
+	var ps *planSaver
 	var afterStep func(next Cursor) error
-	if cp != nil && cp.EverySteps > 0 {
-		afterStep = func(next Cursor) error {
-			stepsDone++
-			if stepsDone%cp.EverySteps != 0 {
-				return nil
+	if cp != nil {
+		ps = newPlanSaver(t, cp)
+		// Deferred so an error return and a panicking Hook also leave the
+		// last submitted save durable before the Dir is the caller's again.
+		defer func() {
+			if cerr := ps.close(); cerr != nil && err == nil {
+				err = cerr
 			}
-			if err := cp.save(t, next); err != nil {
-				return fmt.Errorf("trainer: checkpointing at %+v: %w", next, err)
-			}
-			return nil
+		}()
+		if cp.EverySteps > 0 {
+			afterStep = ps.afterStep
 		}
 	}
 
-	var all []EpochStats
 	for e := start.Epoch; e < t.Cfg.Epochs; e++ {
 		sb := 0
 		if e == start.Epoch {
@@ -208,8 +300,8 @@ func (t *Trainer) TrainFrom(ds Dataset, start Cursor, cp *CheckpointPlan) ([]Epo
 		}
 		all = append(all, st)
 	}
-	if cp != nil {
-		if err := cp.save(t, Cursor{Epoch: t.Cfg.Epochs}); err != nil {
+	if ps != nil {
+		if err := ps.snapshot(Cursor{Epoch: t.Cfg.Epochs}); err != nil {
 			return all, fmt.Errorf("trainer: writing completion checkpoint: %w", err)
 		}
 	}

@@ -57,6 +57,13 @@ type History struct {
 	BestLoss float64 // lowest loss seen (NaN before the first round)
 }
 
+// StragglerFloor is the least local-train time the straggler rule alerts
+// on. A ratio alone fires on scheduler jitter when rounds take fractions of
+// a millisecond (0.6 ms against a 0.1 ms median is 6x and costs nothing);
+// a straggler is worth an alert only when the round it holds up waits this
+// long for it.
+const StragglerFloor = 10 * time.Millisecond
+
 // Rule is one declarative health check. Check returns a detail string
 // and true when the rule fires for the observed round.
 type Rule struct {
@@ -93,7 +100,7 @@ func DefaultRules() []Rule {
 		},
 		{
 			Name: "straggler",
-			Help: "slowest worker took over 4x the median local-train time",
+			Help: "slowest worker took over 4x the median local-train time and at least 10ms (StragglerFloor)",
 			Check: func(h History, s Stats) (string, bool) {
 				if len(s.LocalDur) < 3 {
 					return "", false
@@ -101,7 +108,7 @@ func DefaultRules() []Rule {
 				ds := append([]time.Duration(nil), s.LocalDur...)
 				sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 				median, max := ds[len(ds)/2], ds[len(ds)-1]
-				if median > 0 && max > 4*median {
+				if median > 0 && max > 4*median && max >= StragglerFloor {
 					return fmt.Sprintf("slowest %v vs median %v", max, median), true
 				}
 				return "", false

@@ -88,6 +88,15 @@ func TestStraggler(t *testing.T) {
 	if !fired(as, "straggler") {
 		t.Fatalf("10x median did not fire: %v", alertRules(as))
 	}
+	// The same ratio below the absolute floor is scheduler jitter on a
+	// sub-millisecond round, not a straggler: it costs the round nothing.
+	us := time.Microsecond
+	if as := m.ObserveRound(Stats{Round: 2, Loss: 1, LocalDur: []time.Duration{100 * us, 100 * us, 1000 * us}}); fired(as, "straggler") {
+		t.Fatalf("10x median fired at %v, below the %v floor", 1000*us, StragglerFloor)
+	}
+	if as := m.ObserveRound(Stats{Round: 3, Loss: 1, LocalDur: []time.Duration{ms, ms, StragglerFloor - us}}); fired(as, "straggler") {
+		t.Fatal("straggler fired just below the floor")
+	}
 }
 
 func TestWorkerFlapAndRetryBurn(t *testing.T) {
