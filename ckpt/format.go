@@ -85,12 +85,29 @@ var flateWriters = sync.Pool{New: func() any {
 	return w
 }}
 
+// inflater is a DEFLATE decompressor together with the byte reader it drains,
+// pooled as one value so that inflating a frame allocates neither.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser // also a flate.Resetter
+}
+
+// inflaters pools DEFLATE decompressors the way flateWriters pools
+// compressors: a fresh flate reader allocates its 32 KB window and Huffman
+// tables, which would otherwise be paid once per frame.
+var inflaters = sync.Pool{New: func() any {
+	z := &inflater{}
+	z.fr = flate.NewReader(&z.src)
+	return z
+}}
+
 // Frame is the codec unit shared by the on-disk checkpoint format and the
 // fleet coordination wire protocol (package coord): a caller-defined type tag
 // and an opaque payload, carried raw or DEFLATE-compressed behind a CRC32 of
-// the encoded bytes. WriteFrame and ReadFrame move single frames through the
-// exact byte layout checkpoint files use, so a network peer's update payload
-// enjoys the same corruption detection as a checkpoint on flash.
+// the encoded bytes. WriteFrame and a FrameReader (or DecodeFrame, for a frame
+// already in memory) move single frames through the exact byte layout
+// checkpoint files use, so a network peer's update payload enjoys the same
+// corruption detection as a checkpoint on flash.
 type Frame struct {
 	// Type tags the payload. The checkpoint file format reserves types 1-6;
 	// other consumers (the coord wire protocol) use their own ranges.
@@ -145,25 +162,66 @@ func encodeFramePayload(payload []byte, style uint32) (enc []byte, crc uint32, e
 	return enc, crc32.ChecksumIEEE(enc), nil
 }
 
+// growthStep is the first allocation for a payload whose declared length is
+// not yet backed by bytes in hand; from there a buffer doubles as bytes really
+// arrive, so a lying length costs at most twice the bytes actually present
+// plus this.
+const growthStep = 1 << 20
+
+// fill reads from r until buf holds n bytes and returns it, reusing buf's
+// storage: a buffer that is already large enough is filled with one ReadFull
+// and nothing is allocated. A smaller one grows geometrically, and only once
+// the bytes it has room for have arrived.
+func fill(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, max(2*cap(buf), growthStep)))
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
 // decodeFramePayload verifies one encoded frame's CRC and undoes its style,
-// returning the raw payload — shared by the parallel checkpoint decoder and
-// the single-frame ReadFrame. idx labels the frame in error messages.
-func decodeFramePayload(f encFrame, idx int) ([]byte, error) {
+// returning the raw payload — shared by the parallel checkpoint decoder, the
+// FrameReader and DecodeFrame. A raw frame's payload is f.enc itself; a
+// DEFLATE frame inflates into dst's storage (nil allocates). idx labels the
+// frame in error messages.
+func decodeFramePayload(f encFrame, idx int, dst []byte) ([]byte, error) {
 	if got := crc32.ChecksumIEEE(f.enc); got != f.crc {
 		return nil, corruptf("frame %d CRC mismatch (stored %#x, computed %#x)", idx, f.crc, got)
 	}
 	if f.style == StyleRaw {
 		return f.enc, nil
 	}
-	var b bytes.Buffer
-	b.Grow(int(min(f.rawLen, 1<<20)))
-	// Read one byte beyond the declared raw length so an understating
-	// header is caught, not silently truncated.
-	n, err := io.Copy(&b, io.LimitReader(flate.NewReader(bytes.NewReader(f.enc)), int64(f.rawLen)+1))
-	if err != nil || uint64(n) != f.rawLen {
-		return nil, corruptf("frame %d decompresses to %d bytes, header says %d (%v)", idx, n, f.rawLen, err)
+	z := inflaters.Get().(*inflater)
+	defer inflaters.Put(z)
+	z.src.Reset(f.enc)
+	if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
+		return nil, fmt.Errorf("ckpt: resetting inflater: %w", err)
 	}
-	return b.Bytes(), nil
+	raw, err := fill(z.fr, dst, int(f.rawLen))
+	if err == nil {
+		// Read one byte beyond the declared raw length so an understating
+		// header is caught, not silently truncated.
+		var over [1]byte
+		if n, rerr := io.ReadFull(z.fr, over[:]); n != 0 {
+			err = fmt.Errorf("more than the declared length")
+		} else if rerr != io.EOF {
+			err = rerr
+		}
+	}
+	if err != nil {
+		return nil, corruptf("frame %d decompresses to %d bytes, header says %d (%v)", idx, len(raw), f.rawLen, err)
+	}
+	return raw, nil
 }
 
 // WriteFrame encodes one frame to w in the checkpoint frame layout — the
@@ -186,22 +244,17 @@ func WriteFrame(w io.Writer, f Frame, style uint32) (int, error) {
 	return FrameHeaderBytes + len(enc), nil
 }
 
-// readEncFrame reads one frame header and its encoded payload from r without
-// decoding it. maxBytes bounds both declared lengths; idx labels the frame in
-// error messages. The payload is read through a growing buffer, so a lying
-// length costs only the bytes actually present.
-func readEncFrame(r io.Reader, idx int, maxBytes int64) (encFrame, int, error) {
-	var fh [FrameHeaderBytes]byte
-	if _, err := io.ReadFull(r, fh[:]); err != nil {
-		return encFrame{}, 0, corruptf("reading frame %d header: %v", idx, err)
-	}
-	f := encFrame{
+// parseFrameHeader validates one frame header. maxBytes bounds both declared
+// lengths; idx labels the frame in error messages. The returned frame has no
+// payload yet: encLen is how many encoded bytes follow the header.
+func parseFrameHeader(fh []byte, idx int, maxBytes int64) (f encFrame, encLen uint64, err error) {
+	f = encFrame{
 		typ:    binary.LittleEndian.Uint32(fh[0:]),
 		style:  binary.LittleEndian.Uint32(fh[4:]),
 		rawLen: binary.LittleEndian.Uint64(fh[16:]),
 		crc:    binary.LittleEndian.Uint32(fh[24:]),
 	}
-	encLen := binary.LittleEndian.Uint64(fh[8:])
+	encLen = binary.LittleEndian.Uint64(fh[8:])
 	if f.style != StyleRaw && f.style != StyleDeflate {
 		return encFrame{}, 0, corruptf("frame %d has unknown style %d", idx, f.style)
 	}
@@ -211,31 +264,106 @@ func readEncFrame(r io.Reader, idx int, maxBytes int64) (encFrame, int, error) {
 	if f.style == StyleRaw && encLen != f.rawLen {
 		return encFrame{}, 0, corruptf("frame %d raw style with mismatched lengths (%d encoded, %d raw)", idx, encLen, f.rawLen)
 	}
-	var b bytes.Buffer
-	b.Grow(int(min(encLen, 1<<20)))
-	if n, err := io.CopyN(&b, r, int64(encLen)); err != nil {
-		return encFrame{}, 0, corruptf("reading frame %d payload: got %d of %d bytes: %v", idx, n, encLen, err)
-	}
-	f.enc = b.Bytes()
-	return f, FrameHeaderBytes + int(encLen), nil
+	return f, encLen, nil
 }
 
-// ReadFrame reads one frame written by WriteFrame: header validation, an
-// incremental bounded payload read, CRC verification and decompression. It
-// returns the decoded frame and the total bytes consumed. maxBytes bounds the
-// frame's declared sizes (a DoS guard when the reader faces a network peer
-// rather than a local file); maxBytes <= 0 applies the format's global bound.
-// Frame types are not interpreted — each consumer owns its type namespace.
-// Every structural defect is reported as an error wrapping ErrCorrupt.
-func ReadFrame(r io.Reader, maxBytes int64) (Frame, int, error) {
+// FrameReader reads the frames of one stream, in order, into buffers it keeps
+// between frames: once they have grown to the stream's largest frame, reading
+// a frame allocates nothing. A connection owns one for its lifetime
+// (coord's frameConn.Recv). The buffers grow only as bytes really arrive
+// (see fill), so a header declaring gigabytes costs what the peer actually
+// sends. Not safe for concurrent use.
+type FrameReader struct {
+	r        io.Reader
+	maxBytes int64
+	head     [FrameHeaderBytes]byte
+	enc      []byte // encoded payload of the current frame
+	raw      []byte // its inflated form, when the frame is DEFLATE-styled
+}
+
+// NewFrameReader returns a reader of the frames on r. maxBytes bounds every
+// frame's declared sizes (a DoS guard when the stream comes from a network
+// peer rather than a local file); maxBytes <= 0 applies the format's global
+// bound.
+func NewFrameReader(r io.Reader, maxBytes int64) *FrameReader {
 	if maxBytes <= 0 {
 		maxBytes = maxFrameBytes
 	}
-	f, n, err := readEncFrame(r, 0, maxBytes)
+	return &FrameReader{r: r, maxBytes: maxBytes}
+}
+
+// readEnc reads one frame header and its encoded payload without decoding
+// it. The payload lands in buf's storage (see fill), so a lying length costs
+// only the bytes actually present; the frame's enc is that buffer, possibly
+// regrown. idx labels the frame in error messages.
+func (fr *FrameReader) readEnc(idx int, buf []byte) (encFrame, int, error) {
+	if _, err := io.ReadFull(fr.r, fr.head[:]); err != nil {
+		return encFrame{}, 0, corruptf("reading frame %d header: %v", idx, err)
+	}
+	f, encLen, err := parseFrameHeader(fr.head[:], idx, fr.maxBytes)
+	if err != nil {
+		return encFrame{}, 0, err
+	}
+	f.enc, err = fill(fr.r, buf, int(encLen))
+	if err != nil {
+		return f, 0, corruptf("reading frame %d payload: got %d of %d bytes: %v", idx, len(f.enc), encLen, err)
+	}
+	return f, FrameHeaderBytes + int(encLen), nil
+}
+
+// Next reads one frame written by WriteFrame: header validation, a bounded
+// payload read, CRC verification and decompression. It returns the decoded
+// frame and the total bytes consumed. The payload aliases the reader's
+// buffers: it is valid until the next call to Next, and a caller that keeps
+// any of it longer must copy. Frame types are not interpreted — each consumer
+// owns its type namespace. Every structural defect is reported as an error
+// wrapping ErrCorrupt.
+func (fr *FrameReader) Next() (Frame, int, error) {
+	f, n, err := fr.readEnc(0, fr.enc)
+	if f.enc != nil {
+		fr.enc = f.enc
+	}
 	if err != nil {
 		return Frame{}, 0, err
 	}
-	payload, err := decodeFramePayload(f, 0)
+	payload, err := decodeFramePayload(f, 0, fr.raw)
+	if err != nil {
+		return Frame{}, n, err
+	}
+	if f.style != StyleRaw {
+		fr.raw = payload
+	}
+	return Frame{Type: f.typ, Payload: payload}, n, nil
+}
+
+// ReadFrame reads a single frame from r, as a FrameReader's first Next would;
+// the payload is the caller's to keep.
+func ReadFrame(r io.Reader, maxBytes int64) (Frame, int, error) {
+	return NewFrameReader(r, maxBytes).Next()
+}
+
+// DecodeFrame decodes the frame at the start of data, an encoded frame
+// already in memory, with every check Next applies to a stream. It returns
+// the frame and how many bytes of data it occupies. A raw frame's payload
+// aliases data — nothing is copied; a DEFLATE frame's is freshly allocated.
+func DecodeFrame(data []byte, maxBytes int64) (Frame, int, error) {
+	if maxBytes <= 0 {
+		maxBytes = maxFrameBytes
+	}
+	if len(data) < FrameHeaderBytes {
+		return Frame{}, 0, corruptf("reading frame 0 header: %d of %d bytes", len(data), FrameHeaderBytes)
+	}
+	f, encLen, err := parseFrameHeader(data, 0, maxBytes)
+	if err != nil {
+		return Frame{}, 0, err
+	}
+	rest := data[FrameHeaderBytes:]
+	if uint64(len(rest)) < encLen {
+		return Frame{}, 0, corruptf("reading frame 0 payload: got %d of %d bytes", len(rest), encLen)
+	}
+	f.enc = rest[:encLen]
+	n := FrameHeaderBytes + int(encLen)
+	payload, err := decodeFramePayload(f, 0, nil)
 	if err != nil {
 		return Frame{}, n, err
 	}
@@ -479,8 +607,9 @@ func Read(r io.Reader) (*Session, error) {
 	// Grow the frame table as frames actually arrive: a corrupt count cannot
 	// force one huge up-front allocation.
 	frames := make([]encFrame, 0, min(count, 4096))
+	fr := NewFrameReader(r, maxFrameBytes)
 	for i := 0; i < int(count); i++ {
-		f, _, err := readEncFrame(r, i, maxFrameBytes)
+		f, _, err := fr.readEnc(i, nil) // every frame in a buffer of its own: they decode in parallel below
 		if err != nil {
 			return nil, err
 		}
@@ -522,7 +651,7 @@ func decodeFrames(frames []encFrame) (*Session, error) {
 	errs := make([]error, len(frames))
 	parallel.ForChunks(len(frames), 1, func(i, _, _ int) {
 		f := frames[i]
-		payload, err := decodeFramePayload(f, i)
+		payload, err := decodeFramePayload(f, i, nil)
 		if err != nil {
 			errs[i] = err
 			return

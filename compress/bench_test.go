@@ -26,6 +26,7 @@ func BenchmarkUpdateCompress(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.SetBytes(enc.RawBytes)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e, err := c.Encode(vecs)

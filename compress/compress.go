@@ -2,8 +2,10 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/edgeml/edgetrain/ckpt"
@@ -54,6 +56,7 @@ type Decoded struct {
 type Compressor struct {
 	spec     Spec
 	residual [][]float64
+	snap     [][]float64 // Snapshot's storage, reused from call to call
 }
 
 // NewCompressor returns a Compressor for the spec. The zero (disabled) Spec
@@ -68,36 +71,46 @@ func NewCompressor(spec Spec) (*Compressor, error) {
 // Spec returns the codec this Compressor encodes with.
 func (c *Compressor) Spec() Spec { return c.spec }
 
-// Snapshot deep-copies the error-feedback residuals, so a caller that may
-// have its update rejected (the coordinator rewinds rounds that lose quorum)
-// can restore the pre-encode state and re-encode later without double
-// counting the residual.
+// Snapshot copies the error-feedback residuals into storage the Compressor
+// keeps for the purpose and returns it, so a caller that may have its update
+// rejected (the coordinator rewinds rounds that lose quorum) can Restore the
+// pre-encode state and re-encode later without double counting the residual.
+// A worker snapshots every round and rewinds almost never, so the copy reuses
+// one buffer: a Snapshot is valid until the next Snapshot.
 func (c *Compressor) Snapshot() [][]float64 {
 	if c.residual == nil {
 		return nil
 	}
-	snap := make([][]float64, len(c.residual))
-	for i, r := range c.residual {
-		if r != nil {
-			snap[i] = append([]float64(nil), r...)
-		}
-	}
-	return snap
+	c.snap = copyResiduals(c.snap, c.residual)
+	return c.snap
 }
 
-// Restore replaces the residuals with a Snapshot (deep copy; the snapshot
-// stays valid for further Restores).
+// Restore replaces the residuals with a Snapshot's contents (nil: the state
+// before the first Encode). The snapshot stays valid for further Restores.
 func (c *Compressor) Restore(snap [][]float64) {
 	if snap == nil {
 		c.residual = nil
 		return
 	}
-	c.residual = make([][]float64, len(snap))
-	for i, r := range snap {
-		if r != nil {
-			c.residual[i] = append([]float64(nil), r...)
-		}
+	c.residual = copyResiduals(c.residual, snap)
+}
+
+// copyResiduals deep-copies src into dst's storage where the sizes allow.
+func copyResiduals(dst, src [][]float64) [][]float64 {
+	if len(dst) != len(src) {
+		dst = make([][]float64, len(src))
 	}
+	for i, r := range src {
+		if r == nil {
+			dst[i] = nil
+			continue
+		}
+		if len(dst[i]) != len(r) {
+			dst[i] = make([]float64, len(r))
+		}
+		copy(dst[i], r)
+	}
+	return dst
 }
 
 // Encode compresses one update. The input tensors are not modified; the
@@ -106,40 +119,47 @@ func (c *Compressor) Restore(snap [][]float64) {
 // inputs and equal residual state produce equal bytes.
 func (c *Compressor) Encode(vecs []*tensor.Tensor) (*EncodedUpdate, error) {
 	lossless := c.spec.Lossless()
-	if !lossless {
-		if len(c.residual) != len(vecs) {
-			c.residual = make([][]float64, len(vecs))
-		}
+	if !lossless && len(c.residual) != len(vecs) {
+		c.residual = make([][]float64, len(vecs))
 	}
 
-	var body bytes.Buffer
-	wire.PutUint32(&body, formatVersion)
-	wire.PutString(&body, c.spec.String())
-	wire.PutUvarint(&body, uint64(len(vecs)))
-
+	// The body is sized up front from what is known exactly — the value
+	// sections — plus room for the headers; sparse index lists may grow it.
+	specStr := c.spec.String()
+	size := 32 + len(specStr)
 	var rawBytes int64
 	for i, t := range vecs {
 		if t == nil {
 			return nil, fmt.Errorf("compress: nil tensor %d in update", i)
 		}
 		rawBytes += nn.EncodedTensorBytes(t)
+		size += 8*(2+t.Rank()) + valueBytes(c.spec.Precision, sparseCount(c.spec.TopK, t.Size()))
+	}
+	body := make([]byte, 0, size)
+	body = binary.LittleEndian.AppendUint32(body, formatVersion)
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(specStr)))
+	body = append(body, specStr...)
+	body = binary.AppendUvarint(body, uint64(len(vecs)))
+
+	for i, t := range vecs {
 		data := t.Data()
 		n := len(data)
 
 		// Error feedback: compress data + residual, then keep whatever this
-		// encoding failed to transmit as the next round's residual. The
-		// lossless path skips the addition entirely so the shipped bits are
-		// exactly the input bits (x + 0.0 is not a bitwise identity for -0).
+		// encoding failed to transmit as the next round's residual. The sum
+		// is formed in the residual buffer itself, which from here on is the
+		// work vector. The lossless path skips the addition entirely so the
+		// shipped bits are exactly the input bits (x + 0.0 is not a bitwise
+		// identity for -0).
 		work := data
 		if !lossless {
 			if len(c.residual[i]) != n {
 				c.residual[i] = make([]float64, n)
 			}
-			w := make([]float64, n)
+			work = c.residual[i]
 			for j, v := range data {
-				w[j] = v + c.residual[i][j]
+				work[j] = v + work[j]
 			}
-			work = w
 		}
 
 		// Select the transmitted elements: all of them, or the top-k by
@@ -174,69 +194,54 @@ func (c *Compressor) Encode(vecs []*tensor.Tensor) (*EncodedUpdate, error) {
 
 		// Tensor header: shape, mode, and for sparse tensors the
 		// delta+varint coded ascending index list.
-		wire.PutUvarint(&body, uint64(t.Rank()))
+		body = binary.AppendUvarint(body, uint64(t.Rank()))
 		for d := 0; d < t.Rank(); d++ {
-			wire.PutUvarint(&body, uint64(t.Dim(d)))
+			body = binary.AppendUvarint(body, uint64(t.Dim(d)))
 		}
 		if sparse {
-			body.WriteByte(1)
-			wire.PutUvarint(&body, uint64(k))
+			body = append(body, 1)
+			body = binary.AppendUvarint(body, uint64(k))
 			prev := 0
 			for j, ix := range idx {
 				if j == 0 {
-					wire.PutUvarint(&body, uint64(ix))
+					body = binary.AppendUvarint(body, uint64(ix))
 				} else {
-					wire.PutUvarint(&body, uint64(ix-prev-1))
+					body = binary.AppendUvarint(body, uint64(ix-prev-1))
 				}
 				prev = ix
 			}
 		} else {
-			body.WriteByte(0)
+			body = append(body, 0)
 		}
 
-		// Values in index order, then residual bookkeeping.
-		value := func(j int) float64 {
-			if sparse {
-				return work[idx[j]]
+		// Values in index order, encoded into the body's next valueBytes
+		// bytes. Each encoder leaves in vals what it failed to transmit,
+		// value minus dequantized value — for a dense tensor vals is the
+		// residual buffer, so that is the whole bookkeeping; a sparse one
+		// gathers its k values and scatters their errors back, the elements
+		// it dropped keeping their full error-compensated value.
+		vals := work
+		if sparse {
+			vals = make([]float64, k)
+			for j, ix := range idx {
+				vals[j] = work[ix]
 			}
-			return work[j]
 		}
-		deq := make([]float64, k)
+		need := valueBytes(c.spec.Precision, k)
+		body = slices.Grow(body, need)
+		out := body[len(body) : len(body)+need]
+		body = body[:len(body)+need]
 		switch c.spec.Precision {
 		case FP64:
-			for j := 0; j < k; j++ {
-				v := value(j)
-				wire.PutFloat64(&body, v)
-				deq[j] = v
-			}
+			encodeFP64(out, vals, !lossless)
 		case FP16:
-			for j := 0; j < k; j++ {
-				h := float16FromFloat64(value(j))
-				body.WriteByte(byte(h))
-				body.WriteByte(byte(h >> 8))
-				deq[j] = float16ToFloat64(h)
-			}
+			encodeFP16(out, vals)
 		case Int8:
-			min, scale := int8Params(value, k)
-			wire.PutFloat64(&body, min)
-			wire.PutFloat64(&body, scale)
-			for j := 0; j < k; j++ {
-				q := int8Quantize(value(j), min, scale)
-				body.WriteByte(q)
-				deq[j] = min + scale*float64(q)
-			}
+			encodeInt8(out, vals)
 		}
-		if !lossless {
-			r := c.residual[i]
-			copy(r, work)
-			if sparse {
-				for j, ix := range idx {
-					r[ix] = work[ix] - deq[j]
-				}
-			} else {
-				for j := range r {
-					r[j] = work[j] - deq[j]
-				}
+		if sparse {
+			for j, ix := range idx {
+				work[ix] = vals[j]
 			}
 		}
 	}
@@ -246,10 +251,59 @@ func (c *Compressor) Encode(vecs []*tensor.Tensor) (*EncodedUpdate, error) {
 		style = ckpt.StyleDeflate
 	}
 	var blob bytes.Buffer
-	if _, err := ckpt.WriteFrame(&blob, ckpt.Frame{Type: frameType, Payload: body.Bytes()}, style); err != nil {
+	if _, err := ckpt.WriteFrame(&blob, ckpt.Frame{Type: frameType, Payload: body}, style); err != nil {
 		return nil, fmt.Errorf("compress: framing update: %w", err)
 	}
 	return &EncodedUpdate{Data: blob.Bytes(), RawBytes: rawBytes}, nil
+}
+
+// valueBytes is the exact size of a tensor's value section: k values at the
+// precision, behind the int8 grid's min and scale.
+func valueBytes(p Precision, k int) int {
+	switch p {
+	case FP16:
+		return 2 * k
+	case Int8:
+		return 16 + k
+	default:
+		return 8 * k
+	}
+}
+
+// encodeFP64 writes vals verbatim. keepErr leaves v - v in each element: zero,
+// or NaN for a value that is not finite. The lossless caller passes the input
+// tensor's own data, which must stay as it is.
+func encodeFP64(out []byte, vals []float64, keepErr bool) {
+	for j, v := range vals {
+		binary.LittleEndian.PutUint64(out[8*j:], math.Float64bits(v))
+		if keepErr {
+			vals[j] = v - v
+		}
+	}
+}
+
+// encodeFP16 writes vals as IEEE half floats and leaves each rounding error.
+func encodeFP16(out []byte, vals []float64) {
+	for j, v := range vals {
+		h := float16FromFloat64(v)
+		out[2*j] = byte(h)
+		out[2*j+1] = byte(h >> 8)
+		vals[j] = v - float16ToFloat64(h)
+	}
+}
+
+// encodeInt8 writes the tensor's quantization grid and one byte per value,
+// and leaves each quantization error.
+func encodeInt8(out []byte, vals []float64) {
+	min, scale := int8Params(vals)
+	binary.LittleEndian.PutUint64(out[0:], math.Float64bits(min))
+	binary.LittleEndian.PutUint64(out[8:], math.Float64bits(scale))
+	out = out[16:]
+	for j, v := range vals {
+		q := int8Quantize(v, min, scale)
+		out[j] = q
+		vals[j] = v - (min + scale*float64(q))
+	}
 }
 
 // sparseCount is the number of elements a Spec transmits for an n-element
@@ -276,10 +330,9 @@ func sparseCount(topK float64, n int) int {
 // element decodes to min exactly). Any non-finite value poisons the grid to
 // NaN so the whole tensor decodes to NaN — clamping a NaN or Inf onto the
 // grid would silently launder a poisoned update past validation.
-func int8Params(value func(int) float64, k int) (min, scale float64) {
+func int8Params(vals []float64) (min, scale float64) {
 	min, max := math.Inf(1), math.Inf(-1)
-	for j := 0; j < k; j++ {
-		v := value(j)
+	for _, v := range vals {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return math.NaN(), math.NaN()
 		}
@@ -322,7 +375,7 @@ func int8Quantize(v, min, scale float64) byte {
 // decode successfully: screening them is fleet.ValidateUpdate's job, exactly
 // as on the uncompressed path.
 func Decode(data []byte) (*Decoded, error) {
-	f, n, err := ckpt.ReadFrame(bytes.NewReader(data), maxBlobBytes)
+	f, n, err := ckpt.DecodeFrame(data, maxBlobBytes)
 	if err != nil {
 		return nil, fmt.Errorf("compress: %w", err)
 	}
@@ -441,51 +494,40 @@ func decodeTensor(r *wire.Reader, spec Spec) (*tensor.Tensor, error) {
 	// section's size is known exactly, so check it before the allocation —
 	// a truncated blob must fail on bytes, not build a half-gigabyte tensor
 	// first.
-	need := 8 * k // FP64
-	switch spec.Precision {
-	case FP16:
-		need = 2 * k
-	case Int8:
-		need = 16 + k
-	}
-	if r.Len() < need {
+	if need := valueBytes(spec.Precision, k); r.Len() < need {
 		return nil, fmt.Errorf("compress: truncated value section (%d bytes for %d values)", r.Len(), k)
 	}
-	vals := make([]float64, k)
+	// A dense tensor is dequantized straight into the tensor returned; a
+	// sparse one into its k values, scattered below.
+	t := tensor.New(dims...)
+	vals := t.Data()
+	if idx != nil {
+		vals = make([]float64, k)
+	}
 	switch spec.Precision {
 	case FP64:
+		b := r.Take(8*k, "fp64 values")
 		for j := range vals {
-			vals[j] = r.Float64("value")
+			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
 		}
 	case FP16:
 		b := r.Take(2*k, "fp16 values")
-		if r.Err() == nil {
-			for j := range vals {
-				vals[j] = float16ToFloat64(uint16(b[2*j]) | uint16(b[2*j+1])<<8)
-			}
+		for j := range vals {
+			vals[j] = float16ToFloat64(uint16(b[2*j]) | uint16(b[2*j+1])<<8)
 		}
 	case Int8:
 		min := r.Float64("int8 min")
 		scale := r.Float64("int8 scale")
 		b := r.Take(k, "int8 values")
-		if r.Err() == nil {
-			for j := range vals {
-				vals[j] = min + scale*float64(b[j])
-			}
+		for j := range vals {
+			vals[j] = min + scale*float64(b[j])
 		}
 	}
-	if r.Err() != nil {
-		return nil, fmt.Errorf("compress: %w", r.Err())
-	}
-
-	t := tensor.New(dims...)
-	d := t.Data()
 	if idx != nil {
+		d := t.Data()
 		for j, ix := range idx {
 			d[ix] = vals[j]
 		}
-	} else {
-		copy(d, vals)
 	}
 	return t, nil
 }

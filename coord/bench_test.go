@@ -75,6 +75,7 @@ func BenchmarkUpdateRoundTrip(b *testing.B) {
 			}()
 
 			b.SetBytes(modelBytes)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f, err := coordConn.Recv()
@@ -99,5 +100,37 @@ func BenchmarkUpdateRoundTrip(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// BenchmarkRoundDirective measures the broadcast's two codec halves on the
+// repository benchmark's 5.6 MB model: the coordinator encoding the round
+// directive into its exact-size payload, and a worker decoding that payload
+// straight into its replica's parameters.
+func BenchmarkRoundDirective(b *testing.B) {
+	global, err := benchModel(1)()
+	if err != nil {
+		b.Fatal(err)
+	}
+	replica, err := benchModel(2)()
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := roundMsg{round: 3}
+	for _, p := range global.Params() {
+		m.params = append(m.params, ckpt.NamedTensor{Name: p.Name, Tensor: p.Value})
+	}
+	ps := replica.Params()
+	b.SetBytes(nn.ParamBytes(global.Stages))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := encodeRound(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := decodeRoundInto(f.Payload, ps); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -319,6 +319,7 @@ type event struct {
 	conn       Conn
 	hello      hello
 	upd        updateMsg
+	blobBytes  int64 // evUpdate: size of the compressed blob upd.vecs was decoded from
 	helloReply chan helloReply
 	ackReply   chan ackReply
 }
@@ -500,6 +501,7 @@ func (c *Coordinator) serve(conn Conn) {
 			// decodes of one worker never serialize the round. Decode is a
 			// pure function of the blob; the run loop still checks that the
 			// codec matches the run's configured spec before folding.
+			var blobBytes int64
 			if m.codec != "" {
 				dSpan := obs.DefaultTracer().Span("decode", m.round, rem.index)
 				dec, err := compress.Decode(m.blob)
@@ -516,9 +518,12 @@ func (c *Coordinator) serve(conn Conn) {
 					return
 				}
 				m.vecs = dec.Vecs
+				// The blob lies in the connection's receive buffer, which the
+				// next Recv overwrites; the run loop needs only its size.
+				blobBytes, m.blob = int64(len(m.blob)), nil
 			}
 			ar := make(chan ackReply, 1)
-			if !c.post(event{kind: evUpdate, rem: rem, upd: m, ackReply: ar}) {
+			if !c.post(event{kind: evUpdate, rem: rem, upd: m, blobBytes: blobBytes, ackReply: ar}) {
 				return
 			}
 			var a ackReply
@@ -867,11 +872,14 @@ func contains(ss []string, want string) bool {
 // global parameters and every worker retrains it from its pre-round
 // optimizer state, the eventual fold is byte-identical to one that was
 // never disturbed.
-func (c *Coordinator) runRound(r int, slots []slot) (fleet.RoundStats, error) {
+func (c *Coordinator) runRound(r int, slots []slot) (rs fleet.RoundStats, err error) {
 	start := time.Now()
 	c.co.roundsStarted.Inc()
 	roundSpan := obs.DefaultTracer().Span("round", r, -1)
-	rs := fleet.RoundStats{Round: r, Workers: make([]fleet.WorkerRoundStats, len(slots))}
+	// A span is recorded only when it ends, and the round an operator most
+	// needs to find in /trace is the one that failed: end it on every path.
+	defer func() { roundSpan.EndDetail(errDetail(err)) }()
+	rs = fleet.RoundStats{Round: r, Workers: make([]fleet.WorkerRoundStats, len(slots))}
 	for i := range rs.Workers {
 		rs.Workers[i].Worker = i
 	}
@@ -932,7 +940,6 @@ func (c *Coordinator) runRound(r int, slots []slot) (fleet.RoundStats, error) {
 	}
 	rs.ModeledUplink = fleet.TransferTime(maxUpload, c.cfg.UplinkMbps)
 	rs.WallClock = time.Since(start)
-	roundSpan.End()
 	return rs, nil
 }
 
@@ -942,9 +949,10 @@ func (c *Coordinator) runRound(r int, slots []slot) (fleet.RoundStats, error) {
 // discarded — so no worker ever counts progress for a round that folded
 // nothing, and the committed slot state never diverges from the global model.
 type pendingUpdate struct {
-	rem *remote
-	upd updateMsg
-	ack chan ackReply
+	rem       *remote
+	upd       updateMsg
+	blobBytes int64
+	ack       chan ackReply
 }
 
 // attemptRound runs one broadcast/collect/fold attempt of round r. It
@@ -1070,7 +1078,7 @@ collect:
 				rs.Rejected++
 				continue
 			}
-			staged[i] = pendingUpdate{rem: e.rem, upd: e.upd, ack: e.ackReply}
+			staged[i] = pendingUpdate{rem: e.rem, upd: e.upd, blobBytes: e.blobBytes, ack: e.ackReply}
 			contributed++
 			delete(expected, i)
 		case <-deadlineC:
@@ -1123,10 +1131,11 @@ collect:
 	}
 	if len(updates) > 0 {
 		fSpan := tr.Span("fold", r, -1)
-		if err := c.agg.Fold(c.globalPs, updates); err != nil {
+		err := c.agg.Fold(c.globalPs, updates)
+		fSpan.EndDetail(errDetail(err))
+		if err != nil {
 			return false, false, fmt.Errorf("coord: round %d: %s fold: %w", r, c.agg.Name(), err)
 		}
-		fSpan.End()
 	}
 	for i := 0; i < len(slots); i++ {
 		p, ok := staged[i]
@@ -1152,7 +1161,7 @@ collect:
 		ws.DiskReads = p.upd.stats.DiskReads
 		upload := c.modelBytes
 		if p.upd.codec != "" {
-			upload = int64(len(p.upd.blob))
+			upload = p.blobBytes
 		}
 		ws.UploadBytes = upload
 		ws.RawUploadBytes = c.modelBytes
@@ -1186,6 +1195,15 @@ func (c *Coordinator) awaitQuorum(r int, slots []slot, needEvent bool) error {
 		}
 	}
 	return nil
+}
+
+// errDetail is a span's detail for an outcome: empty on success, so a phase
+// that succeeded records the span End would.
+func errDetail(err error) string {
+	if err == nil {
+		return ""
+	}
+	return "error: " + err.Error()
 }
 
 func (c *Coordinator) buildReport(slots []slot, rounds []fleet.RoundStats) *fleet.Report {

@@ -702,6 +702,99 @@ func TestKillAndRejoin(t *testing.T) {
 	assertBitEqual(t, got, want, "crash-and-retry vs undisturbed")
 }
 
+// TestRetriedFirstRoundRewindsResidual: a round-zero retry under a lossy
+// codec. The survivors of a round zero that lost quorum have encoded once —
+// their error-feedback residual is no longer the empty one they started with
+// — and must rewind to it, or the retried round encodes update + stale
+// residual and the run leaves the fault-free trajectory for good.
+func TestRetriedFirstRoundRewindsResidual(t *testing.T) {
+	const seed, rounds = uint64(7), 3
+	tr := NewLoopback()
+	c, err := New(Config{
+		Workers: 3, Rounds: rounds, Samples: eqSamples, Seed: seed,
+		Aggregator: "fedavg", Optimizer: "momentum", LR: 0.05, Compression: "int8",
+	}, testModel(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	addr, err := c.Start(tr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	survivors := make([]error, 2)
+	for i := range survivors {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, survivors[i] = RunWorker(tr, addr, workerOptions(fmt.Sprintf("w%d", i), seed, eqSamples, nil))
+		}()
+	}
+	// The victim trains round zero and dies before uploading it; its second
+	// life starts, like everyone's first, with no residual.
+	boom := errors.New("simulated crash")
+	_, err = RunWorker(tr, addr, workerOptions("victim", seed, eqSamples, func(int) error { return boom }))
+	if !errors.Is(err, boom) {
+		t.Fatalf("victim first life returned %v, want the injected crash", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		_, err = RunWorker(tr, addr, workerOptions("victim", seed, eqSamples, nil))
+		if err == nil {
+			break
+		}
+		if !strings.Contains(err.Error(), "already connected") || time.Now().After(deadline) {
+			t.Fatalf("victim second life: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	rep, err := c.Wait()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, werr := range survivors {
+		if werr != nil {
+			t.Fatalf("survivor %d: %v", i, werr)
+		}
+	}
+	if rep.Rounds[0].Retries == 0 {
+		t.Fatal("round 0 was never retried: the scenario did not happen")
+	}
+
+	opt := func() trainer.Optimizer {
+		o, err := trainer.NewOptimizer("momentum", 0.05)
+		if err != nil {
+			panic(err)
+		}
+		return o
+	}
+	agg, err := fleet.NewAggregator("fedavg", opt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]fleet.WorkerSpec, 3)
+	specs[0].Name, specs[1].Name, specs[2].Name = "w0", "w1", "victim"
+	ref, err := fleet.New(fleet.Config{
+		Workers: specs, Rounds: rounds, Seed: seed, Aggregator: agg, Optimizer: opt, Compression: "int8",
+	}, testModel(seed), testDataset(eqSamples, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if _, err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var want, got []*tensor.Tensor
+	for _, p := range ref.Global().Params() {
+		want = append(want, p.Value)
+	}
+	for _, p := range c.Global().Params() {
+		got = append(got, p.Value)
+	}
+	assertBitEqual(t, got, want, "retried round zero vs undisturbed")
+}
+
 // rawClient is a hand-driven protocol client for adversarial tests.
 type rawClient struct {
 	t    *testing.T

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -213,36 +214,59 @@ type roundMsg struct {
 	params []ckpt.NamedTensor
 }
 
+// encodeRound sizes the payload exactly from the parameters and encodes
+// straight into it. Every round gets a fresh buffer: a straggler's handler may
+// still be sending the previous round's.
 func encodeRound(m roundMsg) (ckpt.Frame, error) {
-	var b bytes.Buffer
-	wire.PutInt64(&b, int64(m.round))
-	wire.PutUint32(&b, uint32(len(m.params)))
+	size := int64(8 + 4)
 	for _, nt := range m.params {
-		wire.PutString(&b, nt.Name)
-		if err := putTensor(&b, nt.Tensor); err != nil {
-			return ckpt.Frame{}, fmt.Errorf("coord: encoding parameter %q: %w", nt.Name, err)
+		if nt.Tensor == nil {
+			return ckpt.Frame{}, fmt.Errorf("coord: encoding parameter %q: nil tensor", nt.Name)
 		}
+		size += 4 + int64(len(nt.Name)) + 4 + nn.EncodedTensorBytes(nt.Tensor)
 	}
-	return ckpt.Frame{Type: msgRound, Payload: b.Bytes()}, nil
+	b := make([]byte, 0, size)
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.round))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.params)))
+	for _, nt := range m.params {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(nt.Name)))
+		b = append(b, nt.Name...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(nn.EncodedTensorBytes(nt.Tensor)))
+		b = nn.AppendTensor(b, nt.Tensor)
+	}
+	return ckpt.Frame{Type: msgRound, Payload: b}, nil
 }
 
-func parseRound(payload []byte) (roundMsg, error) {
+// decodeRoundInto decodes a round directive straight into a replica's
+// parameters — the download half of fleet.Round's broadcast — and returns the
+// round index. The directive must list exactly the replica's parameters, in
+// order: the count, then each name, chunk length and tensor header are
+// checked against the destination before any of that parameter's values is
+// written, so on error the parameters from the offending one on are untouched.
+func decodeRoundInto(payload []byte, ps []*nn.Param) (int, error) {
 	p := wire.NewReader(payload)
-	var m roundMsg
-	m.round = int(p.Int64("round"))
+	round := int(p.Int64("round"))
 	n := p.Uint32("parameter count")
-	if p.Err() == nil && int64(n) > maxMessageBytes/8 {
-		return m, fmt.Errorf("coord: implausible parameter count %d", n)
+	if err := p.Err(); err != nil {
+		return 0, err
 	}
-	for i := uint32(0); i < n && p.Err() == nil; i++ {
+	if int64(n) != int64(len(ps)) {
+		return 0, fmt.Errorf("coord: broadcast has %d parameters, model has %d", n, len(ps))
+	}
+	for k, dst := range ps {
 		name := p.String("parameter name")
-		t, err := takeTensor(p, "parameter")
-		if err != nil {
-			return m, err
+		chunk := p.Take(int(p.Uint32("parameter length")), "parameter")
+		if err := p.Err(); err != nil {
+			return 0, err
 		}
-		m.params = append(m.params, ckpt.NamedTensor{Name: name, Tensor: t})
+		if name != dst.Name {
+			return 0, fmt.Errorf("coord: broadcast parameter %d is %q, model has %q", k, name, dst.Name)
+		}
+		if err := nn.DecodeTensorInto(dst.Value, chunk); err != nil {
+			return 0, fmt.Errorf("coord: broadcast parameter %q: %w", name, err)
+		}
 	}
-	return m, p.Done()
+	return round, p.Done()
 }
 
 // updateMsg is one worker's round result: the fleet.Update payload (minus
@@ -259,6 +283,7 @@ type updateMsg struct {
 	// codec is the canonical compression spec the blob was encoded with;
 	// empty means the update ships as raw tensors in vecs. Exactly one of
 	// blob/vecs is on the wire.
+	// A parsed blob aliases the payload it was parsed from.
 	codec string
 	blob  []byte
 	vecs  []*tensor.Tensor
@@ -327,7 +352,7 @@ func parseUpdate(payload []byte) (updateMsg, error) {
 	m.codec = p.String("update codec")
 	if m.codec != "" {
 		bn := p.Uint32("blob length")
-		m.blob = append([]byte(nil), p.Take(int(bn), "compressed update")...)
+		m.blob = p.Take(int(bn), "compressed update")
 	} else {
 		n := p.Uint32("tensor count")
 		if p.Err() == nil && int64(n) > maxMessageBytes/8 {

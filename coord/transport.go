@@ -28,7 +28,10 @@ const maxMessageBytes = int64(1) << 32
 type Conn interface {
 	// Send writes one message and flushes it to the peer.
 	Send(f ckpt.Frame) error
-	// Recv blocks for the next message.
+	// Recv blocks for the next message. The payload lies in a buffer the
+	// connection reuses: it is valid until the next Recv on this connection,
+	// and whoever keeps any of it past that must copy it first. Every parser
+	// in this package copies what it returns, except parseUpdate's blob.
 	Recv() (ckpt.Frame, error)
 	// Stats reports total framed bytes sent and received on this connection.
 	Stats() (sent, received int64)
@@ -70,7 +73,7 @@ type frameConn struct {
 	wmu sync.Mutex
 	bw  *bufio.Writer
 	rmu sync.Mutex
-	br  *bufio.Reader
+	fr  *ckpt.FrameReader // over a bufio.Reader; a large payload bypasses its buffer
 
 	sent atomic.Int64
 	recv atomic.Int64
@@ -81,7 +84,7 @@ func newFrameConn(c io.ReadWriteCloser, style uint32) *frameConn {
 		c:     c,
 		style: style,
 		bw:    bufio.NewWriterSize(c, 64<<10),
-		br:    bufio.NewReaderSize(c, 64<<10),
+		fr:    ckpt.NewFrameReader(bufio.NewReaderSize(c, 64<<10), maxMessageBytes),
 	}
 }
 
@@ -99,7 +102,7 @@ func (fc *frameConn) Send(f ckpt.Frame) error {
 // sendMangled encodes the frame exactly as Send would, hands the encoded
 // bytes to mangle for rewriting, and puts the result on the wire. It exists
 // for the Chaos transport: injected corruption must happen below the codec,
-// on the serialized bytes, so the receiving ReadFrame exercises the same
+// on the serialized bytes, so the receiving FrameReader exercises the same
 // CRC/structure checks that guard real link damage.
 func (fc *frameConn) sendMangled(f ckpt.Frame, mangle func([]byte)) error {
 	fc.wmu.Lock()
@@ -118,10 +121,12 @@ func (fc *frameConn) sendMangled(f ckpt.Frame, mangle func([]byte)) error {
 	return err
 }
 
+// Recv reads the next frame into the connection's FrameReader, whose buffers
+// the payload aliases: it holds until the next Recv (see Conn).
 func (fc *frameConn) Recv() (ckpt.Frame, error) {
 	fc.rmu.Lock()
 	defer fc.rmu.Unlock()
-	f, n, err := ckpt.ReadFrame(fc.br, maxMessageBytes)
+	f, n, err := fc.fr.Next()
 	fc.recv.Add(int64(n))
 	return f, err
 }

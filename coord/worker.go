@@ -278,6 +278,7 @@ func runWorkerSession(t Transport, addr string, opts WorkerOptions, ship *obs.De
 		return err
 	}
 	defer w.Close()
+	replica := w.Chain.Params()
 	agg, err := fleet.NewAggregator(a.Aggregator, nil)
 	if err != nil {
 		return err
@@ -328,11 +329,8 @@ func runWorkerSession(t Transport, addr string, opts WorkerOptions, ship *obs.De
 		default:
 			return fmt.Errorf("coord: expected round directive, got %s message", msgName(f.Type))
 		}
-		m, err := parseRound(f.Payload)
+		round, err := decodeRoundInto(f.Payload, replica)
 		if err != nil {
-			return err
-		}
-		if err := applyBroadcast(w, m.params); err != nil {
 			return err
 		}
 		// Snapshot the pre-round state: if the coordinator closes this round
@@ -350,17 +348,17 @@ func runWorkerSession(t Transport, addr string, opts WorkerOptions, ship *obs.De
 		// heartbeat carries a telemetry delta when shipping is enabled, so
 		// the coordinator's fleet view advances while the round is still
 		// training.
-		stop := startHeartbeat(conn, heartbeat, ship, m.round)
+		stop := startHeartbeat(conn, heartbeat, ship, round)
 		tstart := time.Now()
-		ltSpan := obs.DefaultTracer().Span("local-train", m.round, a.Index)
-		u, lerr := agg.Local(w, m.round)
+		ltSpan := obs.DefaultTracer().Span("local-train", round, a.Index)
+		u, lerr := agg.Local(w, round)
 		ltSpan.End()
 		stop()
 		if lerr != nil {
-			return fmt.Errorf("coord: round %d local computation: %w", m.round, lerr)
+			return fmt.Errorf("coord: round %d local computation: %w", round, lerr)
 		}
 		if opts.beforeUpdate != nil {
-			if err := opts.beforeUpdate(m.round); err != nil {
+			if err := opts.beforeUpdate(round); err != nil {
 				return err
 			}
 		}
@@ -374,7 +372,7 @@ func runWorkerSession(t Transport, addr string, opts WorkerOptions, ship *obs.De
 		ws.Rounds++
 		ws.Samples += int64(u.Samples)
 		msg := updateMsg{
-			round:    m.round,
+			round:    round,
 			samples:  u.Samples,
 			loss:     u.Loss,
 			duration: time.Since(tstart),
@@ -389,7 +387,7 @@ func runWorkerSession(t Transport, addr string, opts WorkerOptions, ship *obs.De
 		if ship != nil {
 			samples, events := ship.Collect()
 			if len(samples) > 0 || len(events) > 0 {
-				msg.telem = &telemetry{round: m.round, samples: samples, events: events}
+				msg.telem = &telemetry{round: round, samples: samples, events: events}
 			}
 		}
 		// The residual snapshot taken just before encoding is the rewind
@@ -397,11 +395,12 @@ func runWorkerSession(t Transport, addr string, opts WorkerOptions, ship *obs.De
 		// the optimizer step, so the retrained round re-encodes from the
 		// exact state a fault-free round would have seen.
 		var preResidual [][]float64
-		if comp != nil && u.Samples > 0 {
+		encoded := comp != nil && u.Samples > 0
+		if encoded {
 			preResidual = comp.Snapshot()
 			enc, err := comp.Encode(u.Vecs)
 			if err != nil {
-				return fmt.Errorf("coord: round %d: encoding update: %w", m.round, err)
+				return fmt.Errorf("coord: round %d: encoding update: %w", round, err)
 			}
 			msg.codec = comp.Spec().String()
 			msg.blob = enc.Data
@@ -412,16 +411,16 @@ func runWorkerSession(t Transport, addr string, opts WorkerOptions, ship *obs.De
 			return err
 		}
 		if err := conn.Send(frame); err != nil {
-			return transientf("coord: uploading round %d update: %w", m.round, err)
+			return transientf("coord: uploading round %d update: %w", round, err)
 		}
 		f, err = conn.Recv()
 		if err != nil {
-			return transientf("coord: waiting for round %d ack: %w", m.round, err)
+			return transientf("coord: waiting for round %d ack: %w", round, err)
 		}
 		if f.Type != msgAck {
 			if f.Type == msgError {
 				msg, _ := parseError(f.Payload)
-				return fmt.Errorf("coord: round %d: %s", m.round, msg)
+				return fmt.Errorf("coord: round %d: %s", round, msg)
 			}
 			return fmt.Errorf("coord: expected ack, got %s message", msgName(f.Type))
 		}
@@ -433,7 +432,7 @@ func runWorkerSession(t Transport, addr string, opts WorkerOptions, ship *obs.De
 		case AckOK:
 			w.AddProgress(1, int64(u.Samples))
 			res.Rounds++
-			logf("worker %s: round %d folded (loss %.4f, %d samples)", opts.Spec.Name, m.round, u.Loss, u.Samples)
+			logf("worker %s: round %d folded (loss %.4f, %d samples)", opts.Spec.Name, round, u.Loss, u.Samples)
 		case AckRetry:
 			// The round closed below quorum and was discarded: rewind to
 			// the pre-round snapshot and train the re-broadcast round as if
@@ -444,14 +443,15 @@ func runWorkerSession(t Transport, addr string, opts WorkerOptions, ship *obs.De
 			if err := (&ckpt.Session{LayerState: preLayers}).ApplyLayerState(w.Chain.Stages); err != nil {
 				return err
 			}
-			if preResidual != nil {
+			if encoded {
+				// A nil snapshot is round zero's: no residual yet.
 				comp.Restore(preResidual)
 			}
-			logf("worker %s: round %d closed below quorum, rewound for retry", opts.Spec.Name, m.round)
+			logf("worker %s: round %d closed below quorum, rewound for retry", opts.Spec.Name, round)
 		case AckLate:
-			logf("worker %s: round %d update arrived past the deadline, discarded", opts.Spec.Name, m.round)
+			logf("worker %s: round %d update arrived past the deadline, discarded", opts.Spec.Name, round)
 		case AckRejected:
-			return fmt.Errorf("coord: round %d update rejected by coordinator", m.round)
+			return fmt.Errorf("coord: round %d update rejected by coordinator", round)
 		default:
 			return fmt.Errorf("coord: unknown ack status %q", ack.status)
 		}
@@ -468,26 +468,6 @@ func expectWelcome(f ckpt.Frame) (Assignment, error) {
 	default:
 		return Assignment{}, fmt.Errorf("coord: expected welcome, got %s message", msgName(f.Type))
 	}
-}
-
-// applyBroadcast loads the round's global parameters into the worker's
-// replica — the download half of fleet.Round's broadcast.
-func applyBroadcast(w *fleet.Worker, params []ckpt.NamedTensor) error {
-	ps := w.Chain.Params()
-	if len(params) != len(ps) {
-		return fmt.Errorf("coord: broadcast has %d parameters, model has %d", len(params), len(ps))
-	}
-	for k, p := range ps {
-		nt := params[k]
-		if nt.Name != p.Name {
-			return fmt.Errorf("coord: broadcast parameter %d is %q, model has %q", k, nt.Name, p.Name)
-		}
-		if !nt.Tensor.SameShape(p.Value) {
-			return fmt.Errorf("coord: broadcast parameter %q shape %v, model has %v", nt.Name, nt.Tensor.Shape(), p.Value.Shape())
-		}
-		copy(p.Value.Data(), nt.Tensor.Data())
-	}
-	return nil
 }
 
 // startHeartbeat streams liveness frames until stopped, each carrying the

@@ -254,6 +254,52 @@ func ReadTensor(r io.Reader) (*tensor.Tensor, error) {
 	return tensor.FromSlice(data, shape...), nil
 }
 
+// AppendTensor appends the tensor to b in the WriteTensor format — the same
+// bytes, encoded in one pass with no staging buffer, for a caller that is
+// assembling a message in memory and has sized b from EncodedTensorBytes.
+func AppendTensor(b []byte, t *tensor.Tensor) []byte {
+	b = binary.LittleEndian.AppendUint32(b, tensorMagic)
+	b = binary.LittleEndian.AppendUint32(b, uint32(t.Rank()))
+	for i := 0; i < t.Rank(); i++ {
+		b = binary.LittleEndian.AppendUint64(b, uint64(t.Dim(i)))
+	}
+	for _, v := range t.Data() {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// DecodeTensorInto decodes chunk, one tensor in the WriteTensor format, into
+// dst's existing storage, bit-exactly. The chunk must describe dst exactly:
+// magic, rank, every dimension and the chunk's length are checked against dst
+// before the first value is written, so a rejected chunk leaves dst untouched.
+func DecodeTensorInto(dst *tensor.Tensor, chunk []byte) error {
+	rank := dst.Rank()
+	if len(chunk) < 8+8*rank {
+		return fmt.Errorf("nn: tensor chunk of %d bytes is shorter than a rank-%d header", len(chunk), rank)
+	}
+	if m := binary.LittleEndian.Uint32(chunk[0:]); m != tensorMagic {
+		return fmt.Errorf("nn: bad tensor magic %#x", m)
+	}
+	if r := binary.LittleEndian.Uint32(chunk[4:]); r != uint32(rank) {
+		return fmt.Errorf("nn: tensor rank %d, want %d", r, rank)
+	}
+	for i := 0; i < rank; i++ {
+		if d := binary.LittleEndian.Uint64(chunk[8+8*i:]); d != uint64(dst.Dim(i)) {
+			return fmt.Errorf("nn: tensor dimension %d is %d, want shape %v", i, d, dst.Shape())
+		}
+	}
+	if want := EncodedTensorBytes(dst); int64(len(chunk)) != want {
+		return fmt.Errorf("nn: tensor chunk is %d bytes, a %v tensor takes %d", len(chunk), dst.Shape(), want)
+	}
+	vals := chunk[8+8*rank:]
+	data := dst.Data()
+	for i := range data {
+		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:]))
+	}
+	return nil
+}
+
 // ParamBytes returns the serialised size of the layers' parameters at fp64,
 // useful for the fleet simulation's model-transfer accounting.
 func ParamBytes(layers []Layer) int64 {
