@@ -7,12 +7,14 @@
 //
 // The recompute sweeps run on the parallel kernel engine in internal/tensor:
 // every stage forward re-executed by an Advance action goes through the same
-// register-tiled, batch-parallel, pool-backed GEMM micro-kernels as the
-// initial sweep, so a unit of the recompute factor costs one forward at
-// kernel speed and no per-recompute scratch allocation. Those kernels add
-// every output element's products in ascending k whatever the tiling or the
-// worker count, which is what lets a re-run forward reproduce the first one
-// bit for bit.
+// batch-parallel, pool-backed GEMM micro-kernels as the initial sweep — a
+// column-vectorised AVX2 tile where the CPU has one, pure-Go register strips
+// elsewhere — so a unit of the recompute factor costs one forward at kernel
+// speed and no per-recompute scratch allocation. Both kernels add every output
+// element's products one at a time in ascending k, each product and each sum
+// rounded (never fused), whatever the tiling, the lane or the worker count,
+// which is what lets a re-run forward reproduce the first one bit for bit, on
+// this machine or on another.
 //
 // Checkpoints live in a pluggable store (package store): the default RAM
 // store keeps stage outputs by reference — safe because the nn.Layer

@@ -83,6 +83,45 @@ func (g ConvGeom) Im2Col(img []float64, col []float64) {
 	}
 }
 
+// Im2Row is Im2Col transposed: it expands a single image into the patch
+// matrix of shape (OutH*OutW, InC*KH*KW), one output position per row, so
+// rows[p*ColRows+r] == col[r*ColsN+p]. The weight gradient multiplies by this
+// form, which puts the long tap dimension where the GEMM vectorises.
+func (g ConvGeom) Im2Row(img []float64, rows []float64) {
+	if len(img) != g.InC*g.InH*g.InW {
+		panic(fmt.Sprintf("tensor: Im2Row image length %d, want %d", len(img), g.InC*g.InH*g.InW))
+	}
+	if len(rows) != g.ColRows*g.ColsN {
+		panic(fmt.Sprintf("tensor: Im2Row patch matrix length %d, want %d", len(rows), g.ColRows*g.ColsN))
+	}
+	idx := 0
+	for oh := 0; oh < g.OutH; oh++ {
+		for ow := 0; ow < g.OutW; ow++ {
+			iw0 := ow*g.StrideW - g.PadW
+			for c := 0; c < g.InC; c++ {
+				chOff := c * g.InH * g.InW
+				for kh := 0; kh < g.KH; kh++ {
+					ih := oh*g.StrideH - g.PadH + kh
+					patch := rows[idx : idx+g.KW]
+					idx += g.KW
+					if ih < 0 || ih >= g.InH {
+						zeroFloats(patch)
+						continue
+					}
+					rowOff := chOff + ih*g.InW
+					for kw := range patch {
+						if iw := iw0 + kw; iw < 0 || iw >= g.InW {
+							patch[kw] = 0
+						} else {
+							patch[kw] = img[rowOff+iw]
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // Col2Im accumulates a column matrix (as produced by Im2Col) back into an
 // image gradient buffer of length InC*InH*InW. The buffer is NOT zeroed; the
 // caller controls accumulation semantics.
@@ -129,6 +168,26 @@ func Conv2D(input, weight, bias *Tensor, stride, pad int) *Tensor {
 	return Conv2DInto(New(g.OutputShape(n)...), input, weight, bias, stride, pad)
 }
 
+// convGeomChecked validates the three tensors of a convolution — the rank-4
+// input (N, InC, InH, InW) and weight (OutC, InC, KH, KW), and out, which is
+// the forward's output or the backward's upstream gradient and must be
+// (N, OutC, OutH, OutW) — and returns the geometry. Everything below it
+// indexes raw slices, in part from assembly, so a wrong shape must stop here.
+func convGeomChecked(op string, input, weight, out *Tensor, stride, pad int) ConvGeom {
+	if input.Rank() != 4 || weight.Rank() != 4 {
+		panic(fmt.Sprintf("tensor: %s requires rank-4 input and weight", op))
+	}
+	n, inC := input.shape[0], input.shape[1]
+	if wInC := weight.shape[1]; inC != wInC {
+		panic(fmt.Sprintf("%v: %s input channels %d vs weight channels %d", ErrShapeMismatch, op, inC, wInC))
+	}
+	g := NewConvGeom(inC, input.shape[2], input.shape[3], weight.shape[0], weight.shape[2], weight.shape[3], stride, pad)
+	if out.Rank() != 4 || out.shape[0] != n || out.shape[1] != g.OutC || out.shape[2] != g.OutH || out.shape[3] != g.OutW {
+		panic(fmt.Sprintf("%v: %s output (or upstream gradient) shape %v, want %v", ErrShapeMismatch, op, out.shape, g.OutputShape(n)))
+	}
+	return g
+}
+
 // Conv2DInto is the allocation-free form of Conv2D: the caller provides the
 // (N, OutC, OutH, OutW) output tensor, which is overwritten and returned.
 // Batches with more than one image are parallelized across the batch with
@@ -136,18 +195,9 @@ func Conv2D(input, weight, bias *Tensor, stride, pad int) *Tensor {
 // GEMM itself over output-channel panels. Both paths compute every output
 // element identically, so results do not depend on the worker count.
 func Conv2DInto(out, input, weight, bias *Tensor, stride, pad int) *Tensor {
-	if input.Rank() != 4 || weight.Rank() != 4 {
-		panic("tensor: Conv2D requires rank-4 input and weight")
-	}
-	n, inC, inH, inW := input.shape[0], input.shape[1], input.shape[2], input.shape[3]
-	outC, wInC, kH, kW := weight.shape[0], weight.shape[1], weight.shape[2], weight.shape[3]
-	if inC != wInC {
-		panic(fmt.Sprintf("%v: Conv2D input channels %d vs weight channels %d", ErrShapeMismatch, inC, wInC))
-	}
-	g := NewConvGeom(inC, inH, inW, outC, kH, kW, stride, pad)
-	if out.Rank() != 4 || out.shape[0] != n || out.shape[1] != outC || out.shape[2] != g.OutH || out.shape[3] != g.OutW {
-		panic(fmt.Sprintf("tensor: Conv2DInto output shape %v, want %v", out.shape, g.OutputShape(n)))
-	}
+	g := convGeomChecked("Conv2DInto", input, weight, out, stride, pad)
+	n, inC, inH, inW := input.shape[0], g.InC, g.InH, g.InW
+	outC := g.OutC
 	wd := weight.data // (OutC, ColRows) row-major, same layout as the 4-D weight
 	var bd []float64
 	if bias != nil {
@@ -205,13 +255,17 @@ func addBiasRows(dst, bias []float64, cols, lo, hi int) {
 //
 // The batch is processed in parallel with pooled per-worker scratch; the
 // weight gradient is accumulated as per-image partials folded in batch
-// order, so the result is bit-identical at any worker count. Both GEMMs run
-// transpose-free (NT for the weight gradient, TN for the column gradient) —
-// no Transpose temporaries are materialized.
+// order, so the result is bit-identical at any worker count. Both GEMMs are
+// column-vectorisable: the column gradient is wᵀ x gOut (TN), and the weight
+// gradient gOut x colᵀ — whose k, the output positions, is contiguous in both
+// operands — is computed as gOut x rows over the transposed patch matrix
+// (Im2Row), an NN-accumulate that adds the same products in the same
+// ascending-position order. The backward needs no patch matrix in column
+// form, and no Transpose temporaries are materialized.
 func Conv2DBackward(input, weight *Tensor, hasBias bool, gradOut *Tensor, stride, pad int) (gradInput, gradWeight, gradBias *Tensor) {
-	n, inC, inH, inW := input.shape[0], input.shape[1], input.shape[2], input.shape[3]
-	outC, _, kH, kW := weight.shape[0], weight.shape[1], weight.shape[2], weight.shape[3]
-	g := NewConvGeom(inC, inH, inW, outC, kH, kW, stride, pad)
+	g := convGeomChecked("Conv2DBackward", input, weight, gradOut, stride, pad)
+	n, inC, inH, inW := input.shape[0], g.InC, g.InH, g.InW
+	outC := g.OutC
 
 	gradInput = New(input.shape...)
 	gradWeight = New(weight.shape...)
@@ -226,42 +280,42 @@ func Conv2DBackward(input, weight *Tensor, hasBias bool, gradOut *Tensor, stride
 	wLen := outC * g.ColRows
 
 	if n == 1 {
-		colp := getScratch(colLen)
+		rowsp := getScratch(colLen)
 		dcolp := getScratch(colLen)
-		col, dcol := *colp, *dcolp
+		rows, dcol := *rowsp, *dcolp
 		gOut := gradOut.data[:outLen]
-		g.Im2Col(input.data[:imgLen], col)
-		// dW = gOut (outC, ColsN) x colᵀ; gradWeight starts zeroed.
+		g.Im2Row(input.data[:imgLen], rows)
+		// dW = gOut (outC, ColsN) x rows (ColsN, ColRows); gradWeight starts zeroed.
 		parallel.For(outC, gemmRowGrain(g.ColsN, g.ColRows), func(lo, hi int) {
-			gemmNTAcc(gwd, gOut, col, g.ColsN, g.ColRows, lo, hi)
+			gemmNNAcc(gwd, gOut, rows, g.ColsN, g.ColRows, lo, hi)
 		})
 		// dcol = wᵀ (ColRows, outC) x gOut, then scatter back to the image.
 		parallel.For(g.ColRows, gemmRowGrain(outC, g.ColsN), func(lo, hi int) {
 			gemmTN(dcol, wd, gOut, outC, g.ColRows, g.ColsN, lo, hi)
 		})
 		g.Col2Im(dcol, gradInput.data[:imgLen])
-		putScratch(colp)
+		putScratch(rowsp)
 		putScratch(dcolp)
 	} else {
 		// One chunk per image: chunk boundaries (and therefore the partial
 		// weight-gradient association order) never depend on worker count.
 		partials := make([]*[]float64, parallel.Chunks(n, 1))
 		parallel.ForChunks(n, 1, func(chunk, lo, hi int) {
-			colp := getScratch(colLen)
+			rowsp := getScratch(colLen)
 			dcolp := getScratch(colLen)
 			dwp := getScratch(wLen)
-			col, dcol, dw := *colp, *dcolp, *dwp
+			rows, dcol, dw := *rowsp, *dcolp, *dwp
 			zeroFloats(dw)
 			for b := lo; b < hi; b++ {
 				img := input.data[b*imgLen : (b+1)*imgLen]
 				gOut := gradOut.data[b*outLen : (b+1)*outLen]
-				g.Im2Col(img, col)
-				gemmNTAcc(dw, gOut, col, g.ColsN, g.ColRows, 0, outC)
+				g.Im2Row(img, rows)
+				gemmNNAcc(dw, gOut, rows, g.ColsN, g.ColRows, 0, outC)
 				gemmTN(dcol, wd, gOut, outC, g.ColRows, g.ColsN, 0, g.ColRows)
 				g.Col2Im(dcol, gradInput.data[b*imgLen:(b+1)*imgLen])
 			}
 			partials[chunk] = dwp
-			putScratch(colp)
+			putScratch(rowsp)
 			putScratch(dcolp)
 		})
 		for _, p := range partials {

@@ -2,8 +2,11 @@ package tensor
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/edgeml/edgetrain/internal/parallel"
 )
 
 // naiveConv2D is a direct (slow) reference convolution used to validate the
@@ -158,6 +161,129 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 	}
 	if math.Abs(lhs-rhs) > 1e-9 {
 		t.Fatalf("Im2Col/Col2Im are not adjoint: %v vs %v", lhs, rhs)
+	}
+	// Im2Row is Im2Col transposed, element for element.
+	rowsX := make([]float64, g.ColRows*g.ColsN)
+	g.Im2Row(x.Data(), rowsX)
+	for r := 0; r < g.ColRows; r++ {
+		for p := 0; p < g.ColsN; p++ {
+			if rowsX[p*g.ColRows+r] != colX[r*g.ColsN+p] {
+				t.Fatalf("Im2Row(%d,%d) = %v, Im2Col(%d,%d) = %v", p, r, rowsX[p*g.ColRows+r], r, p, colX[r*g.ColsN+p])
+			}
+		}
+	}
+}
+
+// refConv2DBackward is the arithmetic Conv2DBackward promises, written as
+// plain loops: per image, the weight gradient adds gradOut x patch products in
+// ascending output position from zero and the column gradient adds weight x
+// gradOut products in ascending output channel from zero, scattered back in
+// Col2Im's order; the per-image weight gradients and per-image bias sums are
+// then folded in batch order.
+func refConv2DBackward(input, weight, gradOut *Tensor, stride, pad int) (gi, gw, gb *Tensor) {
+	n, inC, inH, inW := input.Dim(0), input.Dim(1), input.Dim(2), input.Dim(3)
+	outC, kH, kW := weight.Dim(0), weight.Dim(2), weight.Dim(3)
+	g := NewConvGeom(inC, inH, inW, outC, kH, kW, stride, pad)
+	gi, gw, gb = New(input.Shape()...), New(weight.Shape()...), New(outC)
+	imgLen, outLen := inC*inH*inW, outC*g.ColsN
+	col := make([]float64, g.ColRows*g.ColsN)
+	dcol := make([]float64, g.ColRows*g.ColsN)
+	for b := 0; b < n; b++ {
+		gOut := gradOut.data[b*outLen : (b+1)*outLen]
+		g.Im2Col(input.data[b*imgLen:(b+1)*imgLen], col)
+		for o := 0; o < outC; o++ {
+			for r := 0; r < g.ColRows; r++ {
+				dw := 0.0
+				for p := 0; p < g.ColsN; p++ {
+					dw += gOut[o*g.ColsN+p] * col[r*g.ColsN+p]
+				}
+				gw.data[o*g.ColRows+r] += dw
+			}
+			s := 0.0
+			for p := 0; p < g.ColsN; p++ {
+				s += gOut[o*g.ColsN+p]
+			}
+			gb.data[o] += s
+		}
+		for r := 0; r < g.ColRows; r++ {
+			for p := 0; p < g.ColsN; p++ {
+				s := 0.0
+				for o := 0; o < outC; o++ {
+					s += weight.data[o*g.ColRows+r] * gOut[o*g.ColsN+p]
+				}
+				dcol[r*g.ColsN+p] = s
+			}
+		}
+		g.Col2Im(dcol, gi.data[b*imgLen:(b+1)*imgLen])
+	}
+	return gi, gw, gb
+}
+
+// TestConv2DBackwardBitIdenticalToReference pins all three gradients to the
+// reference above bit for bit, on both micro-kernel paths and at one, two and
+// five workers: the transposed patch matrix and the vector tile change how
+// the weight gradient is laid out and computed, not one bit of it.
+func TestConv2DBackwardBitIdenticalToReference(t *testing.T) {
+	cases := []struct{ inC, h, w, outC, k, stride, pad int }{
+		{3, 9, 9, 8, 3, 1, 1},
+		{3, 9, 9, 5, 3, 2, 1},
+		{4, 8, 8, 8, 3, 1, 0},
+		{2, 7, 9, 4, 3, 2, 0},
+		{8, 6, 6, 12, 1, 1, 0},
+		{8, 6, 6, 4, 1, 2, 0},
+		{3, 5, 5, 4, 1, 1, 1},
+	}
+	rng := NewRNG(31)
+	for _, c := range cases {
+		for _, n := range []int{1, 8} {
+			input := RandNormal(rng, 0, 1, n, c.inC, c.h, c.w)
+			weight := RandNormal(rng, 0, 0.5, c.outC, c.inC, c.k, c.k)
+			gradOut := RandNormal(rng, 0, 1, Conv2D(input, weight, nil, c.stride, c.pad).Shape()...)
+			wantGI, wantGW, wantGB := refConv2DBackward(input, weight, gradOut, c.stride, c.pad)
+			for _, vec := range kernelPaths() {
+				for _, workers := range []int{1, 2, 5} {
+					var gi, gw, gb *Tensor
+					prev := parallel.SetWorkers(workers)
+					onKernelPath(vec, func() { gi, gw, gb = Conv2DBackward(input, weight, true, gradOut, c.stride, c.pad) })
+					parallel.SetWorkers(prev)
+					for name, pair := range map[string][2]*Tensor{"dX": {gi, wantGI}, "dW": {gw, wantGW}, "db": {gb, wantGB}} {
+						for i, v := range pair[0].data {
+							if math.Float64bits(v) != math.Float64bits(pair[1].data[i]) {
+								t.Fatalf("%+v batch %d, %s path, %d workers: %s[%d] = %v, want %v",
+									c, n, pathName(vec), workers, name, i, v, pair[1].data[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConv2DBackwardRejectsWrongShapes: a gradient or weight of the wrong
+// shape must be refused by name before any kernel runs — the vector kernel
+// has no bounds checks to stumble over, and a gradient that is too large
+// would otherwise be read as if it were the right one.
+func TestConv2DBackwardRejectsWrongShapes(t *testing.T) {
+	input := New(2, 3, 6, 6)
+	weight := New(4, 3, 3, 3)
+	for name, bad := range map[string]func(){
+		"gradOut rank":          func() { Conv2DBackward(input, weight, false, New(2, 4*6*6), 1, 1) },
+		"gradOut spatial small": func() { Conv2DBackward(input, weight, false, New(2, 4, 5, 6), 1, 1) },
+		"gradOut spatial large": func() { Conv2DBackward(input, weight, false, New(2, 4, 7, 7), 1, 1) },
+		"gradOut channels":      func() { Conv2DBackward(input, weight, false, New(2, 5, 6, 6), 1, 1) },
+		"gradOut batch":         func() { Conv2DBackward(input, weight, false, New(3, 4, 6, 6), 1, 1) },
+		"weight channels":       func() { Conv2DBackward(input, New(4, 2, 3, 3), false, New(2, 4, 6, 6), 1, 1) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, ErrShapeMismatch.Error()) {
+					t.Errorf("%s: panic %q, want one naming %q", name, msg, ErrShapeMismatch)
+				}
+			}()
+			bad()
+		}()
 	}
 }
 

@@ -6,45 +6,73 @@ import (
 	"github.com/edgeml/edgetrain/internal/parallel"
 )
 
-// Register-tiled GEMM kernels. All three storage orders the training loops
-// need are provided natively — NN (a·b), TN (aᵀ·b) and NT (a·bᵀ) — so callers
-// never materialize a Transpose temporary, and every Conv2DInto,
-// Conv2DBackward, nn.Linear and MatMul*Into call bottoms out in one of
-// gemmNN, gemmTN and gemmNTAcc below.
+// GEMM kernels. All three storage orders the training loops need are provided
+// natively — NN (a·b), TN (aᵀ·b) and NT (a·bᵀ) — so callers never materialize
+// a Transpose temporary, and every Conv2DInto, Conv2DBackward, nn.Linear and
+// MatMul*Into call bottoms out in one of gemmNN, gemmNNAcc, gemmTN and
+// gemmNTAcc below.
 //
-// Each kernel walks its rows two at a time and hands a two-row strip of dst
-// and one gemmKC-deep k-panel to a micro-kernel (stripNN or stripNT), which
-// holds a gemmMR x gemmNR block of outputs in locals across the panel: load
-// the tile from dst, add the panel's products one k at a time, store it back.
-// A k step is then four loads and four multiply-adds with no store, and the
-// operand rows are sliced before the k loop so it carries no per-element
-// bounds check (stripNN re-slices its strided b row once per step; the
-// allow-list beside this file, bce_allow.txt, is what CI compares
-// -d=ssa/check_bce against). Ragged rows and columns go through gemmEdge, a
-// scalar loop with the same load / accumulate-a-panel / store shape.
+// Each kernel walks its rows gemmMR at a time and hands a strip of dst and one
+// gemmKC-deep k-panel to a micro-kernel that holds a tile of outputs in
+// registers across the panel: load the tile from dst, add the panel's
+// products one k at a time, store it back. NN and TN (which first gathers its
+// strided columns of a into a stack buffer) share gemmStrip, and gemmStrip has
+// the package's one fork:
+//
+//   - On amd64 with AVX2 (and an OS that saves the YMM state; probed once at
+//     init, see useVec) the tile is 4 rows x 8 columns of YMM accumulators in
+//     gemm_amd64.s, with a 4-column tail. It vectorises across output columns:
+//     a lane is one output element, a k step broadcasts a(i,p) and does one
+//     VMULPD and one VADDPD against a row of b.
+//   - Everywhere else (other architectures, no AVX2, or the purego build tag)
+//     the tile is stripNN's 2x2 block of Go locals, two calls per strip. 2x2 is
+//     the largest shape whose accumulators and products the Go compiler keeps
+//     in registers: with eight accumulators (2x4, 4x2) it spills one across
+//     the k loop's back edge and the store-to-load round trip bounds the step.
+//     Its operand rows are sliced before the k loop so the loop carries no
+//     per-element bounds check (stripNN re-slices its strided b row once per
+//     step; bce_allow.txt beside this file is what CI compares
+//     -d=ssa/check_bce against). The same strips are the oracle the tests
+//     hold the vector tile to.
+//
+// NT keeps its own Go strip (stripNT): its operands are contiguous in k, so
+// its lanes would have to hold partial sums of one element, and adding those
+// up reorders the sum. nn.Linear is its only user; the convolution's weight
+// gradient, which has this shape, is computed as an NN-accumulate over a
+// transposed patch matrix instead (see Conv2DBackward). Ragged rows and
+// columns go through gemmEdge, a scalar loop with the same load /
+// accumulate-a-panel / store shape.
 //
 // Ordering guarantee: whichever path produces an output element, it starts
 // from the value in dst (zero for NN and TN) and adds its k products one at a
-// time in ascending k. That is the naive triple loop's arithmetic, so results
-// are bit-identical to it, and — because an element never depends on which
-// chunk or tile it fell in — at every worker count.
+// time in ascending k, rounding each product and then each sum to float64.
+// That is the naive triple loop's arithmetic, so results are bit-identical to
+// it, and — because an element never depends on which chunk, tile or lane it
+// fell in — at every worker count and on both paths. It is also why the
+// vector tile must never use a fused multiply-add: FMA rounds once per step
+// instead of twice, which is more accurate and a different number, and every
+// bit-identity pin in the repository (worker counts, transports, restarts,
+// recomputed forwards against first forwards on another machine) would then
+// hold only between machines with the same instruction set.
 const (
 	// gemmKC is the k-extent of a panel: the tile is stored and reloaded
 	// between panels so that a gemmKC-row slab of b stays cache-resident
 	// while the rows of a stream against it.
 	gemmKC = 256
-	// gemmMR x gemmNR is the register tile. 2x2 is the largest shape whose
-	// accumulators and products the Go compiler keeps in registers: with
-	// eight accumulators (2x4, 4x2) it spills one across the k loop's back
-	// edge and the store-to-load round trip bounds the step; see CHANGES.md
-	// for the measurements.
-	gemmMR = 2
-	gemmNR = 2
+	// gemmMR x gemmNR is the granule both micro-kernels work in: a strip is
+	// gemmMR rows high and covers the columns up to the last multiple of
+	// gemmNR; what is left over is gemmEdge's.
+	gemmMR = 4
+	gemmNR = 4
 	// gemmChunkFlops is the target number of multiply-adds per parallel
 	// chunk; the row grain is derived from it so small problems stay serial
 	// and large ones cut enough chunks to balance load.
 	gemmChunkFlops = 1 << 17
 )
+
+// useVec selects the micro-kernel under gemmStrip. It is set once, here, and
+// is a variable only so the kernel tests can run both paths in one process.
+var useVec = haveAVX2()
 
 // gemmRowGrain returns the rows-per-chunk grain for an (m,k)x(k,n) product,
 // a multiple of the tile height so only the last chunk can end on a ragged
@@ -148,56 +176,77 @@ func gemmNN(dst, a, b []float64, k, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		zeroFloats(dst[i*n : (i+1)*n])
 	}
+	gemmNNAcc(dst, a, b, k, n, lo, hi)
+}
+
+// gemmNNAcc accumulates rows [lo,hi) of dst += a x b.
+func gemmNNAcc(dst, a, b []float64, k, n, lo, hi int) {
 	nt := n - n%gemmNR
 	st := gemmStrides{ai: k, ap: 1, bp: n, bj: 1}
 	for pc := 0; pc < k; pc += gemmKC {
 		pe := min(pc+gemmKC, k)
 		i := lo
 		for ; i+gemmMR <= hi; i += gemmMR {
-			a0, a1 := a[i*k+pc:i*k+pe], a[(i+1)*k+pc:(i+1)*k+pe]
-			stripNN(dst[i*n:i*n+nt], dst[(i+1)*n:(i+1)*n+nt], a0, a1, b[pc*n:], n)
+			gemmStrip(dst[i*n:], a[i*k+pc:], b[pc*n:], n, k, pe-pc, nt)
 		}
 		gemmEdge(dst, a, b, n, st, lo, i, nt, n, pc, pe)
 		gemmEdge(dst, a, b, n, st, i, hi, 0, n, pc, pe)
 	}
 }
 
-// gemmTN computes rows [lo,hi) of dst = aᵀ x b, a stored (k,m). Two rows of
-// aᵀ are two strided columns of a; they are gathered once per strip into a
-// stack buffer, which turns the rest into gemmNN's micro-kernel.
+// gemmTN computes rows [lo,hi) of dst = aᵀ x b, a stored (k,m). The gemmMR
+// rows of aᵀ under a strip are strided columns of a; they are gathered once
+// per strip into a stack buffer, which turns the rest into gemmNN's strip.
 func gemmTN(dst, a, b []float64, k, m, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		zeroFloats(dst[i*n : (i+1)*n])
 	}
 	nt := n - n%gemmNR
 	st := gemmStrides{ai: 1, ap: m, bp: n, bj: 1}
-	var cols [gemmMR][gemmKC]float64
+	var cols [gemmMR * gemmKC]float64
 	for pc := 0; pc < k; pc += gemmKC {
 		pe := min(pc+gemmKC, k)
+		kc := pe - pc
+		a0, a1, a2, a3 := cols[:kc], cols[gemmKC:][:kc], cols[2*gemmKC:][:kc], cols[3*gemmKC:][:kc]
 		i := lo
 		for ; i+gemmMR <= hi; i += gemmMR {
-			a0, a1 := cols[0][:pe-pc], cols[1][:pe-pc]
 			oa := pc*m + i
 			for p := range a0 {
 				ap := a[oa : oa+gemmMR : oa+gemmMR]
-				a0[p], a1[p] = ap[0], ap[1]
+				a0[p], a1[p], a2[p], a3[p] = ap[0], ap[1], ap[2], ap[3]
 				oa += m
 			}
-			stripNN(dst[i*n:i*n+nt], dst[(i+1)*n:(i+1)*n+nt], a0, a1, b[pc*n:], n)
+			gemmStrip(dst[i*n:], cols[:], b[pc*n:], n, gemmKC, kc, nt)
 		}
 		gemmEdge(dst, a, b, n, st, lo, i, nt, n, pc, pe)
 		gemmEdge(dst, a, b, n, st, i, hi, 0, n, pc, pe)
 	}
 }
 
+// gemmStrip accumulates one k-panel of kc steps into a strip of gemmMR rows
+// of dst and its first nc columns, nc a multiple of gemmNR: d is dst from the
+// strip's first row on and b is b from the panel's first row on, both with
+// row stride n; a is the first row of a from the panel's first k on, and its
+// rows are as apart.
+func gemmStrip(d, a, b []float64, n, as, kc, nc int) {
+	switch {
+	case nc == 0:
+	case useVec:
+		gemmTileVec(d, a, b, n, as, kc, nc)
+	default:
+		stripNN(d[:nc], d[n:n+nc], a[:kc], a[as:as+kc], b, n)
+		stripNN(d[2*n:2*n+nc], d[3*n:3*n+nc], a[2*as:2*as+kc], a[3*as:3*as+kc], b, n)
+	}
+}
+
 // gemmNTAcc accumulates rows [lo,hi) of dst += a x bᵀ, b stored (n,k).
 func gemmNTAcc(dst, a, b []float64, k, n, lo, hi int) {
-	nt := n - n%gemmNR
+	nt := n - n%2 // stripNT's tile is 2x2
 	st := gemmStrides{ai: k, ap: 1, bp: 1, bj: k}
 	for pc := 0; pc < k; pc += gemmKC {
 		pe := min(pc+gemmKC, k)
 		i := lo
-		for ; i+gemmMR <= hi; i += gemmMR {
+		for ; i+2 <= hi; i += 2 {
 			a0, a1 := a[i*k+pc:i*k+pe], a[(i+1)*k+pc:(i+1)*k+pe]
 			stripNT(dst[i*n:i*n+nt], dst[(i+1)*n:(i+1)*n+nt], a0, a1, b[pc:], k)
 		}
@@ -206,20 +255,20 @@ func gemmNTAcc(dst, a, b []float64, k, n, lo, hi int) {
 	}
 }
 
-// stripNN accumulates one k-panel into two rows of dst, d0 and d1 (cut to a
-// multiple of gemmNR columns), one register tile at a time: a0 and a1 are the
+// stripNN accumulates one k-panel into two rows of dst, d0 and d1 (cut to an
+// even number of columns), one 2x2 register tile at a time: a0 and a1 are the
 // panel's slice of the two rows of a, b starts at the panel's first row, with
 // row stride n.
 func stripNN(d0, d1, a0, a1, b []float64, n int) {
 	d1 = d1[:len(d0)]
 	a1 = a1[:len(a0)]
-	for j := 0; j+gemmNR <= len(d0); j += gemmNR {
+	for j := 0; j+2 <= len(d0); j += 2 {
 		c00, c01 := d0[j], d0[j+1]
 		c10, c11 := d1[j], d1[j+1]
 		ob := j
 		for p, x0 := range a0 {
 			x1 := a1[p]
-			bp := b[ob : ob+gemmNR : ob+gemmNR]
+			bp := b[ob : ob+2 : ob+2]
 			ob += n
 			c00 += x0 * bp[0]
 			c01 += x0 * bp[1]
@@ -237,7 +286,7 @@ func stripNT(d0, d1, a0, a1, b []float64, k int) {
 	d1 = d1[:len(d0)]
 	kc := len(a0)
 	a1 = a1[:kc]
-	for j := 0; j+gemmNR <= len(d0); j += gemmNR {
+	for j := 0; j+2 <= len(d0); j += 2 {
 		c00, c01 := d0[j], d0[j+1]
 		c10, c11 := d1[j], d1[j+1]
 		b0, b1 := b[j*k:][:kc], b[(j+1)*k:][:kc]

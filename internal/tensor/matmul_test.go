@@ -63,60 +63,112 @@ func TestMatMulMatchesNaiveRandomShapes(t *testing.T) {
 	}
 }
 
+// kernelPaths lists the micro-kernel paths this build and CPU can run, as
+// values for useVec: the vector tile where there is one, and the Go strips,
+// which every build has.
+func kernelPaths() []bool {
+	if useVec {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
+// onKernelPath runs f with the GEMM micro-kernel forced to one path.
+func onKernelPath(vec bool, f func()) {
+	defer func(prev bool) { useVec = prev }(useVec)
+	useVec = vec
+	f()
+}
+
+func pathName(vec bool) string {
+	if vec {
+		return "vector"
+	}
+	return "go"
+}
+
+// sameBits reports whether two results are the same float64, bit for bit,
+// except that any NaN matches any NaN: which operand's payload a NaN result
+// carries is decided by operand order inside an instruction, in
+// compiler-generated code as much as in the vector tile, and nothing
+// downstream reads payloads.
+func sameBits(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
+}
+
 // TestGemmKernelsBitIdenticalToNaive is the kernel conformance test: the
-// three row-range kernels under every conv, linear and MatMul call must
+// four row-range kernels under every conv, linear and MatMul call must
 // reproduce the naive triple loop bit for bit — signed zeros included — on
-// the benchmark student's im2col shapes, ragged shapes around the register
-// tile, k of one and k across the gemmKC panel boundary, row sub-ranges that
-// start on an odd row, zero-heavy and signed-zero operands, and (NT) a
-// non-zero destination to accumulate into. Rows outside [lo,hi) must not be
-// touched.
+// every micro-kernel path of this build: on the benchmark student's im2col
+// shapes, every residue of m against the strip height and of n against the
+// vector tile's eight and four columns, k of one, three and around the gemmKC
+// panel boundary, row sub-ranges starting one, two and three rows into a
+// strip, zero-heavy and signed-zero operands, infinities, subnormals, sums
+// that overflow half way, NaNs, and (NNAcc, NTAcc) a non-zero destination to
+// accumulate into. Rows outside [lo,hi) must not be touched.
 func TestGemmKernelsBitIdenticalToNaive(t *testing.T) {
 	shapes := [][3]int{ // m, k, n
-		{8, 9, 256}, {8, 72, 256}, {16, 144, 64}, {32, 288, 16}, {64, 576, 4}, // model
+		{8, 9, 256}, {8, 72, 256}, {16, 144, 64}, {32, 288, 16}, {64, 576, 4}, // model, forward
+		{8, 256, 9}, {8, 256, 72}, {32, 16, 288}, {64, 4, 576}, // model, weight gradient
 		{7, 13, 5}, {3, 5, 9}, {1, 1, 1},
-		{2*gemmMR - 1, 6, 2*gemmNR - 1}, {2*gemmMR + 1, 6, 2*gemmNR + 1}, // one below / above a tile multiple
-		{6, 1, 6},                                                // k = 1
-		{4, gemmKC + 3, 6}, {5, 2*gemmKC + 1, 3}, {2, gemmKC, 2}, // panel boundary
+		{6, 1, 6}, // k = 1
+	}
+	for m := 1; m <= 2*gemmMR+1; m++ { // every tile edge: 0-2 strips + 0-3 rows, 0-2 wide tiles + 0-1 narrow + 0-3 columns
+		for n := 1; n <= 20; n++ {
+			shapes = append(shapes, [3]int{m, 3, n})
+		}
+	}
+	for _, k := range []int{gemmKC - 1, gemmKC, gemmKC + 1, 2*gemmKC + 1} { // panel boundary
+		shapes = append(shapes, [3]int{5, k, 13}, [3]int{4, k, 8})
 	}
 	negZero := math.Copysign(0, -1)
-	fills := map[string]func(rng *RNG, xs []float64){
-		"normal": func(rng *RNG, xs []float64) {
+	pick := func(vals ...float64) func(rng *RNG, xs []float64) {
+		return func(rng *RNG, xs []float64) {
+			for i := range xs {
+				xs[i] = vals[rng.Intn(len(vals))]
+			}
+		}
+	}
+	big := math.Sqrt(math.MaxFloat64) * 0.9 // big*big is finite, twice that is not
+	fills := []struct {
+		name string
+		fn   func(rng *RNG, xs []float64)
+	}{
+		{"normal", func(rng *RNG, xs []float64) {
 			for i := range xs {
 				xs[i] = rng.Normal(0, 1)
 			}
-		},
-		"zero-heavy": func(rng *RNG, xs []float64) {
+		}},
+		{"zero-heavy", func(rng *RNG, xs []float64) {
 			for i := range xs {
 				xs[i] = 0
 				if rng.Intn(5) == 0 {
 					xs[i] = rng.Normal(0, 1)
 				}
 			}
-		},
-		"signed-zero": func(rng *RNG, xs []float64) {
-			vals := []float64{0, negZero, 1, -1, negZero, 0.5}
-			for i := range xs {
-				xs[i] = vals[rng.Intn(len(vals))]
-			}
-		},
+		}},
+		{"signed-zero", pick(0, negZero, 1, -1, negZero, 0.5)},
+		{"inf", pick(math.Inf(1), math.Inf(-1), 1, -2, 0, negZero, 0.5, 3)},
+		{"subnormal", pick(5e-324, -5e-324, 3e-310, -7e-315, 1, -1, 0.5, 1e-300, 2)},
+		{"overflow", pick(big, -big, big, 1, -1, 0.25)},
+		{"nan", pick(math.NaN(), 1, -1, 0, 2, 0.5, -3, math.Inf(1))},
 	}
 	const sentinel = 12345.0
 	for _, sh := range shapes {
 		m, k, n := sh[0], sh[1], sh[2]
 		ranges := [][2]int{{0, m}}
-		if m >= 2 {
-			ranges = append(ranges, [2]int{1, m})
+		for lo := 1; lo <= 3 && lo < m; lo++ {
+			ranges = append(ranges, [2]int{lo, m})
 		}
 		if m >= 4 {
-			ranges = append(ranges, [2]int{1, m - 1}, [2]int{3, m})
+			ranges = append(ranges, [2]int{1, m - 1})
 		}
-		for fill, fn := range fills {
+		for _, fill := range fills {
 			rng := NewRNG(uint64(1000*m + 10*k + n))
 			a, b, init := New(m, k), New(k, n), New(m, n)
-			fn(rng, a.data)
-			fn(rng, b.data)
-			fn(rng, init.data) // what NT accumulates into
+			fill.fn(rng, a.data)
+			fill.fn(rng, b.data)
+			fill.fn(rng, init.data) // what NNAcc and NTAcc accumulate into
 			aT, bT := Transpose(a), Transpose(b)
 
 			// want[0] starts every element from +0, want[1] from init.
@@ -143,27 +195,30 @@ func TestGemmKernelsBitIdenticalToNaive(t *testing.T) {
 					run   func(dst []float64)
 				}{
 					{"NN", want[0], nil, func(dst []float64) { gemmNN(dst, a.data, b.data, k, n, lo, hi) }},
+					{"NNAcc", want[1], init.data, func(dst []float64) { gemmNNAcc(dst, a.data, b.data, k, n, lo, hi) }},
 					{"TN", want[0], nil, func(dst []float64) { gemmTN(dst, aT.data, b.data, k, m, n, lo, hi) }},
 					{"NTAcc", want[1], init.data, func(dst []float64) { gemmNTAcc(dst, a.data, bT.data, k, n, lo, hi) }},
 				}
-				for _, kr := range kernels {
-					dst := make([]float64, m*n)
-					for i := range dst {
-						dst[i] = sentinel
-					}
-					if kr.start != nil {
-						copy(dst[lo*n:hi*n], kr.start[lo*n:hi*n])
-					}
-					kr.run(dst)
-					for i := 0; i < m; i++ {
-						for j := 0; j < n; j++ {
-							got, exp := dst[i*n+j], sentinel
-							if i >= lo && i < hi {
-								exp = kr.want[i*n+j]
-							}
-							if math.Float64bits(got) != math.Float64bits(exp) {
-								t.Fatalf("%s %s %dx%dx%d rows [%d,%d): element (%d,%d) = %v (%#x), want %v (%#x)",
-									kr.name, fill, m, k, n, lo, hi, i, j, got, math.Float64bits(got), exp, math.Float64bits(exp))
+				for _, vec := range kernelPaths() {
+					for _, kr := range kernels {
+						dst := make([]float64, m*n)
+						for i := range dst {
+							dst[i] = sentinel
+						}
+						if kr.start != nil {
+							copy(dst[lo*n:hi*n], kr.start[lo*n:hi*n])
+						}
+						onKernelPath(vec, func() { kr.run(dst) })
+						for i := 0; i < m; i++ {
+							for j := 0; j < n; j++ {
+								got, exp := dst[i*n+j], sentinel
+								if i >= lo && i < hi {
+									exp = kr.want[i*n+j]
+								}
+								if !sameBits(got, exp) {
+									t.Fatalf("%s (%s path) %s %dx%dx%d rows [%d,%d): element (%d,%d) = %v (%#x), want %v (%#x)",
+										kr.name, pathName(vec), fill.name, m, k, n, lo, hi, i, j, got, math.Float64bits(got), exp, math.Float64bits(exp))
+								}
 							}
 						}
 					}
