@@ -615,8 +615,7 @@ func BenchmarkFleetRound(b *testing.B) {
 // BenchmarkInstrumentedStep measures what the observability layer adds to one
 // Revolve-checkpointed training step: "off" runs against the default no-op
 // registry (the zero-config contract), "on" with a live registry and tracer
-// installed. The relative delta between the two is the pr9 entry in
-// BENCH_baseline.json and must stay under 2%.
+// installed. The relative delta between the two must stay under 2%.
 func BenchmarkInstrumentedStep(b *testing.B) {
 	step := func(b *testing.B) {
 		c, x, lossGrad := buildBenchChain(1)

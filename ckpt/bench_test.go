@@ -29,61 +29,47 @@ func benchSession() *Session {
 }
 
 // BenchmarkCheckpointSave measures one durable save — encode, temp file,
-// fsync, rename, manifest — in raw and compressed frame styles.
+// fsync, rename, manifest.
 func BenchmarkCheckpointSave(b *testing.B) {
-	for _, style := range []struct {
-		name string
-		opts []Option
-	}{{"raw", nil}, {"compressed", []Option{WithCompression()}}} {
-		b.Run(style.name, func(b *testing.B) {
-			s := benchSession()
-			d, err := Open(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			enc, err := Encode(s, style.opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(enc)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.Save(s, style.opts...); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s := benchSession()
+	d, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := Encode(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(enc)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Save(s); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkCheckpointRestore measures one full load from the manifest —
-// read, CRC verification, decode — in raw and compressed frame styles.
+// read, CRC verification, decode.
 func BenchmarkCheckpointRestore(b *testing.B) {
-	for _, style := range []struct {
-		name string
-		opts []Option
-	}{{"raw", nil}, {"compressed", []Option{WithCompression()}}} {
-		b.Run(style.name, func(b *testing.B) {
-			s := benchSession()
-			d, err := Open(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := d.Save(s, style.opts...); err != nil {
-				b.Fatal(err)
-			}
-			enc, err := Encode(s, style.opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(enc)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := d.Load(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s := benchSession()
+	d, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := d.Save(s); err != nil {
+		b.Fatal(err)
+	}
+	enc, err := Encode(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(enc)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := d.Load(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -16,12 +16,14 @@
 //
 // All integers are little-endian. Each frame carries one logical unit of the
 // session (one parameter tensor, one optimizer slot vector, one worker's
-// progress, ...) in either raw or DEFLATE-compressed style, and is protected
-// by a CRC32 of its encoded payload. Frames are independent, so they encode
-// and decode in parallel (internal/parallel) with output bytes that do not
-// depend on the worker count, and the streaming (io.Writer/io.Reader) and
-// in-memory ([]byte) modes run the exact same code path, producing
-// bit-identical bytes.
+// progress, ...) and is protected by a CRC32 of its encoded payload. The
+// style is per frame and chosen by whoever writes it: checkpoints are
+// written raw (fp64 weights do not compress), the reader also accepts the
+// DEFLATE frames of files written by earlier versions, and the one writer of
+// DEFLATE frames left is a compress spec's "+deflate" stage. Frames are
+// independent, so they decode in parallel (internal/parallel), and the
+// streaming (io.Writer/io.Reader) and in-memory ([]byte) modes run the exact
+// same code path, producing bit-identical bytes.
 //
 // # Durability
 //
@@ -52,8 +54,7 @@ import (
 )
 
 // LibraryVersion is the edgetrain release this tree builds; checkpoints
-// record it for provenance and the root package re-exports it as
-// edgetrain.Version.
+// record it for provenance.
 const LibraryVersion = "2.3.0"
 
 // ErrCorrupt is wrapped by every error that means the checkpoint bytes are

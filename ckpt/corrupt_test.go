@@ -52,11 +52,11 @@ func decodeExpectingCorrupt(t *testing.T, what string, data []byte) {
 // reports ErrCorrupt.
 func TestTruncationAtEveryFrameBoundary(t *testing.T) {
 	for _, style := range []struct {
-		name string
-		opts []Option
-	}{{"raw", nil}, {"deflate", []Option{WithCompression()}}} {
+		name  string
+		style uint32
+	}{{"raw", StyleRaw}, {"deflate", StyleDeflate}} {
 		t.Run(style.name, func(t *testing.T) {
-			b, err := Encode(sampleSession(), style.opts...)
+			b, err := encodeStyle(sampleSession(), style.style)
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
 			}
@@ -82,12 +82,12 @@ func TestTruncationAtEveryFrameBoundary(t *testing.T) {
 // no offset escapes.
 func TestFlipEveryByte(t *testing.T) {
 	for _, style := range []struct {
-		name string
-		opts []Option
-	}{{"raw", nil}, {"deflate", []Option{WithCompression()}}} {
+		name  string
+		style uint32
+	}{{"raw", StyleRaw}, {"deflate", StyleDeflate}} {
 		t.Run(style.name, func(t *testing.T) {
 			orig := sampleSession()
-			b, err := Encode(orig, style.opts...)
+			b, err := encodeStyle(orig, style.style)
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
 			}

@@ -58,20 +58,6 @@ const (
 	maxSlotElems  = int64(1) << 40
 )
 
-// Option tunes how a checkpoint is written.
-type Option func(*writeConfig)
-
-type writeConfig struct {
-	style uint32
-}
-
-// WithCompression selects the DEFLATE frame style for every frame. The
-// default is raw frames: on an SD-card-backed edge node the fsync dominates,
-// and raw bytes round-trip fastest.
-func WithCompression() Option {
-	return func(c *writeConfig) { c.style = StyleDeflate }
-}
-
 // flateWriters pools DEFLATE compressors: a fresh flate.Writer allocates
 // ~1 MB of window state, which would otherwise be paid once per frame.
 // Reset produces output bit-identical to a newly constructed writer, so
@@ -336,12 +322,6 @@ func (fr *FrameReader) Next() (Frame, int, error) {
 	return Frame{Type: f.typ, Payload: payload}, n, nil
 }
 
-// ReadFrame reads a single frame from r, as a FrameReader's first Next would;
-// the payload is the caller's to keep.
-func ReadFrame(r io.Reader, maxBytes int64) (Frame, int, error) {
-	return NewFrameReader(r, maxBytes).Next()
-}
-
 // DecodeFrame decodes the frame at the start of data, an encoded frame
 // already in memory, with every check Next applies to a stream. It returns
 // the frame and how many bytes of data it occupies. A raw frame's payload
@@ -479,59 +459,14 @@ func DecodeWorkerState(payload []byte) (*WorkerState, error) {
 	return parseWorker(payload)
 }
 
-// encodeAll builds and styles every frame of the session — compression and
-// CRC, the expensive part — in parallel. Every frame is encoded independently
-// into its own buffer, so the resulting bytes are identical at any worker
-// count.
-func encodeAll(s *Session, style uint32) ([]encFrame, error) {
-	out := make([]encFrame, frameCount(s))
-	errs := make([]error, len(out))
-	parallel.ForChunks(len(out), 1, func(i, _, _ int) {
-		var b bytes.Buffer
-		typ, err := putFrame(s, i, &b)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		enc, crc, err := encodeFramePayload(b.Bytes(), style)
-		if err != nil {
-			errs[i] = fmt.Errorf("ckpt: frame %d: %w", i, err)
-			return
-		}
-		out[i] = encFrame{typ: typ, style: style, rawLen: uint64(b.Len()), crc: crc, enc: enc}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// writeEncFrame writes one styled frame, header then payload. idx labels the
-// frame in error messages.
-func writeEncFrame(w io.Writer, idx int, f encFrame) error {
-	fh := frameHeader(f)
-	if _, err := w.Write(fh[:]); err != nil {
-		return fmt.Errorf("ckpt: writing frame %d header: %w", idx, err)
-	}
-	if _, err := w.Write(f.enc); err != nil {
-		return fmt.Errorf("ckpt: writing frame %d payload: %w", idx, err)
-	}
-	return nil
-}
-
-// writeSession serializes the session to w. Raw frames are built one at a
-// time in scratch and streamed out — the whole file is never in memory, and a
-// caller that writes many checkpoints (a Dir) passes the same scratch every
-// time; DEFLATE frames, whose compression is worth spreading over the cores,
-// go through encodeAll. The bytes are the same either way a frame is built.
-func writeSession(w io.Writer, s *Session, scratch *bytes.Buffer, opts ...Option) error {
-	var cfg writeConfig
-	cfg.style = StyleRaw
-	for _, o := range opts {
-		o(&cfg)
-	}
+// writeSession serializes the session to w in raw frames: on an
+// SD-card-backed edge node the fsync dominates, fp64 weights do not compress
+// (a DEFLATE-framed checkpoint of a trained model comes out larger), and raw
+// bytes round-trip fastest. Frames are built one at a time in scratch and
+// streamed out — the whole file is never in memory, and a caller that writes
+// many checkpoints (a Dir) passes the same scratch every time. Read still
+// accepts the DEFLATE frames of files written by earlier versions.
+func writeSession(w io.Writer, s *Session, scratch *bytes.Buffer) error {
 	n := frameCount(s)
 	var head [headerBytes]byte
 	copy(head[:8], Magic)
@@ -540,28 +475,14 @@ func writeSession(w io.Writer, s *Session, scratch *bytes.Buffer, opts ...Option
 	if _, err := w.Write(head[:]); err != nil {
 		return fmt.Errorf("ckpt: writing header: %w", err)
 	}
-	if cfg.style != StyleRaw {
-		enc, err := encodeAll(s, cfg.style)
-		if err != nil {
-			return err
-		}
-		for i, f := range enc {
-			if err := writeEncFrame(w, i, f); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for i := 0; i < n; i++ {
 		scratch.Reset()
 		typ, err := putFrame(s, i, scratch)
 		if err != nil {
 			return err
 		}
-		p := scratch.Bytes()
-		f := encFrame{typ: typ, style: StyleRaw, rawLen: uint64(len(p)), crc: crc32.ChecksumIEEE(p), enc: p}
-		if err := writeEncFrame(w, i, f); err != nil {
-			return err
+		if _, err := WriteFrame(w, Frame{Type: typ, Payload: scratch.Bytes()}, StyleRaw); err != nil {
+			return fmt.Errorf("ckpt: frame %d: %w", i, err)
 		}
 	}
 	return nil
@@ -569,16 +490,16 @@ func writeSession(w io.Writer, s *Session, scratch *bytes.Buffer, opts ...Option
 
 // Write serializes the session to w in the framed checkpoint format. The
 // bytes written are identical to Encode's: both modes share this code path.
-func Write(w io.Writer, s *Session, opts ...Option) error {
+func Write(w io.Writer, s *Session) error {
 	var scratch bytes.Buffer
-	return writeSession(w, s, &scratch, opts...)
+	return writeSession(w, s, &scratch)
 }
 
 // Encode serializes the session in memory, returning exactly the bytes Write
 // would stream.
-func Encode(s *Session, opts ...Option) ([]byte, error) {
+func Encode(s *Session) ([]byte, error) {
 	var b bytes.Buffer
-	if err := Write(&b, s, opts...); err != nil {
+	if err := Write(&b, s); err != nil {
 		return nil, err
 	}
 	return b.Bytes(), nil

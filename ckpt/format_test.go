@@ -2,6 +2,9 @@ package ckpt
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"math"
 	"reflect"
@@ -107,11 +110,52 @@ func TestRoundTripRaw(t *testing.T) {
 	sessionsEqual(t, want, got)
 }
 
+// writeStyle is Write in the given frame style. The library writes raw
+// checkpoints only; files written by earlier versions carry DEFLATE frames
+// and the reader goes on accepting them, so the tests build their DEFLATE
+// inputs frame by frame through WriteFrame, which lays a frame out exactly
+// as a checkpoint file holds it.
+func writeStyle(w io.Writer, s *Session, style uint32) error {
+	var head [headerBytes]byte
+	copy(head[:8], Magic)
+	binary.LittleEndian.PutUint32(head[8:], FormatVersion)
+	binary.LittleEndian.PutUint32(head[12:], uint32(frameCount(s)))
+	if _, err := w.Write(head[:]); err != nil {
+		return err
+	}
+	for i := 0; i < frameCount(s); i++ {
+		var b bytes.Buffer
+		typ, err := putFrame(s, i, &b)
+		if err != nil {
+			return err
+		}
+		if _, err := WriteFrame(w, Frame{Type: typ, Payload: b.Bytes()}, style); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// encodeStyle is Encode in the given frame style.
+func encodeStyle(s *Session, style uint32) ([]byte, error) {
+	var b bytes.Buffer
+	if err := writeStyle(&b, s, style); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
+}
+
 func TestRoundTripCompressed(t *testing.T) {
+	// What the writer of DEFLATE-framed checkpoints produced for the sample
+	// session before it was removed: the file an earlier version left behind.
+	const golden = "465360e3bf3e2c3f8cef612e20568acc3a89d0b4d1e12322cd7cf1245be6dedd"
 	want := sampleSession()
-	b, err := Encode(want, WithCompression())
+	b, err := encodeStyle(want, StyleDeflate)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
+	}
+	if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != golden {
+		t.Fatalf("DEFLATE-framed sample session hashes to %x, want %s", sum, golden)
 	}
 	braw, err := Encode(want)
 	if err != nil {
@@ -146,18 +190,18 @@ func TestRoundTripMinimalSession(t *testing.T) {
 func TestStreamingMatchesInMemory(t *testing.T) {
 	s := sampleSession()
 	for _, style := range []struct {
-		name string
-		opts []Option
-	}{{"raw", nil}, {"deflate", []Option{WithCompression()}}} {
+		name  string
+		style uint32
+	}{{"raw", StyleRaw}, {"deflate", StyleDeflate}} {
 		t.Run(style.name, func(t *testing.T) {
-			inMem, err := Encode(s, style.opts...)
+			inMem, err := encodeStyle(s, style.style)
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
 			}
 			var streamed bytes.Buffer
 			// Stream through a one-byte-at-a-time writer so any buffering
 			// difference would surface.
-			if err := Write(trickleWriter{&streamed}, s, style.opts...); err != nil {
+			if err := writeStyle(trickleWriter{&streamed}, s, style.style); err != nil {
 				t.Fatalf("Write: %v", err)
 			}
 			if !bytes.Equal(inMem, streamed.Bytes()) {
@@ -203,18 +247,18 @@ func TestEncodeWorkerCountInvariant(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 	for _, style := range []struct {
-		name string
-		opts []Option
-	}{{"raw", nil}, {"deflate", []Option{WithCompression()}}} {
+		name  string
+		style uint32
+	}{{"raw", StyleRaw}, {"deflate", StyleDeflate}} {
 		t.Run(style.name, func(t *testing.T) {
 			parallel.SetWorkers(1)
-			one, err := Encode(s, style.opts...)
+			one, err := encodeStyle(s, style.style)
 			if err != nil {
 				t.Fatalf("Encode workers=1: %v", err)
 			}
 			for _, w := range []int{2, 5, 16} {
 				parallel.SetWorkers(w)
-				many, err := Encode(s, style.opts...)
+				many, err := encodeStyle(s, style.style)
 				if err != nil {
 					t.Fatalf("Encode workers=%d: %v", w, err)
 				}

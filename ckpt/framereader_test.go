@@ -152,7 +152,7 @@ func TestDecodeFrameMatchesReader(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := append(b.Bytes(), "trailing"...)
-		want, wantN, err := ReadFrame(bytes.NewReader(data), 0)
+		want, wantN, err := NewFrameReader(bytes.NewReader(data), 0).Next()
 		if err != nil {
 			t.Fatal(err)
 		}

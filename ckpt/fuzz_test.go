@@ -12,7 +12,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	if b, err := Encode(sampleSession()); err == nil {
 		f.Add(b)
 	}
-	if b, err := Encode(sampleSession(), WithCompression()); err == nil {
+	if b, err := encodeStyle(sampleSession(), StyleDeflate); err == nil {
 		f.Add(b)
 	}
 	if b, err := Encode(&Session{Kind: "fleet"}); err == nil {

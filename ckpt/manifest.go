@@ -179,7 +179,7 @@ func seqOf(name string) (int, bool) {
 // directory, then update the manifest the same way. Only after the manifest
 // rename is the new checkpoint "the latest"; a crash before that leaves the
 // previous manifest — and the previous checkpoint — in force.
-func (d *Dir) Save(s *Session, opts ...Option) (string, error) {
+func (d *Dir) Save(s *Session) (string, error) {
 	start := time.Now()
 	name := checkpointName(d.seq)
 	if err := d.writeAtomically(name, func(f *os.File) error {
@@ -188,7 +188,7 @@ func (d *Dir) Save(s *Session, opts ...Option) (string, error) {
 		} else {
 			d.out.Reset(f)
 		}
-		if err := writeSession(d.out, s, &d.scratch, opts...); err != nil {
+		if err := writeSession(d.out, s, &d.scratch); err != nil {
 			return err
 		}
 		return d.out.Flush()

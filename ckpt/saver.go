@@ -27,7 +27,6 @@ import "github.com/edgeml/edgetrain/obs"
 type Saver struct {
 	dir  *Dir
 	lane int
-	opts []Option
 
 	jobs    chan saveJob // unbuffered: the writer is idle at the receive or writing
 	results chan error   // outcome of the write in flight, one per job
@@ -45,16 +44,14 @@ type saveJob struct {
 	saved func(name string)
 }
 
-// NewSaver starts the background writer for d. Every save runs with opts.
-// The saver files its checkpoint-save spans under the trace lane (obs worker
-// slot) the caller names: the coordinator's own lane for coordinator state,
-// a lane beside the step loop's for a trainer. Close must be called to stop
-// the goroutine.
-func NewSaver(d *Dir, lane int, opts ...Option) *Saver {
+// NewSaver starts the background writer for d. The saver files its
+// checkpoint-save spans under the trace lane (obs worker slot) the caller
+// names: the coordinator's own lane for coordinator state, a lane beside the
+// step loop's for a trainer. Close must be called to stop the goroutine.
+func NewSaver(d *Dir, lane int) *Saver {
 	s := &Saver{
 		dir:     d,
 		lane:    lane,
-		opts:    opts,
 		jobs:    make(chan saveJob),
 		results: make(chan error, 1),
 		exited:  make(chan struct{}),
@@ -68,7 +65,7 @@ func NewSaver(d *Dir, lane int, opts ...Option) *Saver {
 			// filed under the round whose state it persists (-1 for a
 			// trainer session, which has no rounds).
 			sp := obs.DefaultTracer().Span("checkpoint-save", job.s.Round-1, s.lane)
-			name, err := s.dir.Save(job.s, s.opts...)
+			name, err := s.dir.Save(job.s)
 			sp.EndDetail(name)
 			if err == nil && job.saved != nil {
 				job.saved(name)

@@ -9,7 +9,7 @@
 //	edgecoord -workers 3 -rounds 4                  # wait for 3 workers
 //	edgecoord -listen 0.0.0.0:7600 -agg allreduce   # fixed port, all-reduce
 //	edgecoord -compress topk:0.05+int8+deflate      # sparsified, quantized updates
-//	edgecoord -wire-deflate -round-deadline 30s     # DEFLATE frames, straggler cap
+//	edgecoord -round-deadline 30s                   # straggler cap
 //	edgecoord -state-dir /var/lib/edgecoord         # durable: restart resumes the run
 package main
 
@@ -20,25 +20,11 @@ import (
 	"os"
 	"time"
 
-	"github.com/edgeml/edgetrain/compress"
 	"github.com/edgeml/edgetrain/coord"
 	"github.com/edgeml/edgetrain/internal/fleetdemo"
 	"github.com/edgeml/edgetrain/internal/parallel"
 	"github.com/edgeml/edgetrain/obs"
 )
-
-// compressFlag validates a -compress codec spec and returns its canonical
-// form ("" when compression is off).
-func compressFlag(s string) (string, error) {
-	spec, err := compress.ParseSpec(s)
-	if err != nil {
-		return "", err
-	}
-	if !spec.Enabled() {
-		return "", nil
-	}
-	return spec.String(), nil
-}
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "TCP address to listen on (port 0 picks a free port)")
@@ -53,7 +39,6 @@ func main() {
 	lr := flag.Float64("lr", 0.05, "learning rate")
 	seed := flag.Uint64("seed", 1, "random seed forwarded to workers")
 	compressSpec := flag.String("compress", "", "update codec spec, e.g. topk:0.05+int8+deflate (empty or 'none' disables)")
-	wireDeflate := flag.Bool("wire-deflate", false, "DEFLATE-compress wire frames")
 	uplinkMbps := flag.Float64("uplink-mbps", 10, "modeled uplink rate behind the report's upload times")
 	joinTimeout := flag.Duration("join-timeout", 30*time.Second, "how long to wait for the fleet to assemble")
 	updateTimeout := flag.Duration("update-timeout", 0, "per-worker liveness bound during a round (0 disables)")
@@ -76,10 +61,6 @@ func main() {
 	if !*quiet {
 		logf = obs.NewLog(os.Stderr, "coord", "").Printf
 	}
-	cSpec, err := compressFlag(*compressSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
 	c, err := coord.New(coord.Config{
 		Workers:       *workers,
 		MinWorkers:    *minWorkers,
@@ -96,7 +77,7 @@ func main() {
 		RoundDeadline: *roundDeadline,
 		StateDir:      *stateDir,
 		RoundRetries:  *roundRetries,
-		Compression:   cSpec,
+		Compression:   *compressSpec,
 		UplinkMbps:    *uplinkMbps,
 		Logf:          logf,
 	}, fleetdemo.Model(*seed))
@@ -115,7 +96,7 @@ func main() {
 		fmt.Printf("metrics on %s\n", bound)
 	}
 
-	addr, err := c.Start(&coord.TCP{Compress: *wireDeflate}, *listen)
+	addr, err := c.Start(&coord.TCP{}, *listen)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,8 +107,8 @@ func main() {
 	}
 	fmt.Printf("coordinator: %d worker slots, %s aggregation, %d rounds, %d samples, %s lr %g\n",
 		*workers, *agg, *rounds, *samples, *opt, *lr)
-	if cSpec != "" {
-		fmt.Printf("update compression: %s at %g Mbps modeled uplink\n", cSpec, *uplinkMbps)
+	if *compressSpec != "" && *compressSpec != "none" {
+		fmt.Printf("update compression: %s at %g Mbps modeled uplink\n", *compressSpec, *uplinkMbps)
 	}
 	fmt.Printf("parallelism: %d workers (EDGETRAIN_WORKERS overrides)\n", parallel.Workers())
 

@@ -63,7 +63,6 @@ func main() {
 	ckptDir := flag.String("checkpoint-dir", "", "directory for durable training checkpoints")
 	ckptEvery := flag.Int("checkpoint-every", 10,
 		"optimisation steps between durable checkpoints; each is written in the background while the next step runs and is durable before the step after that starts (one snapshot of the model and optimizer state is in memory meanwhile)")
-	ckptCompress := flag.Bool("checkpoint-compress", false, "DEFLATE-compress checkpoint frames")
 	resume := flag.String("resume", "", "resume from the durable checkpoints in this directory")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /trace and /debug/pprof on this address (empty disables)")
 	flag.Parse()
@@ -172,7 +171,7 @@ func main() {
 		log.Fatalf("cannot resume: %v", err)
 	}
 	if saveDir != nil {
-		cp = &trainer.CheckpointPlan{Dir: saveDir, EverySteps: *ckptEvery, Compress: *ckptCompress, Seed: *seed}
+		cp = &trainer.CheckpointPlan{Dir: saveDir, EverySteps: *ckptEvery, Seed: *seed}
 	}
 	if resumeDir != nil {
 		s, name, err := resumeDir.Load()

@@ -60,7 +60,6 @@ func main() {
 	deviceName := flag.String("device", "waggle", "device profile: waggle, jetson, rpi or cloud")
 	budget := flag.String("budget", "device", "RAM budget: 'device' (the node's memory) or a size like 210KB")
 	codecCap := flag.String("compress", "all", "update codecs to advertise: 'all', 'none', or a spec like topk:0.05+int8+deflate")
-	wireDeflate := flag.Bool("wire-deflate", false, "DEFLATE-compress wire frames (must match the coordinator)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "liveness interval while training")
 	retry := flag.Int("retry", 0, "reconnect attempts after a lost connection (0 = default 5, negative disables)")
 	backoffMax := flag.Duration("backoff-max", 0, "cap on the reconnect backoff (0 = default 5s)")
@@ -118,7 +117,7 @@ func main() {
 		logf = obs.NewLog(os.Stdout, "worker", *name).Printf
 	}
 
-	res, err := coord.RunWorker(&coord.TCP{Compress: *wireDeflate}, *addr, coord.WorkerOptions{
+	res, err := coord.RunWorker(&coord.TCP{}, *addr, coord.WorkerOptions{
 		Spec: spec,
 		Model: func(a coord.Assignment) (*chain.Chain, error) {
 			return fleetdemo.Model(a.Seed)()

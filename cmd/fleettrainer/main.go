@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"github.com/edgeml/edgetrain/ckpt"
-	"github.com/edgeml/edgetrain/compress"
 	"github.com/edgeml/edgetrain/fleet"
 	"github.com/edgeml/edgetrain/internal/device"
 	"github.com/edgeml/edgetrain/internal/edgesim"
@@ -37,19 +36,6 @@ import (
 	"github.com/edgeml/edgetrain/internal/trainer"
 	"github.com/edgeml/edgetrain/obs"
 )
-
-// compressFlag validates a -compress codec spec and returns its canonical
-// form ("" when compression is off).
-func compressFlag(s string) (string, error) {
-	spec, err := compress.ParseSpec(s)
-	if err != nil {
-		return "", err
-	}
-	if !spec.Enabled() {
-		return "", nil
-	}
-	return spec.String(), nil
-}
 
 func main() {
 	nodes := flag.Int("nodes", 4, "number of fleet workers")
@@ -69,7 +55,6 @@ func main() {
 	uplinkMbps := flag.Float64("uplink-mbps", 10, "modeled uplink rate behind the report's upload times")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for durable round checkpoints")
 	ckptEvery := flag.Int("checkpoint-every", 1, "rounds between durable checkpoints")
-	ckptCompress := flag.Bool("checkpoint-compress", false, "DEFLATE-compress checkpoint frames")
 	resume := flag.String("resume", "", "resume from the durable checkpoints in this directory (requires the original -seed)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /trace and /debug/pprof on this address (empty disables)")
 	flag.Parse()
@@ -128,10 +113,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cSpec, err := compressFlag(*compressSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cfg := fleet.Config{
 		Workers:       specs,
 		Rounds:        *rounds,
@@ -142,7 +123,7 @@ func main() {
 		Seed:          *seed,
 		Participation: *participation,
 		DropoutRate:   *dropout,
-		Compression:   cSpec,
+		Compression:   *compressSpec,
 		UplinkMbps:    *uplinkMbps,
 	}
 	if *straggler > 0 {
@@ -179,8 +160,8 @@ func main() {
 
 	fmt.Printf("fleet training: %d workers, %s aggregation, %d rounds, %d samples (non-IID shards)\n",
 		*nodes, aggregator.Name(), *rounds, dataset.Len())
-	if cSpec != "" {
-		fmt.Printf("update compression: %s at %g Mbps modeled uplink\n", cSpec, *uplinkMbps)
+	if *compressSpec != "" && *compressSpec != "none" {
+		fmt.Printf("update compression: %s at %g Mbps modeled uplink\n", *compressSpec, *uplinkMbps)
 	}
 	fmt.Printf("parallelism: %d workers (EDGETRAIN_WORKERS overrides)\n", parallel.Workers())
 	if dir != nil {
@@ -197,11 +178,7 @@ func main() {
 			w.Spec.Name, float64(w.Spec.BudgetBytes)/1e6, w.Choice)
 	}
 
-	var ckptOpts []ckpt.Option
-	if *ckptCompress {
-		ckptOpts = append(ckptOpts, ckpt.WithCompression())
-	}
-	rep, err := f.RunFrom(startRound, dir, *ckptEvery, ckptOpts...)
+	rep, err := f.RunFrom(startRound, dir, *ckptEvery)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -220,7 +197,7 @@ func main() {
 		float64(rep.TotalUplinkBytes)/1e6, float64(fed.UplinkBytes)/1e6)
 	fmt.Printf("  downlink: measured %.2f MB, modeled %.2f MB\n",
 		float64(rep.TotalDownlinkBytes)/1e6, float64(fed.DownlinkBytes)/1e6)
-	if *dropout == 0 && cSpec != "" {
+	if *dropout == 0 && rep.Compression != "" {
 		// The analytical model quantizes the per-round update size to whole
 		// bytes, so with compression the cross-check is approximate.
 		fmt.Printf("  (compression: modeled uplink uses the measured update fraction, downlink is exact)\n")

@@ -190,7 +190,7 @@ func TestCompressedDistributedSmoke(t *testing.T) {
 
 	coord := exec.Command(filepath.Join(bin, "edgecoord"),
 		"-workers", "2", "-rounds", "2", "-samples", "8",
-		"-compress", "topk:0.25+int8+deflate", "-wire-deflate", "-quiet")
+		"-compress", "topk:0.25+int8+deflate", "-quiet")
 	stdout, err := coord.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -227,8 +227,7 @@ func TestCompressedDistributedSmoke(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func(i int) {
 			w := exec.Command(filepath.Join(bin, "edgeworker"),
-				"-addr", addr, "-name", []string{"w0", "w1"}[i],
-				"-wire-deflate", "-quiet")
+				"-addr", addr, "-name", []string{"w0", "w1"}[i], "-quiet")
 			w.Stdout = &outs[i]
 			w.Stderr = &outs[i]
 			workers <- w.Run()

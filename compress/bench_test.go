@@ -4,8 +4,7 @@ import "testing"
 
 // BenchmarkUpdateCompress measures one encode+decode round trip per codec on
 // a demo-model-sized update, reporting the encoded wire bytes per update and
-// the compression ratio alongside the time. These numbers are recorded in
-// BENCH_baseline.json (pr8 block).
+// the compression ratio alongside the time.
 func BenchmarkUpdateCompress(b *testing.B) {
 	for _, spec := range []string{
 		"topk:1+fp64+raw",

@@ -15,91 +15,81 @@ import (
 // BenchmarkUpdateRoundTrip measures the coordinator's per-update cost: the
 // worker side encodes and sends an update, the coordinator side receives,
 // parses, validates and folds it — the full wire path of one update, minus
-// the training itself. Styles compare raw framing against DEFLATE.
+// the training itself.
 func BenchmarkUpdateRoundTrip(b *testing.B) {
-	for _, style := range []struct {
-		name  string
-		style uint32
-	}{
-		{"raw", ckpt.StyleRaw},
-		{"deflate", ckpt.StyleDeflate},
-	} {
-		b.Run(style.name, func(b *testing.B) {
-			rng := tensor.NewRNG(11)
-			var global []*nn.Param
-			var vecs []*tensor.Tensor
-			var modelBytes int64
-			for i, shape := range [][]int{{64, 32}, {32}, {32, 16}, {16}, {16, 8}, {8}} {
-				t := randTensor(rng, shape...)
-				global = append(global, nn.NewParam(fmt.Sprintf("p%d", i), t))
-				vecs = append(vecs, randTensor(rng, shape...))
-				modelBytes += int64(len(t.Data())) * 8
+	rng := tensor.NewRNG(11)
+	var global []*nn.Param
+	var vecs []*tensor.Tensor
+	var modelBytes int64
+	for i, shape := range [][]int{{64, 32}, {32}, {32, 16}, {16}, {16, 8}, {8}} {
+		t := randTensor(rng, shape...)
+		global = append(global, nn.NewParam(fmt.Sprintf("p%d", i), t))
+		vecs = append(vecs, randTensor(rng, shape...))
+		modelBytes += int64(len(t.Data())) * 8
+	}
+	opt, err := trainer.NewOptimizer("sgd", 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	agg, err := fleet.NewAggregator("fedavg", opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	msg := updateMsg{
+		round: 1, samples: 32, loss: 1.5,
+		vecs:  vecs,
+		state: ckpt.WorkerState{Name: "bench", Opt: ckpt.OptimizerState{Name: "sgd"}},
+	}
+
+	cw, cc := net.Pipe()
+	workerConn := newFrameConn(cw)
+	coordConn := newFrameConn(cc)
+	defer workerConn.Close()
+	defer coordConn.Close()
+
+	errc := make(chan error, 1)
+	go func() {
+		// Worker side: encode, send, await ack.
+		for i := 0; i < b.N; i++ {
+			f, err := encodeUpdate(msg)
+			if err == nil {
+				err = workerConn.Send(f)
 			}
-			opt, err := trainer.NewOptimizer("sgd", 0.05)
+			if err == nil {
+				_, err = workerConn.Recv()
+			}
 			if err != nil {
-				b.Fatal(err)
+				errc <- err
+				return
 			}
-			agg, err := fleet.NewAggregator("fedavg", opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			msg := updateMsg{
-				round: 1, samples: 32, loss: 1.5,
-				vecs:  vecs,
-				state: ckpt.WorkerState{Name: "bench", Opt: ckpt.OptimizerState{Name: "sgd"}},
-			}
+		}
+		errc <- nil
+	}()
 
-			cw, cc := net.Pipe()
-			workerConn := newFrameConn(cw, style.style)
-			coordConn := newFrameConn(cc, style.style)
-			defer workerConn.Close()
-			defer coordConn.Close()
-
-			errc := make(chan error, 1)
-			go func() {
-				// Worker side: encode, send, await ack.
-				for i := 0; i < b.N; i++ {
-					f, err := encodeUpdate(msg)
-					if err == nil {
-						err = workerConn.Send(f)
-					}
-					if err == nil {
-						_, err = workerConn.Recv()
-					}
-					if err != nil {
-						errc <- err
-						return
-					}
-				}
-				errc <- nil
-			}()
-
-			b.SetBytes(modelBytes)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f, err := coordConn.Recv()
-				if err != nil {
-					b.Fatal(err)
-				}
-				u, err := parseUpdate(f.Payload)
-				if err != nil {
-					b.Fatal(err)
-				}
-				upd := u.stats
-				upd.Samples, upd.Loss, upd.Vecs = u.samples, u.loss, u.vecs
-				if err := agg.Fold(global, []fleet.Update{upd}); err != nil {
-					b.Fatal(err)
-				}
-				if err := coordConn.Send(encodeAck(ackMsg{round: u.round, status: AckOK})); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if err := <-errc; err != nil {
-				b.Fatal(err)
-			}
-		})
+	b.SetBytes(modelBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := coordConn.Recv()
+		if err != nil {
+			b.Fatal(err)
+		}
+		u, err := parseUpdate(f.Payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		upd := u.stats
+		upd.Samples, upd.Loss, upd.Vecs = u.samples, u.loss, u.vecs
+		if err := agg.Fold(global, []fleet.Update{upd}); err != nil {
+			b.Fatal(err)
+		}
+		if err := coordConn.Send(encodeAck(ackMsg{round: u.round, status: AckOK})); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := <-errc; err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -6,7 +6,7 @@ package coord
 // generator, so a failing soak run replays exactly.
 //
 // The one invariant chaos must never break: corruption is injected into the
-// serialized frame bytes (below the codec), so the receiver's ReadFrame CRC
+// serialized frame bytes (below the codec), so the receiver's FrameReader CRC
 // check rejects it as ckpt.ErrCorrupt. Damaged data surfaces as a typed
 // connection error that the fault-tolerance machinery handles — it never
 // reaches an aggregator fold.

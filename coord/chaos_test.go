@@ -169,8 +169,8 @@ func TestChaosCorruptionSurfacesTyped(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	chaos := &Chaos{Seed: 9, Corrupt: 1}
-	sender := chaos.wrap(newFrameConn(a, ckpt.StyleRaw))
-	receiver := newFrameConn(b, ckpt.StyleRaw)
+	sender := chaos.wrap(newFrameConn(a))
+	receiver := newFrameConn(b)
 
 	payloads := [][]byte{nil, {0x42}, make([]byte, 1000), make([]byte, 65537)}
 	for i, p := range payloads {

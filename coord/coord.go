@@ -5,8 +5,8 @@
 // chain/plan machinery, and push updates back.
 //
 // The wire protocol is deliberately thin: every message is one ckpt frame
-// (the checkpoint codec's 28-byte header + CRC32, raw or DEFLATE payload)
-// and every tensor crosses as the fp64-exact nn tensor encoding. Combined
+// (the checkpoint codec's 28-byte header + CRC32 over a raw payload) and
+// every tensor crosses as the fp64-exact nn tensor encoding. Combined
 // with the fleet engine's deterministic fold contract — updates folded in
 // ascending worker-slot order, no RNG consumed under full participation —
 // a distributed run produces global weights byte-identical to the
@@ -34,10 +34,8 @@ import (
 	"github.com/edgeml/edgetrain/compress"
 	"github.com/edgeml/edgetrain/fleet"
 	"github.com/edgeml/edgetrain/internal/chain"
-	"github.com/edgeml/edgetrain/internal/nn"
 	"github.com/edgeml/edgetrain/internal/trainer"
 	"github.com/edgeml/edgetrain/obs"
-	"github.com/edgeml/edgetrain/obs/health"
 )
 
 // ErrClosed is returned by Wait when the coordinator was closed before the
@@ -128,12 +126,10 @@ type Config struct {
 // loop); connection handlers only perform I/O and exchange typed events
 // with it, so the coordinator needs no lock around model or slot state.
 type Coordinator struct {
-	cfg        Config
-	agg        fleet.Aggregator
-	spec       compress.Spec
-	global     *chain.Chain
-	globalPs   []*nn.Param
-	modelBytes int64
+	cfg Config
+	// core owns the global model, the fold and the round's books — the
+	// engine this loop shares with the in-process fleet.Run.
+	core *fleet.Core
 
 	listener Listener
 	events   chan event
@@ -151,12 +147,9 @@ type Coordinator struct {
 
 	// Observability: co is always non-nil (nil-handle no-ops when no
 	// registry is installed); the health atomics back the /healthz
-	// endpoint without touching the run loop's state. mon evaluates the
-	// training-health rules at round boundaries (always non-nil; its
-	// alert counter no-ops without a registry), and flaps counts worker
+	// endpoint without touching the run loop's state. flaps counts worker
 	// rejoins since the last round boundary (run-loop only).
 	co          *coordObs
-	mon         *health.Monitor
 	flaps       int
 	healthRound atomic.Int64
 	healthLive  atomic.Int64
@@ -204,19 +197,6 @@ func New(cfg Config, model func() (*chain.Chain, error)) (*Coordinator, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	spec, err := compress.ParseSpec(cfg.Compression)
-	if err != nil {
-		return nil, fmt.Errorf("coord: %w", err)
-	}
-	if cfg.UplinkMbps < 0 {
-		return nil, fmt.Errorf("coord: uplink rate %v Mbps", cfg.UplinkMbps)
-	}
-	if cfg.UplinkMbps == 0 {
-		cfg.UplinkMbps = 10
-	}
-	if model == nil {
-		return nil, fmt.Errorf("coord: nil model factory")
-	}
 	globalOpt, err := trainer.NewOptimizer(cfg.Optimizer, cfg.LR)
 	if err != nil {
 		return nil, fmt.Errorf("coord: %w", err)
@@ -225,26 +205,24 @@ func New(cfg Config, model func() (*chain.Chain, error)) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	global, err := model()
+	core, err := fleet.NewCore(stateKind, fleet.Config{
+		Aggregator:  agg,
+		Compression: cfg.Compression,
+		UplinkMbps:  cfg.UplinkMbps,
+		Seed:        cfg.Seed,
+		BatchSize:   cfg.BatchSize,
+	}, model)
 	if err != nil {
-		return nil, fmt.Errorf("coord: building global model: %w", err)
-	}
-	if global == nil || global.Len() == 0 {
-		return nil, fmt.Errorf("coord: model factory produced an empty chain")
+		return nil, err
 	}
 	c := &Coordinator{
-		cfg:        cfg,
-		agg:        agg,
-		spec:       spec,
-		global:     global,
-		globalPs:   global.Params(),
-		modelBytes: nn.ParamBytes(global.Stages),
-		events:     make(chan event, 64),
-		quit:       make(chan struct{}),
-		done:       make(chan struct{}),
+		cfg:    cfg,
+		core:   core,
+		events: make(chan event, 64),
+		quit:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	c.co = newCoordObs()
-	c.mon = health.NewMonitor()
 	if cfg.StateDir != "" {
 		if err := c.openState(); err != nil {
 			return nil, err
@@ -284,7 +262,7 @@ func (c *Coordinator) Wait() (*fleet.Report, error) {
 }
 
 // Global returns the global model. Safe to read after Wait returns.
-func (c *Coordinator) Global() *chain.Chain { return c.global }
+func (c *Coordinator) Global() *chain.Chain { return c.core.Global() }
 
 // WorkerStates returns each slot's latest captured durable state, in slot
 // order (slots that never delivered an update are omitted). Safe after Wait.
@@ -576,7 +554,7 @@ func (c *Coordinator) run() {
 	if c.stateDir != nil {
 		saver = ckpt.NewSaver(c.stateDir, -1) // spans on the coordinator's lane
 	}
-	var rounds []fleet.RoundStats
+	rep := c.core.NewReport(make([]fleet.WorkerSummary, len(slots)))
 	err := func() error {
 		if err := c.gather(slots); err != nil {
 			return err
@@ -592,12 +570,9 @@ func (c *Coordinator) run() {
 			// count; the window resets for the next round.
 			rs.Flaps = c.flaps
 			c.flaps = 0
-			rounds = append(rounds, rs)
 			c.co.commitRound(&rs, slots)
-			if alerts := c.mon.ObserveRound(rs.HealthStats()); len(alerts) > 0 {
-				for _, a := range alerts {
-					c.cfg.Logf("coord: ALERT %s", a)
-				}
+			for _, a := range c.core.Finish(rep, rs) {
+				c.cfg.Logf("coord: ALERT %s", a)
 			}
 			c.cfg.Logf("coord: round %d: %d participants, %d dropouts, loss %.4f, wall %v",
 				r, rs.Participants, rs.Dropouts, rs.Loss, rs.WallClock.Round(time.Millisecond))
@@ -668,7 +643,8 @@ drain:
 	c.mu.Lock()
 	c.runErr = err
 	if err == nil {
-		c.report = c.buildReport(slots, rounds)
+		describeWorkers(rep, slots)
+		c.report = rep
 	}
 	for i := range slots {
 		if slots[i].state != nil {
@@ -752,17 +728,15 @@ func (c *Coordinator) handleHello(e event, slots []slot) {
 		fail("coord: empty worker name")
 		return
 	}
-	if len(h.aggregators) > 0 && !contains(h.aggregators, c.agg.Name()) {
-		fail("coord: fleet runs %q aggregation, worker %s supports %v", c.agg.Name(), h.name, h.aggregators)
+	if len(h.aggregators) > 0 && !contains(h.aggregators, c.core.Aggregator().Name()) {
+		fail("coord: fleet runs %q aggregation, worker %s supports %v", c.core.Aggregator().Name(), h.name, h.aggregators)
 		return
 	}
-	if c.spec.Enabled() {
-		for _, need := range c.spec.Required() {
-			if !contains(h.codecs, need) {
-				fail("coord: fleet compresses updates with %q, worker %s lacks codec %q (supports %v)",
-					c.spec.String(), h.name, need, h.codecs)
-				return
-			}
+	for _, need := range c.core.Spec().Required() {
+		if !contains(h.codecs, need) {
+			fail("coord: fleet compresses updates with %q, worker %s lacks codec %q (supports %v)",
+				c.core.Compression(), h.name, need, h.codecs)
+			return
 		}
 	}
 	// Slot assignment: a returning name reclaims its slot (recovering its
@@ -826,12 +800,10 @@ func (c *Coordinator) handleHello(e event, slots []slot) {
 		BatchSize:   c.cfg.BatchSize,
 		Samples:     c.cfg.Samples,
 		Seed:        c.cfg.Seed,
-		Aggregator:  c.agg.Name(),
+		Aggregator:  c.core.Aggregator().Name(),
 		Optimizer:   c.cfg.Optimizer,
 		LR:          c.cfg.LR,
-	}
-	if c.spec.Enabled() {
-		a.Compression = c.spec.String()
+		Compression: c.core.Compression(),
 	}
 	if rejoin {
 		a.State = s.state
@@ -878,17 +850,15 @@ func (c *Coordinator) runRound(r int, slots []slot) (rs fleet.RoundStats, err er
 	roundSpan := obs.DefaultTracer().Span("round", r, -1)
 	// A span is recorded only when it ends, and the round an operator most
 	// needs to find in /trace is the one that failed: end it on every path.
-	defer func() { roundSpan.EndDetail(errDetail(err)) }()
-	rs = fleet.RoundStats{Round: r, Workers: make([]fleet.WorkerRoundStats, len(slots))}
-	for i := range rs.Workers {
-		rs.Workers[i].Worker = i
-	}
+	defer func() { roundSpan.EndErr(err) }()
+	rs = c.core.BeginRound(r, len(slots))
 
 	// Broadcast: one encoded frame shared by every directive (payloads are
 	// read-only once built), and identical across retry attempts — the
 	// global parameters only move when a fold commits.
-	params := make([]ckpt.NamedTensor, len(c.globalPs))
-	for i, p := range c.globalPs {
+	globalPs := c.core.Params()
+	params := make([]ckpt.NamedTensor, len(globalPs))
+	for i, p := range globalPs {
 		params[i] = ckpt.NamedTensor{Name: p.Name, Tensor: p.Value}
 	}
 	frame, err := encodeRound(roundMsg{round: r, params: params})
@@ -930,15 +900,6 @@ func (c *Coordinator) runRound(r int, slots []slot) (rs fleet.RoundStats, err er
 		rs.Workers[i].WireBytes = total - rem.wireMark
 		rem.wireMark = total
 	}
-	// The round's upload phase on the modeled link is bounded by its largest
-	// upload — the same accounting fleet.Run applies.
-	var maxUpload int64
-	for i := range rs.Workers {
-		if rs.Workers[i].UploadBytes > maxUpload {
-			maxUpload = rs.Workers[i].UploadBytes
-		}
-	}
-	rs.ModeledUplink = fleet.TransferTime(maxUpload, c.cfg.UplinkMbps)
 	rs.WallClock = time.Since(start)
 	return rs, nil
 }
@@ -951,6 +912,7 @@ func (c *Coordinator) runRound(r int, slots []slot) (rs fleet.RoundStats, err er
 type pendingUpdate struct {
 	rem       *remote
 	upd       updateMsg
+	update    fleet.Update // what the fold consumes: upd's stats, samples, loss and tensors
 	blobBytes int64
 	ack       chan ackReply
 }
@@ -974,9 +936,7 @@ func (c *Coordinator) attemptRound(r int, frame ckpt.Frame, slots []slot, rs *fl
 		select {
 		case rem.roundCh <- directive{round: r, frame: frame}:
 			expected[i] = rem
-			rs.Workers[i].Participated = true
-			rs.Workers[i].DownloadBytes += c.modelBytes
-			rs.DownlinkBytes += c.modelBytes
+			c.core.Broadcast(rs, i)
 		default:
 			// The previous directive was never consumed — the worker has not
 			// pulled since; leave it out of this attempt.
@@ -1009,8 +969,23 @@ func (c *Coordinator) attemptRound(r int, frame ckpt.Frame, slots []slot, rs *fl
 
 	// Collect. Valid updates are STAGED, not committed: their acks are held
 	// until the fold decision, and slot state moves only on commit.
-	staged := make(map[int]pendingUpdate)
+	staged := make(map[int]*pendingUpdate)
 	contributed := 0 // staged updates + empty-shard participants
+	wantCodec := c.core.Compression()
+	// reject drops the worker behind a malformed or poisoned update and keeps
+	// the round alive with the rest of the fleet.
+	reject := func(e event) {
+		i := e.rem.index
+		e.ackReply <- ackReply{status: AckRejected, drop: true}
+		slots[i].rem = nil
+		c.co.badUpdates.Inc()
+		c.co.dropped.Inc()
+		c.noteLive(slots)
+		delete(expected, i)
+		rs.Workers[i].Dropped = true
+		rs.Dropouts++
+		rs.Rejected++
+	}
 collect:
 	for len(expected) > 0 {
 		select {
@@ -1034,25 +1009,13 @@ collect:
 				e.ackReply <- ackReply{status: AckOK}
 				continue
 			}
-			wantCodec := ""
-			if c.spec.Enabled() {
-				wantCodec = c.spec.String()
-			}
 			if e.upd.codec != wantCodec {
 				// A worker shipping the wrong codec (or skipping the run's
 				// compression) is as malformed as a bad tensor shape: the
 				// accounting and the negotiated contract both break.
 				c.cfg.Logf("coord: dropping worker %s: update codec %q, run uses %q",
 					e.rem.name, e.upd.codec, wantCodec)
-				e.ackReply <- ackReply{status: AckRejected, drop: true}
-				slots[i].rem = nil
-				c.co.badUpdates.Inc()
-				c.co.dropped.Inc()
-				c.noteLive(slots)
-				delete(expected, i)
-				rs.Workers[i].Dropped = true
-				rs.Dropouts++
-				rs.Rejected++
+				reject(e)
 				continue
 			}
 			u := e.upd.stats
@@ -1061,24 +1024,14 @@ collect:
 			u.Loss = e.upd.loss
 			u.Vecs = e.upd.vecs
 			vSpan := tr.Span("validate", r, i)
-			err := fleet.ValidateUpdate(c.globalPs, u)
+			err := fleet.ValidateUpdate(c.core.Params(), u)
 			vSpan.End()
 			if err != nil {
-				// A poisoned or malformed update: drop the worker, keep the
-				// round alive with the rest of the fleet.
 				c.cfg.Logf("coord: dropping worker %s: %v", e.rem.name, err)
-				e.ackReply <- ackReply{status: AckRejected, drop: true}
-				slots[i].rem = nil
-				c.co.badUpdates.Inc()
-				c.co.dropped.Inc()
-				c.noteLive(slots)
-				delete(expected, i)
-				rs.Workers[i].Dropped = true
-				rs.Dropouts++
-				rs.Rejected++
+				reject(e)
 				continue
 			}
-			staged[i] = pendingUpdate{rem: e.rem, upd: e.upd, blobBytes: e.blobBytes, ack: e.ackReply}
+			staged[i] = &pendingUpdate{rem: e.rem, upd: e.upd, update: u, blobBytes: e.blobBytes, ack: e.ackReply}
 			contributed++
 			delete(expected, i)
 		case <-deadlineC:
@@ -1112,32 +1065,19 @@ collect:
 		return false, false, nil
 	}
 
-	// Commit: fold in ascending slot order — the Aggregator contract's fold
-	// order — then durably adopt each contributor's state, then release the
-	// held acks. An acked worker's state is therefore always the state the
-	// fold consumed.
-	var updates []fleet.Update
-	for i := 0; i < len(slots); i++ {
-		p, ok := staged[i]
-		if !ok {
-			continue
-		}
-		u := p.upd.stats
-		u.Worker = i
-		u.Samples = p.upd.samples
-		u.Loss = p.upd.loss
-		u.Vecs = p.upd.vecs
-		updates = append(updates, u)
+	// Commit: the core folds in ascending slot order — the Aggregator
+	// contract's fold order — and books the round; then each contributor's
+	// state is durably adopted and the held acks released. An acked worker's
+	// state is therefore always the state the fold consumed.
+	updates := make([]*fleet.Update, len(slots))
+	encoded := make([]int64, len(slots))
+	for i, p := range staged {
+		updates[i], encoded[i] = &p.update, p.blobBytes
 	}
-	if len(updates) > 0 {
-		fSpan := tr.Span("fold", r, -1)
-		err := c.agg.Fold(c.globalPs, updates)
-		fSpan.EndDetail(errDetail(err))
-		if err != nil {
-			return false, false, fmt.Errorf("coord: round %d: %s fold: %w", r, c.agg.Name(), err)
-		}
+	if err := c.core.Commit(rs, updates, encoded); err != nil {
+		return false, false, err
 	}
-	for i := 0; i < len(slots); i++ {
+	for i := range slots {
 		p, ok := staged[i]
 		if !ok {
 			continue
@@ -1148,29 +1088,9 @@ collect:
 		slots[i].state = &st
 		slots[i].strategy = p.upd.strategy
 		slots[i].shardSamples = p.upd.samples
-		ws := &rs.Workers[i]
-		ws.Duration = p.upd.duration
-		ws.Samples = p.upd.samples
-		ws.Loss = p.upd.loss
-		ws.ForwardEvals = p.upd.stats.ForwardEvals
-		ws.BackwardEvals = p.upd.stats.BackwardEvals
-		ws.PeakStates = p.upd.stats.PeakStates
-		ws.PeakRAMBytes = p.upd.stats.PeakRAMBytes
-		ws.PeakDiskBytes = p.upd.stats.PeakDiskBytes
-		ws.DiskWrites = p.upd.stats.DiskWrites
-		ws.DiskReads = p.upd.stats.DiskReads
-		upload := c.modelBytes
-		if p.upd.codec != "" {
-			upload = p.blobBytes
-		}
-		ws.UploadBytes = upload
-		ws.RawUploadBytes = c.modelBytes
-		rs.UplinkBytes += upload
-		rs.RawUplinkBytes += c.modelBytes
-		rs.Participants++
+		rs.Workers[i].Duration = p.upd.duration
 		p.ack <- ackReply{status: AckOK}
 	}
-	rs.Loss = fleet.WeightedLoss(updates)
 	return true, false, nil
 }
 
@@ -1197,46 +1117,23 @@ func (c *Coordinator) awaitQuorum(r int, slots []slot, needEvent bool) error {
 	return nil
 }
 
-// errDetail is a span's detail for an outcome: empty on success, so a phase
-// that succeeded records the span End would.
-func errDetail(err error) string {
-	if err == nil {
-		return ""
-	}
-	return "error: " + err.Error()
-}
-
-func (c *Coordinator) buildReport(slots []slot, rounds []fleet.RoundStats) *fleet.Report {
-	rep := &fleet.Report{
-		Aggregator: c.agg.Name(),
-		ModelBytes: c.modelBytes,
-		UplinkMbps: c.cfg.UplinkMbps,
-		Alerts:     c.mon.Alerts(),
-	}
-	if c.spec.Enabled() {
-		rep.Compression = c.spec.String()
-	}
+// describeWorkers fills the report's per-worker identity columns from the
+// slots as the run left them: who held each position last, and what its
+// budget selected.
+func describeWorkers(rep *fleet.Report, slots []slot) {
 	for i := range slots {
-		s := &slots[i]
-		name := s.name
-		if name == "" {
-			name = fmt.Sprintf("slot%d-empty", i)
+		s, sum := &slots[i], &rep.Workers[i]
+		sum.Index = i
+		sum.Name = s.name
+		if sum.Name == "" {
+			sum.Name = fmt.Sprintf("slot%d-empty", i)
 		}
-		strategy := s.strategy
-		if strategy == "" {
-			strategy = "idle"
+		sum.Device = s.device
+		sum.BudgetBytes = s.budget
+		sum.ShardSamples = s.shardSamples
+		sum.Strategy = s.strategy
+		if sum.Strategy == "" {
+			sum.Strategy = "idle"
 		}
-		rep.Workers = append(rep.Workers, fleet.WorkerSummary{
-			Index:        i,
-			Name:         name,
-			Device:       s.device,
-			BudgetBytes:  s.budget,
-			ShardSamples: s.shardSamples,
-			Strategy:     strategy,
-		})
 	}
-	for _, rs := range rounds {
-		rep.Add(rs)
-	}
-	return rep
 }

@@ -17,6 +17,7 @@ import (
 	"github.com/edgeml/edgetrain/internal/tensor"
 	"github.com/edgeml/edgetrain/internal/trainer"
 	"github.com/edgeml/edgetrain/internal/vision"
+	"github.com/edgeml/edgetrain/plan"
 )
 
 // testModel is the deterministic model factory shared by the coordinator,
@@ -142,87 +143,140 @@ func assertBitEqual(t *testing.T, a, b []*tensor.Tensor, what string) {
 	}
 }
 
-// TestTransportEquivalence pins the tentpole guarantee: a 3-worker fleet run
-// over the TCP transport produces byte-identical global weights to the
-// in-process loopback run AND to the single-process fleet.Run, for both
-// aggregation modes.
-func TestTransportEquivalence(t *testing.T) {
-	for _, aggName := range []string{"fedavg", "allreduce"} {
-		t.Run(aggName, func(t *testing.T) {
-			// In-process reference: the existing single-process engine with
-			// the exact configuration the coordinator hands its workers.
-			opt, err := trainer.NewOptimizer("momentum", 0.05)
-			if err != nil {
-				t.Fatal(err)
+// assertReportParity pins that the coordinator's report and the in-process
+// engine's say the same about the same run: per round, per worker and in
+// total, everything except what only one of the two loops can measure — wall
+// clock (Duration, Delay, WallClock), bytes on a wire (WireBytes), and the
+// identity a worker announces in its hello (Name, Choice; slots are claimed
+// in join order, so names differ).
+func assertReportParity(t *testing.T, want, got *fleet.Report, what string) {
+	t.Helper()
+	type totals struct {
+		aggregator, compression string
+		modelBytes              int64
+		uplinkMbps              float64
+		up, rawUp, down         int64
+		modeled                 time.Duration
+		finalLoss               uint64
+	}
+	of := func(r *fleet.Report) totals {
+		return totals{r.Aggregator, r.Compression, r.ModelBytes, r.UplinkMbps,
+			r.TotalUplinkBytes, r.TotalRawUplinkBytes, r.TotalDownlinkBytes, r.ModeledUplink, math.Float64bits(r.FinalLoss)}
+	}
+	if w, g := of(want), of(got); w != g {
+		t.Fatalf("%s: report header and totals %+v, in-process %+v", what, g, w)
+	}
+	if len(got.Rounds) != len(want.Rounds) || len(got.Workers) != len(want.Workers) {
+		t.Fatalf("%s: %d rounds of %d workers, in-process %d of %d", what,
+			len(got.Rounds), len(got.Workers), len(want.Rounds), len(want.Workers))
+	}
+	for r := range want.Rounds {
+		w, g := want.Rounds[r], got.Rounds[r]
+		if g.Participants != w.Participants || g.Dropouts != w.Dropouts ||
+			math.Float64bits(g.Loss) != math.Float64bits(w.Loss) ||
+			g.UplinkBytes != w.UplinkBytes || g.RawUplinkBytes != w.RawUplinkBytes ||
+			g.DownlinkBytes != w.DownlinkBytes || g.ModeledUplink != w.ModeledUplink {
+			t.Fatalf("%s: round %d reads %+v, in-process %+v", what, r, g, w)
+		}
+		for i := range w.Workers {
+			ww, gw := w.Workers[i], g.Workers[i]
+			ww.Duration, ww.Delay, ww.WireBytes = 0, 0, 0
+			gw.Duration, gw.Delay, gw.WireBytes = 0, 0, 0
+			if math.Float64bits(gw.Loss) != math.Float64bits(ww.Loss) || gw != ww {
+				t.Fatalf("%s: round %d worker %d reads %+v, in-process %+v", what, r, i, gw, ww)
 			}
-			agg, err := fleet.NewAggregator(aggName, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			specs := make([]fleet.WorkerSpec, eqWorkers)
-			for i := range specs {
-				specs[i].Name = fmt.Sprintf("w%d", i)
-			}
-			ref, err := fleet.New(fleet.Config{
-				Workers:    specs,
-				Rounds:     eqRounds,
-				Seed:       eqSeed,
-				Aggregator: agg,
-				Optimizer: func() trainer.Optimizer {
-					o, err := trainer.NewOptimizer("momentum", 0.05)
-					if err != nil {
-						panic(err)
-					}
-					return o
-				},
-			}, testModel(eqSeed), testDataset(eqSamples, eqSeed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ref.Close()
-			if _, err := ref.Run(); err != nil {
-				t.Fatal(err)
-			}
-			var want []*tensor.Tensor
-			for _, p := range ref.Global().Params() {
-				want = append(want, p.Value.Clone())
-			}
-
-			loop, repLoop := runDistributed(t, NewLoopback(), aggName)
-			assertBitEqual(t, loop, want, "loopback vs in-process")
-
-			tcp, repTCP := runDistributed(t, &TCP{}, aggName)
-			assertBitEqual(t, tcp, loop, "tcp vs loopback")
-
-			for _, rep := range []*fleet.Report{repLoop, repTCP} {
-				if len(rep.Rounds) != eqRounds {
-					t.Fatalf("report has %d rounds", len(rep.Rounds))
-				}
-				if rep.TotalWireBytes == 0 {
-					t.Fatalf("no wire bytes measured")
-				}
-				if !strings.Contains(rep.Render(), "wire (MB)") {
-					t.Fatalf("report render lacks wire column")
-				}
-				for _, rs := range rep.Rounds {
-					if rs.Participants != eqWorkers || rs.Dropouts != 0 {
-						t.Fatalf("round %d: %d participants, %d dropouts", rs.Round, rs.Participants, rs.Dropouts)
-					}
-					if rs.WallClock <= 0 {
-						t.Fatalf("round %d has no wall clock", rs.Round)
-					}
-				}
-			}
-		})
+		}
+	}
+	for i := range want.Workers {
+		w, g := want.Workers[i], got.Workers[i]
+		w.Name, w.Choice, w.WireBytes = "", plan.AutoChoice{}, 0
+		g.Name, g.Choice, g.WireBytes = "", plan.AutoChoice{}, 0
+		if g != w {
+			t.Fatalf("%s: worker %d summary %+v, in-process %+v", what, i, g, w)
+		}
 	}
 }
 
-// TestCompressedTransportEquivalence pins that DEFLATE framing does not
-// perturb the weights either (the codec is lossless end to end).
-func TestCompressedTransportEquivalence(t *testing.T) {
-	raw, _ := runDistributed(t, NewLoopback(), "fedavg")
-	compressed, _ := runDistributed(t, &Loopback{Compress: true}, "fedavg")
-	assertBitEqual(t, compressed, raw, "deflate vs raw")
+// TestTransportEquivalence pins the tentpole guarantee: a 3-worker fleet run
+// over the TCP transport produces byte-identical global weights to the
+// in-process loopback run AND to the single-process fleet.Run, for both
+// aggregation modes — and, the two loops standing on one round core, the
+// same report, with full fp64 updates and under a lossy codec alike.
+func TestTransportEquivalence(t *testing.T) {
+	for _, aggName := range []string{"fedavg", "allreduce"} {
+		t.Run(aggName, func(t *testing.T) {
+			for _, compression := range []string{"", "int8+deflate"} {
+				// In-process reference: the existing single-process engine with
+				// the exact configuration the coordinator hands its workers.
+				opt, err := trainer.NewOptimizer("momentum", 0.05)
+				if err != nil {
+					t.Fatal(err)
+				}
+				agg, err := fleet.NewAggregator(aggName, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				specs := make([]fleet.WorkerSpec, eqWorkers)
+				for i := range specs {
+					specs[i].Name = fmt.Sprintf("w%d", i)
+				}
+				ref, err := fleet.New(fleet.Config{
+					Workers:    specs,
+					Rounds:     eqRounds,
+					Seed:       eqSeed,
+					Aggregator: agg,
+					Optimizer: func() trainer.Optimizer {
+						o, err := trainer.NewOptimizer("momentum", 0.05)
+						if err != nil {
+							panic(err)
+						}
+						return o
+					},
+					Compression: compression,
+				}, testModel(eqSeed), testDataset(eqSamples, eqSeed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ref.Close()
+				refRep, err := ref.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []*tensor.Tensor
+				for _, p := range ref.Global().Params() {
+					want = append(want, p.Value.Clone())
+				}
+
+				loop, repLoop := runDistributedSpec(t, NewLoopback(), aggName, compression)
+				assertBitEqual(t, loop, want, "loopback vs in-process")
+
+				tcp, repTCP := runDistributedSpec(t, &TCP{}, aggName, compression)
+				assertBitEqual(t, tcp, loop, "tcp vs loopback")
+
+				for _, rep := range []*fleet.Report{repLoop, repTCP} {
+					if len(rep.Rounds) != eqRounds {
+						t.Fatalf("report has %d rounds", len(rep.Rounds))
+					}
+					if rep.TotalWireBytes == 0 {
+						t.Fatalf("no wire bytes measured")
+					}
+					if !strings.Contains(rep.Render(), "wire (MB)") {
+						t.Fatalf("report render lacks wire column")
+					}
+					for _, rs := range rep.Rounds {
+						if rs.Participants != eqWorkers || rs.Dropouts != 0 {
+							t.Fatalf("round %d: %d participants, %d dropouts", rs.Round, rs.Participants, rs.Dropouts)
+						}
+						if rs.WallClock <= 0 {
+							t.Fatalf("round %d has no wall clock", rs.Round)
+						}
+					}
+				}
+				assertReportParity(t, refRep, repLoop, fmt.Sprintf("loopback, compression %q", compression))
+				assertReportParity(t, refRep, repTCP, fmt.Sprintf("tcp, compression %q", compression))
+			}
+		})
+	}
 }
 
 // TestLosslessCompressionEquivalence extends the equivalence pin to the

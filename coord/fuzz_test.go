@@ -270,7 +270,7 @@ func TestTruncatedAtEveryBoundary(t *testing.T) {
 }
 
 // TestWireFrameTruncatedAndOversized covers the framing layer under the
-// parsers: a frame cut anywhere — header or payload — must fail ReadFrame
+// parsers: a frame cut anywhere — header or payload — must fail the reader
 // with ckpt.ErrCorrupt, and a header declaring lengths beyond the
 // connection's message bound must be rejected before any payload is read.
 func TestWireFrameTruncatedAndOversized(t *testing.T) {
@@ -281,14 +281,14 @@ func TestWireFrameTruncatedAndOversized(t *testing.T) {
 	}
 	whole := buf.Bytes()
 
-	if f, _, err := ckpt.ReadFrame(bytes.NewReader(whole), maxMessageBytes); err != nil {
+	if f, _, err := ckpt.NewFrameReader(bytes.NewReader(whole), maxMessageBytes).Next(); err != nil {
 		t.Fatalf("intact frame rejected: %v", err)
 	} else if f.Type != msgUpdate || !bytes.Equal(f.Payload, payload) {
 		t.Fatalf("intact frame decoded wrong")
 	}
 
 	for cut := 0; cut < len(whole); cut++ {
-		_, _, err := ckpt.ReadFrame(bytes.NewReader(whole[:cut]), maxMessageBytes)
+		_, _, err := ckpt.NewFrameReader(bytes.NewReader(whole[:cut]), maxMessageBytes).Next()
 		if !errors.Is(err, ckpt.ErrCorrupt) {
 			t.Fatalf("frame truncated to %d of %d bytes: got %v, want ErrCorrupt", cut, len(whole), err)
 		}
@@ -301,7 +301,7 @@ func TestWireFrameTruncatedAndOversized(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			huge[field+i] = 0xff
 		}
-		_, _, err := ckpt.ReadFrame(bytes.NewReader(huge), maxMessageBytes)
+		_, _, err := ckpt.NewFrameReader(bytes.NewReader(huge), maxMessageBytes).Next()
 		if !errors.Is(err, ckpt.ErrCorrupt) {
 			t.Fatalf("oversized length at offset %d: got %v, want ErrCorrupt", field, err)
 		}

@@ -156,7 +156,7 @@ func (c *Coordinator) Health() obs.Health {
 		Rounds:      c.cfg.Rounds,
 		LiveWorkers: int(c.healthLive.Load()),
 	}
-	if active := c.mon.Active(); len(active) > 0 {
+	if active := c.core.ActiveAlerts(); len(active) > 0 {
 		h.Degraded = true
 		h.Alerts = health.Reasons(active)
 		if status == "running" {

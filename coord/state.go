@@ -24,8 +24,6 @@ import (
 	"fmt"
 
 	"github.com/edgeml/edgetrain/ckpt"
-	"github.com/edgeml/edgetrain/fleet"
-	"github.com/edgeml/edgetrain/internal/trainer"
 )
 
 // stateKind labels coordinator checkpoints so they are never resumed into a
@@ -51,37 +49,11 @@ func (c *Coordinator) openState() error {
 	if err != nil {
 		return fmt.Errorf("coord: loading state from %s: %w", c.cfg.StateDir, err)
 	}
-	if s.Kind != stateKind {
-		return fmt.Errorf("coord: %s is a %q checkpoint, want %q", name, s.Kind, stateKind)
-	}
-	if s.Seed != c.cfg.Seed {
-		return fmt.Errorf("coord: %s was written with seed %d, this run is configured with seed %d", name, s.Seed, c.cfg.Seed)
-	}
-	if s.BatchSize != c.cfg.BatchSize {
-		return fmt.Errorf("coord: %s was written with batch size %d, this run is configured with %d", name, s.BatchSize, c.cfg.BatchSize)
-	}
-	h, hasGlobalOpt := c.agg.(fleet.GlobalOptimizerHolder)
-	if !hasGlobalOpt && (s.Opt.Name != "" || s.Opt.Step != 0 || len(s.Opt.Slots) > 0) {
-		return fmt.Errorf("coord: %s carries global %q optimizer state but aggregator %q has no global optimizer",
-			name, s.Opt.Name, c.agg.Name())
-	}
-	if hasGlobalOpt && s.Opt.Name != h.GlobalOptimizer().Name() {
-		return fmt.Errorf("coord: %s has global %q optimizer state but aggregator %q uses %q",
-			name, s.Opt.Name, c.agg.Name(), h.GlobalOptimizer().Name())
-	}
-	if err := s.ApplyParams(c.globalPs); err != nil {
-		return err
-	}
-	if err := s.ApplyLayerState(c.global.Stages); err != nil {
-		return err
-	}
-	if hasGlobalOpt {
-		if err := trainer.RestoreOptimizerState(h.GlobalOptimizer(), c.globalPs, s.Opt); err != nil {
-			return fmt.Errorf("coord: restoring global optimizer state: %w", err)
-		}
-	}
 	if s.Round > c.cfg.Rounds {
 		return fmt.Errorf("coord: %s resumes at round %d but this run has only %d rounds", name, s.Round, c.cfg.Rounds)
+	}
+	if err := c.core.RestoreSession(s); err != nil {
+		return fmt.Errorf("coord: restoring %s: %w", name, err)
 	}
 	c.startRound = s.Round
 	c.resumed = s.Workers
@@ -94,21 +66,9 @@ func (c *Coordinator) openState() error {
 // next-round cursor. Runs on the round path, so everything mutable is
 // cloned here: the saver writes this session while the next round runs.
 func (c *Coordinator) captureSession(nextRound int, slots []slot) (*ckpt.Session, error) {
-	s := &ckpt.Session{
-		Kind:           stateKind,
-		LibraryVersion: ckpt.LibraryVersion,
-		Round:          nextRound,
-		BatchSize:      c.cfg.BatchSize,
-		Seed:           c.cfg.Seed,
-		Params:         ckpt.CaptureParams(c.globalPs),
-		LayerState:     ckpt.CaptureLayerState(c.global.Stages),
-	}
-	if h, ok := c.agg.(fleet.GlobalOptimizerHolder); ok {
-		opt, err := trainer.CaptureOptimizerState(h.GlobalOptimizer(), c.globalPs)
-		if err != nil {
-			return nil, fmt.Errorf("coord: capturing global optimizer state: %w", err)
-		}
-		s.Opt = opt
+	s, err := c.core.CaptureSession(nextRound)
+	if err != nil {
+		return nil, err
 	}
 	for i := range slots {
 		// Committed worker states are immutable once installed (commits

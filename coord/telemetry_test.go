@@ -14,9 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/edgeml/edgetrain/fleet"
 	"github.com/edgeml/edgetrain/internal/wire"
 	"github.com/edgeml/edgetrain/obs"
-	"github.com/edgeml/edgetrain/obs/health"
 )
 
 func TestTelemetryRoundTrip(t *testing.T) {
@@ -248,7 +248,8 @@ func TestCoordinatorHealthDegrades(t *testing.T) {
 	if h := c.Health(); h.Degraded {
 		t.Fatalf("fresh coordinator degraded: %+v", h)
 	}
-	c.mon.ObserveRound(health.Stats{Round: 0, Loss: math.NaN()})
+	rep := c.core.NewReport(make([]fleet.WorkerSummary, 1))
+	c.core.Finish(rep, fleet.RoundStats{Round: 0, Loss: math.NaN(), Workers: make([]fleet.WorkerRoundStats, 1)})
 	h := c.Health()
 	if !h.Degraded || len(h.Alerts) == 0 {
 		t.Fatalf("NaN round did not degrade health: %+v", h)
@@ -259,7 +260,7 @@ func TestCoordinatorHealthDegrades(t *testing.T) {
 	if !strings.Contains(h.Alerts[0], "loss-divergence") {
 		t.Fatalf("alert reason %q does not name the rule", h.Alerts[0])
 	}
-	c.mon.ObserveRound(health.Stats{Round: 1, Loss: 0.5, WallClock: time.Millisecond})
+	c.core.Finish(rep, fleet.RoundStats{Round: 1, Loss: 0.5, WallClock: time.Millisecond, Workers: make([]fleet.WorkerRoundStats, 1)})
 	if h := c.Health(); h.Degraded {
 		t.Fatalf("clean round did not recover health: %+v", h)
 	}

@@ -21,8 +21,11 @@ const maxMessageBytes = int64(1) << 32
 
 // Conn is one bidirectional protocol connection. Messages are ckpt frames:
 // the wire format of a message is byte-identical to the corresponding frame
-// of a checkpoint file (28-byte header, CRC32, raw or DEFLATE payload), so
-// the network layer inherits the checkpoint codec's corruption detection.
+// of a checkpoint file (28-byte header, CRC32, payload), so the network
+// layer inherits the checkpoint codec's corruption detection. Connections
+// send raw frames — fp64 parameters do not compress, and a compressed
+// update is already deflated inside its blob by the run's codec spec — and
+// read whichever style each frame's header declares.
 // Send and Recv are each safe for concurrent use (sends from multiple
 // goroutines are serialized; one reader at a time).
 type Conn interface {
@@ -67,8 +70,7 @@ type Transport interface {
 // buffered and flushed per message; byte counters cover the framed bytes
 // actually moved, which is what the report's wire column shows.
 type frameConn struct {
-	c     io.ReadWriteCloser
-	style uint32
+	c io.ReadWriteCloser
 
 	wmu sync.Mutex
 	bw  *bufio.Writer
@@ -79,19 +81,18 @@ type frameConn struct {
 	recv atomic.Int64
 }
 
-func newFrameConn(c io.ReadWriteCloser, style uint32) *frameConn {
+func newFrameConn(c io.ReadWriteCloser) *frameConn {
 	return &frameConn{
-		c:     c,
-		style: style,
-		bw:    bufio.NewWriterSize(c, 64<<10),
-		fr:    ckpt.NewFrameReader(bufio.NewReaderSize(c, 64<<10), maxMessageBytes),
+		c:  c,
+		bw: bufio.NewWriterSize(c, 64<<10),
+		fr: ckpt.NewFrameReader(bufio.NewReaderSize(c, 64<<10), maxMessageBytes),
 	}
 }
 
 func (fc *frameConn) Send(f ckpt.Frame) error {
 	fc.wmu.Lock()
 	defer fc.wmu.Unlock()
-	n, err := ckpt.WriteFrame(fc.bw, f, fc.style)
+	n, err := ckpt.WriteFrame(fc.bw, f, ckpt.StyleRaw)
 	if err == nil {
 		err = fc.bw.Flush()
 	}
@@ -108,7 +109,7 @@ func (fc *frameConn) sendMangled(f ckpt.Frame, mangle func([]byte)) error {
 	fc.wmu.Lock()
 	defer fc.wmu.Unlock()
 	var buf bytes.Buffer
-	if _, err := ckpt.WriteFrame(&buf, f, fc.style); err != nil {
+	if _, err := ckpt.WriteFrame(&buf, f, ckpt.StyleRaw); err != nil {
 		return err
 	}
 	b := buf.Bytes()
@@ -140,22 +141,12 @@ func (fc *frameConn) Close() error { return fc.c.Close() }
 // TCP is the real network transport: length-prefixed ckpt frames over a TCP
 // stream.
 type TCP struct {
-	// Compress selects DEFLATE framing for sent messages (each side of a
-	// connection chooses independently; the frame header carries the style).
-	Compress bool
 	// DialTimeout bounds connection establishment (default 10s).
 	DialTimeout time.Duration
 }
 
 // Name implements Transport.
 func (t *TCP) Name() string { return "tcp" }
-
-func (t *TCP) style() uint32 {
-	if t.Compress {
-		return ckpt.StyleDeflate
-	}
-	return ckpt.StyleRaw
-}
 
 // Listen implements Transport.
 func (t *TCP) Listen(addr string) (Listener, error) {
@@ -166,7 +157,7 @@ func (t *TCP) Listen(addr string) (Listener, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coord: listen %s: %w", addr, err)
 	}
-	return &tcpListener{l: l, style: t.style()}, nil
+	return &tcpListener{l: l}, nil
 }
 
 // Dial implements Transport.
@@ -182,12 +173,11 @@ func (t *TCP) Dial(addr string) (Conn, error) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true) // the protocol is ping-pong; don't batch small frames
 	}
-	return newFrameConn(c, t.style()), nil
+	return newFrameConn(c), nil
 }
 
 type tcpListener struct {
-	l     net.Listener
-	style uint32
+	l net.Listener
 }
 
 func (tl *tcpListener) Accept() (Conn, error) {
@@ -198,7 +188,7 @@ func (tl *tcpListener) Accept() (Conn, error) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	return newFrameConn(c, tl.style), nil
+	return newFrameConn(c), nil
 }
 
 func (tl *tcpListener) Addr() string { return tl.l.Addr().String() }
@@ -208,9 +198,6 @@ func (tl *tcpListener) Close() error { return tl.l.Close() }
 // the same frame bytes TCP would, with no sockets involved. A Loopback value
 // is its own private address space; coordinator and workers must share it.
 type Loopback struct {
-	// Compress selects DEFLATE framing for sent messages.
-	Compress bool
-
 	mu        sync.Mutex
 	next      int
 	listeners map[string]*loopListener
@@ -221,13 +208,6 @@ func NewLoopback() *Loopback { return &Loopback{} }
 
 // Name implements Transport.
 func (t *Loopback) Name() string { return "loopback" }
-
-func (t *Loopback) style() uint32 {
-	if t.Compress {
-		return ckpt.StyleDeflate
-	}
-	return ckpt.StyleRaw
-}
 
 // Listen implements Transport. An empty address allocates "loop:<n>".
 func (t *Loopback) Listen(addr string) (Listener, error) {
@@ -264,7 +244,7 @@ func (t *Loopback) Dial(addr string) (Conn, error) {
 	client, server := net.Pipe()
 	select {
 	case ll.accept <- server:
-		return newFrameConn(client, t.style()), nil
+		return newFrameConn(client), nil
 	case <-ll.done:
 		client.Close()
 		server.Close()
@@ -283,7 +263,7 @@ type loopListener struct {
 func (ll *loopListener) Accept() (Conn, error) {
 	select {
 	case c := <-ll.accept:
-		return newFrameConn(c, ll.t.style()), nil
+		return newFrameConn(c), nil
 	case <-ll.done:
 		return nil, fmt.Errorf("coord: loopback listener at %s is closed", ll.addr)
 	}

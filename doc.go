@@ -1,105 +1,67 @@
 // Package edgetrain is a Go reproduction of "Training on the Edge: The why
-// and the how" (Kukreja et al., IPPS 2019).
+// and the how" (Kukreja et al., IPPS 2019), built from scratch on the
+// standard library. This root package holds no code: it documents the
+// module and carries its cross-package tests and benchmarks.
 //
-// The repository contains everything the paper's argument rests on, built
-// from scratch on the standard library:
+// The public API is eight packages, each documented in its own package
+// comment, plus the binaries under cmd/:
 //
-//   - internal/tensor, internal/nn, internal/trainer — a small dense-tensor
-//     and neural-network stack (convolutions, batch norm, residual blocks,
-//     SGD/momentum/Adam) with true forward and backward passes, so that
-//     checkpointed backpropagation can be validated against real gradients.
-//   - internal/resnet, internal/memmodel — the ResNet-18/34/50/101/152
-//     architecture specifications and the analytical memory model that
-//     regenerates Tables I-III and the LinearResNet homogenisation of
-//     Section VI.
-//   - schedule — the public schedule vocabulary: the Action type, the
-//     streaming Schedule interface consumed identically for precomputed and
-//     lazily generated plans, and the validating trace simulator.
-//   - plan — the public planning API: the Strategy interface and the
-//     name-keyed registry ("revolve", "periodic", "logspaced", "sequential",
-//     "storeall", "twolevel") through which every caller selects a planner.
-//   - internal/checkpoint — the paper's core subject: optimal
-//     (Revolve/binomial) checkpointing schedules, the PyTorch
-//     checkpoint_sequential baseline, and the recompute-factor (rho)
-//     budgeted search used to draw Figure 1. The algorithms are registered
-//     into the plan registry.
-//   - internal/chain — an executor that runs real networks under any
-//     checkpointing schedule and reproduces baseline gradients exactly.
-//   - store — the pluggable checkpoint stores (RAM references, the bit-exact
-//     disk codec, and the tiered store that really spills flash-tier slots).
+//   - schedule — the schedule vocabulary: the Action type, the streaming
+//     Schedule interface consumed identically for precomputed and lazily
+//     generated plans, and the validating trace simulator.
+//   - plan — the planning API: the Strategy interface and the name-keyed
+//     registry ("revolve", "periodic", "logspaced", "sequential", "storeall",
+//     "twolevel", "auto") through which every caller selects a planner.
+//   - store — the pluggable checkpoint stores: RAM references, the bit-exact
+//     disk codec, and the tiered store that really spills flash-tier slots.
 //   - ckpt — the durable checkpoint format and crash-safe resume engine: a
-//     framed binary on-disk format (magic + version header, per-frame
-//     type/length/CRC32, raw and DEFLATE styles, parallel encode/decode with
-//     worker-count-independent bytes) that serializes a complete training
-//     session — weights, batch-norm state, optimizer state, cursors and
-//     per-worker fleet progress — behind crash-safe saves (temp file, fsync,
-//     atomic rename, MANIFEST with automatic fallback). Both the trainer
-//     (SaveCheckpoint/ResumeFrom, mid-epoch at step boundaries) and the
-//     fleet (periodic round checkpoints, elastic resume) restart
-//     bit-identical to a never-interrupted run.
-//   - fleet — executable multi-node training: concurrent heterogeneous edge
-//     workers (per-worker budgets auto-select different checkpoint
-//     strategies), non-IID dataset shards, and deterministic aggregation by
-//     federated averaging or synchronous gradient all-reduce (bit-identical
-//     to single-node training on the union of the shards), with straggler,
-//     dropout and partial-participation scenario knobs.
-//   - coord — distributed fleet training over a real transport: a
-//     long-running coordinator process owns the global model, round state and
-//     aggregator; edge worker processes register with a capability handshake
-//     (device profile, RAM budget, supported aggregation modes), pull shard
-//     and round assignments, train locally with the chain/plan machinery,
-//     and push updates back over a length-prefixed binary protocol that
-//     reuses the ckpt tensor codec (CRC32 frames, raw or DEFLATE). The
-//     fleet is elastic and fault-tolerant — dead workers are dropped from
-//     the fold, stragglers past the round deadline are discarded, rounds
-//     that lose quorum are rewound and re-run, workers reconnect with
-//     backoff and recover their optimizer state, and a coordinator started
-//     with a state directory checkpoints every round boundary so a killed
-//     coordinator resumes where it left off. A seeded chaos transport
-//     (refused dials, dropped connections, corrupted frames, partitions)
-//     soaks all of it: a distributed run produces global weights
-//     byte-identical to the in-process fleet, over TCP or the in-process
-//     loopback transport alike, faults or no faults.
-//   - compress — the update-compression pipeline that attacks the paper's
-//     Section I communication bottleneck: top-k sparsification with
-//     per-worker error-feedback residuals, fp16/int8 quantization with
-//     deterministic round-to-nearest-even, and framed entropy coding
-//     (delta+varint indices, raw or pooled DEFLATE). Specs compose as
-//     strings ("topk:0.05+int8+deflate"); both the in-process fleet and the
-//     coord wire protocol apply them to worker uploads, negotiating codecs
-//     at the handshake, validating decoded tensors before the fold, and
-//     reporting raw-vs-encoded bytes and modeled upload time per round. The
-//     lossless configuration (topk:1+fp64+raw) is byte-identical to an
-//     uncompressed run.
-//   - obs — the fleet-wide observability layer: a dependency-free metrics
-//     registry (atomic counters, gauges, fixed-bucket histograms; Prometheus
-//     text exposition v0.0.4), a ring-buffered trace recorder for the round
-//     lifecycle (JSONL or Chrome trace_event export), the /metrics, /healthz,
-//     /trace and /debug/pprof HTTP surface behind the binaries' -metrics-addr
-//     flag, and the structured log helper the processes share. Workers ship
-//     delta telemetry (metric movement + new trace spans) piggybacked on
-//     their protocol frames; the coordinator ingests it under worker=<name>
-//     labels and stitches the spans into one cross-process Chrome trace, so
-//     a single coordinator scrape is the fleet-wide view. obs/health adds
-//     declarative training-health rules (loss divergence, NaN rejections,
-//     stragglers, worker flap, retry burn) evaluated at round boundaries by
-//     both runners, firing fleet_alerts_total and degrading /healthz to 503.
-//     No-op by default — handles off a nil registry record nothing and cost
-//     ~nothing — and instrumentation never perturbs training: weights are
-//     byte-identical with observability (and telemetry shipping) on or off.
-//   - internal/device, internal/edgesim, internal/vision, internal/teacher —
-//     the Waggle/Array-of-Things context: the 2 GB Edge node (plus Jetson-
-//     and Raspberry-class fleet profiles), the fleet-scale cloud-vs-edge
-//     comparison, the synthetic viewpoint problem and the in-situ
-//     student-teacher pipeline.
+//     framed binary format (per-frame type, length and CRC32) for a complete
+//     training session, behind crash-safe saves (temp file, fsync, atomic
+//     rename, MANIFEST with fallback) and one background saver. The same
+//     frame is the unit of the coord wire protocol.
+//   - compress — the update-compression pipeline for the paper's Section I
+//     communication bottleneck: top-k sparsification with error feedback,
+//     fp16/int8 quantization, framed entropy coding. Specs compose as strings
+//     ("topk:0.05+int8+deflate"); "topk:1+fp64+raw" is lossless.
+//   - obs — metrics registry, round-lifecycle trace recorder, the
+//     /metrics, /healthz, /trace and /debug/pprof surface behind the
+//     binaries' -metrics-addr flag, worker-to-coordinator telemetry shipping,
+//     and obs/health's training-health rules. No-op by default, and never
+//     perturbs training: weights are byte-identical with it on or off.
+//   - fleet — executable multi-node training in one process: concurrent
+//     heterogeneous workers whose budgets auto-select different checkpoint
+//     strategies, non-IID shards, straggler / dropout / partial-participation
+//     knobs, and deterministic aggregation by federated averaging or
+//     synchronous gradient all-reduce. Its Core is the round engine — fold,
+//     accounting, report, health rules, durable global state — that both this
+//     package's loop and coord's stand on.
+//   - coord — the same rounds over a real transport (TCP, or an in-process
+//     loopback moving the same bytes): a coordinator process and elastic,
+//     fault-tolerant edge workers — quorum and retry, reconnect with state
+//     recovery, a durable coordinator, a seeded chaos transport. A
+//     distributed run produces global weights byte-identical to fleet.Run.
 //
-// The cmd/ directory holds the command-line tools that regenerate every table
-// and figure (memtable, figure1, revolveplan, edgetrainer, fleettrainer,
-// aotsim) plus the distributed pair (edgecoord, edgeworker), the
-// examples/ directory holds runnable walkthroughs, and bench_test.go in this
-// directory contains one benchmark per experiment of the paper's evaluation.
+// Both fleet.New and coord.New take a model factory returning an
+// internal/chain.Chain, so those two are callable from this module's
+// binaries and examples only; plan, schedule, store, ckpt, compress and obs
+// are importable from anywhere.
 //
-// See README.md for a guided tour, DESIGN.md for the system inventory and
-// per-experiment index, and EXPERIMENTS.md for the paper-versus-reproduction
-// comparison.
+// Under internal/ sits what the public packages are built from: tensor, nn
+// and trainer (a small dense-tensor and neural-network stack with true
+// forward and backward passes, so checkpointed backpropagation is validated
+// against real gradients), checkpoint (the Revolve / binomial schedules, the
+// checkpoint_sequential baseline and the recompute-factor search behind
+// Figure 1, registered into plan), chain (the executor that runs real
+// networks under any schedule and reproduces baseline gradients exactly),
+// resnet and memmodel (the ResNet specifications and the analytical memory
+// model behind Tables I-III), and device, edgesim, vision and teacher (the
+// Waggle / Array-of-Things context: node profiles, the fleet-scale
+// cloud-vs-edge comparison, the synthetic viewpoint problem and the in-situ
+// student-teacher pipeline).
+//
+// cmd/ holds the tools that regenerate every table and figure (memtable,
+// figure1, revolveplan, edgetrainer, fleettrainer, aotsim) and the
+// distributed pair (edgecoord, edgeworker); examples/ holds runnable
+// walkthroughs; benchmark/ is the end-to-end benchmark every performance
+// claim is judged with. See README.md for a guided tour.
 package edgetrain

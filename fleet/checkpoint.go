@@ -5,7 +5,6 @@ import (
 
 	"github.com/edgeml/edgetrain/ckpt"
 	"github.com/edgeml/edgetrain/internal/trainer"
-	"github.com/edgeml/edgetrain/obs/health"
 )
 
 // Durable round checkpoints and elastic resume. A fleet checkpoint captures
@@ -24,37 +23,12 @@ import (
 // is dropped. Bit-identity with an uninterrupted run is guaranteed when the
 // fleet configuration (membership, seed, aggregation) is unchanged.
 
-// GlobalOptimizerHolder is implemented by aggregators that apply a global
-// optimizer whose state must survive checkpoint/resume (GradAllReduce).
-// Checkpointing callers — the fleet's own session capture and the
-// distributed coordinator's durable state — type-assert the aggregator
-// against it to decide whether a global optimizer must be saved/restored.
-type GlobalOptimizerHolder interface {
-	GlobalOptimizer() trainer.Optimizer
-}
-
-// GlobalOptimizer exposes the all-reduce aggregator's global optimizer for
-// checkpointing.
-func (a *GradAllReduce) GlobalOptimizer() trainer.Optimizer { return a.Opt }
-
 // CaptureSession assembles the fleet's durable state with the given next
 // round cursor. Tensors are cloned; the fleet may keep running.
 func (f *Fleet) CaptureSession(nextRound int) (*ckpt.Session, error) {
-	s := &ckpt.Session{
-		Kind:           "fleet",
-		LibraryVersion: ckpt.LibraryVersion,
-		Round:          nextRound,
-		BatchSize:      f.cfg.BatchSize,
-		Seed:           f.cfg.Seed,
-		Params:         ckpt.CaptureParams(f.globalPs),
-		LayerState:     ckpt.CaptureLayerState(f.global.Stages),
-	}
-	if h, ok := f.agg.(GlobalOptimizerHolder); ok {
-		opt, err := trainer.CaptureOptimizerState(h.GlobalOptimizer(), f.globalPs)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: capturing global optimizer state: %w", err)
-		}
-		s.Opt = opt
+	s, err := f.core.CaptureSession(nextRound)
+	if err != nil {
+		return nil, err
 	}
 	for _, w := range f.workers {
 		ws, err := w.CaptureState()
@@ -97,12 +71,12 @@ func (w *Worker) RestoreState(ws ckpt.WorkerState) error {
 
 // SaveCheckpoint durably writes the fleet state into the directory and
 // returns the checkpoint file name.
-func (f *Fleet) SaveCheckpoint(d *ckpt.Dir, nextRound int, opts ...ckpt.Option) (string, error) {
+func (f *Fleet) SaveCheckpoint(d *ckpt.Dir, nextRound int) (string, error) {
 	s, err := f.CaptureSession(nextRound)
 	if err != nil {
 		return "", err
 	}
-	return d.Save(s, opts...)
+	return d.Save(s)
 }
 
 // ResumeFrom restores the fleet from the directory's newest loadable
@@ -122,36 +96,9 @@ func (f *Fleet) ResumeFrom(d *ckpt.Dir) (int, error) {
 // RestoreSession applies a loaded fleet session and returns its next-round
 // cursor.
 func (f *Fleet) RestoreSession(s *ckpt.Session) (int, error) {
-	if s.Kind != "fleet" {
-		return 0, fmt.Errorf("fleet: checkpoint kind is %q, want \"fleet\"", s.Kind)
-	}
-	if s.Seed != f.cfg.Seed {
-		// The per-round generators derive from the seed alone; resuming under
-		// a different seed would draw different participants/dropouts and
-		// silently break bit-identity with the original run.
-		return 0, fmt.Errorf("fleet: checkpoint was written with seed %d, this fleet is configured with seed %d", s.Seed, f.cfg.Seed)
-	}
-	if s.BatchSize != f.cfg.BatchSize {
-		// RoundBatch visits shard batches round-robin by the local batch
-		// size, so resuming under a different one silently changes which
-		// samples the remaining rounds train on.
-		return 0, fmt.Errorf("fleet: checkpoint was written with batch size %d, this fleet is configured with %d", s.BatchSize, f.cfg.BatchSize)
-	}
-	// Pre-check every optimizer kind BEFORE mutating anything, so a
-	// mismatched resume leaves the fleet untouched (the all-or-nothing
-	// restore contract).
-	h, hasGlobalOpt := f.agg.(GlobalOptimizerHolder)
-	if !hasGlobalOpt && (s.Opt.Name != "" || s.Opt.Step != 0 || len(s.Opt.Slots) > 0) {
-		// A checkpoint written by an aggregator with a global optimizer
-		// (all-reduce) cannot be resumed into one without — dropping that
-		// state would silently change the trajectory.
-		return 0, fmt.Errorf("fleet: checkpoint carries global %q optimizer state but aggregator %q has no global optimizer",
-			s.Opt.Name, f.agg.Name())
-	}
-	if hasGlobalOpt && s.Opt.Name != h.GlobalOptimizer().Name() {
-		return 0, fmt.Errorf("fleet: checkpoint has global %q optimizer state but aggregator %q uses %q",
-			s.Opt.Name, f.agg.Name(), h.GlobalOptimizer().Name())
-	}
+	// Pre-check every worker's optimizer kind BEFORE the core mutates
+	// anything, so a mismatched resume leaves the fleet untouched (the
+	// all-or-nothing restore contract).
 	savedWorkers := make(map[int]*ckpt.WorkerState, len(s.Workers))
 	for i := range s.Workers {
 		savedWorkers[s.Workers[i].Index] = &s.Workers[i]
@@ -162,16 +109,8 @@ func (f *Fleet) RestoreSession(s *ckpt.Session) (int, error) {
 				ws.Opt.Name, w.Spec.Name, w.opt.Name())
 		}
 	}
-	if err := s.ApplyParams(f.globalPs); err != nil {
+	if err := f.core.RestoreSession(s); err != nil {
 		return 0, err
-	}
-	if err := s.ApplyLayerState(f.global.Stages); err != nil {
-		return 0, err
-	}
-	if hasGlobalOpt {
-		if err := trainer.RestoreOptimizerState(h.GlobalOptimizer(), f.globalPs, s.Opt); err != nil {
-			return 0, fmt.Errorf("fleet: restoring global optimizer state: %w", err)
-		}
 	}
 	for _, w := range f.workers {
 		ws, ok := savedWorkers[w.Index]
@@ -190,31 +129,28 @@ func (f *Fleet) RestoreSession(s *ckpt.Session) (int, error) {
 // (r+1) divisible by everyRounds (an absolute cadence, so an interrupted and
 // resumed run checkpoints at the same rounds as an uninterrupted one), and
 // once after the final round. Run is RunFrom(0, nil, 0).
-func (f *Fleet) RunFrom(startRound int, d *ckpt.Dir, everyRounds int, opts ...ckpt.Option) (*Report, error) {
+func (f *Fleet) RunFrom(startRound int, d *ckpt.Dir, everyRounds int) (*Report, error) {
 	if startRound < 0 || startRound > f.cfg.Rounds {
 		return nil, fmt.Errorf("fleet: resume round %d outside [0, %d]", startRound, f.cfg.Rounds)
 	}
 	rep := f.newReport()
-	// The same declarative health rules the distributed coordinator
-	// evaluates run here at every round boundary; firings land in the
-	// report's ALERTS section and the fleet_alerts_total counter.
-	mon := health.NewMonitor()
 	for r := startRound; r < f.cfg.Rounds; r++ {
 		rs, err := f.Round(r)
 		if err != nil {
 			return nil, err
 		}
-		rep.Add(rs)
-		mon.ObserveRound(rs.HealthStats())
+		// The same declarative health rules the distributed coordinator
+		// evaluates run here at every round boundary; firings land in the
+		// report's ALERTS section and the fleet_alerts_total counter.
+		f.core.Finish(rep, rs)
 		if d != nil && everyRounds > 0 && (r+1)%everyRounds == 0 && r+1 < f.cfg.Rounds {
-			if _, err := f.SaveCheckpoint(d, r+1, opts...); err != nil {
+			if _, err := f.SaveCheckpoint(d, r+1); err != nil {
 				return nil, fmt.Errorf("fleet: checkpointing after round %d: %w", r, err)
 			}
 		}
 	}
-	rep.Alerts = mon.Alerts()
 	if d != nil {
-		if _, err := f.SaveCheckpoint(d, f.cfg.Rounds, opts...); err != nil {
+		if _, err := f.SaveCheckpoint(d, f.cfg.Rounds); err != nil {
 			return nil, fmt.Errorf("fleet: writing completion checkpoint: %w", err)
 		}
 	}

@@ -45,10 +45,6 @@ import (
 	"github.com/edgeml/edgetrain/store"
 )
 
-// defaultUplinkMbps is the modeled uplink rate when Config.UplinkMbps is
-// zero: the Waggle edge node's 10 Mbps.
-const defaultUplinkMbps = 10.0
-
 // WorkerSpec describes one edge worker of the fleet.
 type WorkerSpec struct {
 	// Name identifies the worker in reports; defaults to "w<i>-<device>".
@@ -177,18 +173,16 @@ func (w *Worker) RoundBatch(round int) trainer.Batch {
 	return w.Shard.Batch(round%nb, size)
 }
 
-// Fleet coordinates training rounds across the workers.
+// Fleet coordinates training rounds across the workers. The global model,
+// the fold and the round's books live in its Core; the fleet itself owns the
+// workers and how a round reaches them.
 type Fleet struct {
-	cfg        Config
-	agg        Aggregator
-	global     *chain.Chain
-	globalPs   []*nn.Param
-	workers    []*Worker
-	active     []int // indices of workers with non-empty shards
-	modelBytes int64
+	cfg     Config
+	core    *Core
+	workers []*Worker
+	active  []int // indices of workers with non-empty shards
 
 	// Update compression (nil comps when disabled).
-	spec    compress.Spec
 	comps   []*compress.Compressor // one per worker: error-feedback state
 	rawSent int64                  // cumulative raw upload bytes across rounds
 	encSent int64                  // cumulative encoded upload bytes across rounds
@@ -219,42 +213,15 @@ func New(cfg Config, model func() (*chain.Chain, error), ds trainer.Dataset) (*F
 	if cfg.Optimizer == nil {
 		cfg.Optimizer = func() trainer.Optimizer { return trainer.NewSGD(0.05) }
 	}
-	if cfg.Aggregator == nil {
-		cfg.Aggregator = NewFedAvg()
-	}
-	if model == nil || ds == nil {
-		return nil, fmt.Errorf("fleet: nil model factory or dataset")
-	}
-	spec, err := compress.ParseSpec(cfg.Compression)
+	core, err := NewCore("fleet", cfg, model)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
+		return nil, err
 	}
-	if cfg.UplinkMbps < 0 {
-		return nil, fmt.Errorf("fleet: uplink rate %v Mbps is negative", cfg.UplinkMbps)
-	}
-	if cfg.UplinkMbps == 0 {
-		cfg.UplinkMbps = defaultUplinkMbps
-	}
-
-	global, err := model()
-	if err != nil {
-		return nil, fmt.Errorf("fleet: building global model: %w", err)
-	}
-	if global == nil || global.Len() == 0 {
-		return nil, fmt.Errorf("fleet: model factory produced an empty chain")
-	}
-	f := &Fleet{
-		cfg:        cfg,
-		agg:        cfg.Aggregator,
-		global:     global,
-		globalPs:   global.Params(),
-		modelBytes: nn.ParamBytes(global.Stages),
-		spec:       spec,
-	}
-	if spec.Enabled() {
+	f := &Fleet{cfg: cfg, core: core}
+	if core.spec.Enabled() {
 		f.comps = make([]*compress.Compressor, len(cfg.Workers))
 		for i := range f.comps {
-			c, err := compress.NewCompressor(spec)
+			c, err := compress.NewCompressor(core.spec)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: %w", err)
 			}
@@ -269,7 +236,7 @@ func New(cfg Config, model func() (*chain.Chain, error), ds trainer.Dataset) (*F
 			f.Close()
 			return nil, err
 		}
-		if err := sameParams(f.globalPs, w.Chain.Params()); err != nil {
+		if err := sameParams(core.params, w.Chain.Params()); err != nil {
 			w.Close()
 			f.Close()
 			return nil, fmt.Errorf("fleet: model factory is not deterministic (%s): %w", w.Spec.Name, err)
@@ -432,14 +399,14 @@ func sameParams(a, b []*nn.Param) error {
 // batch-norm caveat). Before evaluating the global model in inference mode,
 // calibrate those statistics with a few forward passes in training mode
 // over representative data, or evaluate on a worker replica instead.
-func (f *Fleet) Global() *chain.Chain { return f.global }
+func (f *Fleet) Global() *chain.Chain { return f.core.global }
 
 // Workers returns the fleet members.
 func (f *Fleet) Workers() []*Worker { return f.workers }
 
 // ModelBytes returns the size of one full-model update on the wire (the
 // serialised fp64 parameter payload), the unit of the traffic accounting.
-func (f *Fleet) ModelBytes() int64 { return f.modelBytes }
+func (f *Fleet) ModelBytes() int64 { return f.core.modelBytes }
 
 // Close releases the workers' spill stores.
 func (f *Fleet) Close() error {
@@ -468,16 +435,15 @@ func (f *Fleet) roundRNG(round int) *tensor.RNG {
 // worker-index order before any goroutine starts, and the fold order is
 // fixed, so the updated global parameters are bit-identical regardless of
 // how the goroutines are scheduled.
-func (f *Fleet) Round(round int) (RoundStats, error) {
+func (f *Fleet) Round(round int) (rs RoundStats, err error) {
 	roundStart := time.Now()
-	fo := fleetObsHandles()
 	tr := obs.DefaultTracer()
 	roundSpan := tr.Span("round", round, -1)
+	// A span is recorded only when it ends, and the round an operator most
+	// needs to find in /trace is the one that failed: end it on every path.
+	defer func() { roundSpan.EndErr(err) }()
 	n := len(f.workers)
-	rs := RoundStats{Round: round, Workers: make([]WorkerRoundStats, n)}
-	for i := range rs.Workers {
-		rs.Workers[i].Worker = i
-	}
+	rs = f.core.BeginRound(round, n)
 
 	// Deterministic pre-draws: participants, then dropout, in index order.
 	rng := f.roundRNG(round)
@@ -492,13 +458,10 @@ func (f *Fleet) Round(round int) (RoundStats, error) {
 	// Broadcast: every participant downloads the current global model.
 	bSpan := tr.Span("broadcast", round, -1)
 	for _, i := range participants {
-		w := f.workers[i]
-		for k, p := range w.Chain.Params() {
-			copy(p.Value.Data(), f.globalPs[k].Value.Data())
+		for k, p := range f.workers[i].Chain.Params() {
+			copy(p.Value.Data(), f.core.params[k].Value.Data())
 		}
-		rs.Workers[i].Participated = true
-		rs.Workers[i].DownloadBytes = f.modelBytes
-		rs.DownlinkBytes += f.modelBytes
+		f.core.Broadcast(&rs, i)
 	}
 	bSpan.End()
 
@@ -527,7 +490,7 @@ func (f *Fleet) Round(round int) (RoundStats, error) {
 			}
 			start := time.Now()
 			ltSpan := tr.Span("local-train", round, i)
-			u, err := f.agg.Local(f.workers[i], round)
+			u, err := f.core.agg.Local(f.workers[i], round)
 			ltSpan.End()
 			ws.Duration = time.Since(start)
 			if err != nil {
@@ -561,70 +524,24 @@ func (f *Fleet) Round(round int) (RoundStats, error) {
 	}
 	wg.Wait()
 
-	// Collect in ascending worker order — the deterministic fold order the
-	// Aggregator contract requires — and account the upload traffic.
-	var folded []Update
-	var maxUpload int64
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			return rs, fmt.Errorf("fleet: round %d: worker %s: %w", round, f.workers[i].Spec.Name, errs[i])
+	for i, werr := range errs {
+		if werr != nil {
+			return rs, fmt.Errorf("fleet: round %d: worker %s: %w", round, f.workers[i].Spec.Name, werr)
 		}
-		u := updates[i]
-		if u == nil || u.Samples == 0 {
-			// Not selected, dropped, or an empty shard: nothing to upload.
-			continue
-		}
-		ws := &rs.Workers[i]
-		ws.Samples = u.Samples
-		ws.Loss = u.Loss
-		ws.ForwardEvals = u.ForwardEvals
-		ws.BackwardEvals = u.BackwardEvals
-		ws.PeakStates = u.PeakStates
-		ws.PeakRAMBytes = u.PeakRAMBytes
-		ws.PeakDiskBytes = u.PeakDiskBytes
-		ws.DiskWrites = u.DiskWrites
-		ws.DiskReads = u.DiskReads
-		upload := f.modelBytes
-		if f.comps != nil {
-			upload = encBytes[i]
-		}
-		ws.UploadBytes = upload
-		ws.RawUploadBytes = f.modelBytes
-		rs.UplinkBytes += upload
-		rs.RawUplinkBytes += f.modelBytes
-		if upload > maxUpload {
-			maxUpload = upload
-		}
-		rs.Participants++
-		f.workers[i].roundsDone++
-		f.workers[i].samplesDone += int64(u.Samples)
-		folded = append(folded, *u)
 	}
-	if len(folded) > 0 {
-		fSpan := tr.Span("fold", round, -1)
-		if err := f.agg.Fold(f.globalPs, folded); err != nil {
-			return rs, fmt.Errorf("fleet: round %d: %s fold: %w", round, f.agg.Name(), err)
-		}
-		fSpan.End()
+	if err := f.core.Commit(&rs, updates, encBytes); err != nil {
+		return rs, err
 	}
-	rs.Loss = WeightedLoss(folded)
-	rs.ModeledUplink = TransferTime(maxUpload, f.cfg.UplinkMbps)
+	for i := range rs.Workers {
+		if ws := &rs.Workers[i]; ws.Samples > 0 {
+			f.workers[i].AddProgress(1, int64(ws.Samples))
+		}
+	}
 	f.rawSent += rs.RawUplinkBytes
 	f.encSent += rs.UplinkBytes
 	rs.WallClock = time.Since(roundStart)
-	roundSpan.End()
-	fo.record(f, &rs)
+	fleetObsHandles().record(f, &rs)
 	return rs, nil
-}
-
-// TransferTime models how long the given payload takes on a link of the
-// given rate — the uplink-phase bound a synchronous round waits on its
-// largest upload.
-func TransferTime(bytes int64, mbps float64) time.Duration {
-	if bytes <= 0 || mbps <= 0 {
-		return 0
-	}
-	return time.Duration(float64(bytes) * 8 / (mbps * 1e6) * float64(time.Second))
 }
 
 // selectParticipants draws the round's participant set from the workers
@@ -647,23 +564,6 @@ func (f *Fleet) selectParticipants(rng *tensor.RNG) []int {
 	return sel
 }
 
-// WeightedLoss is the sample-weighted mean loss of the folded updates — the
-// round loss both the in-process engine and the coord coordinator report.
-func WeightedLoss(updates []Update) float64 {
-	var total, sum float64
-	for _, u := range updates {
-		if u.Samples <= 0 {
-			continue
-		}
-		total += float64(u.Samples)
-		sum += float64(u.Samples) * u.Loss
-	}
-	if total == 0 {
-		return 0
-	}
-	return sum / total
-}
-
 // Run executes the configured number of rounds and assembles the report. It
 // is RunFrom from round zero with no checkpointing.
 func (f *Fleet) Run() (*Report, error) {
@@ -681,13 +581,13 @@ func (f *Fleet) Run() (*Report, error) {
 func (f *Fleet) FederatedModel() edgesim.FederatedConfig {
 	fc := edgesim.DefaultFleetConfig()
 	fc.Nodes = len(f.active)
-	fc.Node.ModelBytes = f.modelBytes
+	fc.Node.ModelBytes = f.core.modelBytes
 	// With compression enabled, hand the analytical model the measured
 	// encoded-to-raw uplink fraction, so its predicted traffic tracks what
 	// the codec actually achieved on this run's updates (call after Run;
 	// before any round the fraction defaults to 1).
 	fraction := 1.0
-	if f.spec.Enabled() && f.rawSent > 0 {
+	if f.core.spec.Enabled() && f.rawSent > 0 {
 		fraction = float64(f.encSent) / float64(f.rawSent)
 		if fraction > 1 {
 			fraction = 1

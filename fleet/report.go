@@ -67,10 +67,8 @@ type RoundStats struct {
 	Workers   []WorkerRoundStats // index-aligned with the fleet's workers
 }
 
-// HealthStats maps one round's stats onto the health monitor's view.
-// Shared by the in-process runner and the coord coordinator so both
-// evaluate identical rules against identical accounting.
-func (rs *RoundStats) HealthStats() health.Stats {
+// healthStats maps one round's stats onto the health monitor's view.
+func (rs *RoundStats) healthStats() health.Stats {
 	s := health.Stats{
 		Round:        rs.Round,
 		Loss:         rs.Loss,
@@ -156,21 +154,13 @@ func (rep *Report) CompressionRatio() float64 {
 
 // newReport pre-fills the per-worker summaries from the fleet configuration.
 func (f *Fleet) newReport() *Report {
-	rep := &Report{
-		Aggregator:    f.agg.Name(),
-		ModelBytes:    f.modelBytes,
-		Participation: f.cfg.Participation,
-		UplinkMbps:    f.cfg.UplinkMbps,
-	}
-	if f.spec.Enabled() {
-		rep.Compression = f.spec.String()
-	}
-	for _, w := range f.workers {
+	workers := make([]WorkerSummary, len(f.workers))
+	for i, w := range f.workers {
 		strategy := w.Choice.Strategy
 		if w.Shard.Len() == 0 {
 			strategy = "idle"
 		}
-		rep.Workers = append(rep.Workers, WorkerSummary{
+		workers[i] = WorkerSummary{
 			Index:        w.Index,
 			Name:         w.Spec.Name,
 			Device:       w.Spec.Device.Name,
@@ -178,15 +168,16 @@ func (f *Fleet) newReport() *Report {
 			ShardSamples: w.Shard.Len(),
 			Strategy:     strategy,
 			Choice:       w.Choice,
-		})
+		}
 	}
+	rep := f.core.NewReport(workers)
+	rep.Participation = f.cfg.Participation
 	return rep
 }
 
-// Add folds one round into the report, accumulating the per-worker
-// summaries and run totals. Exported so the coord coordinator assembles its
-// report with the same accounting an in-process run uses.
-func (rep *Report) Add(rs RoundStats) {
+// add folds one round into the report, accumulating the per-worker
+// summaries and run totals.
+func (rep *Report) add(rs RoundStats) {
 	rep.Rounds = append(rep.Rounds, rs)
 	rep.TotalUplinkBytes += rs.UplinkBytes
 	rep.TotalRawUplinkBytes += rs.RawUplinkBytes

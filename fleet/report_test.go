@@ -25,7 +25,7 @@ func TestReportRenderGolden(t *testing.T) {
 			},
 		},
 	}
-	rep.Add(RoundStats{
+	rep.add(RoundStats{
 		Round: 0, Participants: 2, Loss: 2.3026,
 		UplinkBytes: 3_000_000, DownlinkBytes: 3_000_000,
 		WallClock: 1503 * time.Millisecond,
@@ -34,7 +34,7 @@ func TestReportRenderGolden(t *testing.T) {
 			{Worker: 1, Participated: true, Samples: 128, PeakRAMBytes: 1_100_000, PeakDiskBytes: 900_000, DiskWrites: 7, DiskReads: 7, UploadBytes: 1_500_000, DownloadBytes: 1_500_000, WireBytes: 3_100_000},
 		},
 	})
-	rep.Add(RoundStats{
+	rep.add(RoundStats{
 		Round: 1, Participants: 1, Dropouts: 1, Loss: 1.9311,
 		UplinkBytes: 1_500_000, DownlinkBytes: 3_000_000,
 		WallClock: 1287*time.Millisecond + 400*time.Microsecond,

@@ -7,6 +7,7 @@ package edgetrain
 import (
 	"testing"
 
+	"github.com/edgeml/edgetrain/ckpt"
 	"github.com/edgeml/edgetrain/internal/chain"
 	"github.com/edgeml/edgetrain/internal/checkpoint"
 	"github.com/edgeml/edgetrain/internal/device"
@@ -17,6 +18,7 @@ import (
 	"github.com/edgeml/edgetrain/internal/tensor"
 	"github.com/edgeml/edgetrain/internal/trainer"
 	"github.com/edgeml/edgetrain/internal/vision"
+	"github.com/edgeml/edgetrain/plan"
 	"github.com/edgeml/edgetrain/schedule"
 )
 
@@ -136,30 +138,30 @@ func TestModelShipmentSizeConsistency(t *testing.T) {
 	}
 }
 
-// TestVersionIsSet guards the public facade.
+// TestVersionIsSet guards the version checkpoints are stamped with.
 func TestVersionIsSet(t *testing.T) {
-	if Version == "" {
-		t.Fatal("Version must be set")
+	if ckpt.LibraryVersion == "" {
+		t.Fatal("ckpt.LibraryVersion must be set")
 	}
 }
 
-// TestRootAPIPlansEveryStrategy drives the re-exported root surface the way
+// TestRootAPIPlansEveryStrategy drives the public planning surface the way
 // an external caller would: enumerate the registry, plan each strategy by
 // name, and validate the schedule through the streaming trace simulator.
 func TestRootAPIPlansEveryStrategy(t *testing.T) {
-	names := Strategies()
+	names := plan.Strategies()
 	if len(names) < 6 {
 		t.Fatalf("expected at least the six built-in strategies, got %v", names)
 	}
-	spec := ChainSpec{Length: 24}
-	opts := map[string][]Option{
-		"revolve":    {WithSlots(3)},
-		"sequential": {WithSegments(4)},
-		"periodic":   {WithInterval(5)},
-		"twolevel":   {WithSlots(2), WithDiskSlots(3)},
+	spec := plan.ChainSpec{Length: 24}
+	opts := map[string][]plan.Option{
+		"revolve":    {plan.WithSlots(3)},
+		"sequential": {plan.WithSegments(4)},
+		"periodic":   {plan.WithInterval(5)},
+		"twolevel":   {plan.WithSlots(2), plan.WithDiskSlots(3)},
 	}
 	for _, name := range names {
-		sched, err := Plan(name, spec, opts[name]...)
+		sched, err := plan.Build(name, spec, opts[name]...)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -171,7 +173,7 @@ func TestRootAPIPlansEveryStrategy(t *testing.T) {
 			t.Fatalf("%s: %d adjoints performed, want %d", name, len(tr.BackpropOrder), spec.Length)
 		}
 	}
-	if _, err := Lookup("no-such-strategy"); err == nil {
+	if _, err := plan.Lookup("no-such-strategy"); err == nil {
 		t.Fatal("Lookup of an unknown strategy must fail")
 	}
 }
@@ -187,7 +189,7 @@ func TestRootAPIExecutesRegistrySchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := chain.FromSequential(net)
-	sched, err := Plan("revolve", ChainSpec{Length: c.Len()}, WithSlots(2))
+	sched, err := plan.Build("revolve", plan.ChainSpec{Length: c.Len()}, plan.WithSlots(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,7 @@ import (
 )
 
 // Kernel microbenchmarks for the compute engine. Run with -benchmem: the
-// Into variants must report ~0 allocs/op at steady state, and BENCH_baseline.json
-// at the repo root tracks the numbers across PRs.
+// Into variants must report ~0 allocs/op at steady state.
 
 func BenchmarkMatMul(b *testing.B) {
 	rng := NewRNG(1)

@@ -40,8 +40,6 @@ type CheckpointPlan struct {
 	// (counted from the start of this TrainFrom call). Zero saves only the
 	// final completion checkpoint.
 	EverySteps int
-	// Compress selects DEFLATE frames instead of raw ones.
-	Compress bool
 	// Seed is recorded in the session for provenance (the run's configured
 	// random seed); it is not consumed on resume.
 	Seed uint64
@@ -51,13 +49,6 @@ type CheckpointPlan struct {
 	// Session.ApplyRNG — Dir.Load exposes the full session. The core
 	// training loop itself draws no randomness, so most runs leave it nil.
 	RNG *tensor.RNG
-}
-
-func (cp *CheckpointPlan) options() []ckpt.Option {
-	if cp.Compress {
-		return []ckpt.Option{ckpt.WithCompression()}
-	}
-	return nil
 }
 
 // saverLane is the trace lane TrainFrom's background writer files its
@@ -81,7 +72,7 @@ type planSaver struct {
 
 func newPlanSaver(t *Trainer, cp *CheckpointPlan) *planSaver {
 	obs.DefaultTracer().NameLane(saverLane, "checkpoint-saver")
-	return &planSaver{t: t, cp: cp, saver: ckpt.NewSaver(cp.Dir, saverLane, cp.options()...), stepStart: time.Now()}
+	return &planSaver{t: t, cp: cp, saver: ckpt.NewSaver(cp.Dir, saverLane), stepStart: time.Now()}
 }
 
 // join waits until the save in flight is durable and records what that save
@@ -179,12 +170,12 @@ func (t *Trainer) CaptureSession(cur Cursor) (*ckpt.Session, error) {
 
 // SaveCheckpoint durably writes the training state at the given cursor into
 // the directory and returns the checkpoint file name.
-func (t *Trainer) SaveCheckpoint(d *ckpt.Dir, cur Cursor, opts ...ckpt.Option) (string, error) {
+func (t *Trainer) SaveCheckpoint(d *ckpt.Dir, cur Cursor) (string, error) {
 	s, err := t.CaptureSession(cur)
 	if err != nil {
 		return "", err
 	}
-	return d.Save(s, opts...)
+	return d.Save(s)
 }
 
 // ResumeFrom restores the trainer from the directory's newest loadable

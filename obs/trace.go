@@ -104,6 +104,17 @@ func (s Span) EndDetail(detail string) {
 	})
 }
 
+// EndErr records the span with the outcome of the phase it timed: no detail
+// when err is nil, as End would, and "error: <err>" otherwise — the span an
+// operator most needs to find in /trace is the one that failed.
+func (s Span) EndErr(err error) {
+	if err == nil {
+		s.End()
+		return
+	}
+	s.EndDetail("error: " + err.Error())
+}
+
 // Events returns the buffered events oldest-first.
 func (t *Tracer) Events() []Event {
 	if t == nil {
