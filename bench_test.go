@@ -1,10 +1,10 @@
 package edgetrain
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, plus the ablations called out in DESIGN.md. Each benchmark both
-// measures the cost of regenerating the artefact and reports the headline
-// reproduced quantity via b.ReportMetric, so `go test -bench . -benchmem`
-// doubles as the experiment log summarised in EXPERIMENTS.md.
+// evaluation, plus ablations. Each benchmark both measures the cost of
+// regenerating the artefact and reports the headline reproduced quantity via
+// b.ReportMetric, so `go test -bench . -benchmem` doubles as an experiment
+// log.
 
 import (
 	"fmt"
@@ -225,7 +225,7 @@ func BenchmarkCheckpointedBackpropPlain(b *testing.B) {
 // overhead and memory reduction.
 func BenchmarkCheckpointedBackpropRevolve(b *testing.B) {
 	c, x, lossGrad := buildBenchChain(1)
-	sched, err := plan.Build("revolve", plan.ChainSpec{Length: c.Len()}, plan.WithSlots(2))
+	sched, err := plan.Build("revolve", plan.ChainSpec{Length: c.Len()}, plan.Options{Slots: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func BenchmarkCheckpointedBackpropRevolve(b *testing.B) {
 // PyTorch-style uniform-segment policy.
 func BenchmarkCheckpointedBackpropSequential(b *testing.B) {
 	c, x, lossGrad := buildBenchChain(1)
-	sched, err := plan.Build("sequential", plan.ChainSpec{Length: c.Len()}, plan.WithSegments(3))
+	sched, err := plan.Build("sequential", plan.ChainSpec{Length: c.Len()}, plan.Options{Segments: 3})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func BenchmarkTwoLevelStep(b *testing.B) {
 	run := func(b *testing.B, makeStore func() (store.Store, error)) {
 		c, x, lossGrad := buildBenchChain(1)
 		sched, err := plan.Build("twolevel", plan.ChainSpec{Length: c.Len()},
-			plan.WithSlots(ramSlots), plan.WithDiskSlots(diskSlots))
+			plan.Options{Slots: ramSlots, DiskSlots: diskSlots})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -334,7 +334,7 @@ func BenchmarkHeterogeneousChain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sched, err := plan.Build("revolve", plan.ChainSpec{Length: len(states) - 1}, plan.WithSlots(10))
+	sched, err := plan.Build("revolve", plan.ChainSpec{Length: len(states) - 1}, plan.Options{Slots: 10})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func BenchmarkBatchAmortization(b *testing.B) {
 // 152-step chain with 8 slots.
 func BenchmarkRevolvePlanner(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sched, err := plan.Build("revolve", plan.ChainSpec{Length: 152}, plan.WithSlots(8))
+		sched, err := plan.Build("revolve", plan.ChainSpec{Length: 152}, plan.Options{Slots: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -427,7 +427,7 @@ func BenchmarkStreamingStoreAll(b *testing.B) {
 	const l = 10000
 	var tr *schedule.Trace
 	for i := 0; i < b.N; i++ {
-		sched, err := plan.Build("storeall", plan.ChainSpec{Length: l})
+		sched, err := plan.Build("storeall", plan.ChainSpec{Length: l}, plan.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -619,7 +619,7 @@ func BenchmarkFleetRound(b *testing.B) {
 func BenchmarkInstrumentedStep(b *testing.B) {
 	step := func(b *testing.B) {
 		c, x, lossGrad := buildBenchChain(1)
-		sched, err := plan.Build("revolve", plan.ChainSpec{Length: c.Len()}, plan.WithSlots(2))
+		sched, err := plan.Build("revolve", plan.ChainSpec{Length: c.Len()}, plan.Options{Slots: 2})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-// The -policy flag accepts any strategy registered in the public plan
-// registry (storeall, revolve, sequential, periodic, logspaced, twolevel).
+// The -policy flag accepts any strategy of the public plan package
+// (storeall, revolve, sequential, periodic, logspaced, twolevel, auto).
 //
 //	edgetrainer                                   # store-all baseline
 //	edgetrainer -policy revolve -slots 3          # optimal checkpointing
@@ -53,7 +53,7 @@ func main() {
 	diskSlots := flag.Int("disk-slots", 0, "flash checkpoints for the twolevel policy")
 	budget := flag.String("budget", "", "RAM byte budget for the auto policy, e.g. 2MB or 1500000")
 	deviceName := flag.String("device", "", "device whose memory defaults the budget: waggle or cloud")
-	storeKind := flag.String("store", "", "checkpoint store: ram, disk or tiered (default: tiered for tier-annotated policies, ram otherwise)")
+	storeKind := flag.String("store", "", "checkpoint store: ram, disk or tiered (default: tiered for twolevel, ram otherwise; an auto plan with a flash tier spills through a temporary tiered store)")
 	spillDir := flag.String("spill-dir", "", "directory for spilled checkpoints (default: a temporary directory)")
 	epochs := flag.Int("epochs", 3, "training epochs")
 	batch := flag.Int("batch", 8, "batch size")
@@ -114,11 +114,14 @@ func main() {
 		pol.MemoryBudget = d.MemoryBytes
 	}
 
-	// Checkpoint store: tiered (real flash spilling) by default for the
-	// policies that annotate tiers, plain in-RAM references otherwise.
+	// Checkpoint store: tiered (real flash spilling into -spill-dir) by
+	// default for twolevel, plain in-RAM references otherwise. An auto policy
+	// gets none: chain.Step resolves it per step and spills a selection with
+	// a flash tier through a temporary tiered store of its own, so a roomy
+	// budget runs plain backpropagation instead of a store-all schedule.
 	kind := *storeKind
 	if kind == "" {
-		if *policy == "twolevel" || *policy == "auto" {
+		if *policy == "twolevel" {
 			kind = "tiered"
 		} else {
 			kind = "ram"
@@ -212,7 +215,7 @@ func main() {
 				Length:          c.Len(),
 				WeightBytes:     2 * nn.ParamBytes(c.Stages),
 				ActivationBytes: x0.Images.Bytes(),
-			}, plan.WithMemoryBudget(pol.MemoryBudget))
+			}, plan.Options{MemoryBudget: pol.MemoryBudget})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -1,5 +1,5 @@
 // Command revolveplan inspects checkpointing schedules planned through the
-// public strategy registry and compares them against PyTorch's
+// public plan package and compares them against PyTorch's
 // checkpoint_sequential: the minimal forward work for a slot budget, the
 // minimal slots for a recompute budget, the Section V memory formula and its
 // 2*sqrt(l) lower bound, and the full action listing of a schedule.
@@ -8,12 +8,12 @@
 //
 //	revolveplan -l 152 -slots 8                   # cost summary for one configuration
 //	revolveplan -l 50 -slots 3 -print             # full action listing
-//	revolveplan -l 60 -strategy logspaced         # any registered strategy
+//	revolveplan -l 60 -strategy logspaced         # any strategy of -list
 //	revolveplan -l 80 -strategy twolevel -slots 2 -disk-slots 4
 //	revolveplan -l 152 -rho 2                     # minimal slots for a recompute budget
 //	revolveplan -l 152 -sequential                # Section V formula sweep over segments
 //	revolveplan -l 152 -sweep                     # slots vs forwards/rho table
-//	revolveplan -list                             # the registered strategies
+//	revolveplan -list                             # the planning strategies
 //	revolveplan -l 152 -strategy auto -budget 64MB -state-bytes 4000000
 //	revolveplan -l 152 -strategy auto -device waggle -state-bytes 16MB
 package main
@@ -47,7 +47,7 @@ func main() {
 	print := flag.Bool("print", false, "print the full schedule action listing")
 	sequential := flag.Bool("sequential", false, "sweep the checkpoint_sequential formula over segment counts")
 	sweep := flag.Bool("sweep", false, "print forwards and rho for every slot count")
-	list := flag.Bool("list", false, "list the registered planning strategies")
+	list := flag.Bool("list", false, "list the planning strategies")
 	flag.Parse()
 
 	cost := checkpoint.CostModel{BackwardRatio: *backward}
@@ -116,26 +116,17 @@ func main() {
 		fmt.Printf("  achieved rho:             %.3f\n", cost.Rho(*l, res.Forwards))
 		fmt.Printf("  feasible:                 %v\n", res.Feasible)
 	default:
-		opts := []plan.Option{plan.WithBackwardRatio(*backward)}
-		if c := *slots; c > 0 {
-			opts = append(opts, plan.WithSlots(c))
-		} else if *strategy == "revolve" && *rho == 0 {
-			opts = append(opts, plan.WithSlots(8))
+		opts := plan.Options{
+			Slots:         *slots,
+			DiskSlots:     *diskSlots,
+			Segments:      *segments,
+			Interval:      *interval,
+			Rho:           *rho,
+			BackwardRatio: *backward,
+			MemoryBudget:  budgetBytes,
 		}
-		if *diskSlots > 0 {
-			opts = append(opts, plan.WithDiskSlots(*diskSlots))
-		}
-		if *segments > 0 {
-			opts = append(opts, plan.WithSegments(*segments))
-		}
-		if *interval > 0 {
-			opts = append(opts, plan.WithInterval(*interval))
-		}
-		if *rho > 0 {
-			opts = append(opts, plan.WithRho(*rho))
-		}
-		if budgetBytes > 0 {
-			opts = append(opts, plan.WithMemoryBudget(budgetBytes))
+		if opts.Slots <= 0 && *strategy == "revolve" && *rho == 0 {
+			opts.Slots = 8
 		}
 		spec := plan.ChainSpec{
 			Length:          *l,
@@ -143,17 +134,17 @@ func main() {
 			ActivationBytes: parseBytes(*stateBytes),
 		}
 		if *strategy == "auto" {
-			choice, err := plan.AutoSelect(spec, opts...)
+			choice, err := plan.AutoSelect(spec, opts)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Println(choice)
 		}
-		sched, tr, err := plan.Validate(*strategy, spec, opts...)
+		sched, tr, err := plan.Validate(*strategy, spec, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s schedule for l=%d with %d slots:\n", sched.Policy(), *l, sched.Slots())
+		fmt.Printf("%s schedule for l=%d with %d slots:\n", sched.Policy, *l, sched.Slots)
 		fmt.Printf("  forward executions: %d (revolve optimum for %d slots: %d)\n",
 			tr.Forwards, tr.PeakSlots, checkpoint.MinForwards(*l, tr.PeakSlots))
 		fmt.Printf("  peak slots used:    %d\n", tr.PeakSlots)

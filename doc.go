@@ -6,12 +6,13 @@
 // The public API is eight packages, each documented in its own package
 // comment, plus the binaries under cmd/:
 //
-//   - schedule — the schedule vocabulary: the Action type, the streaming
-//     Schedule interface consumed identically for precomputed and lazily
-//     generated plans, and the validating trace simulator.
-//   - plan — the planning API: the Strategy interface and the name-keyed
-//     registry ("revolve", "periodic", "logspaced", "sequential", "storeall",
-//     "twolevel", "auto") through which every caller selects a planner.
+//   - schedule — the schedule vocabulary: the Action type, the one Schedule
+//     type every planner emits and every executor runs, and the Validator
+//     that alone decides whether an action is legal (behind Run, PeakBytes
+//     and the chain executor).
+//   - plan — the planning API: Build(name, spec, Options{...}) over one
+//     static table of strategies ("revolve", "periodic", "logspaced",
+//     "sequential", "storeall", "twolevel", "auto").
 //   - store — the pluggable checkpoint stores: RAM references, the bit-exact
 //     disk codec, and the tiered store that really spills flash-tier slots.
 //   - ckpt — the durable checkpoint format and crash-safe resume engine: a
@@ -51,8 +52,8 @@
 // forward and backward passes, so checkpointed backpropagation is validated
 // against real gradients), checkpoint (the Revolve / binomial schedules, the
 // checkpoint_sequential baseline and the recompute-factor search behind
-// Figure 1, registered into plan), chain (the executor that runs real
-// networks under any schedule and reproduces baseline gradients exactly),
+// Figure 1, listed in plan's strategy table), chain (the executor that runs
+// real networks under any schedule and reproduces baseline gradients exactly),
 // resnet and memmodel (the ResNet specifications and the analytical memory
 // model behind Tables I-III), and device, edgesim, vision and teacher (the
 // Waggle / Array-of-Things context: node profiles, the fleet-scale

@@ -60,13 +60,13 @@ func main() {
 		float64(budget)/1e3, storeAll <= budget)
 
 	spec := plan.ChainSpec{Length: cSpill.Len(), WeightBytes: weights, ActivationBytes: x.Bytes()}
-	choice, err := plan.AutoSelect(spec, plan.WithMemoryBudget(budget))
+	choice, err := plan.AutoSelect(spec, plan.Options{MemoryBudget: budget})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("planner choice:", choice)
 
-	sched, err := plan.Build("auto", spec, plan.WithMemoryBudget(budget))
+	sched, err := plan.Build("auto", spec, plan.Options{MemoryBudget: budget})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nexecuted %s in %s\n", sched.Policy(), ts.Dir())
+	fmt.Printf("\nexecuted %s in %s\n", sched.Policy, ts.Dir())
 	fmt.Printf("  resident peak: %.0f kB states (+%.0f kB weights = %.0f kB, under budget: %v)\n",
 		float64(res.PeakStateBytes)/1e3, float64(weights)/1e3,
 		float64(weights+res.PeakStateBytes)/1e3, weights+res.PeakStateBytes <= budget)

@@ -73,7 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sched, err := plan.Build("revolve", plan.ChainSpec{Length: ckChain.Len()}, plan.WithSlots(2))
+	sched, err := plan.Build("revolve", plan.ChainSpec{Length: ckChain.Len()}, plan.Options{Slots: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,12 +7,13 @@
 // Every worker owns a device profile (internal/device), a RAM byte budget
 // that drives plan.AutoSelect independently per worker — so a Jetson-class
 // and a Raspberry-class node pick different checkpoint strategies for the
-// same network — its own tiered spill store (package store), and a
-// contiguous, non-IID shard of the dataset (trainer.Shard). Workers compute
-// concurrently, one goroutine each; an Aggregator merges their round results
-// into the global model with a deterministic fold, so the trained weights
-// are bit-identical at any worker scheduling, any parallel.SetWorkers /
-// EDGETRAIN_WORKERS setting, and across repeated runs with the same seed.
+// same network — its own tiered spill store (package store) when that
+// strategy has a flash tier, and a contiguous, non-IID shard of the dataset
+// (trainer.Shard). Workers compute concurrently, one goroutine each; an
+// Aggregator merges their round results into the global model with a
+// deterministic fold, so the trained weights are bit-identical at any worker
+// scheduling, any parallel.SetWorkers / EDGETRAIN_WORKERS setting, and across
+// repeated runs with the same seed.
 //
 // Two aggregation modes ship with the package: FedAvg (sample-weighted
 // parameter averaging after local training) and GradAllReduce (synchronous
@@ -139,8 +140,9 @@ type Worker struct {
 	samplesDone int64 // samples behind those updates
 }
 
-// Policy returns the worker's checkpointing policy (budget-aware, routed
-// through its tiered spill store), for custom Aggregator implementations.
+// Policy returns the worker's checkpointing policy (the strategy its budget
+// selected, routed through its tiered spill store when it has a flash tier),
+// for custom Aggregator implementations.
 func (w *Worker) Policy() chain.Policy { return w.policy }
 
 // LocalEpochs returns the worker's per-round local epoch count.
@@ -324,9 +326,9 @@ func (w *Worker) AddProgress(rounds, samples int64) {
 	w.samplesDone += samples
 }
 
-// configurePlanning sizes the worker's budget-aware checkpoint policy from
-// its shard and budget, runs the auto selection once so the report can show
-// what the budget picked, and attaches the tiered spill store.
+// configurePlanning runs the budget-aware selection once, from the worker's
+// shard and budget: the report shows the choice, every step executes exactly
+// it, and only a choice with a flash tier gets a spill store.
 func (w *Worker) configurePlanning() error {
 	if w.Shard.Len() == 0 {
 		// An idle worker never executes a step; keep the zero Choice and the
@@ -346,26 +348,19 @@ func (w *Worker) configurePlanning() error {
 		WeightBytes:     2 * nn.ParamBytes(w.Chain.Stages),
 		ActivationBytes: probe.Images.Bytes(),
 	}
-	var opts []plan.Option
-	if w.Spec.BudgetBytes > 0 {
-		opts = append(opts, plan.WithMemoryBudget(w.Spec.BudgetBytes))
-	}
-	choice, err := plan.AutoSelect(spec, opts...)
+	choice, err := plan.AutoSelect(spec, plan.Options{MemoryBudget: w.Spec.BudgetBytes})
 	if err != nil {
 		return fmt.Errorf("fleet: %s (budget %d bytes): %w", w.Spec.Name, w.Spec.BudgetBytes, err)
 	}
 	w.Choice = choice
-	spill, err := store.NewTiered(w.Spec.SpillDir)
-	if err != nil {
-		return fmt.Errorf("fleet: %s spill store: %w", w.Spec.Name, err)
-	}
-	w.spill = spill
-	w.policy = chain.Policy{
-		Kind:            "auto",
-		MemoryBudget:    w.Spec.BudgetBytes,
-		WeightBytes:     spec.WeightBytes,
-		ActivationBytes: spec.ActivationBytes,
-		Store:           spill,
+	w.policy = chain.Policy{Kind: choice.Strategy, Slots: choice.Slots, DiskSlots: choice.DiskSlots}
+	if choice.DiskSlots > 0 {
+		spill, err := store.NewTiered(w.Spec.SpillDir)
+		if err != nil {
+			return fmt.Errorf("fleet: %s spill store: %w", w.Spec.Name, err)
+		}
+		w.spill = spill
+		w.policy.Store = spill
 	}
 	return nil
 }

@@ -347,3 +347,71 @@ func TestNewFleetValidation(t *testing.T) {
 		t.Error("non-deterministic model factory accepted")
 	}
 }
+
+// countingLayer counts the forwards that reach the layer it wraps.
+type countingLayer struct {
+	nn.Layer
+	forwards *int
+}
+
+func (c countingLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	*c.forwards++
+	return c.Layer.Forward(x, train)
+}
+
+// TestWorkerExecutesItsChoice pins that a worker runs the strategy its budget
+// selected, resolved once: on a Waggle-class 2 GB budget the choice is
+// store-all and a step is plain backpropagation — exactly L stage forwards,
+// no spill store — where it used to re-derive the choice every step and run
+// the store-all schedule through the recomputing executor (2L-1 forwards).
+// The same model on a tight budget still picks twolevel and really spills.
+func TestWorkerExecutesItsChoice(t *testing.T) {
+	forwards := 0
+	base := mlpFactory(21)
+	factory := func() (*chain.Chain, error) {
+		c, err := base()
+		if err != nil {
+			return nil, err
+		}
+		for i, s := range c.Stages {
+			c.Stages[i] = countingLayer{s, &forwards}
+		}
+		return c, nil
+	}
+	ds := makeDataset(4, 9)
+	agg, err := NewAggregator("allreduce", trainer.NewSGD(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(spec WorkerSpec) (*Worker, Update) {
+		w, err := NewWorker(spec, 0, 1, factory, ds, 0, 1, trainer.NewSGD(0.05))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		forwards = 0
+		u, err := agg.Local(w, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w, u
+	}
+
+	roomy, u := step(WorkerSpec{Device: device.Waggle()})
+	l := roomy.Chain.Len()
+	if roomy.Choice.Strategy != "storeall" || roomy.Policy().Store != nil {
+		t.Fatalf("2 GB budget: choice %q, store %v; want storeall without a spill store", roomy.Choice.Strategy, roomy.Policy().Store)
+	}
+	if forwards != l || u.DiskWrites != 0 {
+		t.Fatalf("2 GB budget: %d stage forwards and %d spills in one step, want %d and 0", forwards, u.DiskWrites, l)
+	}
+
+	tight, u := step(WorkerSpec{Device: device.RaspberryPi(), BudgetBytes: budgetFor(t, base, 4, 3.5)})
+	if tight.Choice.Strategy != "twolevel" || tight.Policy().Store == nil {
+		t.Fatalf("tight budget: choice %q, store %v; want twolevel with a spill store", tight.Choice.Strategy, tight.Policy().Store)
+	}
+	if u.DiskWrites != tight.Choice.DiskSlots || forwards <= l {
+		t.Fatalf("tight budget: %d spills (plan has %d flash slots), %d forwards for %d stages",
+			u.DiskWrites, tight.Choice.DiskSlots, forwards, l)
+	}
+}

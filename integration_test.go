@@ -146,22 +146,22 @@ func TestVersionIsSet(t *testing.T) {
 }
 
 // TestRootAPIPlansEveryStrategy drives the public planning surface the way
-// an external caller would: enumerate the registry, plan each strategy by
-// name, and validate the schedule through the streaming trace simulator.
+// an external caller would: enumerate the strategies, plan each by name, and
+// validate the schedule through the trace simulator.
 func TestRootAPIPlansEveryStrategy(t *testing.T) {
 	names := plan.Strategies()
 	if len(names) < 6 {
 		t.Fatalf("expected at least the six built-in strategies, got %v", names)
 	}
 	spec := plan.ChainSpec{Length: 24}
-	opts := map[string][]plan.Option{
-		"revolve":    {plan.WithSlots(3)},
-		"sequential": {plan.WithSegments(4)},
-		"periodic":   {plan.WithInterval(5)},
-		"twolevel":   {plan.WithSlots(2), plan.WithDiskSlots(3)},
+	opts := map[string]plan.Options{
+		"revolve":    {Slots: 3},
+		"sequential": {Segments: 4},
+		"periodic":   {Interval: 5},
+		"twolevel":   {Slots: 2, DiskSlots: 3},
 	}
 	for _, name := range names {
-		sched, err := plan.Build(name, spec, opts[name]...)
+		sched, err := plan.Build(name, spec, opts[name])
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -173,12 +173,12 @@ func TestRootAPIPlansEveryStrategy(t *testing.T) {
 			t.Fatalf("%s: %d adjoints performed, want %d", name, len(tr.BackpropOrder), spec.Length)
 		}
 	}
-	if _, err := plan.Lookup("no-such-strategy"); err == nil {
-		t.Fatal("Lookup of an unknown strategy must fail")
+	if _, err := plan.Build("no-such-strategy", spec, plan.Options{}); err == nil {
+		t.Fatal("building an unknown strategy must fail")
 	}
 }
 
-// TestRootAPIExecutesRegistrySchedule runs a registry-planned schedule on a
+// TestRootAPIExecutesRegistrySchedule runs a schedule planned by name on a
 // real network through the chain executor and cross-checks the executor's
 // forward count against the schedule trace — the full public path from
 // strategy name to gradients.
@@ -189,7 +189,7 @@ func TestRootAPIExecutesRegistrySchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := chain.FromSequential(net)
-	sched, err := plan.Build("revolve", plan.ChainSpec{Length: c.Len()}, plan.WithSlots(2))
+	sched, err := plan.Build("revolve", plan.ChainSpec{Length: c.Len()}, plan.Options{Slots: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 // Package chain executes real neural networks (built from internal/nn
-// layers) under a checkpointing schedule from internal/checkpoint. It is the
-// bridge between the paper's scheduling theory and an actual training step:
-// the executor re-runs stage forwards exactly where the schedule says to,
-// retains only the states the schedule snapshots, and produces gradients that
-// are identical to plain backpropagation.
+// layers) under a checkpointing schedule.Schedule, planned by name through
+// package plan (Policy.Plan). It is the bridge between the paper's scheduling
+// theory and an actual training step: the executor re-runs stage forwards
+// exactly where the schedule says to, retains only the states the schedule
+// snapshots, and produces gradients that are identical to plain
+// backpropagation. It holds no legality rules of its own: every action is
+// applied to a schedule.Validator before it is executed.
 //
 // The recompute sweeps run on the parallel kernel engine in internal/tensor:
 // every stage forward re-executed by an Advance action goes through the same
@@ -115,9 +117,8 @@ var ErrNoLossGrad = errors.New("chain: nil loss-gradient callback")
 // in-RAM tensor reference. Parameter gradients are accumulated into the
 // stages' Params; the caller applies the optimiser.
 //
-// The schedule is consumed as a stream, so lazily generated plans execute
-// identically to materialized ones. Its length must equal the chain length.
-// train selects the layers' training mode (batch statistics for batch norm).
+// The schedule's length must equal the chain length. train selects the
+// layers' training mode (batch statistics for batch norm).
 func Execute(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched schedule.Schedule, train bool) (*Result, error) {
 	return ExecuteWithStore(c, x, lossGrad, sched, store.NewRAM(), train)
 }
@@ -130,6 +131,11 @@ func Execute(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched schedule.S
 // spilled tier. The store is left empty on success (a valid schedule frees
 // every slot) and is not closed, so one store can serve a whole training run
 // while its Stats accumulate.
+//
+// Every action is applied to a schedule.Validator before it is executed, so
+// the executor runs exactly the list schedule.Run accepts: an illegal action
+// is refused before it touches a layer or the store, and the slots occupied
+// so far are released.
 func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched schedule.Schedule, st store.Store, train bool) (*Result, error) {
 	if lossGrad == nil {
 		return nil, ErrNoLossGrad
@@ -137,8 +143,8 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 	if st == nil {
 		return nil, errors.New("chain: nil checkpoint store")
 	}
-	if sched.Length() != c.Len() {
-		return nil, fmt.Errorf("chain: schedule length %d does not match chain length %d", sched.Length(), c.Len())
+	if sched.Length != c.Len() {
+		return nil, fmt.Errorf("chain: schedule length %d does not match chain length %d", sched.Length, c.Len())
 	}
 	l := c.Len()
 	res := &Result{}
@@ -153,16 +159,12 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 		stepStart = time.Now()
 	}
 
-	// Working state and checkpoint slots. State index i means x_i (the output
-	// of stage i); index 0 is the chain input. The tensors themselves live in
-	// the store; the executor only tracks which state index occupies a slot.
+	// The validator tracks the working state's index, each slot's state and
+	// the pending adjoint; the tensors live in the store, and the executor
+	// only remembers which slots it put there.
+	v := schedule.NewValidator(l, sched.Slots)
 	current := x
-	currentIdx := 0
-	slotIdx := make([]int, sched.Slots())
-	for i := range slotIdx {
-		slotIdx[i] = -1
-	}
-	occupied := 0
+	held := map[int]bool{}
 	startRAM := st.BytesResident() // pre-existing residency of a reused store
 	startStats := st.Stats()       // accounting baseline, so a reused store reports per-step deltas
 
@@ -170,10 +172,8 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 	// error, so a reused store is not left poisoned ("slot already
 	// occupied") and spill files do not leak past the failed step.
 	fail := func(err error) (*Result, error) {
-		for slot, idx := range slotIdx {
-			if idx != -1 {
-				st.Free(slot) // best effort; the original error wins
-			}
+		for slot := range held {
+			st.Free(slot) // best effort; the original error wins
 		}
 		return nil, err
 	}
@@ -183,9 +183,6 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 	// state unless it aliases one of those (the RAM store keeps references,
 	// so a just-snapshotted or just-restored state must not count twice).
 	trackPeak := func() {
-		if states := 1 + occupied; states > res.PeakStates {
-			res.PeakStates = states
-		}
 		bytes := x.Bytes() + st.BytesResident() - startRAM
 		if current != x && !st.Holds(current) {
 			bytes += current.Bytes()
@@ -196,7 +193,6 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 	}
 	trackPeak()
 
-	pending := l                // next adjoint step
 	var upstream *tensor.Tensor // gradient flowing into the pending stage
 
 	// Batch-norm running statistics must advance once per step, as they do
@@ -213,17 +209,18 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 		return out
 	}
 
-	ai := 0
-	for a := range sched.Actions() {
+	for i, a := range sched.Actions {
+		if err := v.Apply(a); err != nil {
+			return fail(fmt.Errorf("chain: %w", err))
+		}
 		switch a.Kind {
 		case schedule.ActionAdvance:
 			var t0 time.Time
 			if om.on {
 				t0 = time.Now()
 			}
-			for s := 0; s < a.Steps; s++ {
-				current = runForward(currentIdx+1, current)
-				currentIdx++
+			for stage := v.State() - a.Steps + 1; stage <= v.State(); stage++ {
+				current = runForward(stage, current)
 				res.ForwardEvals++
 				trackPeak()
 			}
@@ -231,14 +228,10 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 				fwdDur += time.Since(t0)
 			}
 		case schedule.ActionSnapshot:
-			if a.Slot < 0 || a.Slot >= len(slotIdx) {
-				return fail(fmt.Errorf("chain: action %d: slot %d out of range", ai, a.Slot))
-			}
 			if err := st.Put(a.Slot, a.Tier, current); err != nil {
-				return fail(fmt.Errorf("chain: action %d: %w", ai, err))
+				return fail(fmt.Errorf("chain: action %d (%s): %w", i, a, err))
 			}
-			slotIdx[a.Slot] = currentIdx
-			occupied++
+			held[a.Slot] = true
 			// Disk residency only grows on Put, so sampling here captures
 			// this step's flash peak even on a reused store.
 			if d := st.Stats().DiskBytes - startStats.DiskBytes; d > res.PeakDiskBytes {
@@ -247,34 +240,21 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 			trackPeak()
 		case schedule.ActionRestore:
 			if a.Slot == schedule.InputSlot {
-				current, currentIdx = x, 0
+				current = x
 			} else {
-				if a.Slot < 0 || a.Slot >= len(slotIdx) || slotIdx[a.Slot] == -1 {
-					return fail(fmt.Errorf("chain: action %d: restore from empty slot %d", ai, a.Slot))
-				}
 				t, err := st.Get(a.Slot)
 				if err != nil {
-					return fail(fmt.Errorf("chain: action %d: %w", ai, err))
+					return fail(fmt.Errorf("chain: action %d (%s): %w", i, a, err))
 				}
-				current, currentIdx = t, slotIdx[a.Slot]
+				current = t
 				trackPeak()
 			}
 		case schedule.ActionFree:
-			if a.Slot < 0 || a.Slot >= len(slotIdx) || slotIdx[a.Slot] == -1 {
-				return fail(fmt.Errorf("chain: action %d: freeing empty slot %d", ai, a.Slot))
-			}
 			if err := st.Free(a.Slot); err != nil {
-				return fail(fmt.Errorf("chain: action %d: %w", ai, err))
+				return fail(fmt.Errorf("chain: action %d (%s): %w", i, a, err))
 			}
-			slotIdx[a.Slot] = -1
-			occupied--
+			delete(held, a.Slot)
 		case schedule.ActionBackprop:
-			if pending == 0 {
-				return fail(fmt.Errorf("chain: action %d: no adjoint steps left", ai))
-			}
-			if currentIdx != pending-1 {
-				return fail(fmt.Errorf("chain: action %d: adjoint of stage %d needs state %d, have %d", ai, pending, pending-1, currentIdx))
-			}
 			// The adjoint of a stage always re-runs its forward so the layer's
 			// internal cache corresponds to the correct input, then applies
 			// the layer backward.
@@ -282,28 +262,27 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 			if om.on {
 				t0 = time.Now()
 			}
-			out := runForward(pending, current)
+			stage := v.Pending() + 1
+			out := runForward(stage, current)
 			res.BackwardEvals++
-			if pending == l {
+			if stage == l {
 				res.Output = out
 				upstream = lossGrad(out)
 				if upstream == nil {
 					return fail(fmt.Errorf("chain: loss-gradient callback returned nil"))
 				}
 			}
-			upstream = c.Stages[pending-1].Backward(upstream)
-			pending--
+			upstream = c.Stages[stage-1].Backward(upstream)
 			if om.on {
 				bwdDur += time.Since(t0)
 			}
-		default:
-			return fail(fmt.Errorf("chain: action %d: unknown kind %d", ai, a.Kind))
 		}
-		ai++
 	}
-	if pending != 0 {
-		return fail(fmt.Errorf("chain: schedule left %d adjoint steps unexecuted", pending))
+	tr, err := v.Finish()
+	if err != nil {
+		return fail(fmt.Errorf("chain: %w", err))
 	}
+	res.PeakStates = 1 + tr.PeakSlots
 	res.InputGrad = upstream
 	stats := st.Stats()
 	res.DiskWrites = stats.DiskWrites - startStats.DiskWrites
@@ -384,12 +363,11 @@ func ExecutePlain(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, train bool)
 }
 
 // Policy selects how Step plans its checkpointing schedule. Kind names a
-// strategy in the public plan registry; the remaining fields are forwarded as
-// the matching plan options.
+// strategy of the public plan package; the remaining fields are its tunables.
 type Policy struct {
-	// Kind is a registered strategy name ("storeall", "revolve", "sequential",
-	// "periodic", "logspaced", "twolevel"). The legacy spelling "store-all"
-	// and the empty string select "storeall".
+	// Kind is a strategy name ("storeall", "revolve", "sequential",
+	// "periodic", "logspaced", "twolevel", "auto"). The legacy spelling
+	// "store-all" and the empty string select "storeall".
 	Kind string
 	// Slots is the checkpoint budget for "revolve" (and the RAM tier of
 	// "twolevel").
@@ -403,7 +381,8 @@ type Policy struct {
 	// Rho, when positive, is a recompute budget from which strategies derive
 	// their memory tunable (e.g. "revolve" with Slots == 0).
 	Rho float64
-	// Cost is the cost model used for the Rho-based selection.
+	// Cost is the cost model used for the Rho-based selection; a zero
+	// BackwardRatio selects the default.
 	Cost checkpoint.CostModel
 	// MemoryBudget, when positive, is the RAM byte budget handed to
 	// budget-aware strategies ("auto" selects and parametrizes the cheapest
@@ -425,10 +404,8 @@ type Policy struct {
 	Store store.Store
 }
 
-// strategyName normalises the policy kind to a registry name. Only the
-// legacy spelling "store-all" (and the empty default) is rewritten; every
-// other kind is passed through verbatim so user-registered strategies with
-// any name keep working.
+// strategyName normalises the policy kind to a plan strategy name: the
+// legacy spelling "store-all" and the empty default mean "storeall".
 func (p Policy) strategyName() string {
 	switch p.Kind {
 	case "", "store-all":
@@ -438,54 +415,53 @@ func (p Policy) strategyName() string {
 	}
 }
 
-// Plan materialises the policy into a schedule for a chain of length l by
-// looking the strategy up in the public plan registry.
+// spec and options are the policy's two halves as the plan package takes
+// them: the chain's shape and the strategy's tunables.
+func (p Policy) spec(l int) plan.ChainSpec {
+	return plan.ChainSpec{Length: l, WeightBytes: p.WeightBytes, ActivationBytes: p.ActivationBytes}
+}
+
+func (p Policy) options() plan.Options {
+	return plan.Options{
+		Slots:         p.Slots,
+		Segments:      p.Segments,
+		Interval:      p.Interval,
+		DiskSlots:     p.DiskSlots,
+		Rho:           p.Rho,
+		BackwardRatio: p.Cost.BackwardRatio,
+		MemoryBudget:  p.MemoryBudget,
+	}
+}
+
+// Plan builds the policy's schedule for a chain of length l.
 func (p Policy) Plan(l int) (schedule.Schedule, error) {
-	var opts []plan.Option
-	if p.Slots > 0 {
-		opts = append(opts, plan.WithSlots(p.Slots))
-	}
-	if p.Segments > 0 {
-		opts = append(opts, plan.WithSegments(p.Segments))
-	}
-	if p.Interval > 0 {
-		opts = append(opts, plan.WithInterval(p.Interval))
-	}
-	if p.DiskSlots > 0 {
-		opts = append(opts, plan.WithDiskSlots(p.DiskSlots))
-	}
-	if p.Rho > 0 {
-		opts = append(opts, plan.WithRho(p.Rho))
-	}
-	if p.Cost.BackwardRatio > 0 {
-		opts = append(opts, plan.WithBackwardRatio(p.Cost.BackwardRatio))
-	}
-	if p.MemoryBudget > 0 {
-		opts = append(opts, plan.WithMemoryBudget(p.MemoryBudget))
-	}
-	spec := plan.ChainSpec{
-		Length:          l,
-		WeightBytes:     p.WeightBytes,
-		ActivationBytes: p.ActivationBytes,
-	}
-	return plan.Build(p.strategyName(), spec, opts...)
+	return plan.Build(p.strategyName(), p.spec(l), p.options())
 }
 
 // Step plans a schedule for the chain according to the policy and executes
-// it. A store-all policy without a store uses ExecutePlain; a policy with a
-// Store routes the checkpoints through it. For budget-aware strategies, the
-// chain's memory shape defaults to the live configuration: one stored state
-// is assumed to be the size of the input x (the homogeneous-chain
-// approximation), and the weight state to value+gradient of every parameter.
+// it. An "auto" policy is first resolved to the strategy its budget selects,
+// with the chain's memory shape defaulting to the live configuration: one
+// stored state is assumed to be the size of the input x (the
+// homogeneous-chain approximation), and the weight state to value+gradient of
+// every parameter. Then one rule picks the executor: store-all without a
+// store is plain backpropagation (ExecutePlain); anything else runs its
+// schedule, through the policy's Store when it has one.
 func Step(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, p Policy, train bool) (*Result, error) {
+	if p.strategyName() == "auto" {
+		if p.ActivationBytes == 0 {
+			p.ActivationBytes = x.Bytes()
+		}
+		if p.WeightBytes == 0 {
+			p.WeightBytes = 2 * nn.ParamBytes(c.Stages)
+		}
+		choice, err := plan.AutoSelect(p.spec(c.Len()), p.options())
+		if err != nil {
+			return nil, err
+		}
+		p.Kind, p.Slots, p.DiskSlots = choice.Strategy, choice.Slots, choice.DiskSlots
+	}
 	if p.strategyName() == "storeall" && p.Store == nil {
 		return ExecutePlain(c, x, lossGrad, train)
-	}
-	if p.ActivationBytes == 0 {
-		p.ActivationBytes = x.Bytes()
-	}
-	if p.WeightBytes == 0 {
-		p.WeightBytes = 2 * nn.ParamBytes(c.Stages)
 	}
 	sched, err := p.Plan(c.Len())
 	if err != nil {

@@ -13,11 +13,11 @@ import (
 	"github.com/edgeml/edgetrain/schedule"
 )
 
-// buildSched plans a schedule through the public registry for a chain of
+// buildSched plans a schedule through the public plan package for a chain of
 // length l.
-func buildSched(t testing.TB, strategy string, l int, opts ...plan.Option) schedule.Schedule {
+func buildSched(t testing.TB, strategy string, l int, o plan.Options) schedule.Schedule {
 	t.Helper()
-	s, err := plan.Build(strategy, plan.ChainSpec{Length: l}, opts...)
+	s, err := plan.Build(strategy, plan.ChainSpec{Length: l}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,17 +85,17 @@ func TestCheckpointedGradientsMatchPlain(t *testing.T) {
 	policies := []struct {
 		name     string
 		strategy string
-		opts     []plan.Option
+		opts     plan.Options
 	}{
-		{"revolve-1", "revolve", []plan.Option{plan.WithSlots(1)}},
-		{"revolve-2", "revolve", []plan.Option{plan.WithSlots(2)}},
-		{"revolve-3", "revolve", []plan.Option{plan.WithSlots(3)}},
-		{"sequential-2", "sequential", []plan.Option{plan.WithSegments(2)}},
-		{"sequential-3", "sequential", []plan.Option{plan.WithSegments(3)}},
-		{"periodic-3", "periodic", []plan.Option{plan.WithInterval(3)}},
-		{"logspaced", "logspaced", nil},
-		{"twolevel-2-1", "twolevel", []plan.Option{plan.WithSlots(1), plan.WithDiskSlots(2)}},
-		{"store-all", "storeall", nil},
+		{"revolve-1", "revolve", plan.Options{Slots: 1}},
+		{"revolve-2", "revolve", plan.Options{Slots: 2}},
+		{"revolve-3", "revolve", plan.Options{Slots: 3}},
+		{"sequential-2", "sequential", plan.Options{Segments: 2}},
+		{"sequential-3", "sequential", plan.Options{Segments: 3}},
+		{"periodic-3", "periodic", plan.Options{Interval: 3}},
+		{"logspaced", "logspaced", plan.Options{}},
+		{"twolevel-2-1", "twolevel", plan.Options{Slots: 1, DiskSlots: 2}},
+		{"store-all", "storeall", plan.Options{}},
 	}
 	for _, pol := range policies {
 		t.Run(pol.name, func(t *testing.T) {
@@ -111,7 +111,7 @@ func TestCheckpointedGradientsMatchPlain(t *testing.T) {
 			}
 			wantGrads := gradSnapshot(cPlain)
 
-			sched := buildSched(t, pol.strategy, cCheck.Len(), pol.opts...)
+			sched := buildSched(t, pol.strategy, cCheck.Len(), pol.opts)
 			got, err := Execute(cCheck, x, loss, sched, true)
 			if err != nil {
 				t.Fatal(err)
@@ -140,12 +140,12 @@ func TestCheckpointedMemoryAndRecomputeTradeoff(t *testing.T) {
 	cMany, _ := buildTestChain(5)
 	loss := fixedLossGrad(3)
 
-	schedFew := buildSched(t, "revolve", cFew.Len(), plan.WithSlots(1))
+	schedFew := buildSched(t, "revolve", cFew.Len(), plan.Options{Slots: 1})
 	few, err := Execute(cFew, x, loss, schedFew, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	schedMany := buildSched(t, "revolve", cMany.Len(), plan.WithSlots(cMany.Len()-1))
+	schedMany := buildSched(t, "revolve", cMany.Len(), plan.Options{Slots: cMany.Len() - 1})
 	many, err := Execute(cMany, x, loss, schedMany, true)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestCheckpointedMemoryAndRecomputeTradeoff(t *testing.T) {
 
 func TestExecuteForwardCountMatchesScheduleTrace(t *testing.T) {
 	c, x := buildTestChain(11)
-	sched := buildSched(t, "revolve", c.Len(), plan.WithSlots(2))
+	sched := buildSched(t, "revolve", c.Len(), plan.Options{Slots: 2})
 	tr, err := schedule.Run(sched)
 	if err != nil {
 		t.Fatal(err)
@@ -185,11 +185,11 @@ func TestExecuteForwardCountMatchesScheduleTrace(t *testing.T) {
 
 func TestExecuteErrors(t *testing.T) {
 	c, x := buildTestChain(13)
-	sched := buildSched(t, "revolve", c.Len(), plan.WithSlots(2))
+	sched := buildSched(t, "revolve", c.Len(), plan.Options{Slots: 2})
 	if _, err := Execute(c, x, nil, sched, true); err == nil {
 		t.Fatal("nil loss gradient accepted")
 	}
-	bad := buildSched(t, "revolve", c.Len()+1, plan.WithSlots(2))
+	bad := buildSched(t, "revolve", c.Len()+1, plan.Options{Slots: 2})
 	if _, err := Execute(c, x, fixedLossGrad(1), bad, true); err == nil {
 		t.Fatal("mismatched schedule length accepted")
 	}
@@ -219,25 +219,6 @@ func TestPolicyPlan(t *testing.T) {
 	}
 	if _, err := (Policy{}).Plan(10); err != nil {
 		t.Fatal("default policy should be store-all")
-	}
-}
-
-// hyphenStrategy delegates to storeall; it exists to pin that Policy.Kind is
-// passed to the registry verbatim, hyphens included.
-type hyphenStrategy struct{}
-
-func (hyphenStrategy) Plan(spec plan.ChainSpec, opts ...plan.Option) (schedule.Schedule, error) {
-	return plan.Build("storeall", spec)
-}
-
-func (hyphenStrategy) Describe() plan.StrategyInfo {
-	return plan.StrategyInfo{Name: "custom-hyphenated", Description: "test strategy"}
-}
-
-func TestPolicyKindWithHyphenReachesRegistry(t *testing.T) {
-	plan.Register("custom-hyphenated", hyphenStrategy{})
-	if _, err := (Policy{Kind: "custom-hyphenated"}).Plan(10); err != nil {
-		t.Fatalf("hyphenated registered strategy not reachable through Policy: %v", err)
 	}
 }
 
@@ -307,7 +288,7 @@ func TestSmallResNetUnderCheckpointing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := buildSched(t, "revolve", chainB.Len(), plan.WithSlots(2))
+	sched := buildSched(t, "revolve", chainB.Len(), plan.Options{Slots: 2})
 	ck, err := Execute(chainB, x, lossGrad, sched, true)
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +331,7 @@ func TestGradientEquivalenceProperty(t *testing.T) {
 			return false
 		}
 		slots := int(slotsRaw%4) + 1
-		sched, err := plan.Build("revolve", plan.ChainSpec{Length: cCheck.Len()}, plan.WithSlots(slots))
+		sched, err := plan.Build("revolve", plan.ChainSpec{Length: cCheck.Len()}, plan.Options{Slots: slots})
 		if err != nil {
 			return false
 		}
@@ -374,7 +355,7 @@ func TestCheckpointedExecuteBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		prev := parallel.SetWorkers(workers)
 		defer parallel.SetWorkers(prev)
 		c, x := buildTestChain(3)
-		sched := buildSched(t, "revolve", c.Len(), plan.WithSlots(2))
+		sched := buildSched(t, "revolve", c.Len(), plan.Options{Slots: 2})
 		c.ZeroGrads()
 		res, err := Execute(c, x, fixedLossGrad(9), sched, true)
 		if err != nil {

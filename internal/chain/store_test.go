@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"os"
 	"reflect"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestPeakStateBytesCountsWorkingState(t *testing.T) {
 	const l, slots = 6, 2
 	c, x := buildUniformChain(29, l)
 	s := x.Bytes()
-	sched := buildSched(t, "revolve", l, plan.WithSlots(slots))
+	sched := buildSched(t, "revolve", l, plan.Options{Slots: slots})
 	res, err := Execute(c, x, fixedLossGrad(5), sched, true)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +68,7 @@ func TestDiskStoreExecutionMatchesRAM(t *testing.T) {
 	cRAM, x := buildUniformChain(31, l)
 	cDisk, _ := buildUniformChain(31, l)
 	loss := fixedLossGrad(17)
-	sched := buildSched(t, "revolve", l, plan.WithSlots(3))
+	sched := buildSched(t, "revolve", l, plan.Options{Slots: 3})
 
 	ram, err := Execute(cRAM, x, loss, sched, true)
 	if err != nil {
@@ -132,7 +133,7 @@ func TestTwoLevelSpillStaysUnderBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ts.Close()
-	sched := buildSched(t, "twolevel", l, plan.WithSlots(ramSlots), plan.WithDiskSlots(diskSlots))
+	sched := buildSched(t, "twolevel", l, plan.Options{Slots: ramSlots, DiskSlots: diskSlots})
 	res, err := ExecuteWithStore(cSpill, x, loss, sched, ts, true)
 	if err != nil {
 		t.Fatal(err)
@@ -216,34 +217,27 @@ func TestStepSpillsDiskTiersByDefault(t *testing.T) {
 	if res.DiskWrites != 3 {
 		t.Fatalf("twolevel policy spilled %d boundaries, want 3", res.DiskWrites)
 	}
+
+	// The other end of the same rule: a roomy budget resolves "auto" to
+	// store-all, and store-all without a store is plain backpropagation (L
+	// forwards, every state retained) — not the store-all schedule, whose
+	// every adjoint re-runs its stage.
+	c3, _ := buildUniformChain(41, l)
+	res, err = Step(c3, x, fixedLossGrad(13), Policy{Kind: "auto", MemoryBudget: weights + int64(l+1)*s}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ForwardEvals != l || res.PeakStates != l+1 || res.DiskWrites != 0 {
+		t.Fatalf("roomy auto budget did not run plain backpropagation: %+v", res)
+	}
 }
 
-// optionProbe captures the Options and ChainSpec a Policy.Plan call hands
-// the registry, so the full field mapping is pinned.
-type optionProbe struct {
-	got     *plan.Options
-	gotSpec *plan.ChainSpec
-}
-
-func (p optionProbe) Plan(spec plan.ChainSpec, opts ...plan.Option) (schedule.Schedule, error) {
-	*p.got = plan.Gather(opts)
-	*p.gotSpec = spec
-	return plan.StoreAllStream(spec.Length), nil
-}
-
-func (p optionProbe) Describe() plan.StrategyInfo {
-	return plan.StrategyInfo{Name: "option-probe", Description: "test probe"}
-}
-
-// TestPolicyOptionMapping is the table-driven Policy→plan.Option mapping
-// test: every Policy field must land in the matching option, zero-valued
-// fields (including Cost.BackwardRatio) must stay unset so strategies apply
-// their defaults, and the memory shape must flow into the ChainSpec.
+// TestPolicyOptionMapping pins the Policy → plan.Options / plan.ChainSpec
+// mapping field by field: every Policy tunable lands in the option of the
+// same meaning, a zero Cost.BackwardRatio stays zero so strategies apply
+// their default, the memory shape flows into the spec — and every built-in
+// strategy planned through a Policy is the schedule plan.Build gives.
 func TestPolicyOptionMapping(t *testing.T) {
-	var got plan.Options
-	var gotSpec plan.ChainSpec
-	plan.Register("option-probe", optionProbe{got: &got, gotSpec: &gotSpec})
-
 	cases := []struct {
 		name string
 		pol  Policy
@@ -257,8 +251,6 @@ func TestPolicyOptionMapping(t *testing.T) {
 		{"rho", Policy{Rho: 1.5}, plan.Options{Rho: 1.5}},
 		{"memory budget", Policy{MemoryBudget: 1 << 20}, plan.Options{MemoryBudget: 1 << 20}},
 		{"explicit backward ratio", Policy{Cost: checkpoint.CostModel{BackwardRatio: 3}}, plan.Options{BackwardRatio: 3}},
-		// A zero BackwardRatio means "use the default": it must NOT be
-		// forwarded as an explicit option.
 		{"zero backward ratio stays unset", Policy{Cost: checkpoint.CostModel{}}, plan.Options{}},
 		{"default cost model forwards its ratio", Policy{Cost: checkpoint.DefaultCostModel}, plan.Options{BackwardRatio: 2}},
 		{"everything at once",
@@ -269,43 +261,27 @@ func TestPolicyOptionMapping(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, gotSpec = plan.Options{}, plan.ChainSpec{}
-			tc.pol.Kind = "option-probe"
-			if _, err := tc.pol.Plan(12); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, tc.want) {
+			if got := tc.pol.options(); got != tc.want {
 				t.Fatalf("options mismatch:\n got  %+v\n want %+v", got, tc.want)
-			}
-			if gotSpec.Length != 12 {
-				t.Fatalf("spec length %d, want 12", gotSpec.Length)
 			}
 		})
 	}
 
-	// The memory shape flows into the spec.
-	got, gotSpec = plan.Options{}, plan.ChainSpec{}
-	pol := Policy{Kind: "option-probe", WeightBytes: 1000, ActivationBytes: 64}
-	if _, err := pol.Plan(9); err != nil {
-		t.Fatal(err)
-	}
-	if gotSpec.WeightBytes != 1000 || gotSpec.ActivationBytes != 64 || gotSpec.Length != 9 {
-		t.Fatalf("spec mapping wrong: %+v", gotSpec)
+	pol := Policy{WeightBytes: 1000, ActivationBytes: 64}
+	if got, want := pol.spec(9), (plan.ChainSpec{Length: 9, WeightBytes: 1000, ActivationBytes: 64}); got != want {
+		t.Fatalf("spec mapping wrong: %+v", got)
 	}
 
-	// And every built-in strategy is reachable through the same mapping:
-	// the policy-planned schedule must trace identically to the directly
-	// built one.
 	builtins := []struct {
 		pol  Policy
-		opts []plan.Option
+		opts plan.Options
 	}{
-		{Policy{Kind: "storeall"}, nil},
-		{Policy{Kind: "revolve", Slots: 3}, []plan.Option{plan.WithSlots(3)}},
-		{Policy{Kind: "sequential", Segments: 3}, []plan.Option{plan.WithSegments(3)}},
-		{Policy{Kind: "periodic", Interval: 4}, []plan.Option{plan.WithInterval(4)}},
-		{Policy{Kind: "logspaced"}, nil},
-		{Policy{Kind: "twolevel", Slots: 2, DiskSlots: 3}, []plan.Option{plan.WithSlots(2), plan.WithDiskSlots(3)}},
+		{Policy{Kind: "storeall"}, plan.Options{}},
+		{Policy{Kind: "revolve", Slots: 3}, plan.Options{Slots: 3}},
+		{Policy{Kind: "sequential", Segments: 3}, plan.Options{Segments: 3}},
+		{Policy{Kind: "periodic", Interval: 4}, plan.Options{Interval: 4}},
+		{Policy{Kind: "logspaced"}, plan.Options{}},
+		{Policy{Kind: "twolevel", Slots: 2, DiskSlots: 3}, plan.Options{Slots: 2, DiskSlots: 3}},
 	}
 	const l = 14
 	for _, b := range builtins {
@@ -314,21 +290,96 @@ func TestPolicyOptionMapping(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, err := plan.Build(b.pol.Kind, plan.ChainSpec{Length: l}, b.opts...)
+			direct, err := plan.Build(b.pol.Kind, plan.ChainSpec{Length: l}, b.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			trP, err := schedule.Run(fromPolicy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			trD, err := schedule.Run(direct)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(trP, trD) {
-				t.Fatalf("policy-planned trace differs from direct plan:\n policy %+v\n direct %+v", trP, trD)
+			if !reflect.DeepEqual(fromPolicy, direct) {
+				t.Fatalf("policy-planned schedule differs from the direct plan:\n policy %v\n direct %v", fromPolicy, direct)
 			}
 		})
+	}
+}
+
+// TestMalformedSchedulesLeaveStoreClean runs one table of malformed schedules
+// through the executor on a reused RAM store and a reused tiered store.
+// schedule.Validator judges every action before it is executed, so each case
+// is refused with an error — none panics; the advance past the chain end used
+// to index past the stages — after its first four actions filled two slots,
+// one of them on flash. The failed step must release what it occupied
+// (resident bytes and the spill directory back where they started), and the
+// next well-formed step on the same store must succeed.
+func TestMalformedSchedulesLeaveStoreClean(t *testing.T) {
+	const l = 5
+	valid, err := Policy{Kind: "twolevel", Slots: 1, DiskSlots: 2}.Plan(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := valid.Actions[len(valid.Actions)-1]; last.Kind != schedule.ActionBackprop {
+		t.Fatalf("test setup: plan ends with %s, not an adjoint", last)
+	}
+	// The prefix leaves the working state at x_2 with slot 0 on flash and
+	// slot 1 in RAM, so every refusal has something to clean up.
+	filled := func(bad ...schedule.Action) schedule.Schedule {
+		actions := []schedule.Action{
+			{Kind: schedule.ActionAdvance, Steps: 1},
+			{Kind: schedule.ActionSnapshot, Slot: 0, Tier: schedule.TierDisk},
+			{Kind: schedule.ActionAdvance, Steps: 1},
+			{Kind: schedule.ActionSnapshot, Slot: 1},
+		}
+		return schedule.Schedule{Length: l, Slots: 3, Policy: "malformed", Actions: append(actions, bad...)}
+	}
+	tooMany, tooFew := valid, valid
+	tooMany.Actions = append(append([]schedule.Action(nil), valid.Actions...), schedule.Action{Kind: schedule.ActionBackprop})
+	tooFew.Actions = valid.Actions[:len(valid.Actions)-1]
+	cases := []struct {
+		name  string
+		sched schedule.Schedule
+	}{
+		{"advance past the end", filled(schedule.Action{Kind: schedule.ActionAdvance, Steps: l})},
+		{"non-positive advance", filled(schedule.Action{Kind: schedule.ActionAdvance})},
+		{"snapshot into an occupied slot", filled(schedule.Action{Kind: schedule.ActionSnapshot, Slot: 1})},
+		{"snapshot into an out-of-range slot", filled(schedule.Action{Kind: schedule.ActionSnapshot, Slot: 7})},
+		{"restore of an empty slot", filled(schedule.Action{Kind: schedule.ActionRestore, Slot: 2})},
+		{"free of an empty slot", filled(schedule.Action{Kind: schedule.ActionFree, Slot: 2})},
+		{"backprop from the wrong state", filled(schedule.Action{Kind: schedule.ActionBackprop})},
+		{"one adjoint too many", tooMany},
+		{"one adjoint too few", tooFew},
+	}
+
+	tiered, err := store.NewTiered(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tiered.Close()
+	spillFiles := func() int {
+		entries, err := os.ReadDir(tiered.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(entries)
+	}
+	for _, st := range []store.Store{store.NewRAM(), tiered} {
+		c, x := buildUniformChain(43, l)
+		startBytes, startFiles := st.BytesResident(), spillFiles()
+		for _, tc := range cases {
+			if _, err := schedule.Run(tc.sched); err == nil {
+				t.Fatalf("%s: test setup: schedule.Run accepts the schedule", tc.name)
+			}
+			res, err := ExecuteWithStore(c, x, fixedLossGrad(3), tc.sched, st, true)
+			if err == nil || res != nil {
+				t.Fatalf("%T, %s: executed without error", st, tc.name)
+			}
+			if got := st.BytesResident(); got != startBytes {
+				t.Fatalf("%T, %s: %d bytes resident after the failed step, %d before", st, tc.name, got, startBytes)
+			}
+			if got := spillFiles(); got != startFiles {
+				t.Fatalf("%T, %s: %d spill files after the failed step, %d before", st, tc.name, got, startFiles)
+			}
+			c.ZeroGrads()
+			if _, err := ExecuteWithStore(c, x, fixedLossGrad(3), valid, st, true); err != nil {
+				t.Fatalf("%T, %s: well-formed step on the same store failed: %v", st, tc.name, err)
+			}
+		}
 	}
 }

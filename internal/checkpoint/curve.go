@@ -1,7 +1,5 @@
 package checkpoint
 
-import "github.com/edgeml/edgetrain/schedule"
-
 // ChainSpec is the homogeneous-chain ("LinearResNet") memory description used
 // by Section VI: a chain of Length equal steps, a fixed weight-related memory
 // cost, and one activation buffer of ActivationBytes per stored state.
@@ -118,13 +116,4 @@ func SequentialMemoryVsRho(cs ChainSpec, rhos []float64, m CostModel) []CurvePoi
 		points = append(points, CurvePoint{Rho: rho, Slots: slots, MemoryBytes: mem, Feasible: ok})
 	}
 	return points
-}
-
-// PeakBytesForSchedule simulates a schedule against a heterogeneous chain
-// whose state i (the output of step i) occupies stateBytes[i] bytes, and
-// returns the peak number of bytes held in checkpoint slots plus the chain
-// input (stateBytes[0]). It delegates to the shared simulator in the public
-// schedule package. stateBytes must have Length+1 entries (states x_0..x_L).
-func PeakBytesForSchedule(s *Schedule, stateBytes []int64) (int64, error) {
-	return schedule.PeakBytes(s.Stream(), stateBytes)
 }

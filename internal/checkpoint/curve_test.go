@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"testing"
 	"testing/quick"
+
+	"github.com/edgeml/edgetrain/schedule"
 )
 
 // testChain is a LinearResNet-152-like chain at batch 8, image 500: roughly
@@ -117,7 +119,7 @@ func TestPeakBytesForSchedule(t *testing.T) {
 	for i := range uniform {
 		uniform[i] = 100
 	}
-	peak, err := PeakBytesForSchedule(sched, uniform)
+	peak, err := schedule.PeakBytes(sched, uniform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestPeakBytesForSchedule(t *testing.T) {
 		hetero[i] = int64(1000 - 90*i)
 		total += hetero[i]
 	}
-	peakH, err := PeakBytesForSchedule(sched, hetero)
+	peakH, err := schedule.PeakBytes(sched, hetero)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +146,7 @@ func TestPeakBytesForSchedule(t *testing.T) {
 		t.Fatalf("heterogeneous peak %d outside [%d, %d]", peakH, hetero[0], total)
 	}
 
-	if _, err := PeakBytesForSchedule(sched, uniform[:5]); err == nil {
+	if _, err := schedule.PeakBytes(sched, uniform[:5]); err == nil {
 		t.Fatal("wrong state-size count should be rejected")
 	}
 }

@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"fmt"
 	"sort"
+
+	"github.com/edgeml/edgetrain/schedule"
 )
 
 // Additional single-level baselines used by the ablation benchmarks: periodic
@@ -15,12 +17,12 @@ import (
 // forward sweep and, during the backward sweep, recomputes the states inside
 // each period from its snapshot (storing them temporarily, like
 // checkpoint_sequential does within a segment).
-func PlanPeriodic(l, k int) (*Schedule, error) {
+func PlanPeriodic(l, k int) (schedule.Schedule, error) {
 	if err := ValidateArgs(l, k); err != nil {
-		return nil, err
+		return schedule.Schedule{}, err
 	}
 	if k < 1 {
-		return nil, fmt.Errorf("checkpoint: periodic interval must be at least 1, got %d", k)
+		return schedule.Schedule{}, fmt.Errorf("checkpoint: periodic interval must be at least 1, got %d", k)
 	}
 	segments := (l + k - 1) / k
 	return PlanSequential(l, segments)
@@ -171,11 +173,11 @@ func CompareBaselines(l int, rho float64, m CostModel) []BaselineComparison {
 // PlanLogSpaced builds an executable schedule for the logarithmic placement:
 // the initial sweep snapshots the states at power-of-two distances from the
 // end, and the backward sweep rebuilds every other state by advancing from
-// the nearest retained state below it. Its Trace().Forwards equals
+// the nearest retained state below it. Its traced Forwards equal
 // LogSpacedForwards(l) and its peak slot usage equals LogSpacedMemorySlots(l).
-func PlanLogSpaced(l int) (*Schedule, error) {
+func PlanLogSpaced(l int) (schedule.Schedule, error) {
 	if err := ValidateArgs(l, 0); err != nil {
-		return nil, err
+		return schedule.Schedule{}, err
 	}
 	states := LogSpacedStates(l)
 	sort.Ints(states)
@@ -186,8 +188,7 @@ func PlanLogSpaced(l int) (*Schedule, error) {
 		if s == 0 {
 			continue
 		}
-		p.emit(Action{Kind: ActionAdvance, Steps: s - p.current})
-		p.current = s
+		p.advanceTo(s)
 		p.snapshot(s)
 	}
 
@@ -206,11 +207,10 @@ func PlanLogSpaced(l int) (*Schedule, error) {
 			}
 			p.restore(from)
 			if from < need {
-				p.emit(Action{Kind: ActionAdvance, Steps: need - from})
-				p.current = need
+				p.advanceTo(need)
 			}
 		}
-		p.emit(Action{Kind: ActionBackprop})
+		p.emit(schedule.Action{Kind: schedule.ActionBackprop})
 	}
 	return p.sched, nil
 }

@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"testing"
 	"testing/quick"
+
+	"github.com/edgeml/edgetrain/schedule"
 )
 
 func TestPlanPeriodicValid(t *testing.T) {
@@ -12,7 +14,7 @@ func TestPlanPeriodicValid(t *testing.T) {
 			if err != nil {
 				t.Fatalf("PlanPeriodic(%d,%d): %v", l, k, err)
 			}
-			tr, err := sched.Trace()
+			tr, err := schedule.Run(sched)
 			if err != nil {
 				t.Fatalf("PlanPeriodic(%d,%d) invalid: %v", l, k, err)
 			}
@@ -117,7 +119,7 @@ func TestPeriodicFormulaMatchesScheduleProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tr, err := sched.Trace()
+		tr, err := schedule.Run(sched)
 		if err != nil {
 			return false
 		}

@@ -2,7 +2,9 @@
 // (binomial / Revolve-style) checkpointing for the backward pass of a
 // sequential chain, the uniform checkpoint_sequential baseline used by
 // PyTorch, and the recompute-factor (rho) budgeted search that Section VI of
-// "Training on the Edge" uses to trade memory for recomputation.
+// "Training on the Edge" uses to trade memory for recomputation. The planners
+// emit schedule.Schedule, the public package's one schedule type, directly;
+// callers outside internal/ reach them by name through package plan.
 //
 // # Conventions
 //

@@ -6,83 +6,9 @@ import (
 	"github.com/edgeml/edgetrain/schedule"
 )
 
-// The action vocabulary is defined once, in the public schedule package; the
-// algorithm layer re-exports it so the planners read naturally and existing
-// internal call sites keep working.
-
-// ActionKind enumerates the primitive operations a schedule is made of.
-type ActionKind = schedule.ActionKind
-
-// The schedule action vocabulary, aliased from the public schedule package.
-const (
-	ActionAdvance  = schedule.ActionAdvance
-	ActionSnapshot = schedule.ActionSnapshot
-	ActionRestore  = schedule.ActionRestore
-	ActionFree     = schedule.ActionFree
-	ActionBackprop = schedule.ActionBackprop
-)
-
-// InputSlot is the pseudo-slot identifier for the chain input x_0.
-const InputSlot = schedule.InputSlot
-
-// Tier identifies the storage medium of a checkpoint slot; see schedule.Tier.
-type Tier = schedule.Tier
-
-// The storage tiers, aliased from the public schedule package.
-const (
-	TierRAM  = schedule.TierRAM
-	TierDisk = schedule.TierDisk
-)
-
-// Action is one primitive operation of a schedule.
-type Action = schedule.Action
-
-// Trace is the result of simulating a schedule; see schedule.Trace.
-type Trace = schedule.Trace
-
-// Schedule is a materialized checkpointing plan for a chain of Length steps
-// using at most Slots checkpoint slots. It is the planners' working
-// representation; Stream() adapts it to the public schedule.Schedule
-// interface consumed by the executor and the tools.
-type Schedule struct {
-	Length  int
-	Slots   int
-	Policy  string // human-readable name of the generating policy
-	Actions []Action
-}
-
-// Stream adapts the materialized plan to the public streaming interface.
-func (s *Schedule) Stream() *schedule.Memory {
-	return schedule.FromActions(s.Length, s.Slots, s.Policy, s.Actions)
-}
-
-// String summarises the schedule.
-func (s *Schedule) String() string {
-	tr, err := s.Trace()
-	if err != nil {
-		return fmt.Sprintf("Schedule(%s, L=%d, slots=%d, INVALID: %v)", s.Policy, s.Length, s.Slots, err)
-	}
-	return fmt.Sprintf("Schedule(%s, L=%d, slots=%d, forwards=%d, peak=%d, actions=%d)",
-		s.Policy, s.Length, s.Slots, tr.Forwards, tr.PeakSlots, len(s.Actions))
-}
-
-// Render returns a multi-line listing of the schedule's actions, useful for
-// inspection from cmd/revolveplan.
-func (s *Schedule) Render() string {
-	return schedule.Render(s.Stream())
-}
-
-// Trace simulates the schedule and verifies that it is a correct reversal of
-// the chain: every adjoint step runs exactly once, in order L..1, with its
-// input state available, never exceeding the slot budget. The simulation is
-// the shared one in the schedule package.
-func (s *Schedule) Trace() (*Trace, error) {
-	return schedule.Run(s.Stream())
-}
-
 // planner carries the mutable state used while emitting a schedule.
 type planner struct {
-	sched     *Schedule
+	sched     schedule.Schedule
 	current   int   // working state the emitted actions would leave us at
 	freeSlots []int // stack of free slot indices
 	slotOf    map[int]int
@@ -90,8 +16,8 @@ type planner struct {
 
 func newPlanner(l, slots int, policy string) *planner {
 	p := &planner{
-		sched:  &Schedule{Length: l, Slots: slots, Policy: policy},
-		slotOf: map[int]int{0: InputSlot},
+		sched:  schedule.Schedule{Length: l, Slots: slots, Policy: policy},
+		slotOf: map[int]int{0: schedule.InputSlot},
 	}
 	for s := slots - 1; s >= 0; s-- {
 		p.freeSlots = append(p.freeSlots, s)
@@ -99,14 +25,20 @@ func newPlanner(l, slots int, policy string) *planner {
 	return p
 }
 
-func (p *planner) emit(a Action) { p.sched.Actions = append(p.sched.Actions, a) }
+func (p *planner) emit(a schedule.Action) { p.sched.Actions = append(p.sched.Actions, a) }
+
+// advanceTo emits the forward steps from the working state to target.
+func (p *planner) advanceTo(target int) {
+	p.emit(schedule.Action{Kind: schedule.ActionAdvance, Steps: target - p.current})
+	p.current = target
+}
 
 func (p *planner) restore(state int) {
 	slot, ok := p.slotOf[state]
 	if !ok {
 		panic(fmt.Sprintf("checkpoint: internal planner error: state %d not stored", state))
 	}
-	p.emit(Action{Kind: ActionRestore, Slot: slot})
+	p.emit(schedule.Action{Kind: schedule.ActionRestore, Slot: slot})
 	p.current = state
 }
 
@@ -123,15 +55,14 @@ func (p *planner) ensure(target int) {
 	if p.current > target {
 		panic(fmt.Sprintf("checkpoint: internal planner error: cannot reach state %d from %d", target, p.current))
 	}
-	p.emit(Action{Kind: ActionAdvance, Steps: target - p.current})
-	p.current = target
+	p.advanceTo(target)
 }
 
-func (p *planner) snapshot(state int) int { return p.snapshotTier(state, TierRAM) }
+func (p *planner) snapshot(state int) int { return p.snapshotTier(state, schedule.TierRAM) }
 
 // snapshotTier stores the current state in a free slot, annotating the
 // emitted action with the storage tier the planner assigns to it.
-func (p *planner) snapshotTier(state int, tier Tier) int {
+func (p *planner) snapshotTier(state int, tier schedule.Tier) int {
 	if len(p.freeSlots) == 0 {
 		panic("checkpoint: internal planner error: no free slots")
 	}
@@ -140,24 +71,24 @@ func (p *planner) snapshotTier(state int, tier Tier) int {
 	}
 	slot := p.freeSlots[len(p.freeSlots)-1]
 	p.freeSlots = p.freeSlots[:len(p.freeSlots)-1]
-	p.emit(Action{Kind: ActionSnapshot, Slot: slot, Tier: tier})
+	p.emit(schedule.Action{Kind: schedule.ActionSnapshot, Slot: slot, Tier: tier})
 	p.slotOf[state] = slot
 	return slot
 }
 
 func (p *planner) free(state int) {
 	slot, ok := p.slotOf[state]
-	if !ok || slot == InputSlot {
+	if !ok || slot == schedule.InputSlot {
 		panic("checkpoint: internal planner error: freeing an unstored state")
 	}
-	p.emit(Action{Kind: ActionFree, Slot: slot})
+	p.emit(schedule.Action{Kind: schedule.ActionFree, Slot: slot})
 	delete(p.slotOf, state)
 	p.freeSlots = append(p.freeSlots, slot)
 }
 
 func (p *planner) backprop(step int) {
 	p.ensure(step - 1)
-	p.emit(Action{Kind: ActionBackprop})
+	p.emit(schedule.Action{Kind: schedule.ActionBackprop})
 }
 
 // reverse emits the actions that perform the adjoints of steps
@@ -177,10 +108,9 @@ func (p *planner) reverse(base, length, slots int) {
 				p.ensure(base)
 			}
 			if p.current < step-1 {
-				p.emit(Action{Kind: ActionAdvance, Steps: step - 1 - p.current})
-				p.current = step - 1
+				p.advanceTo(step - 1)
 			}
-			p.emit(Action{Kind: ActionBackprop})
+			p.emit(schedule.Action{Kind: schedule.ActionBackprop})
 		}
 		return
 	}
@@ -191,8 +121,7 @@ func (p *planner) reverse(base, length, slots int) {
 		return
 	}
 	p.ensure(base)
-	p.emit(Action{Kind: ActionAdvance, Steps: j})
-	p.current = base + j
+	p.advanceTo(base + j)
 	p.snapshot(base + j)
 	p.reverse(base+j, length-j, slots-1)
 	p.free(base + j)
@@ -201,11 +130,11 @@ func (p *planner) reverse(base, length, slots int) {
 
 // PlanRevolve builds an optimal (minimum-forwards) checkpointing schedule for
 // a chain of l steps with at most c checkpoint slots, following the
-// binomial/Revolve dynamic program. The returned schedule's Trace().Forwards
-// equals MinForwards(l, c).
-func PlanRevolve(l, c int) (*Schedule, error) {
+// binomial/Revolve dynamic program. The returned schedule's traced Forwards
+// equal MinForwards(l, c).
+func PlanRevolve(l, c int) (schedule.Schedule, error) {
 	if err := ValidateArgs(l, c); err != nil {
-		return nil, err
+		return schedule.Schedule{}, err
 	}
 	if c > l-1 {
 		c = max(l-1, 0)
@@ -218,15 +147,14 @@ func PlanRevolve(l, c int) (*Schedule, error) {
 // PlanStoreAll builds the no-checkpointing baseline: one forward sweep that
 // stores every intermediate state, followed by the backward sweep. It uses
 // l-1 slots and performs l-1 forward steps.
-func PlanStoreAll(l int) (*Schedule, error) {
+func PlanStoreAll(l int) (schedule.Schedule, error) {
 	if err := ValidateArgs(l, 0); err != nil {
-		return nil, err
+		return schedule.Schedule{}, err
 	}
 	slots := max(l-1, 0)
 	p := newPlanner(l, slots, "store-all")
 	for st := 1; st <= l-1; st++ {
-		p.emit(Action{Kind: ActionAdvance, Steps: 1})
-		p.current = st
+		p.advanceTo(st)
 		p.snapshot(st)
 	}
 	for step := l; step >= 1; step-- {
@@ -245,12 +173,12 @@ func PlanStoreAll(l int) (*Schedule, error) {
 // checkpointed during the forward sweep, the last segment keeps all its
 // activations, and each earlier segment is re-run in full (storing its
 // intermediate states) just before it is backpropagated.
-func PlanSequential(l, segments int) (*Schedule, error) {
+func PlanSequential(l, segments int) (schedule.Schedule, error) {
 	if err := ValidateArgs(l, segments); err != nil {
-		return nil, err
+		return schedule.Schedule{}, err
 	}
 	if segments < 1 {
-		return nil, fmt.Errorf("checkpoint: PlanSequential requires at least 1 segment, got %d", segments)
+		return schedule.Schedule{}, fmt.Errorf("checkpoint: PlanSequential requires at least 1 segment, got %d", segments)
 	}
 	if segments > l {
 		segments = l
@@ -277,14 +205,12 @@ func PlanSequential(l, segments int) (*Schedule, error) {
 	// every intermediate state of the last segment.
 	for k := 1; k < segments; k++ {
 		p.ensure(starts[k-1])
-		p.emit(Action{Kind: ActionAdvance, Steps: starts[k] - starts[k-1]})
-		p.current = starts[k]
+		p.advanceTo(starts[k])
 		p.snapshot(starts[k])
 	}
 	lastStart := starts[segments-1]
 	for st := lastStart + 1; st <= l-1; st++ {
-		p.emit(Action{Kind: ActionAdvance, Steps: 1})
-		p.current = st
+		p.advanceTo(st)
 		p.snapshot(st)
 	}
 
@@ -295,8 +221,7 @@ func PlanSequential(l, segments int) (*Schedule, error) {
 			// Recompute the segment, storing its intermediate states.
 			p.ensure(segStart)
 			for st := segStart + 1; st <= segEnd-1; st++ {
-				p.emit(Action{Kind: ActionAdvance, Steps: 1})
-				p.current = st
+				p.advanceTo(st)
 				p.snapshot(st)
 			}
 		}

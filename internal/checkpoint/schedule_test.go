@@ -4,18 +4,20 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/edgeml/edgetrain/schedule"
 )
 
-func mustTrace(t *testing.T, s *Schedule) *Trace {
+func mustTrace(t *testing.T, s schedule.Schedule) *schedule.Trace {
 	t.Helper()
-	tr, err := s.Trace()
+	tr, err := schedule.Run(s)
 	if err != nil {
 		t.Fatalf("schedule %s is invalid: %v", s, err)
 	}
 	return tr
 }
 
-func checkAdjointOrder(t *testing.T, tr *Trace, l int) {
+func checkAdjointOrder(t *testing.T, tr *schedule.Trace, l int) {
 	t.Helper()
 	if len(tr.BackpropOrder) != l {
 		t.Fatalf("expected %d adjoint steps, got %d", l, len(tr.BackpropOrder))
@@ -138,13 +140,13 @@ func TestScheduleRenderAndString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sched.Render(), "backprop") {
+	if !strings.Contains(schedule.Render(sched), "backprop") {
 		t.Fatal("Render should list backprop actions")
 	}
 	if !strings.Contains(sched.String(), "revolve") {
 		t.Fatalf("String should mention the policy: %s", sched.String())
 	}
-	a := Action{Kind: ActionRestore, Slot: InputSlot}
+	a := schedule.Action{Kind: schedule.ActionRestore, Slot: schedule.InputSlot}
 	if a.String() != "restore[input]" {
 		t.Fatalf("input restore rendered as %q", a.String())
 	}
@@ -153,21 +155,21 @@ func TestScheduleRenderAndString(t *testing.T) {
 func TestTraceRejectsInvalidSchedules(t *testing.T) {
 	cases := []struct {
 		name  string
-		sched Schedule
+		sched schedule.Schedule
 	}{
-		{"advance past end", Schedule{Length: 2, Slots: 1, Actions: []Action{{Kind: ActionAdvance, Steps: 5}}}},
-		{"snapshot bad slot", Schedule{Length: 2, Slots: 1, Actions: []Action{{Kind: ActionSnapshot, Slot: 3}}}},
-		{"restore empty slot", Schedule{Length: 2, Slots: 1, Actions: []Action{{Kind: ActionRestore, Slot: 0}}}},
-		{"free empty slot", Schedule{Length: 2, Slots: 1, Actions: []Action{{Kind: ActionFree, Slot: 0}}}},
-		{"backprop wrong state", Schedule{Length: 2, Slots: 1, Actions: []Action{{Kind: ActionBackprop}}}},
-		{"incomplete", Schedule{Length: 2, Slots: 1, Actions: []Action{{Kind: ActionAdvance, Steps: 1}, {Kind: ActionBackprop}}}},
-		{"double snapshot", Schedule{Length: 3, Slots: 1, Actions: []Action{
-			{Kind: ActionAdvance, Steps: 1}, {Kind: ActionSnapshot, Slot: 0}, {Kind: ActionSnapshot, Slot: 0},
+		{"advance past end", schedule.Schedule{Length: 2, Slots: 1, Actions: []schedule.Action{{Kind: schedule.ActionAdvance, Steps: 5}}}},
+		{"snapshot bad slot", schedule.Schedule{Length: 2, Slots: 1, Actions: []schedule.Action{{Kind: schedule.ActionSnapshot, Slot: 3}}}},
+		{"restore empty slot", schedule.Schedule{Length: 2, Slots: 1, Actions: []schedule.Action{{Kind: schedule.ActionRestore, Slot: 0}}}},
+		{"free empty slot", schedule.Schedule{Length: 2, Slots: 1, Actions: []schedule.Action{{Kind: schedule.ActionFree, Slot: 0}}}},
+		{"backprop wrong state", schedule.Schedule{Length: 2, Slots: 1, Actions: []schedule.Action{{Kind: schedule.ActionBackprop}}}},
+		{"incomplete", schedule.Schedule{Length: 2, Slots: 1, Actions: []schedule.Action{{Kind: schedule.ActionAdvance, Steps: 1}, {Kind: schedule.ActionBackprop}}}},
+		{"double snapshot", schedule.Schedule{Length: 3, Slots: 1, Actions: []schedule.Action{
+			{Kind: schedule.ActionAdvance, Steps: 1}, {Kind: schedule.ActionSnapshot, Slot: 0}, {Kind: schedule.ActionSnapshot, Slot: 0},
 		}}},
-		{"nonpositive advance", Schedule{Length: 2, Slots: 1, Actions: []Action{{Kind: ActionAdvance, Steps: 0}}}},
+		{"nonpositive advance", schedule.Schedule{Length: 2, Slots: 1, Actions: []schedule.Action{{Kind: schedule.ActionAdvance, Steps: 0}}}},
 	}
 	for _, tc := range cases {
-		if _, err := tc.sched.Trace(); err == nil {
+		if _, err := schedule.Run(tc.sched); err == nil {
 			t.Errorf("%s: invalid schedule accepted", tc.name)
 		}
 	}
@@ -176,13 +178,13 @@ func TestTraceRejectsInvalidSchedules(t *testing.T) {
 func TestTraceValidMinimalSchedule(t *testing.T) {
 	// Hand-written schedule for l=2, one slot: advance to x_1, backprop step 2,
 	// restore input, backprop step 1.
-	sched := Schedule{Length: 2, Slots: 1, Policy: "manual", Actions: []Action{
-		{Kind: ActionAdvance, Steps: 1},
-		{Kind: ActionBackprop},
-		{Kind: ActionRestore, Slot: InputSlot},
-		{Kind: ActionBackprop},
+	sched := schedule.Schedule{Length: 2, Slots: 1, Policy: "manual", Actions: []schedule.Action{
+		{Kind: schedule.ActionAdvance, Steps: 1},
+		{Kind: schedule.ActionBackprop},
+		{Kind: schedule.ActionRestore, Slot: schedule.InputSlot},
+		{Kind: schedule.ActionBackprop},
 	}}
-	tr, err := sched.Trace()
+	tr, err := schedule.Run(sched)
 	if err != nil {
 		t.Fatalf("manual schedule rejected: %v", err)
 	}
@@ -201,7 +203,7 @@ func TestPlanRevolveProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tr, err := sched.Trace()
+		tr, err := schedule.Run(sched)
 		if err != nil {
 			return false
 		}
@@ -232,7 +234,7 @@ func TestPlanSequentialProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tr, err := sched.Trace()
+		tr, err := schedule.Run(sched)
 		if err != nil {
 			return false
 		}

@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"fmt"
 	"math"
+
+	"github.com/edgeml/edgetrain/schedule"
 )
 
 // Two-level checkpointing: the Waggle node has very little RAM but an SD
@@ -170,12 +172,12 @@ func TwoLevelMemory(cs ChainSpec, cost TwoLevelCost) int64 {
 // action rather than on the slot); a tier-aware store spills exactly those
 // states to flash, while storage-agnostic consumers execute the schedule
 // entirely in RAM.
-func PlanTwoLevel(l, diskCheckpoints, ramSlots int) (*Schedule, error) {
+func PlanTwoLevel(l, diskCheckpoints, ramSlots int) (schedule.Schedule, error) {
 	if err := ValidateArgs(l, ramSlots); err != nil {
-		return nil, err
+		return schedule.Schedule{}, err
 	}
 	if diskCheckpoints < 0 {
-		return nil, fmt.Errorf("checkpoint: negative flash checkpoint count %d", diskCheckpoints)
+		return schedule.Schedule{}, fmt.Errorf("checkpoint: negative flash checkpoint count %d", diskCheckpoints)
 	}
 	if diskCheckpoints > l-1 {
 		diskCheckpoints = max(l-1, 0)
@@ -197,9 +199,8 @@ func PlanTwoLevel(l, diskCheckpoints, ramSlots int) (*Schedule, error) {
 	// The snapshots are annotated TierDisk so a tier-aware store spills them;
 	// storage-agnostic consumers execute them as ordinary RAM slots.
 	for k := 1; k < segments; k++ {
-		p.emit(Action{Kind: ActionAdvance, Steps: starts[k] - p.current})
-		p.current = starts[k]
-		p.snapshotTier(starts[k], TierDisk)
+		p.advanceTo(starts[k])
+		p.snapshotTier(starts[k], schedule.TierDisk)
 	}
 
 	// Reverse segments from last to first, each with the optimal in-RAM

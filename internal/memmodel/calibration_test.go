@@ -5,8 +5,7 @@ import (
 )
 
 // TestCalibrationLog prints the reproduced tables next to the paper's values.
-// It never fails; it exists so `go test -v` shows the calibration that
-// EXPERIMENTS.md summarises.
+// It never fails; it exists so `go test -v` shows the calibration.
 func TestCalibrationLog(t *testing.T) {
 	t1, err := Table1(DefaultAccounting)
 	if err != nil {

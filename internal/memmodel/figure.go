@@ -123,7 +123,7 @@ type FitResult struct {
 	FitsEventually bool
 }
 
-// FitAnalysis reproduces the Section VI claims (E9 in DESIGN.md): which
+// FitAnalysis reproduces the Section VI claims: which
 // models fit the 2 GB device at rho=1 and what recompute factor makes every
 // model fit. maxRho bounds the search (the paper discusses rho in [1, 2]; we
 // search a little further to report the exact crossover).

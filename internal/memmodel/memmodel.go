@@ -30,8 +30,8 @@ type Accounting struct {
 	ActivationBytes int64
 }
 
-// DefaultAccounting matches the calibration in DESIGN.md (Adam-style
-// optimiser state, activation values plus gradients at fp32).
+// DefaultAccounting is the calibration the reproduced tables use: Adam-style
+// optimiser state, activation values plus gradients at fp32.
 var DefaultAccounting = Accounting{ParamStateBytes: 16, ActivationBytes: 8}
 
 // SGDAccounting is the cheaper optimiser-state variant used by the

@@ -146,7 +146,7 @@ func (t *Table) Render() string {
 }
 
 // PaperTable holds the values printed in the paper for one table, used by
-// EXPERIMENTS.md generation and the comparison tests. Units match the paper
+// the comparison tests. Units match the paper
 // (MB for Tables I/II, GB for Table III). Indexing is [row][variant] in the
 // same order as Rows/Columns of the reproduced table.
 type PaperTable struct {

@@ -135,19 +135,18 @@ func (t *Trainer) TrainEpoch(ds Dataset, epoch int) (EpochStats, error) {
 func (t *Trainer) trainEpoch(ds Dataset, epoch, startBatch int, afterStep func(next Cursor) error) (EpochStats, error) {
 	stats := EpochStats{Epoch: epoch}
 	pol := t.Cfg.Policy
-	// Tier-annotating policies spill to disk; give them one shared store for
-	// the whole epoch (instead of chain.Step's per-call temporary directory)
-	// so every step reuses the same spill location.
-	if pol.Store == nil {
-		switch pol.Kind {
-		case "twolevel", "auto":
-			ts, err := store.NewTiered("")
-			if err != nil {
-				return stats, fmt.Errorf("trainer: creating spill store: %w", err)
-			}
-			defer ts.Close()
-			pol.Store = ts
+	// A two-level policy spills to disk; give it one shared store for the
+	// whole epoch (instead of chain.Step's per-call temporary directory) so
+	// every step reuses the same spill location. An auto policy gets none:
+	// a store would route a store-all selection through the recomputing
+	// executor, and Step spills a selection that has a flash tier itself.
+	if pol.Store == nil && pol.Kind == "twolevel" {
+		ts, err := store.NewTiered("")
+		if err != nil {
+			return stats, fmt.Errorf("trainer: creating spill store: %w", err)
 		}
+		defer ts.Close()
+		pol.Store = ts
 	}
 	// Metric handles resolve once per epoch; the per-step cost is a pair of
 	// atomic adds (nil no-ops when observability is off).

@@ -25,7 +25,7 @@ import (
 // AutoChoice reports which strategy the "auto" planner selected and the
 // predicted footprint and cost of the selection.
 type AutoChoice struct {
-	// Strategy is the selected registry strategy: "storeall", "revolve" or
+	// Strategy is the selected strategy: "storeall", "revolve" or
 	// "twolevel".
 	Strategy string
 	// Slots is the checkpoint-slot budget ("revolve") or RAM-tier slot
@@ -66,12 +66,8 @@ func (c AutoChoice) String() string {
 // AutoSelect runs the "auto" strategy's selection without building the
 // schedule: it returns which strategy fits the memory budget at the lowest
 // predicted time to solution. The budget defaults to the 2 GB Waggle-node
-// capacity (memmodel.EdgeDeviceMemoryBytes) when WithMemoryBudget is absent.
-func AutoSelect(spec ChainSpec, opts ...Option) (AutoChoice, error) {
-	return autoSelect(spec, Gather(opts))
-}
-
-func autoSelect(spec ChainSpec, o Options) (AutoChoice, error) {
+// capacity (memmodel.EdgeDeviceMemoryBytes) when Options.MemoryBudget is zero.
+func AutoSelect(spec ChainSpec, o Options) (AutoChoice, error) {
 	l := spec.Length
 	m := costModel(o)
 	budget := o.MemoryBudget
@@ -184,48 +180,28 @@ func autoSelect(spec ChainSpec, o Options) (AutoChoice, error) {
 	return best, nil
 }
 
-// autoSchedule renames a delegated schedule's policy so executions report
-// which strategy "auto" selected, e.g. "auto:twolevel(4)".
-type autoSchedule struct {
-	schedule.Schedule
-}
-
-func (a autoSchedule) Policy() string { return "auto:" + a.Schedule.Policy() }
-
-func autoPlan(spec ChainSpec, o Options) (schedule.Schedule, error) {
-	choice, err := autoSelect(spec, o)
+// planAuto builds the selected strategy's schedule and prefixes its policy
+// label so executions report which one "auto" selected, e.g.
+// "auto:twolevel(4)".
+func planAuto(spec ChainSpec, o Options) (schedule.Schedule, error) {
+	choice, err := AutoSelect(spec, o)
 	if err != nil {
-		return nil, err
+		return schedule.Schedule{}, err
 	}
-	var inner schedule.Schedule
+	var s schedule.Schedule
 	switch choice.Strategy {
 	case "storeall":
-		inner = StoreAllStream(spec.Length)
+		s, err = checkpoint.PlanStoreAll(spec.Length)
 	case "revolve":
-		s, err := checkpoint.PlanRevolve(spec.Length, choice.Slots)
-		if err != nil {
-			return nil, err
-		}
-		inner = s.Stream()
+		s, err = checkpoint.PlanRevolve(spec.Length, choice.Slots)
 	case "twolevel":
-		s, err := checkpoint.PlanTwoLevel(spec.Length, choice.DiskSlots, choice.Slots)
-		if err != nil {
-			return nil, err
-		}
-		inner = s.Stream()
+		s, err = checkpoint.PlanTwoLevel(spec.Length, choice.DiskSlots, choice.Slots)
 	default:
-		return nil, fmt.Errorf("plan: auto selected unknown strategy %q", choice.Strategy)
+		err = fmt.Errorf("plan: auto selected unknown strategy %q", choice.Strategy)
 	}
-	return autoSchedule{inner}, nil
-}
-
-func init() {
-	Register("auto", strategyFunc{
-		info: StrategyInfo{
-			Name:        "auto",
-			Description: "budget-aware: cheapest of storeall/revolve/twolevel whose resident footprint fits a RAM byte budget",
-			Options:     []string{"memory-budget", "backward-ratio", "flash-cost"},
-		},
-		plan: autoPlan,
-	})
+	if err != nil {
+		return schedule.Schedule{}, err
+	}
+	s.Policy = "auto:" + s.Policy
+	return s, nil
 }

@@ -24,7 +24,7 @@ func TestAutoBudgetGrid(t *testing.T) {
 	maxBudget := autoSpec.WeightBytes + int64(l+4)*act // store-all with slack
 	sawStoreAll, sawSpill, sawRecompute := false, false, false
 	for budget := minBudget; budget <= maxBudget; budget += act / 2 {
-		choice, err := plan.AutoSelect(autoSpec, plan.WithMemoryBudget(budget))
+		choice, err := plan.AutoSelect(autoSpec, plan.Options{MemoryBudget: budget})
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
@@ -41,12 +41,12 @@ func TestAutoBudgetGrid(t *testing.T) {
 		default:
 			t.Fatalf("budget %d: unexpected strategy %q", budget, choice.Strategy)
 		}
-		sched, tr, err := plan.Validate("auto", autoSpec, plan.WithMemoryBudget(budget))
+		sched, tr, err := plan.Validate("auto", autoSpec, plan.Options{MemoryBudget: budget})
 		if err != nil {
 			t.Fatalf("budget %d: invalid auto schedule: %v", budget, err)
 		}
-		if !strings.HasPrefix(sched.Policy(), "auto:") {
-			t.Fatalf("auto schedule policy %q does not reveal the selection", sched.Policy())
+		if !strings.HasPrefix(sched.Policy, "auto:") {
+			t.Fatalf("auto schedule policy %q does not reveal the selection", sched.Policy)
 		}
 		// The executed RAM residency (input + working state + RAM-tier
 		// checkpoints, homogeneous states) must match the prediction.
@@ -56,7 +56,7 @@ func TestAutoBudgetGrid(t *testing.T) {
 		}
 		if got := autoSpec.WeightBytes + int64(states)*act; got > budget {
 			t.Fatalf("budget %d: schedule %s retains %d states, %d bytes over budget",
-				budget, sched.Policy(), states, got-budget)
+				budget, sched.Policy, states, got-budget)
 		}
 		if choice.Strategy == "twolevel" && tr.PeakDiskSlots == 0 {
 			t.Fatalf("budget %d: twolevel selection produced no disk-tier snapshots", budget)
@@ -68,10 +68,10 @@ func TestAutoBudgetGrid(t *testing.T) {
 	}
 
 	// Below the floor, auto must refuse rather than overfit.
-	if _, err := plan.AutoSelect(autoSpec, plan.WithMemoryBudget(minBudget-1)); err == nil {
+	if _, err := plan.AutoSelect(autoSpec, plan.Options{MemoryBudget: minBudget - 1}); err == nil {
 		t.Fatal("budget below minimal-Revolve accepted")
 	}
-	if _, err := plan.Build("auto", autoSpec, plan.WithMemoryBudget(minBudget-1)); err == nil {
+	if _, err := plan.Build("auto", autoSpec, plan.Options{MemoryBudget: minBudget - 1}); err == nil {
 		t.Fatal("Build below minimal-Revolve accepted")
 	}
 }
@@ -81,7 +81,7 @@ func TestAutoTimeMonotoneInBudget(t *testing.T) {
 	prev := -1.0
 	act := autoSpec.ActivationBytes
 	for budget := autoSpec.WeightBytes + 3*act; budget <= autoSpec.WeightBytes+30*act; budget += act {
-		choice, err := plan.AutoSelect(autoSpec, plan.WithMemoryBudget(budget))
+		choice, err := plan.AutoSelect(autoSpec, plan.Options{MemoryBudget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestAutoTimeMonotoneInBudget(t *testing.T) {
 func TestAutoDefaults(t *testing.T) {
 	// Without a budget, the Waggle node's 2 GB is assumed: this small chain
 	// fits store-all easily.
-	choice, err := plan.AutoSelect(autoSpec)
+	choice, err := plan.AutoSelect(autoSpec, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +107,12 @@ func TestAutoDefaults(t *testing.T) {
 	}
 
 	// Without state sizes, an explicit budget cannot be enforced.
-	if _, err := plan.AutoSelect(plan.ChainSpec{Length: 10}, plan.WithMemoryBudget(1<<20)); err == nil {
+	if _, err := plan.AutoSelect(plan.ChainSpec{Length: 10}, plan.Options{MemoryBudget: 1 << 20}); err == nil {
 		t.Fatal("budget without ActivationBytes accepted")
 	}
 	// ...but budgetless planning falls back to store-all instead of failing,
-	// so the registry-wide conformance grid can plan "auto" without options.
-	sched, err := plan.Build("auto", plan.ChainSpec{Length: 10})
+	// so the table-wide conformance grid can plan "auto" without options.
+	sched, err := plan.Build("auto", plan.ChainSpec{Length: 10}, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +122,14 @@ func TestAutoDefaults(t *testing.T) {
 
 	// Trivial chains plan without any information...
 	for _, l := range []int{0, 1} {
-		if _, err := plan.Build("auto", plan.ChainSpec{Length: l}); err != nil {
+		if _, err := plan.Build("auto", plan.ChainSpec{Length: l}, plan.Options{}); err != nil {
 			t.Fatalf("auto on trivial chain l=%d: %v", l, err)
 		}
 	}
 	// ...but still honour the fitting contract when the weights alone bust
 	// the budget.
 	_, err = plan.AutoSelect(plan.ChainSpec{Length: 1, WeightBytes: 10 << 20, ActivationBytes: 1 << 10},
-		plan.WithMemoryBudget(1<<20))
+		plan.Options{MemoryBudget: 1 << 20})
 	if err == nil {
 		t.Fatal("trivial chain over budget accepted")
 	}
@@ -140,7 +140,7 @@ func TestAutoDefaults(t *testing.T) {
 // flash must beat pure in-RAM Revolve under the default flash costs.
 func TestAutoPrefersTwoLevelWhenRAMStarved(t *testing.T) {
 	spec := plan.ChainSpec{Length: 48, WeightBytes: 0, ActivationBytes: 1 << 16}
-	choice, err := plan.AutoSelect(spec, plan.WithMemoryBudget(4*spec.ActivationBytes))
+	choice, err := plan.AutoSelect(spec, plan.Options{MemoryBudget: 4 * spec.ActivationBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestAutoPrefersTwoLevelWhenRAMStarved(t *testing.T) {
 	// With ruinously expensive flash, the same configuration must fall back
 	// to pure recomputation.
 	choice, err = plan.AutoSelect(spec,
-		plan.WithMemoryBudget(4*spec.ActivationBytes), plan.WithFlashCost(1000, 1000))
+		plan.Options{MemoryBudget: 4 * spec.ActivationBytes, FlashWriteCost: 1000, FlashReadCost: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

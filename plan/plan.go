@@ -1,18 +1,15 @@
-// Package plan is the public planning API of the edgetrain library: a single
-// Strategy interface in front of every checkpointing planner, a name-keyed
-// registry so callers select strategies by string, and functional options for
-// the per-strategy tunables.
+// Package plan is the public planning API of the edgetrain library: every
+// checkpointing planner selected by name from one static table, with its
+// tunables in one Options struct.
 //
-// The built-in strategies — "revolve", "periodic", "logspaced", "sequential",
-// "storeall", "twolevel" — are registered by this package's init and are
-// implemented by the algorithm layer in internal/checkpoint. New strategies
-// plug in through Register without touching any call site:
+//	sched, err := plan.Build("revolve", plan.ChainSpec{Length: 152}, plan.Options{Slots: 8})
 //
-//	sched, err := plan.Build("revolve", plan.ChainSpec{Length: 152}, plan.WithSlots(8))
-//
-// Every strategy returns a schedule.Schedule, the streaming interface the
-// chain executor and the command-line tools consume; use schedule.Run to
-// validate a plan and obtain its cost trace.
+// The strategies — "revolve", "periodic", "logspaced", "sequential",
+// "storeall", "twolevel" and the budget-aware "auto" — are implemented by the
+// algorithm layer in internal/checkpoint; Strategies and Describe list them.
+// Every strategy returns a schedule.Schedule, the type the chain executor and
+// the command-line tools consume; use schedule.Run (or Validate here) to check
+// a plan and obtain its cost trace.
 package plan
 
 import (
@@ -35,25 +32,14 @@ type ChainSpec struct {
 	ActivationBytes int64
 }
 
-// StrategyInfo describes a registered strategy for discovery and help output.
+// StrategyInfo describes a strategy for discovery and help output.
 type StrategyInfo struct {
-	// Name is the registry key, e.g. "revolve".
+	// Name is the name Build selects the strategy by, e.g. "revolve".
 	Name string
 	// Description is a one-line summary of the placement policy.
 	Description string
 	// Options lists the option names the strategy consumes (for usage text).
 	Options []string
-}
-
-// Strategy plans checkpointing schedules for sequential chains. Plan must be
-// safe for concurrent use.
-type Strategy interface {
-	// Plan builds a schedule for the chain described by spec. Strategies
-	// return an error for option combinations they cannot satisfy (e.g.
-	// "revolve" with neither a slot budget nor a recompute budget).
-	Plan(spec ChainSpec, opts ...Option) (schedule.Schedule, error)
-	// Describe reports the strategy's name, summary and accepted options.
-	Describe() StrategyInfo
 }
 
 // Options collects the tunables shared by the built-in strategies. Strategies
@@ -76,7 +62,9 @@ type Options struct {
 	// step, used when resolving Rho. Zero selects the default (2).
 	BackwardRatio float64
 	// MemoryBudget is the RAM byte budget for budget-aware strategies
-	// ("auto"). Zero selects the default: the 2 GB Waggle-node capacity.
+	// ("auto"): it covers the whole resident training state, weights
+	// (ChainSpec.WeightBytes) plus every simultaneously retained activation
+	// state. Zero selects the default: the 2 GB Waggle-node capacity.
 	MemoryBudget int64
 	// FlashWriteCost and FlashReadCost are the costs of writing/reading one
 	// state to or from flash in forward-step units, used when "auto" weighs
@@ -86,70 +74,53 @@ type Options struct {
 	FlashReadCost  float64
 }
 
-// Option mutates the option set; see the With* constructors.
-type Option func(*Options)
-
-// Gather applies the options to a zero Options value.
-func Gather(opts []Option) Options {
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
+// Build looks the strategy up by name and plans a schedule for the chain
+// described by spec. Strategies return an error for option combinations they
+// cannot satisfy (e.g. "revolve" with neither a slot budget nor a recompute
+// budget); the error for an unknown name lists the known ones.
+func Build(name string, spec ChainSpec, o Options) (schedule.Schedule, error) {
+	for _, s := range strategies {
+		if s.info.Name != name {
+			continue
+		}
+		if spec.Length < 0 {
+			return schedule.Schedule{}, fmt.Errorf("plan: negative chain length %d", spec.Length)
+		}
+		return s.plan(spec, o)
 	}
-	return o
-}
-
-// WithSlots sets the checkpoint-slot budget.
-func WithSlots(n int) Option { return func(o *Options) { o.Slots = n } }
-
-// WithSegments sets the uniform segment count.
-func WithSegments(n int) Option { return func(o *Options) { o.Segments = n } }
-
-// WithInterval sets the periodic checkpoint interval.
-func WithInterval(k int) Option { return func(o *Options) { o.Interval = k } }
-
-// WithDiskSlots sets the flash-tier checkpoint count for "twolevel".
-func WithDiskSlots(d int) Option { return func(o *Options) { o.DiskSlots = d } }
-
-// WithRho sets a recompute-factor budget from which the strategy derives its
-// memory tunable.
-func WithRho(rho float64) Option { return func(o *Options) { o.Rho = rho } }
-
-// WithBackwardRatio sets the backward/forward cost ratio used when resolving
-// a Rho budget.
-func WithBackwardRatio(r float64) Option { return func(o *Options) { o.BackwardRatio = r } }
-
-// WithMemoryBudget sets the RAM byte budget for budget-aware strategies. The
-// budget covers the whole resident training state: weights (ChainSpec.
-// WeightBytes) plus every simultaneously retained activation state.
-func WithMemoryBudget(bytes int64) Option { return func(o *Options) { o.MemoryBudget = bytes } }
-
-// WithFlashCost sets the per-state flash write and read costs, in
-// forward-step units, used when weighing two-level plans.
-func WithFlashCost(write, read float64) Option {
-	return func(o *Options) { o.FlashWriteCost, o.FlashReadCost = write, read }
-}
-
-// Build looks the strategy up by name and plans a schedule in one call. It is
-// the common path of the command-line tools and examples.
-func Build(name string, spec ChainSpec, opts ...Option) (schedule.Schedule, error) {
-	s, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return s.Plan(spec, opts...)
+	return schedule.Schedule{}, fmt.Errorf("plan: unknown strategy %q (have: %v)", name, Strategies())
 }
 
 // Validate plans like Build and additionally runs the schedule through the
 // validating trace simulator, returning the schedule together with its cost
-// trace. Lazy schedules are consumed once for validation and remain reusable.
-func Validate(name string, spec ChainSpec, opts ...Option) (schedule.Schedule, *schedule.Trace, error) {
-	s, err := Build(name, spec, opts...)
+// trace.
+func Validate(name string, spec ChainSpec, o Options) (schedule.Schedule, *schedule.Trace, error) {
+	s, err := Build(name, spec, o)
 	if err != nil {
-		return nil, nil, err
+		return schedule.Schedule{}, nil, err
 	}
 	tr, err := schedule.Run(s)
 	if err != nil {
-		return nil, nil, fmt.Errorf("plan: strategy %q produced an invalid schedule: %w", name, err)
+		return schedule.Schedule{}, nil, fmt.Errorf("plan: strategy %q produced an invalid schedule: %w", name, err)
 	}
 	return s, tr, nil
+}
+
+// Strategies returns the names of all strategies, sorted.
+func Strategies() []string {
+	names := make([]string, len(strategies))
+	for i, s := range strategies {
+		names[i] = s.info.Name
+	}
+	return names
+}
+
+// Describe returns the StrategyInfo of every strategy, sorted by name. It
+// backs the -list output of the command-line tools.
+func Describe() []StrategyInfo {
+	infos := make([]StrategyInfo, len(strategies))
+	for i, s := range strategies {
+		infos[i] = s.info
+	}
+	return infos
 }

@@ -2,7 +2,11 @@ package plan_test
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/edgeml/edgetrain/internal/checkpoint"
@@ -10,25 +14,25 @@ import (
 	"github.com/edgeml/edgetrain/schedule"
 )
 
-// strategyOpts returns option sets that make the named strategy plannable at
-// the given memory tunable. Strategies without tunables get one empty set.
-func strategyOpts(name string, slots int) []plan.Option {
+// strategyOpts returns options that make the named strategy plannable at the
+// given memory tunable. Strategies without tunables get the zero Options.
+func strategyOpts(name string, slots int) plan.Options {
 	switch name {
 	case "revolve":
-		return []plan.Option{plan.WithSlots(slots)}
+		return plan.Options{Slots: slots}
 	case "sequential":
-		return []plan.Option{plan.WithSegments(slots + 1)}
+		return plan.Options{Segments: slots + 1}
 	case "periodic":
-		return []plan.Option{plan.WithInterval(slots + 1)}
+		return plan.Options{Interval: slots + 1}
 	case "twolevel":
-		return []plan.Option{plan.WithSlots(slots), plan.WithDiskSlots(2)}
+		return plan.Options{Slots: slots, DiskSlots: 2}
 	default:
-		return nil
+		return plan.Options{}
 	}
 }
 
-// TestStrategyConformance is the registry-wide conformance suite: every
-// registered strategy, over a grid of chain lengths and slot tunables, must
+// TestStrategyConformance is the table-wide conformance suite: every
+// strategy, over a grid of chain lengths and slot tunables, must
 // produce a schedule that the validating trace simulator accepts — each step
 // back-propagated exactly once in order L..1, no slot misuse, and a peak slot
 // usage within the schedule's declared budget.
@@ -40,12 +44,12 @@ func TestStrategyConformance(t *testing.T) {
 			for _, slots := range slotGrid {
 				t.Run(fmt.Sprintf("%s/l=%d/slots=%d", name, l, slots), func(t *testing.T) {
 					spec := plan.ChainSpec{Length: l}
-					sched, err := plan.Build(name, spec, strategyOpts(name, slots)...)
+					sched, err := plan.Build(name, spec, strategyOpts(name, slots))
 					if err != nil {
 						t.Fatalf("plan failed: %v", err)
 					}
-					if sched.Length() != l {
-						t.Fatalf("schedule length %d, want %d", sched.Length(), l)
+					if sched.Length != l {
+						t.Fatalf("schedule length %d, want %d", sched.Length, l)
 					}
 					tr, err := schedule.Run(sched)
 					if err != nil {
@@ -59,8 +63,8 @@ func TestStrategyConformance(t *testing.T) {
 							t.Fatalf("adjoint order %v is not L..1", tr.BackpropOrder)
 						}
 					}
-					if tr.PeakSlots > sched.Slots() {
-						t.Fatalf("peak slot usage %d exceeds declared budget %d", tr.PeakSlots, sched.Slots())
+					if tr.PeakSlots > sched.Slots {
+						t.Fatalf("peak slot usage %d exceeds declared budget %d", tr.PeakSlots, sched.Slots)
 					}
 				})
 			}
@@ -71,7 +75,7 @@ func TestStrategyConformance(t *testing.T) {
 func TestRevolveMatchesOptimum(t *testing.T) {
 	for _, l := range []int{2, 10, 50, 152} {
 		for _, slots := range []int{1, 3, 8} {
-			_, tr, err := plan.Validate("revolve", plan.ChainSpec{Length: l}, plan.WithSlots(slots))
+			_, tr, err := plan.Validate("revolve", plan.ChainSpec{Length: l}, plan.Options{Slots: slots})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,17 +89,17 @@ func TestRevolveMatchesOptimum(t *testing.T) {
 func TestRhoBudgetSelection(t *testing.T) {
 	const l = 152
 	want := checkpoint.MinSlotsForRho(l, 2.0, checkpoint.DefaultCostModel)
-	_, tr, err := plan.Validate("revolve", plan.ChainSpec{Length: l}, plan.WithRho(2.0))
+	_, tr, err := plan.Validate("revolve", plan.ChainSpec{Length: l}, plan.Options{Rho: 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Forwards != want.Forwards {
 		t.Fatalf("rho-budgeted revolve ran %d forwards, want %d", tr.Forwards, want.Forwards)
 	}
-	if _, _, err := plan.Validate("sequential", plan.ChainSpec{Length: l}, plan.WithRho(2.0)); err != nil {
+	if _, _, err := plan.Validate("sequential", plan.ChainSpec{Length: l}, plan.Options{Rho: 2.0}); err != nil {
 		t.Fatalf("sequential with rho budget: %v", err)
 	}
-	if _, _, err := plan.Validate("periodic", plan.ChainSpec{Length: l}, plan.WithRho(2.0)); err != nil {
+	if _, _, err := plan.Validate("periodic", plan.ChainSpec{Length: l}, plan.Options{Rho: 2.0}); err != nil {
 		t.Fatalf("periodic with rho budget: %v", err)
 	}
 }
@@ -103,56 +107,21 @@ func TestRhoBudgetSelection(t *testing.T) {
 func TestMissingOptionsAreRejected(t *testing.T) {
 	spec := plan.ChainSpec{Length: 20}
 	for _, name := range []string{"revolve", "sequential", "periodic", "twolevel"} {
-		if _, err := plan.Build(name, spec); err == nil {
+		if _, err := plan.Build(name, spec, plan.Options{}); err == nil {
 			t.Fatalf("%s without options should fail for a nontrivial chain", name)
 		}
 	}
 	// Trivial chains need no tunables at all.
 	for _, name := range plan.Strategies() {
-		if _, _, err := plan.Validate(name, plan.ChainSpec{Length: 1}); err != nil {
+		if _, _, err := plan.Validate(name, plan.ChainSpec{Length: 1}, plan.Options{}); err != nil {
 			t.Fatalf("%s must plan a length-1 chain without options: %v", name, err)
-		}
-	}
-}
-
-// TestStoreAllStreamingMatchesMaterialized pins the streaming/in-memory mode
-// equivalence: the lazily generated store-all stream and the materialized
-// planner in internal/checkpoint produce identical traces.
-func TestStoreAllStreamingMatchesMaterialized(t *testing.T) {
-	for _, l := range []int{0, 1, 2, 7, 33} {
-		lazy := plan.StoreAllStream(l)
-		lazyTr, err := schedule.Run(lazy)
-		if err != nil {
-			t.Fatalf("l=%d: lazy store-all invalid: %v", l, err)
-		}
-		mat, err := checkpoint.PlanStoreAll(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		matTr, err := schedule.Run(mat.Stream())
-		if err != nil {
-			t.Fatalf("l=%d: materialized store-all invalid: %v", l, err)
-		}
-		if lazyTr.Forwards != matTr.Forwards || lazyTr.PeakSlots != matTr.PeakSlots ||
-			lazyTr.Restores != matTr.Restores || lazyTr.Snapshots != matTr.Snapshots {
-			t.Fatalf("l=%d: lazy trace %+v differs from materialized %+v", l, lazyTr, matTr)
-		}
-		// And the action streams are identical, element for element.
-		lazyActs := schedule.Materialize(lazy).ActionSlice()
-		if len(lazyActs) != len(mat.Actions) {
-			t.Fatalf("l=%d: %d lazy actions vs %d materialized", l, len(lazyActs), len(mat.Actions))
-		}
-		for i := range lazyActs {
-			if lazyActs[i] != mat.Actions[i] {
-				t.Fatalf("l=%d: action %d differs: %v vs %v", l, i, lazyActs[i], mat.Actions[i])
-			}
 		}
 	}
 }
 
 func TestLogSpacedMatchesClosedForms(t *testing.T) {
 	for _, l := range []int{1, 2, 5, 16, 17, 64, 100} {
-		_, tr, err := plan.Validate("logspaced", plan.ChainSpec{Length: l})
+		_, tr, err := plan.Validate("logspaced", plan.ChainSpec{Length: l}, plan.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +137,7 @@ func TestLogSpacedMatchesClosedForms(t *testing.T) {
 func TestTwoLevelStaysWithinTiers(t *testing.T) {
 	const l, ram, disk = 60, 3, 4
 	_, tr, err := plan.Validate("twolevel", plan.ChainSpec{Length: l},
-		plan.WithSlots(ram), plan.WithDiskSlots(disk))
+		plan.Options{Slots: ram, DiskSlots: disk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +145,7 @@ func TestTwoLevelStaysWithinTiers(t *testing.T) {
 		t.Fatalf("two-level peak %d exceeds ram+disk=%d", tr.PeakSlots, ram+disk)
 	}
 	// The segmented plan must beat RAM-only revolve at the same RAM budget.
-	_, ramOnly, err := plan.Validate("revolve", plan.ChainSpec{Length: l}, plan.WithSlots(ram))
+	_, ramOnly, err := plan.Validate("revolve", plan.ChainSpec{Length: l}, plan.Options{Slots: ram})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,44 +154,73 @@ func TestTwoLevelStaysWithinTiers(t *testing.T) {
 	}
 }
 
+// TestRegistry pins the static strategy table: every built-in is listed, in
+// sorted order, with a description, and a mistyped name is diagnosable from
+// the error.
 func TestRegistry(t *testing.T) {
 	names := plan.Strategies()
-	for _, want := range []string{"revolve", "periodic", "logspaced", "sequential", "storeall", "twolevel"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("built-in strategy %q not registered (have %v)", want, names)
+	if !sort.StringsAreSorted(names) {
+		t.Fatalf("strategy names not sorted: %v", names)
+	}
+	for _, want := range []string{"auto", "revolve", "periodic", "logspaced", "sequential", "storeall", "twolevel"} {
+		if !slices.Contains(names, want) {
+			t.Fatalf("built-in strategy %q not listed (have %v)", want, names)
 		}
 	}
-	if _, err := plan.Lookup("nope"); err == nil || !strings.Contains(err.Error(), "revolve") {
-		t.Fatalf("unknown-strategy error should list registered names, got %v", err)
+	if _, err := plan.Build("nope", plan.ChainSpec{Length: 3}, plan.Options{}); err == nil || !strings.Contains(err.Error(), "revolve") {
+		t.Fatalf("unknown-strategy error should list the known names, got %v", err)
 	}
 	infos := plan.Describe()
 	if len(infos) != len(names) {
 		t.Fatalf("Describe returned %d infos for %d strategies", len(infos), len(names))
 	}
-	for _, info := range infos {
-		if info.Name == "" || info.Description == "" {
+	for i, info := range infos {
+		if info.Name != names[i] || info.Description == "" {
 			t.Fatalf("incomplete StrategyInfo: %+v", info)
 		}
 	}
+}
 
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		f()
+// TestConcurrentPlanning: fleet workers plan from their own goroutines, and
+// every Revolve-based planner reads and grows one shared DP table. Goroutines
+// building different (length, slots) at once must get the action lists a
+// serial build gets — run under -race.
+func TestConcurrentPlanning(t *testing.T) {
+	type job struct {
+		name string
+		l    int
+		o    plan.Options
 	}
-	mustPanic("empty name", func() { plan.Register("", nil) })
-	mustPanic("nil strategy", func() { plan.Register("x-nil", nil) })
-	mustPanic("duplicate", func() {
-		s, _ := plan.Lookup("revolve")
-		plan.Register("revolve", s)
-	})
+	var jobs []job
+	for _, l := range []int{5, 21, 50, 152, 233} {
+		for _, slots := range []int{1, 2, 3, 5, 8} {
+			jobs = append(jobs,
+				job{"revolve", l, plan.Options{Slots: slots}},
+				job{"twolevel", l, plan.Options{Slots: slots, DiskSlots: 3}},
+				job{"sequential", l, plan.Options{Segments: slots + 1}})
+		}
+	}
+	got := make([]schedule.Schedule, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := plan.Build(j.name, plan.ChainSpec{Length: j.l}, j.o)
+			if err != nil {
+				t.Errorf("%s l=%d %+v: %v", j.name, j.l, j.o, err)
+			}
+			got[i] = s
+		}()
+	}
+	wg.Wait()
+	for i, j := range jobs {
+		want, err := plan.Build(j.name, plan.ChainSpec{Length: j.l}, j.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("%s l=%d %+v: concurrent build differs from the serial one", j.name, j.l, j.o)
+		}
+	}
 }

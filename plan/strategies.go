@@ -7,24 +7,51 @@ import (
 	"github.com/edgeml/edgetrain/schedule"
 )
 
-// The built-in strategies adapt the algorithm layer in internal/checkpoint to
-// the Strategy interface. Each is a stateless value, so sharing them through
-// the registry is safe for concurrent planners.
-
-// strategyFunc implements Strategy for a plain planning function.
-type strategyFunc struct {
+// strategies is the one table Build, Strategies and Describe read: every
+// strategy's description next to the function that adapts the algorithm layer
+// in internal/checkpoint to it. Kept sorted by name.
+var strategies = []struct {
 	info StrategyInfo
 	plan func(spec ChainSpec, o Options) (schedule.Schedule, error)
+}{
+	{StrategyInfo{
+		Name:        "auto",
+		Description: "budget-aware: cheapest of storeall/revolve/twolevel whose resident footprint fits a RAM byte budget",
+		Options:     []string{"memory-budget", "backward-ratio", "flash-cost"},
+	}, planAuto},
+	{StrategyInfo{
+		Name:        "logspaced",
+		Description: "states at power-of-two distances from the end: O(log l) memory, up to O(l) recompute",
+	}, func(spec ChainSpec, o Options) (schedule.Schedule, error) {
+		return checkpoint.PlanLogSpaced(spec.Length)
+	}},
+	{StrategyInfo{
+		Name:        "periodic",
+		Description: "checkpoint every k-th state, recomputing within each period",
+		Options:     []string{"interval", "rho", "backward-ratio"},
+	}, planPeriodic},
+	{StrategyInfo{
+		Name:        "revolve",
+		Description: "optimal (binomial/Revolve) checkpointing: minimum forward work for a slot budget",
+		Options:     []string{"slots", "rho", "backward-ratio"},
+	}, planRevolve},
+	{StrategyInfo{
+		Name:        "sequential",
+		Description: "PyTorch checkpoint_sequential: uniform segments, last segment stored in full",
+		Options:     []string{"segments", "rho", "backward-ratio"},
+	}, planSequential},
+	{StrategyInfo{
+		Name:        "storeall",
+		Description: "no recomputation: one forward sweep storing every state, then the backward sweep",
+	}, func(spec ChainSpec, o Options) (schedule.Schedule, error) {
+		return checkpoint.PlanStoreAll(spec.Length)
+	}},
+	{StrategyInfo{
+		Name:        "twolevel",
+		Description: "disk-revolve style: evenly spaced flash checkpoints, optimal in-RAM schedule per segment",
+		Options:     []string{"slots", "disk-slots"},
+	}, planTwoLevel},
 }
-
-func (s strategyFunc) Plan(spec ChainSpec, opts ...Option) (schedule.Schedule, error) {
-	if spec.Length < 0 {
-		return nil, fmt.Errorf("plan: negative chain length %d", spec.Length)
-	}
-	return s.plan(spec, Gather(opts))
-}
-
-func (s strategyFunc) Describe() StrategyInfo { return s.info }
 
 // costModel resolves the cost model from the options.
 func costModel(o Options) checkpoint.CostModel {
@@ -34,180 +61,68 @@ func costModel(o Options) checkpoint.CostModel {
 	return checkpoint.DefaultCostModel
 }
 
-func init() {
-	Register("revolve", strategyFunc{
-		info: StrategyInfo{
-			Name:        "revolve",
-			Description: "optimal (binomial/Revolve) checkpointing: minimum forward work for a slot budget",
-			Options:     []string{"slots", "rho", "backward-ratio"},
-		},
-		plan: func(spec ChainSpec, o Options) (schedule.Schedule, error) {
-			slots := o.Slots
-			if slots <= 0 && o.Rho > 0 {
-				slots = checkpoint.MinSlotsForRho(spec.Length, o.Rho, costModel(o)).Slots
-			}
-			if slots <= 0 && spec.Length > 1 {
-				return nil, fmt.Errorf("plan: revolve needs WithSlots or WithRho")
-			}
-			s, err := checkpoint.PlanRevolve(spec.Length, slots)
-			if err != nil {
-				return nil, err
-			}
-			return s.Stream(), nil
-		},
-	})
-
-	Register("sequential", strategyFunc{
-		info: StrategyInfo{
-			Name:        "sequential",
-			Description: "PyTorch checkpoint_sequential: uniform segments, last segment stored in full",
-			Options:     []string{"segments", "rho", "backward-ratio"},
-		},
-		plan: func(spec ChainSpec, o Options) (schedule.Schedule, error) {
-			segments := o.Segments
-			if segments <= 0 && o.Rho > 0 {
-				_, s, ok := checkpoint.MinSequentialSlotsForRho(spec.Length, o.Rho, costModel(o))
-				if !ok {
-					return nil, fmt.Errorf("plan: sequential cannot meet rho<=%.3f for length %d", o.Rho, spec.Length)
-				}
-				segments = s
-			}
-			if segments <= 0 && spec.Length <= 1 {
-				segments = 1 // a trivial chain needs no tunable
-			}
-			if segments <= 0 {
-				return nil, fmt.Errorf("plan: sequential needs WithSegments or WithRho")
-			}
-			s, err := checkpoint.PlanSequential(spec.Length, segments)
-			if err != nil {
-				return nil, err
-			}
-			return s.Stream(), nil
-		},
-	})
-
-	Register("periodic", strategyFunc{
-		info: StrategyInfo{
-			Name:        "periodic",
-			Description: "checkpoint every k-th state, recomputing within each period",
-			Options:     []string{"interval", "rho", "backward-ratio"},
-		},
-		plan: func(spec ChainSpec, o Options) (schedule.Schedule, error) {
-			interval := o.Interval
-			if interval <= 0 && o.Rho > 0 {
-				// Choose the interval with the fewest retained states whose
-				// recompute factor stays within the budget.
-				m := costModel(o)
-				bestSlots := -1
-				for k := 1; k <= spec.Length; k++ {
-					segments := (spec.Length + k - 1) / k
-					fw := checkpoint.SequentialForwards(spec.Length, segments)
-					if m.Rho(spec.Length, fw) > o.Rho+1e-12 {
-						continue
-					}
-					if s := checkpoint.PeriodicMemorySlots(spec.Length, k); bestSlots == -1 || s < bestSlots {
-						bestSlots, interval = s, k
-					}
-				}
-				if interval <= 0 {
-					return nil, fmt.Errorf("plan: periodic cannot meet rho<=%.3f for length %d", o.Rho, spec.Length)
-				}
-			}
-			if interval <= 0 && spec.Length <= 1 {
-				interval = 1 // a trivial chain needs no tunable
-			}
-			if interval <= 0 {
-				return nil, fmt.Errorf("plan: periodic needs WithInterval or WithRho")
-			}
-			s, err := checkpoint.PlanPeriodic(spec.Length, interval)
-			if err != nil {
-				return nil, err
-			}
-			return s.Stream(), nil
-		},
-	})
-
-	Register("logspaced", strategyFunc{
-		info: StrategyInfo{
-			Name:        "logspaced",
-			Description: "states at power-of-two distances from the end: O(log l) memory, up to O(l) recompute",
-			Options:     nil,
-		},
-		plan: func(spec ChainSpec, o Options) (schedule.Schedule, error) {
-			s, err := checkpoint.PlanLogSpaced(spec.Length)
-			if err != nil {
-				return nil, err
-			}
-			return s.Stream(), nil
-		},
-	})
-
-	Register("twolevel", strategyFunc{
-		info: StrategyInfo{
-			Name:        "twolevel",
-			Description: "disk-revolve style: evenly spaced flash checkpoints, optimal in-RAM schedule per segment",
-			Options:     []string{"slots", "disk-slots"},
-		},
-		plan: func(spec ChainSpec, o Options) (schedule.Schedule, error) {
-			if spec.Length > 1 && (o.Slots <= 0 || o.DiskSlots <= 0) {
-				return nil, fmt.Errorf("plan: twolevel needs WithSlots (RAM tier) and WithDiskSlots (flash tier)")
-			}
-			s, err := checkpoint.PlanTwoLevel(spec.Length, o.DiskSlots, o.Slots)
-			if err != nil {
-				return nil, err
-			}
-			return s.Stream(), nil
-		},
-	})
-
-	Register("storeall", strategyFunc{
-		info: StrategyInfo{
-			Name:        "storeall",
-			Description: "no recomputation: one forward sweep storing every state, then the backward sweep",
-			Options:     nil,
-		},
-		plan: func(spec ChainSpec, o Options) (schedule.Schedule, error) {
-			return StoreAllStream(spec.Length), nil
-		},
-	})
+func planRevolve(spec ChainSpec, o Options) (schedule.Schedule, error) {
+	slots := o.Slots
+	if slots <= 0 && o.Rho > 0 {
+		slots = checkpoint.MinSlotsForRho(spec.Length, o.Rho, costModel(o)).Slots
+	}
+	if slots <= 0 && spec.Length > 1 {
+		return schedule.Schedule{}, fmt.Errorf("plan: revolve needs Slots or Rho")
+	}
+	return checkpoint.PlanRevolve(spec.Length, slots)
 }
 
-// StoreAllStream returns the store-all schedule as a lazily generated stream:
-// the O(l) action sequence is produced on demand rather than materialized,
-// demonstrating that streaming and in-memory schedules are interchangeable
-// (its trace is identical to checkpoint.PlanStoreAll's). State x_s lives in
-// slot s-1 during the sweep and is released right after the adjoint of step
-// s+1 no longer needs it.
-func StoreAllStream(l int) *schedule.Lazy {
-	return schedule.Generate(l, max(l-1, 0), "store-all", func(yield func(schedule.Action) bool) {
-		for st := 1; st <= l-1; st++ {
-			if !yield(schedule.Action{Kind: schedule.ActionAdvance, Steps: 1}) {
-				return
+func planSequential(spec ChainSpec, o Options) (schedule.Schedule, error) {
+	segments := o.Segments
+	if segments <= 0 && o.Rho > 0 {
+		_, s, ok := checkpoint.MinSequentialSlotsForRho(spec.Length, o.Rho, costModel(o))
+		if !ok {
+			return schedule.Schedule{}, fmt.Errorf("plan: sequential cannot meet rho<=%.3f for length %d", o.Rho, spec.Length)
+		}
+		segments = s
+	}
+	if segments <= 0 && spec.Length <= 1 {
+		segments = 1 // a trivial chain needs no tunable
+	}
+	if segments <= 0 {
+		return schedule.Schedule{}, fmt.Errorf("plan: sequential needs Segments or Rho")
+	}
+	return checkpoint.PlanSequential(spec.Length, segments)
+}
+
+func planPeriodic(spec ChainSpec, o Options) (schedule.Schedule, error) {
+	interval := o.Interval
+	if interval <= 0 && o.Rho > 0 {
+		// Choose the interval with the fewest retained states whose
+		// recompute factor stays within the budget.
+		m := costModel(o)
+		bestSlots := -1
+		for k := 1; k <= spec.Length; k++ {
+			segments := (spec.Length + k - 1) / k
+			fw := checkpoint.SequentialForwards(spec.Length, segments)
+			if m.Rho(spec.Length, fw) > o.Rho+1e-12 {
+				continue
 			}
-			if !yield(schedule.Action{Kind: schedule.ActionSnapshot, Slot: st - 1}) {
-				return
+			if s := checkpoint.PeriodicMemorySlots(spec.Length, k); bestSlots == -1 || s < bestSlots {
+				bestSlots, interval = s, k
 			}
 		}
-		if l >= 1 {
-			// The sweep ends at x_{l-1}, exactly the adjoint input of step l.
-			if !yield(schedule.Action{Kind: schedule.ActionBackprop}) {
-				return
-			}
+		if interval <= 0 {
+			return schedule.Schedule{}, fmt.Errorf("plan: periodic cannot meet rho<=%.3f for length %d", o.Rho, spec.Length)
 		}
-		for step := l - 1; step >= 1; step-- {
-			restore := schedule.Action{Kind: schedule.ActionRestore, Slot: step - 2}
-			if step-1 == 0 {
-				restore.Slot = schedule.InputSlot
-			}
-			if !yield(restore) {
-				return
-			}
-			if !yield(schedule.Action{Kind: schedule.ActionBackprop}) {
-				return
-			}
-			if !yield(schedule.Action{Kind: schedule.ActionFree, Slot: step - 1}) {
-				return
-			}
-		}
-	})
+	}
+	if interval <= 0 && spec.Length <= 1 {
+		interval = 1 // a trivial chain needs no tunable
+	}
+	if interval <= 0 {
+		return schedule.Schedule{}, fmt.Errorf("plan: periodic needs Interval or Rho")
+	}
+	return checkpoint.PlanPeriodic(spec.Length, interval)
+}
+
+func planTwoLevel(spec ChainSpec, o Options) (schedule.Schedule, error) {
+	if spec.Length > 1 && (o.Slots <= 0 || o.DiskSlots <= 0) {
+		return schedule.Schedule{}, fmt.Errorf("plan: twolevel needs Slots (RAM tier) and DiskSlots (flash tier)")
+	}
+	return checkpoint.PlanTwoLevel(spec.Length, o.DiskSlots, o.Slots)
 }

@@ -1,24 +1,18 @@
 // Package schedule defines the public vocabulary of checkpointing schedules:
-// the primitive Action type, the streaming Schedule interface that both
-// precomputed and lazily generated plans implement, and the validating trace
-// simulator every consumer (the chain executor, the command-line tools, the
-// conformance tests) uses to check a schedule before or while running it.
+// the primitive Action type, the Schedule type every planner emits and every
+// executor runs, and the Validator — the one piece of code that decides
+// whether an action is legal, behind Run, PeakBytes and the chain executor,
+// which applies each action to a Validator before executing it.
 //
 // A schedule reverses a chain of Length steps F_1..F_L mapping state x_0 to
 // x_L. The adjoint of step i needs its input x_{i-1} in memory; checkpoint
 // slots hold intermediate states, and Advance actions re-run forward steps to
 // rebuild states that were discarded. The input x_0 is always available and
 // is addressed by the pseudo-slot InputSlot.
-//
-// Schedules are consumed as a stream (iter.Seq[Action]), so a plan generated
-// on the fly — or read back from disk, or received over the network — is
-// executed exactly like one materialized in memory. Materialize collects a
-// stream into a Memory schedule when random access is needed.
 package schedule
 
 import (
 	"fmt"
-	"iter"
 	"strings"
 )
 
@@ -109,135 +103,36 @@ func (a Action) String() string {
 	}
 }
 
-// Schedule is an executable checkpointing plan for a chain of Length() steps
-// using at most Slots() checkpoint slots. Consumers iterate the action stream
-// with Actions(); they must not assume the plan is materialized. Actions()
-// may be ranged over more than once — each call restarts the stream.
-type Schedule interface {
-	// Length returns the number of chain steps L the schedule reverses.
-	Length() int
-	// Slots returns the checkpoint-slot budget the schedule stays within.
-	Slots() int
-	// Policy returns the human-readable name of the generating strategy,
-	// e.g. "revolve" or "sequential(4)".
-	Policy() string
-	// Actions returns the stream of schedule actions.
-	Actions() iter.Seq[Action]
+// Schedule is a checkpointing plan for a chain of Length steps using at most
+// Slots checkpoint slots: the one type the planners emit, Run validates and
+// the executors run.
+type Schedule struct {
+	// Length is the number of chain steps L the schedule reverses.
+	Length int
+	// Slots is the checkpoint-slot budget the schedule stays within.
+	Slots int
+	// Policy is the human-readable label of the generating strategy, e.g.
+	// "revolve", "sequential(4)" or "auto:twolevel(4)".
+	Policy string
+	// Actions is the plan itself. Consumers must not mutate it.
+	Actions []Action
 }
 
-// Memory is a fully materialized Schedule backed by an action slice.
-type Memory struct {
-	length  int
-	slots   int
-	policy  string
-	actions []Action
-}
-
-// FromActions wraps a precomputed action slice as a Schedule. The slice is
-// used directly, not copied; callers must not mutate it afterwards.
-func FromActions(length, slots int, policy string, actions []Action) *Memory {
-	return &Memory{length: length, slots: slots, policy: policy, actions: actions}
-}
-
-// Length returns the number of chain steps.
-func (m *Memory) Length() int { return m.length }
-
-// Slots returns the checkpoint-slot budget.
-func (m *Memory) Slots() int { return m.slots }
-
-// Policy returns the generating strategy's name.
-func (m *Memory) Policy() string { return m.policy }
-
-// Actions streams the materialized actions.
-func (m *Memory) Actions() iter.Seq[Action] {
-	return func(yield func(Action) bool) {
-		for _, a := range m.actions {
-			if !yield(a) {
-				return
-			}
-		}
+// String summarises the schedule in one line, tracing it to report cost
+// counters (or the validation error if the schedule is invalid).
+func (s Schedule) String() string {
+	tr, err := Run(s)
+	if err != nil {
+		return fmt.Sprintf("Schedule(%s, L=%d, slots=%d, INVALID: %v)", s.Policy, s.Length, s.Slots, err)
 	}
+	return fmt.Sprintf("Schedule(%s, L=%d, slots=%d, forwards=%d, peak=%d)",
+		s.Policy, s.Length, s.Slots, tr.Forwards, tr.PeakSlots)
 }
-
-// ActionSlice returns the underlying action slice (not a copy).
-func (m *Memory) ActionSlice() []Action { return m.actions }
-
-// Len returns the number of actions in the plan.
-func (m *Memory) Len() int { return len(m.actions) }
-
-// String summarises the schedule, tracing it to report cost counters.
-func (m *Memory) String() string { return Summary(m) }
-
-// Lazy is a Schedule whose actions are produced on demand by a generator
-// function, never materialized. It is the streaming counterpart of Memory:
-// the two are interchangeable everywhere a Schedule is consumed.
-type Lazy struct {
-	length int
-	slots  int
-	policy string
-	gen    func(yield func(Action) bool)
-}
-
-// Generate wraps a generator function as a streaming Schedule. The generator
-// is invoked anew on every Actions() call, so it must be restartable (a pure
-// function of its captured inputs).
-func Generate(length, slots int, policy string, gen func(yield func(Action) bool)) *Lazy {
-	return &Lazy{length: length, slots: slots, policy: policy, gen: gen}
-}
-
-// Length returns the number of chain steps.
-func (l *Lazy) Length() int { return l.length }
-
-// Slots returns the checkpoint-slot budget.
-func (l *Lazy) Slots() int { return l.slots }
-
-// Policy returns the generating strategy's name.
-func (l *Lazy) Policy() string { return l.policy }
-
-// Actions streams the generated actions.
-func (l *Lazy) Actions() iter.Seq[Action] { return l.gen }
-
-// String summarises the schedule, tracing it to report cost counters.
-func (l *Lazy) String() string { return Summary(l) }
-
-// Materialize collects a schedule's action stream into a Memory schedule.
-// Materializing a Memory schedule returns it unchanged.
-func Materialize(s Schedule) *Memory {
-	if m, ok := s.(*Memory); ok {
-		return m
-	}
-	var actions []Action
-	for a := range s.Actions() {
-		actions = append(actions, a)
-	}
-	return FromActions(s.Length(), s.Slots(), s.Policy(), actions)
-}
-
-// Cursor is a pull-style adapter over a schedule's action stream for callers
-// that prefer Next() over range-over-func. Stop must be called if the cursor
-// is abandoned before Next returns false.
-type Cursor struct {
-	next func() (Action, bool)
-	stop func()
-}
-
-// NewCursor starts pulling from the schedule's action stream.
-func NewCursor(s Schedule) *Cursor {
-	next, stop := iter.Pull(s.Actions())
-	return &Cursor{next: next, stop: stop}
-}
-
-// Next returns the next action, or ok=false when the stream is exhausted.
-func (c *Cursor) Next() (Action, bool) { return c.next() }
-
-// Stop releases the underlying iterator. It is safe to call repeatedly.
-func (c *Cursor) Stop() { c.stop() }
 
 // UsesTier reports whether any Snapshot action of the schedule is annotated
-// with the given tier. It streams the actions and stops at the first match,
-// so tier-annotated plans are detected after a handful of actions.
+// with the given tier.
 func UsesTier(s Schedule, tier Tier) bool {
-	for a := range s.Actions() {
+	for _, a := range s.Actions {
 		if a.Kind == ActionSnapshot && a.Tier == tier {
 			return true
 		}
@@ -245,26 +140,13 @@ func UsesTier(s Schedule, tier Tier) bool {
 	return false
 }
 
-// Summary renders a one-line description of the schedule, tracing it to
-// report cost counters (or the validation error if the schedule is invalid).
-func Summary(s Schedule) string {
-	tr, err := Run(s)
-	if err != nil {
-		return fmt.Sprintf("Schedule(%s, L=%d, slots=%d, INVALID: %v)", s.Policy(), s.Length(), s.Slots(), err)
-	}
-	return fmt.Sprintf("Schedule(%s, L=%d, slots=%d, forwards=%d, peak=%d)",
-		s.Policy(), s.Length(), s.Slots(), tr.Forwards, tr.PeakSlots)
-}
-
 // Render returns a multi-line listing of the schedule's actions, useful for
 // inspection from command-line tools.
 func Render(s Schedule) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# %s schedule: L=%d slots=%d\n", s.Policy(), s.Length(), s.Slots())
-	i := 0
-	for a := range s.Actions() {
+	fmt.Fprintf(&b, "# %s schedule: L=%d slots=%d\n", s.Policy, s.Length, s.Slots)
+	for i, a := range s.Actions {
 		fmt.Fprintf(&b, "%4d  %s\n", i, a.String())
-		i++
 	}
 	return b.String()
 }
@@ -272,54 +154,31 @@ func Render(s Schedule) string {
 // PeakBytes simulates a schedule against a heterogeneous chain whose state i
 // (the output of step i) occupies stateBytes[i] bytes, and returns the peak
 // number of bytes held in checkpoint slots plus the chain input
-// (stateBytes[0]). stateBytes must have Length()+1 entries (states x_0..x_L).
+// (stateBytes[0]). stateBytes must have Length+1 entries (states x_0..x_L).
+// The schedule is validated as by Run; the sizes ride on the Validator's own
+// slot tracking.
 func PeakBytes(s Schedule, stateBytes []int64) (int64, error) {
-	if len(stateBytes) != s.Length()+1 {
-		return 0, fmt.Errorf("schedule: need %d state sizes, got %d", s.Length()+1, len(stateBytes))
+	if s.Length < 0 || len(stateBytes) != s.Length+1 {
+		return 0, fmt.Errorf("schedule: need %d state sizes, got %d", s.Length+1, len(stateBytes))
 	}
-	slotState := make([]int, s.Slots())
-	for i := range slotState {
-		slotState[i] = -1
-	}
-	current := 0
+	v := NewValidator(s.Length, s.Slots)
 	held := stateBytes[0]
 	peak := held
-	i := 0
-	for a := range s.Actions() {
+	for _, a := range s.Actions {
+		if err := v.Apply(a); err != nil {
+			return 0, fmt.Errorf("schedule: %w", err)
+		}
 		switch a.Kind {
-		case ActionAdvance:
-			if a.Steps <= 0 || current+a.Steps > s.Length() {
-				return 0, fmt.Errorf("schedule: action %d: advance of %d steps from state %d leaves the chain", i, a.Steps, current)
-			}
-			current += a.Steps
 		case ActionSnapshot:
-			if a.Slot < 0 || a.Slot >= len(slotState) || slotState[a.Slot] != -1 {
-				return 0, fmt.Errorf("schedule: action %d: bad snapshot into slot %d", i, a.Slot)
-			}
-			slotState[a.Slot] = current
-			held += stateBytes[current]
-		case ActionRestore:
-			if a.Slot == InputSlot {
-				current = 0
-			} else {
-				if a.Slot < 0 || a.Slot >= len(slotState) || slotState[a.Slot] == -1 {
-					return 0, fmt.Errorf("schedule: action %d: restore from empty slot %d", i, a.Slot)
-				}
-				current = slotState[a.Slot]
-			}
+			held += stateBytes[v.current]
+			peak = max(peak, held)
 		case ActionFree:
-			if a.Slot < 0 || a.Slot >= len(slotState) || slotState[a.Slot] == -1 {
-				return 0, fmt.Errorf("schedule: action %d: freeing empty slot %d", i, a.Slot)
-			}
-			held -= stateBytes[slotState[a.Slot]]
-			slotState[a.Slot] = -1
-		case ActionBackprop:
-			// no effect on checkpoint storage
+			// A freed slot still names the state it held.
+			held -= stateBytes[v.slots[a.Slot].state]
 		}
-		if held > peak {
-			peak = held
-		}
-		i++
+	}
+	if _, err := v.Finish(); err != nil {
+		return 0, fmt.Errorf("schedule: %w", err)
 	}
 	return peak, nil
 }

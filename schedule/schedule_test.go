@@ -21,35 +21,19 @@ func storeAll5() []Action {
 	}
 }
 
-func lazyStoreAll5() *Lazy {
-	acts := storeAll5()
-	return Generate(5, 4, "store-all", func(yield func(Action) bool) {
-		for _, a := range acts {
-			if !yield(a) {
-				return
-			}
-		}
-	})
-}
-
 func TestRunValidSchedule(t *testing.T) {
-	for _, s := range []Schedule{
-		FromActions(5, 4, "store-all", storeAll5()),
-		lazyStoreAll5(),
-	} {
-		tr, err := Run(s)
-		if err != nil {
-			t.Fatalf("%T: %v", s, err)
-		}
-		if tr.Forwards != 4 || tr.PeakSlots != 4 || tr.Snapshots != 4 || tr.Restores != 4 {
-			t.Fatalf("%T: unexpected trace %+v", s, tr)
-		}
-		if len(tr.BackpropOrder) != 5 || tr.BackpropOrder[0] != 5 || tr.BackpropOrder[4] != 1 {
-			t.Fatalf("%T: wrong adjoint order %v", s, tr.BackpropOrder)
-		}
-		if tr.MaxStepExecutions != 1 {
-			t.Fatalf("%T: store-all must run each step once, got %d", s, tr.MaxStepExecutions)
-		}
+	tr, err := Run(Schedule{Length: 5, Slots: 4, Policy: "store-all", Actions: storeAll5()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Forwards != 4 || tr.PeakSlots != 4 || tr.Snapshots != 4 || tr.Restores != 4 {
+		t.Fatalf("unexpected trace %+v", tr)
+	}
+	if len(tr.BackpropOrder) != 5 || tr.BackpropOrder[0] != 5 || tr.BackpropOrder[4] != 1 {
+		t.Fatalf("wrong adjoint order %v", tr.BackpropOrder)
+	}
+	if tr.MaxStepExecutions != 1 {
+		t.Fatalf("store-all must run each step once, got %d", tr.MaxStepExecutions)
 	}
 }
 
@@ -71,80 +55,13 @@ func TestRunRejectsInvalidSchedules(t *testing.T) {
 		{"too many backprops", 1, 0, []Action{{Kind: ActionBackprop}, {Kind: ActionBackprop}}},
 		{"incomplete", 2, 1, []Action{{Kind: ActionAdvance, Steps: 1}, {Kind: ActionBackprop}}},
 		{"unknown kind", 1, 0, []Action{{Kind: ActionKind(99)}}},
+		{"negative length and budget", -3, -2, []Action{{Kind: ActionSnapshot, Slot: 0}}},
+		{"negative length, no actions", -3, 0, nil},
 	}
 	for _, tc := range cases {
-		if _, err := Run(FromActions(tc.length, tc.slots, "bad", tc.actions)); err == nil {
+		if _, err := Run(Schedule{Length: tc.length, Slots: tc.slots, Policy: "bad", Actions: tc.actions}); err == nil {
 			t.Fatalf("%s: invalid schedule accepted", tc.name)
 		}
-	}
-}
-
-func TestMaterializeAndCursor(t *testing.T) {
-	lazy := lazyStoreAll5()
-	mem := Materialize(lazy)
-	if mem.Len() != len(storeAll5()) {
-		t.Fatalf("materialized %d actions, want %d", mem.Len(), len(storeAll5()))
-	}
-	if Materialize(mem) != mem {
-		t.Fatal("materializing a Memory schedule must return it unchanged")
-	}
-	cur := NewCursor(mem)
-	defer cur.Stop()
-	n := 0
-	for {
-		a, ok := cur.Next()
-		if !ok {
-			break
-		}
-		if n == 0 && a.Kind != ActionAdvance {
-			t.Fatalf("first action %v, want advance", a)
-		}
-		n++
-	}
-	if n != mem.Len() {
-		t.Fatalf("cursor yielded %d actions, want %d", n, mem.Len())
-	}
-	// Early Stop must not deadlock or panic.
-	c2 := NewCursor(lazy)
-	c2.Next()
-	c2.Stop()
-}
-
-func TestTracedWrapper(t *testing.T) {
-	tr1, err := Run(lazyStoreAll5())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw := NewTraced(lazyStoreAll5())
-	if _, err := tw.Result(); err == nil {
-		t.Fatal("Result before consumption must fail")
-	}
-	n := 0
-	for range tw.Actions() {
-		n++
-	}
-	tr2, err := tw.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(storeAll5()) {
-		t.Fatalf("traced wrapper yielded %d actions, want %d", n, len(storeAll5()))
-	}
-	if tr1.Forwards != tr2.Forwards || tr1.PeakSlots != tr2.PeakSlots {
-		t.Fatalf("traced wrapper trace %+v differs from Run %+v", tr2, tr1)
-	}
-
-	// An invalid stream stops early and reports through Result.
-	bad := NewTraced(FromActions(2, 1, "bad", []Action{{Kind: ActionAdvance, Steps: 9}}))
-	yielded := 0
-	for range bad.Actions() {
-		yielded++
-	}
-	if yielded != 0 {
-		t.Fatalf("invalid action was yielded %d times", yielded)
-	}
-	if _, err := bad.Result(); err == nil {
-		t.Fatal("Result must surface the validation error")
 	}
 }
 
@@ -155,7 +72,7 @@ func TestActionStringsAndRender(t *testing.T) {
 	if got := (Action{Kind: ActionAdvance, Steps: 3}).String(); got != "advance(3)" {
 		t.Fatalf("advance rendered as %q", got)
 	}
-	mem := FromActions(5, 4, "store-all", storeAll5())
+	mem := Schedule{Length: 5, Slots: 4, Policy: "store-all", Actions: storeAll5()}
 	r := Render(mem)
 	if !strings.Contains(r, "backprop") || !strings.Contains(r, "store-all") {
 		t.Fatalf("render missing content:\n%s", r)
@@ -163,13 +80,13 @@ func TestActionStringsAndRender(t *testing.T) {
 	if s := mem.String(); !strings.Contains(s, "forwards=4") {
 		t.Fatalf("summary missing trace counters: %s", s)
 	}
-	if s := FromActions(2, 1, "bad", []Action{{Kind: ActionBackprop}}).String(); !strings.Contains(s, "INVALID") {
+	if s := (Schedule{Length: 2, Slots: 1, Policy: "bad", Actions: []Action{{Kind: ActionBackprop}}}).String(); !strings.Contains(s, "INVALID") {
 		t.Fatalf("invalid schedule summary should say so: %s", s)
 	}
 }
 
 func TestPeakBytes(t *testing.T) {
-	mem := FromActions(5, 4, "store-all", storeAll5())
+	mem := Schedule{Length: 5, Slots: 4, Policy: "store-all", Actions: storeAll5()}
 	uniform := []int64{10, 10, 10, 10, 10, 10}
 	peak, err := PeakBytes(mem, uniform)
 	if err != nil {
@@ -181,8 +98,11 @@ func TestPeakBytes(t *testing.T) {
 	if _, err := PeakBytes(mem, uniform[:3]); err == nil {
 		t.Fatal("wrong stateBytes length accepted")
 	}
-	runaway := FromActions(5, 4, "bad", []Action{
-		{Kind: ActionAdvance, Steps: 9}, {Kind: ActionSnapshot, Slot: 0}})
+	if _, err := PeakBytes(Schedule{Length: -1}, nil); err == nil {
+		t.Fatal("negative length accepted")
+	}
+	runaway := Schedule{Length: 5, Slots: 4, Policy: "bad", Actions: []Action{
+		{Kind: ActionAdvance, Steps: 9}, {Kind: ActionSnapshot, Slot: 0}}}
 	if _, err := PeakBytes(runaway, uniform); err == nil {
 		t.Fatal("advance past the chain end accepted")
 	}

@@ -37,7 +37,7 @@ func TestTraceTierAccounting(t *testing.T) {
 		{Kind: ActionRestore, Slot: InputSlot},
 		{Kind: ActionBackprop}, // step 1 from x_0
 	}
-	s := FromActions(4, 2, "tier-test", actions)
+	s := Schedule{Length: 4, Slots: 2, Policy: "tier-test", Actions: actions}
 	tr, err := Run(s)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestUntieredScheduleKeepsRAMSemantics(t *testing.T) {
 		{Kind: ActionRestore, Slot: InputSlot},
 		{Kind: ActionBackprop},
 	}
-	tr, err := Run(FromActions(3, 1, "plain", actions))
+	tr, err := Run(Schedule{Length: 3, Slots: 1, Policy: "plain", Actions: actions})
 	if err != nil {
 		t.Fatal(err)
 	}

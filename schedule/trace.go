@@ -1,9 +1,6 @@
 package schedule
 
-import (
-	"fmt"
-	"iter"
-)
+import "fmt"
 
 // Trace is the result of simulating a schedule: cost and memory counters plus
 // the per-step order in which adjoints were performed.
@@ -25,17 +22,17 @@ type Trace struct {
 	DiskReads     int // restores from disk-tier slots
 }
 
-// Validator simulates a schedule action by action, checking that the stream
-// is a correct reversal of the chain: every adjoint step runs exactly once,
-// in order L..1, with its input state available, never exceeding the slot
-// budget. It is the streaming core behind Run and Traced — consumers that
-// execute actions one at a time (a training loop, a remote executor) can feed
-// the validator in lockstep instead of pre-validating a materialized plan.
+// Validator simulates a schedule action by action, checking that the list is
+// a correct reversal of the chain: every adjoint step runs exactly once, in
+// order L..1, with its input state available, never exceeding the slot
+// budget. It is the only code that decides whether an action is legal: Run
+// and PeakBytes feed it a whole schedule, and the chain executor applies each
+// action to one before executing it, so what was checked and what ran are
+// the same list.
 type Validator struct {
 	length       int
 	slots        []validatorSlot
 	current      int
-	currentValid bool
 	pending      int
 	occupied     int
 	occupiedRAM  int
@@ -53,15 +50,24 @@ type validatorSlot struct {
 
 // NewValidator starts a simulation of a chain of the given length with the
 // given checkpoint-slot budget. The working state begins at the chain input.
+// A negative budget is an empty one, and a negative length can never be
+// completed: Finish reports it.
 func NewValidator(length, slots int) *Validator {
 	return &Validator{
-		length:       length,
-		slots:        make([]validatorSlot, slots),
-		currentValid: true,
-		pending:      length,
-		stepRuns:     make([]int, length+1),
+		length:   length,
+		slots:    make([]validatorSlot, max(slots, 0)),
+		pending:  length,
+		stepRuns: make([]int, max(length, 0)+1),
 	}
 }
+
+// State returns the index of the working state: i means x_i, the output of
+// step i, and 0 the chain input.
+func (v *Validator) State() int { return v.current }
+
+// Pending returns the number of adjoint steps not yet performed, which is
+// also the step the next Backprop reverses.
+func (v *Validator) Pending() int { return v.pending }
 
 // Apply simulates one action, returning an error if it is illegal in the
 // current simulated state. Once Apply has returned an error the validator's
@@ -71,9 +77,6 @@ func (v *Validator) Apply(a Action) error {
 	v.index++
 	switch a.Kind {
 	case ActionAdvance:
-		if !v.currentValid {
-			return fmt.Errorf("action %d (%s): advance with no valid working state", i, a)
-		}
 		if a.Steps <= 0 {
 			return fmt.Errorf("action %d (%s): non-positive advance", i, a)
 		}
@@ -86,9 +89,6 @@ func (v *Validator) Apply(a Action) error {
 		v.current += a.Steps
 		v.trace.Forwards += int64(a.Steps)
 	case ActionSnapshot:
-		if !v.currentValid {
-			return fmt.Errorf("action %d (%s): snapshot with no valid working state", i, a)
-		}
 		if a.Slot < 0 || a.Slot >= len(v.slots) {
 			return fmt.Errorf("action %d (%s): slot out of range", i, a)
 		}
@@ -116,7 +116,6 @@ func (v *Validator) Apply(a Action) error {
 	case ActionRestore:
 		if a.Slot == InputSlot {
 			v.current = 0
-			v.currentValid = true
 		} else {
 			if a.Slot < 0 || a.Slot >= len(v.slots) {
 				return fmt.Errorf("action %d (%s): slot out of range", i, a)
@@ -125,7 +124,6 @@ func (v *Validator) Apply(a Action) error {
 				return fmt.Errorf("action %d (%s): restore from empty slot", i, a)
 			}
 			v.current = v.slots[a.Slot].state
-			v.currentValid = true
 			if v.slots[a.Slot].tier == TierDisk {
 				v.trace.DiskReads++
 			}
@@ -149,7 +147,7 @@ func (v *Validator) Apply(a Action) error {
 		if v.pending == 0 {
 			return fmt.Errorf("action %d (%s): all adjoint steps already performed", i, a)
 		}
-		if !v.currentValid || v.current != v.pending-1 {
+		if v.current != v.pending-1 {
 			return fmt.Errorf("action %d (%s): adjoint of step %d requires working state %d, have %d", i, a, v.pending, v.pending-1, v.current)
 		}
 		v.trace.BackpropOrder = append(v.trace.BackpropOrder, v.pending)
@@ -174,74 +172,14 @@ func (v *Validator) Finish() (*Trace, error) {
 	return &v.trace, nil
 }
 
-// Run consumes the schedule's action stream once, validating every action,
-// and returns the trace. It is the one-shot form of the Validator.
+// Run validates every action of the schedule and returns the trace. It is
+// the one-shot form of the Validator.
 func Run(s Schedule) (*Trace, error) {
-	v := NewValidator(s.Length(), s.Slots())
-	for a := range s.Actions() {
+	v := NewValidator(s.Length, s.Slots)
+	for _, a := range s.Actions {
 		if err := v.Apply(a); err != nil {
 			return nil, err
 		}
 	}
 	return v.Finish()
-}
-
-// Traced wraps a schedule so that its action stream is validated as it is
-// consumed. The wrapper streams: it never materializes the underlying plan,
-// so it composes with lazily generated schedules at no extra memory cost.
-//
-// After the stream has been fully consumed, Result returns the trace; if any
-// action was illegal the stream stops early and Result returns the error.
-type Traced struct {
-	inner Schedule
-	trace *Trace
-	err   error
-	done  bool
-}
-
-// NewTraced wraps the schedule in a validating pass-through.
-func NewTraced(s Schedule) *Traced { return &Traced{inner: s} }
-
-// Length returns the wrapped schedule's chain length.
-func (t *Traced) Length() int { return t.inner.Length() }
-
-// Slots returns the wrapped schedule's slot budget.
-func (t *Traced) Slots() int { return t.inner.Slots() }
-
-// Policy returns the wrapped schedule's policy name.
-func (t *Traced) Policy() string { return t.inner.Policy() }
-
-// Actions streams the wrapped schedule's actions, validating each one before
-// yielding it. On an illegal action the stream terminates early and the error
-// is reported by Result. Each call restarts the validation.
-func (t *Traced) Actions() iter.Seq[Action] {
-	return func(yield func(Action) bool) {
-		v := NewValidator(t.inner.Length(), t.inner.Slots())
-		t.trace, t.err, t.done = nil, nil, false
-		for a := range t.inner.Actions() {
-			if err := v.Apply(a); err != nil {
-				t.err = err
-				return
-			}
-			if !yield(a) {
-				return
-			}
-		}
-		tr, err := v.Finish()
-		t.trace, t.err = tr, err
-		t.done = err == nil
-	}
-}
-
-// Result returns the trace accumulated by a completed iteration, or the
-// validation error that stopped it. It returns an error if the stream has
-// not been fully consumed yet.
-func (t *Traced) Result() (*Trace, error) {
-	if t.err != nil {
-		return nil, t.err
-	}
-	if !t.done {
-		return nil, fmt.Errorf("schedule: trace not complete: stream has not been fully consumed")
-	}
-	return t.trace, nil
 }
