@@ -1,6 +1,10 @@
 package ckpt
 
-import "github.com/edgeml/edgetrain/obs"
+import (
+	"runtime"
+
+	"github.com/edgeml/edgetrain/obs"
+)
 
 // Saver writes checkpoints into a Dir from one background goroutine, so the
 // loop that produces the sessions — a trainer's step loop, a coordinator's
@@ -28,8 +32,9 @@ type Saver struct {
 	dir  *Dir
 	lane int
 
-	jobs    chan saveJob // unbuffered: the writer is idle at the receive or writing
-	results chan error   // outcome of the write in flight, one per job
+	jobs    chan saveJob  // unbuffered: the writer is idle at the receive or writing
+	started chan struct{} // unbuffered: the writer has taken a job and opened its span
+	results chan error    // outcome of the write in flight, one per job
 	exited  chan struct{}
 
 	// Owner-side state: only the goroutine calling Submit/Wait/Close reads
@@ -53,6 +58,7 @@ func NewSaver(d *Dir, lane int) *Saver {
 		dir:     d,
 		lane:    lane,
 		jobs:    make(chan saveJob),
+		started: make(chan struct{}),
 		results: make(chan error, 1),
 		exited:  make(chan struct{}),
 	}
@@ -65,6 +71,14 @@ func NewSaver(d *Dir, lane int) *Saver {
 			// filed under the round whose state it persists (-1 for a
 			// trainer session, which has no rounds).
 			sp := obs.DefaultTracer().Span("checkpoint-save", job.s.Round-1, s.lane)
+			// Submit waits for this: the write has begun before the
+			// producer moves on. Then the producer goes first — it is the
+			// loop the save must not hold up — and the writer carries on
+			// from the scheduler's global queue, on whichever processor
+			// looks there next: an idle one is woken for it, a spinning
+			// kernel helper (internal/parallel) yields to it.
+			s.started <- struct{}{}
+			runtime.Gosched()
 			name, err := s.dir.Save(job.s)
 			sp.EndDetail(name)
 			if err == nil && job.saved != nil {
@@ -76,8 +90,12 @@ func NewSaver(d *Dir, lane int) *Saver {
 	return s
 }
 
-// Submit hands one captured session to the writer and returns without
-// waiting for it to reach flash. It first joins the write in flight, so it
+// Submit hands one captured session to the writer and returns once the
+// writer has taken it and begun — its checkpoint-save span is open — without
+// waiting for it to reach flash. The write therefore runs beside the caller's
+// next step whether or not that step ever blocks: a step loop whose kernels
+// spin instead of parking would otherwise keep the writer queued behind
+// itself. Submit first joins the write in flight, so it
 // blocks for as long as flash is behind the caller, and returns that write's
 // error (or any earlier one) without accepting s. The session must not be
 // modified until Wait, Close or the next Submit has returned. saved, when
@@ -88,6 +106,7 @@ func (s *Saver) Submit(sess *Session, saved func(name string)) error {
 		return err
 	}
 	s.jobs <- saveJob{sess, saved}
+	<-s.started
 	s.pending = true
 	return nil
 }

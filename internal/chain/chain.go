@@ -12,7 +12,11 @@
 // batch-parallel, pool-backed GEMM micro-kernels as the initial sweep — a
 // column-vectorised AVX2 tile where the CPU has one, pure-Go register strips
 // elsewhere — so a unit of the recompute factor costs one forward at kernel
-// speed and no per-recompute scratch allocation. Both kernels add every output
+// speed and no per-recompute scratch allocation, and on the same resident
+// worker team (internal/parallel): the three hundred parallel regions of a
+// Revolve step find their helper already spinning instead of waking a thread
+// each, which is what makes the second core pay for the extra forwards. Both
+// kernels add every output
 // element's products one at a time in ascending k, each product and each sum
 // rounded (never fused), whatever the tiling, the lane or the worker count,
 // which is what lets a re-run forward reproduce the first one bit for bit, on

@@ -26,16 +26,17 @@ func (r *ReLU) Name() string { return r.name }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	out := x.Clone()
+	out := x.NewLike()
 	if cap(r.mask) < x.Size() {
 		r.mask = make([]bool, x.Size())
 	}
 	r.mask = r.mask[:x.Size()]
-	d := out.Data()
+	src, d := x.Data(), out.Data()
 	parallel.For(len(d), elemGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if d[i] > 0 {
+			if v := src[i]; v > 0 {
 				r.mask[i] = true
+				d[i] = v
 			} else {
 				r.mask[i] = false
 				d[i] = 0
@@ -50,11 +51,13 @@ func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if len(r.mask) != gradOut.Size() {
 		panic("nn: ReLU.Backward called before Forward or with mismatched size")
 	}
-	gradIn := gradOut.Clone()
-	d := gradIn.Data()
+	gradIn := gradOut.NewLike()
+	g, d := gradOut.Data(), gradIn.Data()
 	parallel.For(len(d), elemGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if !r.mask[i] {
+			if r.mask[i] {
+				d[i] = g[i]
+			} else {
 				d[i] = 0
 			}
 		}

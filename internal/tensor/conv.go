@@ -165,7 +165,9 @@ func Conv2D(input, weight, bias *Tensor, stride, pad int) *Tensor {
 	inC, inH, inW := input.shape[1], input.shape[2], input.shape[3]
 	outC, kH, kW := weight.shape[0], weight.shape[2], weight.shape[3]
 	g := NewConvGeom(inC, inH, inW, outC, kH, kW, stride, pad)
-	return Conv2DInto(New(g.OutputShape(n)...), input, weight, bias, stride, pad)
+	// New hands the output over zeroed, so the product accumulates straight
+	// into it: clearing it a second time is what gemmNN would add.
+	return conv2DInto(gemmNNAcc, New(g.OutputShape(n)...), input, weight, bias, stride, pad)
 }
 
 // convGeomChecked validates the three tensors of a convolution — the rank-4
@@ -195,6 +197,13 @@ func convGeomChecked(op string, input, weight, out *Tensor, stride, pad int) Con
 // GEMM itself over output-channel panels. Both paths compute every output
 // element identically, so results do not depend on the worker count.
 func Conv2DInto(out, input, weight, bias *Tensor, stride, pad int) *Tensor {
+	return conv2DInto(gemmNN, out, input, weight, bias, stride, pad)
+}
+
+// conv2DInto is Conv2DInto with the product as a parameter: gemmNN for an
+// output that holds anything, gemmNNAcc for one known to be all +0 — the same
+// sums from the same starting value.
+func conv2DInto(product func(dst, a, b []float64, k, n, lo, hi int), out, input, weight, bias *Tensor, stride, pad int) *Tensor {
 	g := convGeomChecked("Conv2DInto", input, weight, out, stride, pad)
 	n, inC, inH, inW := input.shape[0], g.InC, g.InH, g.InW
 	outC := g.OutC
@@ -213,7 +222,7 @@ func Conv2DInto(out, input, weight, bias *Tensor, stride, pad int) *Tensor {
 		g.Im2Col(input.data[:imgLen], col)
 		dst := out.data[:outLen]
 		parallel.For(outC, gemmRowGrain(g.ColRows, g.ColsN), func(lo, hi int) {
-			gemmNN(dst, wd, col, g.ColRows, g.ColsN, lo, hi)
+			product(dst, wd, col, g.ColRows, g.ColsN, lo, hi)
 			if bd != nil {
 				addBiasRows(dst, bd, g.ColsN, lo, hi)
 			}
@@ -228,7 +237,7 @@ func Conv2DInto(out, input, weight, bias *Tensor, stride, pad int) *Tensor {
 			img := input.data[b*imgLen : (b+1)*imgLen]
 			dst := out.data[b*outLen : (b+1)*outLen]
 			g.Im2Col(img, col)
-			gemmNN(dst, wd, col, g.ColRows, g.ColsN, 0, outC)
+			product(dst, wd, col, g.ColRows, g.ColsN, 0, outC)
 			if bd != nil {
 				addBiasRows(dst, bd, g.ColsN, 0, outC)
 			}
@@ -318,10 +327,17 @@ func Conv2DBackward(input, weight *Tensor, hasBias bool, gradOut *Tensor, stride
 			putScratch(rowsp)
 			putScratch(dcolp)
 		})
-		for _, p := range partials {
-			for i, v := range (*p)[:wLen] {
-				gwd[i] += v
+		// Every element of the weight gradient adds its per-image partials
+		// in batch order; which worker adds an element changes nothing.
+		parallel.For(wLen, elemGrain, func(lo, hi int) {
+			dst := gwd[lo:hi]
+			for _, p := range partials {
+				for i, v := range (*p)[lo:hi] {
+					dst[i] += v
+				}
 			}
+		})
+		for _, p := range partials {
 			putScratch(p)
 		}
 	}

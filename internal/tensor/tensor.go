@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"github.com/edgeml/edgetrain/internal/parallel"
 )
 
 // Tensor is a dense, row-major multi-dimensional array of float64 values.
@@ -242,12 +244,21 @@ func (t *Tensor) Map(f func(float64) float64) *Tensor {
 	return out.Apply(f)
 }
 
-// AddInPlace adds o to t element-wise. Shapes must match.
+// elemGrain is the number of elements a parallel chunk of an element-wise
+// kernel carries; smaller tensors run serially.
+const elemGrain = 8192
+
+// AddInPlace adds o to t element-wise. Shapes must match. It is the residual
+// sum of every block and the fold of every layer's weight gradient, so large
+// tensors are added in parallel; every element is one sum, whoever adds it.
 func (t *Tensor) AddInPlace(o *Tensor) *Tensor {
 	mustSameShape(t, o)
-	for i := range t.data {
-		t.data[i] += o.data[i]
-	}
+	parallel.For(len(t.data), elemGrain, func(lo, hi int) {
+		dst, src := t.data[lo:hi], o.data[lo:hi]
+		for i, v := range src {
+			dst[i] += v
+		}
+	})
 	return t
 }
 

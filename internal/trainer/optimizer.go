@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"github.com/edgeml/edgetrain/internal/nn"
+	"github.com/edgeml/edgetrain/internal/parallel"
 )
 
 // Optimizer updates parameters from their accumulated gradients.
@@ -132,16 +133,24 @@ func (a *Adam) Step(params []*nn.Param) {
 		}
 		val := p.Value.Data()
 		g := p.Grad.Data()
-		for i := range val {
-			grad := g[i] + a.WeightDecay*val[i]
-			m1[i] = a.Beta1*m1[i] + (1-a.Beta1)*grad
-			m2[i] = a.Beta2*m2[i] + (1-a.Beta2)*grad*grad
-			mHat := m1[i] / c1
-			vHat := m2[i] / c2
-			val[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-		}
+		// Every element is updated from its own gradient and moments alone,
+		// so the large parameters are updated in parallel, bit for bit.
+		parallel.For(len(val), adamGrain, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				grad := g[i] + a.WeightDecay*val[i]
+				m1[i] = a.Beta1*m1[i] + (1-a.Beta1)*grad
+				m2[i] = a.Beta2*m2[i] + (1-a.Beta2)*grad*grad
+				mHat := m1[i] / c1
+				vHat := m2[i] / c2
+				val[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
+			}
+		})
 	}
 }
+
+// adamGrain is the number of elements one parallel chunk of Adam.Step
+// updates: at two divisions and a square root an element, some 20 µs of work.
+const adamGrain = 4096
 
 // NewOptimizer constructs an optimiser by name: "sgd", "momentum" or "adam".
 func NewOptimizer(name string, lr float64) (Optimizer, error) {
