@@ -32,7 +32,6 @@ import (
 	"github.com/edgeml/edgetrain/internal/checkpoint"
 	"github.com/edgeml/edgetrain/internal/device"
 	"github.com/edgeml/edgetrain/internal/memmodel"
-	"github.com/edgeml/edgetrain/internal/nn"
 	"github.com/edgeml/edgetrain/internal/parallel"
 	"github.com/edgeml/edgetrain/internal/resnet"
 	"github.com/edgeml/edgetrain/internal/tensor"
@@ -205,17 +204,16 @@ func main() {
 	} else {
 		fmt.Println("durable checkpoints: disabled (use -checkpoint-dir)")
 	}
+	// The chain's memory shape as Step plans it: the auto printout and the
+	// resident-vs-budget line below both read it.
+	var spec plan.ChainSpec
 	if pol.MemoryBudget > 0 {
+		spec = pol.Spec(c, dataset.Batch(0, *batch).Images)
 		// MiB, matching the binary units -budget accepts, so the echoed
 		// number equals what the user typed.
 		fmt.Printf("memory budget: %.2f MiB\n", float64(pol.MemoryBudget)/(1<<20))
 		if *policy == "auto" {
-			x0 := dataset.Batch(0, *batch)
-			choice, err := plan.AutoSelect(plan.ChainSpec{
-				Length:          c.Len(),
-				WeightBytes:     2 * nn.ParamBytes(c.Stages),
-				ActivationBytes: x0.Images.Bytes(),
-			}, plan.Options{MemoryBudget: pol.MemoryBudget})
+			choice, err := plan.AutoSelect(spec, plan.Options{MemoryBudget: pol.MemoryBudget})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -231,7 +229,7 @@ func main() {
 	for _, st := range stats {
 		lastStats = st
 		fmt.Printf("epoch %d: loss=%.4f acc=%.1f%% forwards=%d backwards=%d peak-states=%d peak-bytes=%.1f MB\n",
-			st.Epoch, st.Loss, 100*st.Accuracy, st.ForwardEvals, st.BackwardEvals, st.PeakStates, float64(st.PeakBytes)/1e6)
+			st.Epoch, st.Loss, 100*st.Accuracy, st.ForwardEvals, st.BackwardEvals, st.PeakStates, float64(st.PeakStateBytes)/1e6)
 		if st.DiskWrites > 0 || st.DiskReads > 0 {
 			fmt.Printf("         spilled: peak-flash=%.1f MB writes=%d reads=%d\n",
 				float64(st.PeakDiskBytes)/1e6, st.DiskWrites, st.DiskReads)
@@ -241,11 +239,11 @@ func main() {
 		// The budget covers the whole resident training state, so compare
 		// weights + retained states against it (the same accounting Step's
 		// auto planning uses).
-		weights := 2 * nn.ParamBytes(c.Stages)
-		resident := weights + lastStats.PeakBytes
+		weights := spec.WeightBytes
+		resident := weights + lastStats.PeakStateBytes
 		const mib = 1 << 20
 		fmt.Printf("resident peak %.2f MiB (%.2f MiB weights + %.2f MiB states) vs budget %.2f MiB: fits=%v\n",
-			float64(resident)/mib, float64(weights)/mib, float64(lastStats.PeakBytes)/mib,
+			float64(resident)/mib, float64(weights)/mib, float64(lastStats.PeakStateBytes)/mib,
 			float64(pol.MemoryBudget)/mib, resident <= pol.MemoryBudget)
 	}
 

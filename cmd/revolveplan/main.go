@@ -86,15 +86,15 @@ func main() {
 		fmt.Printf("lower bound 2*sqrt(l) = %.2f activation slots\n\n", checkpoint.SequentialLowerBound(*l))
 		fmt.Printf("%-10s%-14s%-14s%-10s\n", "segments", "memory slots", "forwards", "rho")
 		for s := 1; s <= *l; s++ {
-			mem := checkpoint.SequentialMemorySlots(*l, s)
-			fw := checkpoint.SequentialForwards(*l, s)
-			fmt.Printf("%-10d%-14d%-14d%-10.3f\n", s, mem, fw, cost.Rho(*l, fw))
 			if s > 24 && s < *l-1 {
 				if s == 25 {
 					fmt.Println("...")
 				}
 				continue
 			}
+			mem := checkpoint.SequentialMemorySlots(*l, s)
+			fw := checkpoint.SequentialForwards(*l, s)
+			fmt.Printf("%-10d%-14d%-14d%-10.3f\n", s, mem, fw, cost.Rho(*l, fw))
 		}
 		bestS, bestM := checkpoint.BestSequentialSegments(*l)
 		fmt.Printf("\nbest segment count: %d (memory %d slots)\n", bestS, bestM)
@@ -102,11 +102,11 @@ func main() {
 		fmt.Printf("optimal checkpointing for a chain of l=%d steps\n", *l)
 		fmt.Printf("%-8s%-14s%-10s%-12s\n", "slots", "forwards", "rho", "repetition")
 		for c := 0; c <= *l-1; c++ {
-			fw := checkpoint.MinForwards(*l, c)
-			fmt.Printf("%-8d%-14d%-10.3f%-12d\n", c, fw, cost.Rho(*l, fw), checkpoint.Repetition(*l, c))
 			if c > 20 && c < *l-5 && c%10 != 0 {
 				continue
 			}
+			fw := checkpoint.MinForwards(*l, c)
+			fmt.Printf("%-8d%-14d%-10.3f%-12d\n", c, fw, cost.Rho(*l, fw), checkpoint.Repetition(*l, c))
 		}
 	case *rho > 0 && *strategy == "revolve" && *slots == 0:
 		res := checkpoint.MinSlotsForRho(*l, *rho, cost)

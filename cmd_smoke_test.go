@@ -55,6 +55,8 @@ func TestCommandSmoke(t *testing.T) {
 		{"revolveplan-twolevel-tiers", []string{
 			"-l", "40", "-strategy", "twolevel", "-slots", "2", "-disk-slots", "3",
 		}, "tier breakdown"},
+		{"revolveplan-sweep-elided", []string{"-l", "152", "-sweep"}, "optimal checkpointing"},
+		{"revolveplan-sequential-elided", []string{"-l", "40", "-sequential"}, "best segment count"},
 		{"edgetrainer-auto-spill", []string{
 			"-policy", "auto", "-budget", "2MB", "-epochs", "1",
 			"-samples", "4", "-batch", "2",
@@ -76,6 +78,27 @@ func TestCommandSmoke(t *testing.T) {
 		{"figure1-fit", []string{"-fit"}, ""},
 		{"aotsim", []string{"-nodes", "3", "-days", "2"}, ""},
 	}
+	// Further assertions on some cases' output, by case name.
+	checks := map[string]func(out string) error{
+		"revolveplan-sweep-elided": func(out string) error {
+			if n := strings.Count(out, "\n"); n > 45 {
+				return fmt.Errorf("%d lines, want at most 45: the table is not elided", n)
+			}
+			return nil
+		},
+		"revolveplan-sequential-elided": func(out string) error {
+			lines := strings.Split(out, "\n")
+			for i, line := range lines {
+				if line == "..." {
+					if i+1 < len(lines) && strings.HasPrefix(lines[i+1], "39 ") {
+						return nil
+					}
+					return fmt.Errorf("the row after \"...\" is %q, want the s = 39 row", lines[i+1])
+				}
+			}
+			return fmt.Errorf("no \"...\" elision line")
+		},
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			binary := strings.SplitN(tc.name, "-", 2)[0]
@@ -86,6 +109,11 @@ func TestCommandSmoke(t *testing.T) {
 			}
 			if tc.want != "" && !strings.Contains(string(out), tc.want) {
 				t.Fatalf("%s %v output does not contain %q:\n%s", binary, tc.args, tc.want, out)
+			}
+			if check := checks[tc.name]; check != nil {
+				if err := check(string(out)); err != nil {
+					t.Fatalf("%s %v: %v\n%s", binary, tc.args, err, out)
+				}
 			}
 		})
 	}

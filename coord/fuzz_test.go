@@ -8,6 +8,7 @@ import (
 
 	"github.com/edgeml/edgetrain/ckpt"
 	"github.com/edgeml/edgetrain/fleet"
+	"github.com/edgeml/edgetrain/internal/chain"
 	"github.com/edgeml/edgetrain/internal/tensor"
 	"github.com/edgeml/edgetrain/obs"
 )
@@ -83,10 +84,10 @@ func protoSamples() []protoSample {
 	updateF, err := encodeUpdate(updateMsg{
 		round: 3, samples: 17, loss: 2.1972, duration: 257 * time.Millisecond,
 		strategy: "revolve",
-		stats: fleet.Update{
+		stats: fleet.Update{Usage: chain.Usage{
 			ForwardEvals: 40, BackwardEvals: 12, PeakStates: 5,
-			PeakRAMBytes: 1 << 20, PeakDiskBytes: 1 << 18, DiskWrites: 6, DiskReads: 6,
-		},
+			PeakStateBytes: 1 << 20, PeakDiskBytes: 1 << 18, DiskWrites: 6, DiskReads: 6,
+		}},
 		vecs:  []*tensor.Tensor{randTensor(rng, 8, 4), randTensor(rng, 4)},
 		state: *state,
 	})

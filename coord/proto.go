@@ -304,7 +304,7 @@ func encodeUpdate(m updateMsg) (ckpt.Frame, error) {
 	wire.PutInt64(&b, int64(m.stats.ForwardEvals))
 	wire.PutInt64(&b, int64(m.stats.BackwardEvals))
 	wire.PutInt64(&b, int64(m.stats.PeakStates))
-	wire.PutInt64(&b, m.stats.PeakRAMBytes)
+	wire.PutInt64(&b, m.stats.PeakStateBytes)
 	wire.PutInt64(&b, m.stats.PeakDiskBytes)
 	wire.PutInt64(&b, int64(m.stats.DiskWrites))
 	wire.PutInt64(&b, int64(m.stats.DiskReads))
@@ -345,7 +345,7 @@ func parseUpdate(payload []byte) (updateMsg, error) {
 	m.stats.ForwardEvals = int(p.Int64("forward evals"))
 	m.stats.BackwardEvals = int(p.Int64("backward evals"))
 	m.stats.PeakStates = int(p.Int64("peak states"))
-	m.stats.PeakRAMBytes = p.Int64("peak RAM bytes")
+	m.stats.PeakStateBytes = p.Int64("peak RAM bytes")
 	m.stats.PeakDiskBytes = p.Int64("peak disk bytes")
 	m.stats.DiskWrites = int(p.Int64("disk writes"))
 	m.stats.DiskReads = int(p.Int64("disk reads"))

@@ -8,6 +8,7 @@ import (
 
 	"github.com/edgeml/edgetrain/ckpt"
 	"github.com/edgeml/edgetrain/fleet"
+	"github.com/edgeml/edgetrain/internal/chain"
 	"github.com/edgeml/edgetrain/internal/tensor"
 )
 
@@ -115,10 +116,10 @@ func TestUpdateRoundTrip(t *testing.T) {
 		loss:     2.1972,
 		duration: 257 * time.Millisecond,
 		strategy: "revolve",
-		stats: fleet.Update{
+		stats: fleet.Update{Usage: chain.Usage{
 			ForwardEvals: 40, BackwardEvals: 12, PeakStates: 5,
-			PeakRAMBytes: 1 << 20, PeakDiskBytes: 1 << 18, DiskWrites: 6, DiskReads: 6,
-		},
+			PeakStateBytes: 1 << 20, PeakDiskBytes: 1 << 18, DiskWrites: 6, DiskReads: 6,
+		}},
 		vecs: []*tensor.Tensor{randTensor(rng, 8, 4), randTensor(rng, 4)},
 		state: ckpt.WorkerState{
 			Index: 1, Name: "w1", Rounds: 4, Samples: 68,

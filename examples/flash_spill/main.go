@@ -46,7 +46,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	weights := 2 * nn.ParamBytes(cSpill.Stages)
+	// The chain's memory shape as the planner sees it: value and gradient of
+	// every parameter, and one stored state the size of the input.
+	spec := chain.Policy{}.Spec(cSpill, x)
+	weights := spec.WeightBytes
 	storeAll := weights + plain.PeakStateBytes
 	fmt.Printf("chain: %d stages, %.0f kB per state, %.0f kB weight state\n",
 		cSpill.Len(), float64(x.Bytes())/1e3, float64(weights)/1e3)
@@ -59,7 +62,6 @@ func main() {
 	fmt.Printf("device budget: %.0f kB — store-all does not fit (%v)\n\n",
 		float64(budget)/1e3, storeAll <= budget)
 
-	spec := plan.ChainSpec{Length: cSpill.Len(), WeightBytes: weights, ActivationBytes: x.Bytes()}
 	choice, err := plan.AutoSelect(spec, plan.Options{MemoryBudget: budget})
 	if err != nil {
 		log.Fatal(err)

@@ -38,6 +38,6 @@ func main() {
 	fmt.Printf("in-situ dataset: %d auto-labelled images from %d accepted tracks (%d rejected); label accuracy %.1f%%\n",
 		res.HarvestedImages, res.TracksHarvested, res.TracksRejected, 100*res.LabelAccuracy)
 	fmt.Printf("student training ran under Revolve checkpointing: peak %d retained states (%.2f MB measured)\n",
-		res.StudentPeakStates, float64(res.StudentPeakBytes)/1e6)
+		res.PeakStates, float64(res.PeakStateBytes)/1e6)
 	fmt.Println("\nno raw image left the node; only the teacher model was downloaded once.")
 }

@@ -26,14 +26,8 @@ type Update struct {
 	// live worker state.
 	Vecs []*tensor.Tensor
 
-	// Execution statistics of the local computation, for the round report.
-	ForwardEvals  int
-	BackwardEvals int
-	PeakStates    int
-	PeakRAMBytes  int64
-	PeakDiskBytes int64
-	DiskWrites    int
-	DiskReads     int
+	// Usage is what the local computation cost, for the round report.
+	chain.Usage
 }
 
 // Aggregator defines what each worker computes in a round and how the
@@ -102,13 +96,7 @@ func (a *FedAvg) Local(w *Worker, round int) (Update, error) {
 	u.Samples = w.Shard.Len()
 	for _, st := range stats {
 		u.Loss = st.Loss
-		u.ForwardEvals += st.ForwardEvals
-		u.BackwardEvals += st.BackwardEvals
-		u.PeakStates = max(u.PeakStates, st.PeakStates)
-		u.PeakRAMBytes = max(u.PeakRAMBytes, st.PeakBytes)
-		u.PeakDiskBytes = max(u.PeakDiskBytes, st.PeakDiskBytes)
-		u.DiskWrites += st.DiskWrites
-		u.DiskReads += st.DiskReads
+		u.Usage.Add(st.Usage)
 	}
 	for _, p := range w.Chain.Params() {
 		u.Vecs = append(u.Vecs, p.Value.Clone())
@@ -194,13 +182,7 @@ func (a *GradAllReduce) Local(w *Worker, round int) (Update, error) {
 	}
 	u.Samples = len(batch.Labels)
 	u.Loss = loss
-	u.ForwardEvals = res.ForwardEvals
-	u.BackwardEvals = res.BackwardEvals
-	u.PeakStates = res.PeakStates
-	u.PeakRAMBytes = res.PeakStateBytes
-	u.PeakDiskBytes = res.PeakDiskBytes
-	u.DiskWrites = res.DiskWrites
-	u.DiskReads = res.DiskReads
+	u.Usage = res.Usage
 	for _, p := range w.Chain.Params() {
 		u.Vecs = append(u.Vecs, p.Grad.Clone())
 	}

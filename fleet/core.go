@@ -144,13 +144,7 @@ func (c *Core) Commit(rs *RoundStats, updates []*Update, encoded []int64) error 
 		ws := &rs.Workers[i]
 		ws.Samples = u.Samples
 		ws.Loss = u.Loss
-		ws.ForwardEvals = u.ForwardEvals
-		ws.BackwardEvals = u.BackwardEvals
-		ws.PeakStates = u.PeakStates
-		ws.PeakRAMBytes = u.PeakRAMBytes
-		ws.PeakDiskBytes = u.PeakDiskBytes
-		ws.DiskWrites = u.DiskWrites
-		ws.DiskReads = u.DiskReads
+		ws.Usage = u.Usage
 		upload := c.modelBytes
 		if c.spec.Enabled() {
 			upload = encoded[i]

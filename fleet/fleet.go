@@ -343,11 +343,7 @@ func (w *Worker) configurePlanning() error {
 	if size == w.Shard.Len() {
 		w.fullBatch = probe // seed the RoundBatch cache
 	}
-	spec := plan.ChainSpec{
-		Length:          w.Chain.Len(),
-		WeightBytes:     2 * nn.ParamBytes(w.Chain.Stages),
-		ActivationBytes: probe.Images.Bytes(),
-	}
+	spec := chain.Policy{}.Spec(w.Chain, probe.Images)
 	choice, err := plan.AutoSelect(spec, plan.Options{MemoryBudget: w.Spec.BudgetBytes})
 	if err != nil {
 		return fmt.Errorf("fleet: %s (budget %d bytes): %w", w.Spec.Name, w.Spec.BudgetBytes, err)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/edgeml/edgetrain/internal/chain"
 	"github.com/edgeml/edgetrain/obs/health"
 	"github.com/edgeml/edgetrain/plan"
 )
@@ -21,14 +22,9 @@ type WorkerRoundStats struct {
 	Delay        time.Duration // injected straggler delay
 	Duration     time.Duration // wall-clock of the local computation
 
-	// Execution cost of the local computation.
-	ForwardEvals  int
-	BackwardEvals int
-	PeakStates    int
-	PeakRAMBytes  int64 // peak retained-state bytes in RAM (excl. weights)
-	PeakDiskBytes int64 // peak flash-resident checkpoint bytes
-	DiskWrites    int
-	DiskReads     int
+	// Usage is what the local computation cost; PeakStateBytes is the
+	// measured peak of retained states in RAM (weights excluded).
+	chain.Usage
 
 	// Modeled traffic of the round for this worker. With compression
 	// enabled, UploadBytes is the encoded blob size actually shipped and
@@ -97,15 +93,16 @@ type WorkerSummary struct {
 	// Strategy is the checkpoint strategy the worker's budget auto-selected
 	// ("storeall", "revolve", "twolevel"; "idle" for an empty shard).
 	Strategy string
-	// Choice carries the full auto-selection (slots, predicted footprint).
+	// Choice carries the full auto-selection (slots, predicted footprint:
+	// Choice.PeakRAMBytes is the planner's forecast, Usage.PeakStateBytes
+	// the measurement).
 	Choice plan.AutoChoice
 
-	Rounds         int // rounds whose fold included this worker
-	Dropped        int // rounds lost to dropout
-	PeakRAMBytes   int64
-	PeakDiskBytes  int64
-	DiskWrites     int
-	DiskReads      int
+	Rounds  int // rounds whose fold included this worker
+	Dropped int // rounds lost to dropout
+	// Usage is the worker's rounds folded together: evaluations and disk
+	// traffic summed, peaks the largest of any round.
+	chain.Usage
 	UploadBytes    int64
 	RawUploadBytes int64
 	DownloadBytes  int64
@@ -195,10 +192,7 @@ func (rep *Report) add(rs RoundStats) {
 		if ws.Dropped {
 			sum.Dropped++
 		}
-		sum.PeakRAMBytes = max(sum.PeakRAMBytes, ws.PeakRAMBytes)
-		sum.PeakDiskBytes = max(sum.PeakDiskBytes, ws.PeakDiskBytes)
-		sum.DiskWrites += ws.DiskWrites
-		sum.DiskReads += ws.DiskReads
+		sum.Usage.Add(ws.Usage)
 		sum.UploadBytes += ws.UploadBytes
 		sum.RawUploadBytes += ws.RawUploadBytes
 		sum.DownloadBytes += ws.DownloadBytes
@@ -238,7 +232,7 @@ func (rep *Report) Render() string {
 	for _, w := range rep.Workers {
 		fmt.Fprintf(&b, "%-22s%-20s%12.2f%8d%12s%15.3f%12.3f%9d%8d%12.2f\n",
 			w.Name, w.Device, mb(w.BudgetBytes), w.ShardSamples, w.Strategy,
-			mb(w.PeakRAMBytes), mb(w.PeakDiskBytes), w.DiskWrites, w.DiskReads, mb(w.WireBytes))
+			mb(w.PeakStateBytes), mb(w.PeakDiskBytes), w.DiskWrites, w.DiskReads, mb(w.WireBytes))
 	}
 	fmt.Fprintf(&b, "%-10s%14s%12s%10s%14s%16s%12s\n",
 		"round", "participants", "dropouts", "loss", "uplink (MB)", "downlink (MB)", "wall (ms)")

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/edgeml/edgetrain/internal/chain"
 	"github.com/edgeml/edgetrain/obs/health"
 )
 
@@ -30,8 +31,8 @@ func TestReportRenderGolden(t *testing.T) {
 		UplinkBytes: 3_000_000, DownlinkBytes: 3_000_000,
 		WallClock: 1503 * time.Millisecond,
 		Workers: []WorkerRoundStats{
-			{Worker: 0, Participated: true, Samples: 128, PeakRAMBytes: 4_200_000, DiskWrites: 3, DiskReads: 3, UploadBytes: 1_500_000, DownloadBytes: 1_500_000, WireBytes: 3_100_000},
-			{Worker: 1, Participated: true, Samples: 128, PeakRAMBytes: 1_100_000, PeakDiskBytes: 900_000, DiskWrites: 7, DiskReads: 7, UploadBytes: 1_500_000, DownloadBytes: 1_500_000, WireBytes: 3_100_000},
+			{Worker: 0, Participated: true, Samples: 128, Usage: chain.Usage{PeakStateBytes: 4_200_000, DiskWrites: 3, DiskReads: 3}, UploadBytes: 1_500_000, DownloadBytes: 1_500_000, WireBytes: 3_100_000},
+			{Worker: 1, Participated: true, Samples: 128, Usage: chain.Usage{PeakStateBytes: 1_100_000, PeakDiskBytes: 900_000, DiskWrites: 7, DiskReads: 7}, UploadBytes: 1_500_000, DownloadBytes: 1_500_000, WireBytes: 3_100_000},
 		},
 	})
 	rep.add(RoundStats{
@@ -39,7 +40,7 @@ func TestReportRenderGolden(t *testing.T) {
 		UplinkBytes: 1_500_000, DownlinkBytes: 3_000_000,
 		WallClock: 1287*time.Millisecond + 400*time.Microsecond,
 		Workers: []WorkerRoundStats{
-			{Worker: 0, Participated: true, Samples: 128, PeakRAMBytes: 4_200_000, DiskWrites: 3, DiskReads: 3, UploadBytes: 1_500_000, DownloadBytes: 1_500_000, WireBytes: 3_100_000},
+			{Worker: 0, Participated: true, Samples: 128, Usage: chain.Usage{PeakStateBytes: 4_200_000, DiskWrites: 3, DiskReads: 3}, UploadBytes: 1_500_000, DownloadBytes: 1_500_000, WireBytes: 3_100_000},
 			{Worker: 1, Participated: true, Dropped: true, DownloadBytes: 1_500_000, WireBytes: 1_550_000},
 		},
 	})

@@ -86,7 +86,14 @@ type LossGradFunc func(output *tensor.Tensor) *tensor.Tensor
 type Result struct {
 	Output    *tensor.Tensor // the chain output x_L
 	InputGrad *tensor.Tensor // gradient with respect to the chain input x_0
+	Usage                    // what the execution cost
+}
 
+// Usage is what training costs on the paper's two axes — recompute (forward
+// evaluations) and peak memory (retained states and their bytes) — plus the
+// flash traffic of a spilling store. One execution reports one Usage in its
+// Result; an epoch, a round or a whole fleet run folds those with Add.
+type Usage struct {
 	// ForwardEvals counts stage forward executions triggered by Advance
 	// actions (recomputation and the initial sweep). The forward run folded
 	// into each adjoint step is counted separately in BackwardEvals.
@@ -99,17 +106,30 @@ type Result struct {
 	// PeakStateBytes is the measured peak RAM footprint of the execution's
 	// states: the chain input, the RAM-resident checkpoints, and the live
 	// working state when it is not one of those (the largest transient).
-	// States a tiered store spilled to disk do not count here.
+	// States a tiered store spilled to disk do not count here, and neither
+	// do weights, gradients or optimiser state.
 	PeakStateBytes int64
 
-	// PeakDiskBytes is the high-water mark of checkpoint bytes this
-	// execution held on disk (a per-step quantity even on a reused store);
-	// zero for a pure in-RAM execution.
+	// PeakDiskBytes is the high-water mark of checkpoint bytes an execution
+	// held on disk (a per-step quantity even on a reused store); zero for a
+	// pure in-RAM execution.
 	PeakDiskBytes int64
 	// DiskWrites and DiskReads count checkpoint spills and restores
 	// performed by the store's disk tier.
 	DiskWrites int
 	DiskReads  int
+}
+
+// Add folds o into u: the counts sum, the peaks take the larger value, so the
+// zero Usage is the identity.
+func (u *Usage) Add(o Usage) {
+	u.ForwardEvals += o.ForwardEvals
+	u.BackwardEvals += o.BackwardEvals
+	u.PeakStates = max(u.PeakStates, o.PeakStates)
+	u.PeakStateBytes = max(u.PeakStateBytes, o.PeakStateBytes)
+	u.PeakDiskBytes = max(u.PeakDiskBytes, o.PeakDiskBytes)
+	u.DiskWrites += o.DiskWrites
+	u.DiskReads += o.DiskReads
 }
 
 // ErrNoLossGrad is returned when Execute is called without a loss-gradient
@@ -291,7 +311,7 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 	stats := st.Stats()
 	res.DiskWrites = stats.DiskWrites - startStats.DiskWrites
 	res.DiskReads = stats.DiskReads - startStats.DiskReads
-	om.record(res, stepStart, fwdDur, bwdDur)
+	om.record(res.Usage, stepStart, fwdDur, bwdDur)
 	return res, nil
 }
 
@@ -362,7 +382,7 @@ func ExecutePlain(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, train bool)
 		bwdDur = time.Since(t0)
 	}
 	res.InputGrad = grad
-	om.record(res, stepStart, fwdDur, bwdDur)
+	om.record(res.Usage, stepStart, fwdDur, bwdDur)
 	return res, nil
 }
 
@@ -394,17 +414,15 @@ type Policy struct {
 	MemoryBudget int64
 	// WeightBytes and ActivationBytes describe the chain's memory shape for
 	// budget-aware planning: the resident weight state (values plus
-	// gradients) and the size of one stored inter-stage state. Step defaults
-	// them from the network parameters and the input tensor when zero.
+	// gradients) and the size of one stored inter-stage state. Spec defaults
+	// them from the live chain and input when zero.
 	WeightBytes     int64
 	ActivationBytes int64
 	// Store, when non-nil, executes the schedule's Snapshot/Restore/Free
 	// actions through the given checkpoint store (e.g. store.NewTiered to
 	// spill into a chosen directory with stats accumulating across steps).
-	// When nil, Step keeps checkpoints as in-RAM tensor references — except
-	// for plans that annotate slots with the disk tier, which spill through
-	// a temporary tiered store so a budget-selected two-level plan never
-	// silently lands its flash tier in RAM.
+	// It is a deployment setting; without one, Step picks the store itself
+	// (see Step).
 	Store store.Store
 }
 
@@ -419,12 +437,22 @@ func (p Policy) strategyName() string {
 	}
 }
 
-// spec and options are the policy's two halves as the plan package takes
-// them: the chain's shape and the strategy's tunables.
-func (p Policy) spec(l int) plan.ChainSpec {
-	return plan.ChainSpec{Length: l, WeightBytes: p.WeightBytes, ActivationBytes: p.ActivationBytes}
+// Spec is the chain's memory shape for budget-aware planning: the policy's
+// WeightBytes and ActivationBytes where set, otherwise the value and gradient
+// of every parameter of c as the weight state and the bytes of the input x as
+// one stored state (the homogeneous-chain approximation).
+func (p Policy) Spec(c *Chain, x *tensor.Tensor) plan.ChainSpec {
+	spec := plan.ChainSpec{Length: c.Len(), WeightBytes: p.WeightBytes, ActivationBytes: p.ActivationBytes}
+	if spec.WeightBytes == 0 {
+		spec.WeightBytes = 2 * nn.ParamBytes(c.Stages)
+	}
+	if spec.ActivationBytes == 0 {
+		spec.ActivationBytes = x.Bytes()
+	}
+	return spec
 }
 
+// options is the strategy's tunables as the plan package takes them.
 func (p Policy) options() plan.Options {
 	return plan.Options{
 		Slots:         p.Slots,
@@ -439,26 +467,21 @@ func (p Policy) options() plan.Options {
 
 // Plan builds the policy's schedule for a chain of length l.
 func (p Policy) Plan(l int) (schedule.Schedule, error) {
-	return plan.Build(p.strategyName(), p.spec(l), p.options())
+	spec := plan.ChainSpec{Length: l, WeightBytes: p.WeightBytes, ActivationBytes: p.ActivationBytes}
+	return plan.Build(p.strategyName(), spec, p.options())
 }
 
 // Step plans a schedule for the chain according to the policy and executes
-// it. An "auto" policy is first resolved to the strategy its budget selects,
-// with the chain's memory shape defaulting to the live configuration: one
-// stored state is assumed to be the size of the input x (the
-// homogeneous-chain approximation), and the weight state to value+gradient of
-// every parameter. Then one rule picks the executor: store-all without a
-// store is plain backpropagation (ExecutePlain); anything else runs its
-// schedule, through the policy's Store when it has one.
+// it. An "auto" policy is first resolved to the strategy its budget selects
+// for the chain's memory shape (Spec). Then one rule picks the executor and
+// the store: the policy's Store when it has one; otherwise plain
+// backpropagation (ExecutePlain) for store-all, a temporary tiered store,
+// removed on return, for a schedule with a flash tier — that tier was chosen
+// to keep its states out of RAM, so the all-in-RAM store would silently break
+// the budget — and in-RAM tensor references for everything else.
 func Step(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, p Policy, train bool) (*Result, error) {
 	if p.strategyName() == "auto" {
-		if p.ActivationBytes == 0 {
-			p.ActivationBytes = x.Bytes()
-		}
-		if p.WeightBytes == 0 {
-			p.WeightBytes = 2 * nn.ParamBytes(c.Stages)
-		}
-		choice, err := plan.AutoSelect(p.spec(c.Len()), p.options())
+		choice, err := plan.AutoSelect(p.Spec(c, x), p.options())
 		if err != nil {
 			return nil, err
 		}
@@ -474,12 +497,6 @@ func Step(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, p Policy, train boo
 	if p.Store != nil {
 		return ExecuteWithStore(c, x, lossGrad, sched, p.Store, train)
 	}
-	// A plan that assigns slots to the flash tier was chosen to keep those
-	// states out of RAM (the budget the auto strategy enforces assumes it),
-	// so executing it with the all-in-RAM reference store would silently
-	// violate the budget. Spill through a temporary tiered store instead;
-	// callers who want control over the spill directory or want the store's
-	// stats to accumulate across steps set Policy.Store.
 	if schedule.UsesTier(sched, schedule.TierDisk) {
 		ts, err := store.NewTiered("")
 		if err != nil {

@@ -379,3 +379,30 @@ func TestCheckpointedExecuteBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestUsageAdd pins the one rule every cost book folds by: counts add, peaks
+// take the larger value, and the zero Usage is the identity on either side.
+func TestUsageAdd(t *testing.T) {
+	a := Usage{ForwardEvals: 5, BackwardEvals: 4, PeakStates: 3, PeakStateBytes: 300, PeakDiskBytes: 50, DiskWrites: 2, DiskReads: 3}
+	b := Usage{ForwardEvals: 7, BackwardEvals: 4, PeakStates: 5, PeakStateBytes: 200, PeakDiskBytes: 80, DiskWrites: 1, DiskReads: 1}
+	sum := Usage{ForwardEvals: 12, BackwardEvals: 8, PeakStates: 5, PeakStateBytes: 300, PeakDiskBytes: 80, DiskWrites: 3, DiskReads: 4}
+	cases := []struct {
+		name           string
+		into, add, out Usage
+	}{
+		{"counts add, peaks max", a, b, sum},
+		{"order does not matter", b, a, sum},
+		{"zero on the left", Usage{}, a, a},
+		{"zero on the right", a, Usage{}, a},
+		{"zero plus zero", Usage{}, Usage{}, Usage{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := tc.into
+			got.Add(tc.add)
+			if got != tc.out {
+				t.Fatalf("%+v.Add(%+v) = %+v, want %+v", tc.into, tc.add, got, tc.out)
+			}
+		})
+	}
+}

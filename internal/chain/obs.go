@@ -54,22 +54,22 @@ func obsHandles() *chainObs {
 	return m
 }
 
-// record publishes one step's Result. Timings are collected only when the
+// record publishes one step's Usage. Timings are collected only when the
 // registry is enabled, so the zero durations of a disabled run never
 // reach a histogram.
-func (m *chainObs) record(res *Result, stepStart time.Time, fwd, bwd time.Duration) {
+func (m *chainObs) record(u Usage, stepStart time.Time, fwd, bwd time.Duration) {
 	if !m.on {
 		return
 	}
 	step := time.Since(stepStart)
 	m.steps.Inc()
-	m.fwdEvals.Add(int64(res.ForwardEvals))
-	m.bwdEvals.Add(int64(res.BackwardEvals))
-	m.diskW.Add(int64(res.DiskWrites))
-	m.diskR.Add(int64(res.DiskReads))
+	m.fwdEvals.Add(int64(u.ForwardEvals))
+	m.bwdEvals.Add(int64(u.BackwardEvals))
+	m.diskW.Add(int64(u.DiskWrites))
+	m.diskR.Add(int64(u.DiskReads))
 	m.stepSec.Observe(step.Seconds())
 	m.fwdSec.Observe(fwd.Seconds())
 	m.bwdSec.Observe(bwd.Seconds())
-	m.peakRAM.SetMax(float64(res.PeakStateBytes))
-	m.peakDisk.SetMax(float64(res.PeakDiskBytes))
+	m.peakRAM.SetMax(float64(u.PeakStateBytes))
+	m.peakDisk.SetMax(float64(u.PeakDiskBytes))
 }

@@ -267,9 +267,13 @@ func TestPolicyOptionMapping(t *testing.T) {
 		})
 	}
 
+	c, x := buildUniformChain(3, 9)
 	pol := Policy{WeightBytes: 1000, ActivationBytes: 64}
-	if got, want := pol.spec(9), (plan.ChainSpec{Length: 9, WeightBytes: 1000, ActivationBytes: 64}); got != want {
+	if got, want := pol.Spec(c, x), (plan.ChainSpec{Length: 9, WeightBytes: 1000, ActivationBytes: 64}); got != want {
 		t.Fatalf("spec mapping wrong: %+v", got)
+	}
+	if got, want := (Policy{}).Spec(c, x), (plan.ChainSpec{Length: 9, WeightBytes: 2 * nn.ParamBytes(c.Stages), ActivationBytes: x.Bytes()}); got != want {
+		t.Fatalf("spec defaults wrong: %+v, want %+v", got, want)
 	}
 
 	builtins := []struct {

@@ -158,78 +158,3 @@ func (l *LeakyReLU) Stats(in []int) Stats {
 	n := prod(in)
 	return Stats{ActivationElems: n, OutputElems: n, ForwardFLOPs: n, BackwardFLOPs: n}
 }
-
-// Dropout randomly zeroes elements during training and scales the survivors
-// by 1/(1-p) (inverted dropout), acting as the identity in inference mode.
-type Dropout struct {
-	name string
-	P    float64
-	rng  *tensor.RNG
-	mask []float64
-}
-
-// NewDropout creates a dropout layer with drop probability p, using the given
-// generator for reproducibility.
-func NewDropout(name string, p float64, rng *tensor.RNG) *Dropout {
-	if p < 0 {
-		p = 0
-	}
-	if p >= 1 {
-		p = 0.99
-	}
-	return &Dropout{name: name, P: p, rng: rng}
-}
-
-// Name implements Layer.
-func (d *Dropout) Name() string { return d.name }
-
-// Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || d.P == 0 {
-		d.mask = nil
-		return x.Clone()
-	}
-	out := x.Clone()
-	if cap(d.mask) < x.Size() {
-		d.mask = make([]float64, x.Size())
-	}
-	d.mask = d.mask[:x.Size()]
-	keep := 1 - d.P
-	scale := 1 / keep
-	data := out.Data()
-	for i := range data {
-		if d.rng.Float64() < d.P {
-			d.mask[i] = 0
-			data[i] = 0
-		} else {
-			d.mask[i] = scale
-			data[i] *= scale
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (d *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gradIn := gradOut.Clone()
-	if d.mask == nil {
-		return gradIn
-	}
-	g := gradIn.Data()
-	for i := range g {
-		g[i] *= d.mask[i]
-	}
-	return gradIn
-}
-
-// Params implements Layer.
-func (d *Dropout) Params() []*Param { return nil }
-
-// OutputShape implements Layer.
-func (d *Dropout) OutputShape(in []int) []int { return append([]int(nil), in...) }
-
-// Stats implements StatsProvider.
-func (d *Dropout) Stats(in []int) Stats {
-	n := prod(in)
-	return Stats{ActivationElems: n, OutputElems: n, ForwardFLOPs: n, BackwardFLOPs: n}
-}

@@ -46,65 +46,9 @@ func TestLeakyReLUForwardBackward(t *testing.T) {
 	checkLayerGradients(t, NewLeakyReLU("lrelu2", 0.2), tensor.RandNormal(rng, 0, 1, 2, 7), rng, 10, 1e-4)
 }
 
-func TestDropoutTrainEvalBehaviour(t *testing.T) {
-	rng := tensor.NewRNG(4)
-	d := NewDropout("drop", 0.5, rng)
-	x := tensor.Ones(1, 1000)
-
-	// Inference mode is the identity.
-	eval := d.Forward(x, false)
-	if !tensor.AllClose(eval, x, 0) {
-		t.Fatal("dropout must be the identity in eval mode")
-	}
-	g := d.Backward(tensor.Ones(1, 1000))
-	if g.Sum() != 1000 {
-		t.Fatal("eval-mode backward must pass gradients through")
-	}
-
-	// Training mode drops roughly half and rescales survivors.
-	out := d.Forward(x, true)
-	zeros := 0
-	for _, v := range out.Data() {
-		if v == 0 {
-			zeros++
-		} else if math.Abs(v-2) > 1e-12 {
-			t.Fatalf("surviving element should be scaled to 2, got %v", v)
-		}
-	}
-	if zeros < 400 || zeros > 600 {
-		t.Fatalf("expected roughly half the elements dropped, got %d of 1000", zeros)
-	}
-	// Backward routes gradients only through survivors with the same scale.
-	grad := d.Backward(tensor.Ones(1, 1000))
-	for i, v := range grad.Data() {
-		if out.Data()[i] == 0 && v != 0 {
-			t.Fatal("gradient leaked through a dropped element")
-		}
-		if out.Data()[i] != 0 && math.Abs(v-2) > 1e-12 {
-			t.Fatal("gradient scale wrong for a surviving element")
-		}
-	}
-}
-
-func TestDropoutProbabilityClamping(t *testing.T) {
-	rng := tensor.NewRNG(5)
-	if NewDropout("a", -0.5, rng).P != 0 {
-		t.Fatal("negative p should clamp to 0")
-	}
-	if NewDropout("b", 1.5, rng).P >= 1 {
-		t.Fatal("p >= 1 should clamp below 1")
-	}
-	// p = 0 is the identity even in training mode.
-	d := NewDropout("c", 0, rng)
-	x := tensor.Ones(2, 3)
-	if !tensor.AllClose(d.Forward(x, true), x, 0) {
-		t.Fatal("p=0 dropout should be the identity")
-	}
-}
-
 func TestActivationStatsAndShapes(t *testing.T) {
 	in := []int{2, 8}
-	for _, l := range []Layer{NewSigmoid("s"), NewTanh("t"), NewLeakyReLU("l", 0.1), NewDropout("d", 0.3, tensor.NewRNG(6))} {
+	for _, l := range []Layer{NewSigmoid("s"), NewTanh("t"), NewLeakyReLU("l", 0.1)} {
 		shape := l.OutputShape(in)
 		if shape[0] != 2 || shape[1] != 8 {
 			t.Fatalf("%s OutputShape wrong: %v", l.Name(), shape)

@@ -187,13 +187,13 @@ type Result struct {
 	TeacherNodeAccuracy      float64 // teacher on the node's viewpoint (the problem)
 	StudentNodeAccuracy      float64 // student on the node's viewpoint (the fix)
 
-	TracksHarvested    int // tracks the tracker accepted and the teacher labelled confidently
-	TracksRejected     int
-	HarvestedImages    int
-	LabelAccuracy      float64 // fraction of auto-labels that are actually correct
-	StudentPeakStates  int     // peak retained states during student training (checkpointing)
-	StudentPeakBytes   int64
-	StudentForwardEval int
+	TracksHarvested int // tracks the tracker accepted and the teacher labelled confidently
+	TracksRejected  int
+	HarvestedImages int
+	LabelAccuracy   float64 // fraction of auto-labels that are actually correct
+	// Usage is what the student's training cost under the node's
+	// checkpointing policy, its epochs folded together.
+	chain.Usage
 }
 
 // Run executes the complete student-teacher pipeline.
@@ -275,13 +275,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("student training: %w", err)
 	}
 	for _, st := range stats {
-		if st.PeakStates > res.StudentPeakStates {
-			res.StudentPeakStates = st.PeakStates
-		}
-		if st.PeakBytes > res.StudentPeakBytes {
-			res.StudentPeakBytes = st.PeakBytes
-		}
-		res.StudentForwardEval += st.ForwardEvals
+		res.Usage.Add(st.Usage)
 	}
 
 	// 5. Evaluate the student on the node viewpoint.

@@ -83,8 +83,8 @@ func TestPipelineWithCheckpointing(t *testing.T) {
 	}
 	// The classifier chain has 10 stages; the plain executor would retain 11
 	// states, Revolve with 3 slots at most 4 plus the input.
-	if res.StudentPeakStates == 0 || res.StudentPeakStates > 5 {
-		t.Errorf("checkpointed student training retained %d states, expected at most 5", res.StudentPeakStates)
+	if res.PeakStates == 0 || res.PeakStates > 5 {
+		t.Errorf("checkpointed student training retained %d states, expected at most 5", res.PeakStates)
 	}
 }
 

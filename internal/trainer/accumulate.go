@@ -6,7 +6,6 @@ import (
 	"github.com/edgeml/edgetrain/internal/chain"
 	"github.com/edgeml/edgetrain/internal/nn"
 	"github.com/edgeml/edgetrain/internal/tensor"
-	"github.com/edgeml/edgetrain/store"
 )
 
 // Gradient accumulation is the other standard answer to the memory wall of
@@ -22,13 +21,9 @@ import (
 type AccumulateResult struct {
 	Loss         float64 // mean loss over the micro-batches
 	MicroBatches int
-	PeakStates   int
-	PeakBytes    int64
-	// Checkpoint-store spill accounting, summed/peaked over the
-	// micro-batches (zero for pure in-RAM policies).
-	PeakDiskBytes int64
-	DiskWrites    int
-	DiskReads     int
+	// Usage is the micro-batches folded together: evaluations and disk
+	// traffic summed, peaks the largest of any micro-batch.
+	chain.Usage
 }
 
 // AccumulateStep performs one optimisation step over a full batch by
@@ -57,21 +52,6 @@ func AccumulateStep(c *chain.Chain, batch Batch, microBatch int, opt Optimizer, 
 		perSample *= d
 	}
 
-	// Tier-annotating policies spill to disk; share one store across the
-	// micro-batches instead of letting chain.Step create a temporary spill
-	// directory per micro-batch.
-	if policy.Store == nil {
-		switch policy.Kind {
-		case "twolevel", "auto":
-			ts, err := store.NewTiered("")
-			if err != nil {
-				return AccumulateResult{}, fmt.Errorf("trainer: creating spill store: %w", err)
-			}
-			defer ts.Close()
-			policy.Store = ts
-		}
-	}
-
 	res := AccumulateResult{}
 	c.ZeroGrads()
 	for start := 0; start < n; start += microBatch {
@@ -97,17 +77,7 @@ func AccumulateStep(c *chain.Chain, batch Batch, microBatch int, opt Optimizer, 
 		}
 		res.Loss += loss
 		res.MicroBatches++
-		if step.PeakStates > res.PeakStates {
-			res.PeakStates = step.PeakStates
-		}
-		if step.PeakStateBytes > res.PeakBytes {
-			res.PeakBytes = step.PeakStateBytes
-		}
-		if step.PeakDiskBytes > res.PeakDiskBytes {
-			res.PeakDiskBytes = step.PeakDiskBytes
-		}
-		res.DiskWrites += step.DiskWrites
-		res.DiskReads += step.DiskReads
+		res.Usage.Add(step.Usage)
 	}
 	// The cross-entropy already averages within a micro-batch; dividing the
 	// accumulated gradients by the micro-batch count makes the update

@@ -76,8 +76,8 @@ func TestAccumulateReducesPeakBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resSmall.PeakBytes >= resBig.PeakBytes {
-		t.Fatalf("micro-batching should reduce peak activation bytes: %d vs %d", resSmall.PeakBytes, resBig.PeakBytes)
+	if resSmall.PeakStateBytes >= resBig.PeakStateBytes {
+		t.Fatalf("micro-batching should reduce peak activation bytes: %d vs %d", resSmall.PeakStateBytes, resBig.PeakStateBytes)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"github.com/edgeml/edgetrain/internal/nn"
 	"github.com/edgeml/edgetrain/internal/tensor"
 	"github.com/edgeml/edgetrain/obs"
-	"github.com/edgeml/edgetrain/store"
 )
 
 // Batch is one minibatch of NCHW images (or (N, features) vectors) and their
@@ -85,18 +84,13 @@ type Config struct {
 
 // EpochStats summarises one training epoch.
 type EpochStats struct {
-	Epoch         int
-	Loss          float64 // mean minibatch loss
-	Accuracy      float64 // training accuracy over the epoch
-	Steps         int
-	ForwardEvals  int
-	BackwardEvals int
-	PeakStates    int
-	PeakBytes     int64 // peak RAM-resident state bytes of any step
-	// Checkpoint-store spill accounting (zero for pure in-RAM policies).
-	PeakDiskBytes int64 // peak flash-resident checkpoint bytes of any step
-	DiskWrites    int   // checkpoint spills across the epoch
-	DiskReads     int   // checkpoint restores from flash across the epoch
+	Epoch    int
+	Loss     float64 // mean minibatch loss
+	Accuracy float64 // training accuracy over the epoch
+	Steps    int
+	// Usage is the epoch's steps folded together: evaluations and disk
+	// traffic summed, peaks the largest of any step.
+	chain.Usage
 }
 
 // Trainer runs supervised training of a chain with a cross-entropy head.
@@ -134,20 +128,6 @@ func (t *Trainer) TrainEpoch(ds Dataset, epoch int) (EpochStats, error) {
 // interrupted one left off.
 func (t *Trainer) trainEpoch(ds Dataset, epoch, startBatch int, afterStep func(next Cursor) error) (EpochStats, error) {
 	stats := EpochStats{Epoch: epoch}
-	pol := t.Cfg.Policy
-	// A two-level policy spills to disk; give it one shared store for the
-	// whole epoch (instead of chain.Step's per-call temporary directory) so
-	// every step reuses the same spill location. An auto policy gets none:
-	// a store would route a store-all selection through the recomputing
-	// executor, and Step spills a selection that has a flash tier itself.
-	if pol.Store == nil && pol.Kind == "twolevel" {
-		ts, err := store.NewTiered("")
-		if err != nil {
-			return stats, fmt.Errorf("trainer: creating spill store: %w", err)
-		}
-		defer ts.Close()
-		pol.Store = ts
-	}
 	// Metric handles resolve once per epoch; the per-step cost is a pair of
 	// atomic adds (nil no-ops when observability is off).
 	reg := obs.Default()
@@ -167,7 +147,9 @@ func (t *Trainer) trainEpoch(ds Dataset, epoch, startBatch int, afterStep func(n
 			return ce.Backward()
 		}
 		t.Chain.ZeroGrads()
-		res, err := chain.Step(t.Chain, batch.Images, lossGrad, pol, true)
+		// The policy goes as configured: its Store, if any, is a deployment
+		// setting, and without one Step's single rule picks the store.
+		res, err := chain.Step(t.Chain, batch.Images, lossGrad, t.Cfg.Policy, true)
 		if err != nil {
 			return stats, fmt.Errorf("trainer: step %d failed: %w", b, err)
 		}
@@ -176,19 +158,7 @@ func (t *Trainer) trainEpoch(ds Dataset, epoch, startBatch int, afterStep func(n
 
 		stats.Loss += loss
 		stats.Steps++
-		stats.ForwardEvals += res.ForwardEvals
-		stats.BackwardEvals += res.BackwardEvals
-		if res.PeakStates > stats.PeakStates {
-			stats.PeakStates = res.PeakStates
-		}
-		if res.PeakStateBytes > stats.PeakBytes {
-			stats.PeakBytes = res.PeakStateBytes
-		}
-		if res.PeakDiskBytes > stats.PeakDiskBytes {
-			stats.PeakDiskBytes = res.PeakDiskBytes
-		}
-		stats.DiskWrites += res.DiskWrites
-		stats.DiskReads += res.DiskReads
+		stats.Usage.Add(res.Usage)
 		acc := nn.Accuracy(res.Output, batch.Labels)
 		totalCorrectWeight += acc * float64(len(batch.Labels))
 		totalSamples += len(batch.Labels)
