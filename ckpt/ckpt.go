@@ -35,8 +35,10 @@
 // instant — including mid-Save — leaves a loadable checkpoint behind.
 //
 // Saver moves that write off the caller's loop: one background goroutine per
-// open Dir runs the same Save on one captured session at a time, and hands
-// the first write error back at the next Submit and at Close. The trainer's
+// open Dir runs the same Save on one session at a time, and hands the first
+// write error back at the next Submit, Wait and Close. A session may view the
+// caller's live parameters and optimizer slots; the caller waits for the
+// write before it updates them again. The trainer's
 // periodic saves and the coordinator's per-round state saves both go through
 // it; what it changes is who waits for the fsyncs, never whether they happen.
 //
@@ -88,7 +90,7 @@ type OptSlot struct {
 	Data  []float64
 }
 
-// OptimizerState is a serializable snapshot of one optimizer's internal
+// OptimizerState is the serializable form of one optimizer's internal
 // state. The zero value describes a stateless optimizer.
 type OptimizerState struct {
 	// Name is the optimizer identifier ("sgd", "momentum", "adam").
@@ -102,6 +104,16 @@ type OptimizerState struct {
 	// declSlots is the slot count the optimizer meta frame declared; used
 	// only while decoding, to detect lost or duplicated slot frames.
 	declSlots int
+}
+
+// Clone returns a copy that owns its slot vectors, for a caller that keeps
+// the state while the optimizer it came from steps on.
+func (o OptimizerState) Clone() OptimizerState {
+	o.Slots = append([]OptSlot(nil), o.Slots...)
+	for i := range o.Slots {
+		o.Slots[i].Data = append([]float64(nil), o.Slots[i].Data...)
+	}
+	return o
 }
 
 // WorkerState is one fleet worker's durable progress: everything a restarted
@@ -181,13 +193,13 @@ func (s *Session) ApplyRNG(r *tensor.RNG) error {
 	return nil
 }
 
-// CaptureParams snapshots the parameters' current values as owned clones, in
-// parameter order. Clone matters: the caller may keep training while the
-// snapshot is encoded or held.
-func CaptureParams(params []*nn.Param) []NamedTensor {
+// ParamTensors names the parameters' live value tensors, in parameter
+// order. They are views, not copies: a session built from them must be
+// written before anything updates the parameters again.
+func ParamTensors(params []*nn.Param) []NamedTensor {
 	out := make([]NamedTensor, 0, len(params))
 	for _, p := range params {
-		out = append(out, NamedTensor{Name: p.Name, Tensor: p.Value.Clone()})
+		out = append(out, NamedTensor{Name: p.Name, Tensor: p.Value})
 	}
 	return out
 }
@@ -234,11 +246,7 @@ func applyTensors(what string, stored []NamedTensor, dst []NamedTensor) error {
 // loudly, and fails before any value is copied, never leaving half-restored
 // weights.
 func (s *Session) ApplyParams(params []*nn.Param) error {
-	dst := make([]NamedTensor, 0, len(params))
-	for _, p := range params {
-		dst = append(dst, NamedTensor{Name: p.Name, Tensor: p.Value})
-	}
-	return applyTensors("parameter", s.Params, dst)
+	return applyTensors("parameter", s.Params, ParamTensors(params))
 }
 
 // CaptureLayerState snapshots the layers' non-trainable state tensors

@@ -8,8 +8,10 @@ import (
 
 // Saver writes checkpoints into a Dir from one background goroutine, so the
 // loop that produces the sessions — a trainer's step loop, a coordinator's
-// round loop — pays for the snapshot but not for the flash I/O. It is the
-// one background writer of the repository.
+// round loop — pays neither for the flash I/O nor for a second copy of the
+// model: a session may view the loop's live tensors, and the loop calls Wait
+// right before it next writes them. It is the one background writer of the
+// repository.
 //
 // The write itself is the unchanged Dir.Save: temp file, fsync, rename,
 // directory fsync, then the manifest the same way. Nothing about a
@@ -90,15 +92,16 @@ func NewSaver(d *Dir, lane int) *Saver {
 	return s
 }
 
-// Submit hands one captured session to the writer and returns once the
+// Submit hands one session to the writer and returns once the
 // writer has taken it and begun — its checkpoint-save span is open — without
 // waiting for it to reach flash. The write therefore runs beside the caller's
 // next step whether or not that step ever blocks: a step loop whose kernels
 // spin instead of parking would otherwise keep the writer queued behind
 // itself. Submit first joins the write in flight, so it
 // blocks for as long as flash is behind the caller, and returns that write's
-// error (or any earlier one) without accepting s. The session must not be
-// modified until Wait, Close or the next Submit has returned. saved, when
+// error (or any earlier one) without accepting s. Nothing the session
+// references — its own fields, or the live tensors it views — may be modified
+// until Wait, Close or the next Submit has returned. saved, when
 // non-nil, runs on the writer goroutine once s is durable, with the
 // checkpoint's file name.
 func (s *Saver) Submit(sess *Session, saved func(name string)) error {

@@ -61,7 +61,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for durable training checkpoints")
 	ckptEvery := flag.Int("checkpoint-every", 10,
-		"optimisation steps between durable checkpoints; each is written in the background while the next step runs and is durable before the step after that starts (one snapshot of the model and optimizer state is in memory meanwhile)")
+		"optimisation steps between durable checkpoints; each is written in the background beside the next step's forward and backward passes and is durable before that step's optimizer update (it reads the live model: no copy of the weights or optimizer state)")
 	resume := flag.String("resume", "", "resume from the durable checkpoints in this directory")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /trace and /debug/pprof on this address (empty disables)")
 	flag.Parse()

@@ -103,10 +103,10 @@ type Config struct {
 	// before its hello arrives, so a dialer that never speaks cannot pin an
 	// accept goroutine forever (default 10s).
 	HandshakeTimeout time.Duration
-	// StateDir, when non-empty, makes the coordinator durable: the run loop
-	// snapshots the global model, global optimizer, round cursor and fleet
-	// membership at every round boundary and writes them crash-safe via
-	// ckpt.Dir off the fold path. A coordinator restarted on the same
+	// StateDir, when non-empty, makes the coordinator durable: every round
+	// boundary saves the global model, global optimizer, round cursor and
+	// fleet membership crash-safe via ckpt.Dir, beside the next round, whose
+	// fold waits for the write. A coordinator restarted on the same
 	// StateDir resumes from the last completed round; reconnecting workers
 	// recover their optimizer state from the welcome, so the finished run is
 	// byte-identical to one that was never interrupted. One coordinator
@@ -139,9 +139,10 @@ type Coordinator struct {
 	started  atomic.Bool
 
 	// Durable-state machinery (nil / zero without Config.StateDir): the
-	// checkpoint directory, the round the run loop starts at (non-zero after
-	// a resume) and the membership restored from the checkpoint.
+	// checkpoint directory and its writer, the round the run loop starts at
+	// (non-zero after a resume) and the membership restored from it.
 	stateDir   *ckpt.Dir
+	saver      *ckpt.Saver
 	startRound int
 	resumed    []ckpt.WorkerState
 
@@ -550,9 +551,8 @@ func (c *Coordinator) run() {
 	}
 	// With a StateDir the one background saver persists every round
 	// boundary; it owns the Dir from here until the Close below.
-	var saver *ckpt.Saver
 	if c.stateDir != nil {
-		saver = ckpt.NewSaver(c.stateDir, -1) // spans on the coordinator's lane
+		c.saver = ckpt.NewSaver(c.stateDir, -1) // spans on the coordinator's lane
 	}
 	rep := c.core.NewReport(make([]fleet.WorkerSummary, len(slots)))
 	err := func() error {
@@ -576,16 +576,14 @@ func (c *Coordinator) run() {
 			}
 			c.cfg.Logf("coord: round %d: %d participants, %d dropouts, loss %.4f, wall %v",
 				r, rs.Participants, rs.Dropouts, rs.Loss, rs.WallClock.Round(time.Millisecond))
-			if saver != nil {
-				// Snapshot on the round path (cheap clones), write in the
-				// background. Submit joins the previous round's write, so
-				// a coordinator that cannot persist its state fails here,
-				// one round after the write that failed.
-				s, err := c.captureSession(r+1, slots)
+			if c.saver != nil {
+				// A view of the global model, written in the background;
+				// the next round's commit waits for it (attemptRound).
+				s, err := c.sessionView(r+1, slots)
 				if err != nil {
 					return err
 				}
-				err = saver.Submit(s, func(name string) {
+				err = c.saver.Submit(s, func(name string) {
 					c.cfg.Logf("coord: state saved to %s (next round %d)", name, s.Round)
 				})
 				if err != nil {
@@ -634,8 +632,8 @@ drain:
 		}
 	}
 	c.listener.Close()
-	if saver != nil {
-		if serr := saver.Close(); serr != nil && err == nil {
+	if c.saver != nil {
+		if serr := c.saver.Close(); serr != nil && err == nil {
 			err = fmt.Errorf("coord: saving state: %w", serr)
 		}
 	}
@@ -1073,6 +1071,13 @@ collect:
 	encoded := make([]int64, len(slots))
 	for i, p := range staged {
 		updates[i], encoded[i] = &p.update, p.blobBytes
+	}
+	// The fold writes the tensors the last state save views: that save must
+	// be durable first, and a failed one fails the run before this commit.
+	if c.saver != nil {
+		if err := c.saver.Wait(); err != nil {
+			return false, false, fmt.Errorf("coord: saving state: %w", err)
+		}
 	}
 	if err := c.core.Commit(rs, updates, encoded); err != nil {
 		return false, false, err

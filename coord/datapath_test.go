@@ -475,17 +475,23 @@ func benchDataset(n int, seed uint64) *trainer.SliceDataset {
 
 // TestRoundAllocBudget keeps the round data path from silently growing back:
 // a 2-worker loopback int8+deflate run of the benchmark's model must allocate
-// no more than 20 model sizes per round, everything included — coordinator,
+// no more than 9.6 model sizes per round, everything included — coordinator,
 // both workers' training, the codec, the frames. It allocated about 32 with
-// every frame read through a growing buffer and decoded into a second model;
-// it allocates about 11 now.
+// every frame read through a growing buffer and decoded into a second model,
+// and 10.5–10.6 while every FedAvg update was a clone of the worker's
+// replica; it allocates 8.5–8.6 now, and the budget is that plus one model.
+// Under the race detector sync.Pool drops pooled buffers at random (some 14
+// model sizes a round), so there the budget stays at the old 20.
 func TestRoundAllocBudget(t *testing.T) {
 	const (
 		rounds  = 6
 		samples = 4
 		seed    = uint64(1)
-		budget  = 20
 	)
+	budget := 9.6
+	if raceDetector {
+		budget = 20
+	}
 	c, err := New(Config{
 		Workers: 2, Rounds: rounds, Samples: samples, Seed: seed,
 		Aggregator: "fedavg", Compression: "int8+deflate",
@@ -538,6 +544,6 @@ func TestRoundAllocBudget(t *testing.T) {
 	perRound := float64(after.TotalAlloc-before.TotalAlloc) / rounds
 	t.Logf("%.1f MB allocated per round, %.1f x the %.1f MB model", perRound/1e6, perRound/float64(modelBytes), float64(modelBytes)/1e6)
 	if perRound > budget*float64(modelBytes) {
-		t.Fatalf("a round allocates %.1f MB, %.1f x the model: over the budget of %d x", perRound/1e6, perRound/float64(modelBytes), budget)
+		t.Fatalf("a round allocates %.1f MB, %.1f x the model: over the budget of %.1f x", perRound/1e6, perRound/float64(modelBytes), budget)
 	}
 }

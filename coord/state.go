@@ -1,14 +1,15 @@
 package coord
 
 // Durable coordinator state. With Config.StateDir set, the coordinator is no
-// longer a single point of failure: every round boundary snapshots the
-// global model, the global optimizer (all-reduce), the round cursor and the
-// fleet membership with each slot's last committed worker state, and hands
-// the snapshot to the background ckpt.Saver, which writes it crash-safe
-// through ckpt.Dir (temp file, fsync, atomic rename, MANIFEST fallback). The
-// snapshot itself is cheap clones on the round path; the flash I/O overlaps
-// the next round and blocks a fold only when flash is a whole round behind.
-// A failed write fails the run at the following round boundary.
+// longer a single point of failure: every round boundary hands the global
+// model, the global optimizer (all-reduce), the round cursor and the fleet
+// membership with each slot's last committed worker state to the background
+// ckpt.Saver, which writes it crash-safe through ckpt.Dir (temp file, fsync,
+// atomic rename, MANIFEST fallback). The session views the global parameters
+// and optimizer slots instead of copying them, and the next round waits for
+// the write right before its fold, the one writer of them: the flash I/O
+// overlaps broadcast and local training, and a failed write fails the run
+// before that round commits.
 //
 // A restarted coordinator opens the same StateDir, loads the newest loadable
 // checkpoint, restores model + optimizer + cursor, and re-seats the
@@ -62,11 +63,11 @@ func (c *Coordinator) openState() error {
 	return nil
 }
 
-// captureSession snapshots the coordinator's durable state with the given
-// next-round cursor. Runs on the round path, so everything mutable is
-// cloned here: the saver writes this session while the next round runs.
-func (c *Coordinator) captureSession(nextRound int, slots []slot) (*ckpt.Session, error) {
-	s, err := c.core.CaptureSession(nextRound)
+// sessionView assembles the coordinator's durable state with the given
+// next-round cursor; its global tensors are views, valid until the next
+// Core.Commit, which attemptRound fences with the saver's Wait.
+func (c *Coordinator) sessionView(nextRound int, slots []slot) (*ckpt.Session, error) {
+	s, err := c.core.SessionView(nextRound)
 	if err != nil {
 		return nil, err
 	}

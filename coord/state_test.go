@@ -1,9 +1,12 @@
 package coord
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -171,4 +174,114 @@ func TestFailedStateSaveFailsNextRound(t *testing.T) {
 	assertBitEqual(t, got, want, "resume after failed state saves vs fault-free run")
 	c2.Close()
 	settle("resumed coordinator")
+}
+
+// globalStateHash fingerprints a coordinator session's global weights, layer
+// state and global optimizer state, bit for bit.
+func globalStateHash(s *ckpt.Session) uint64 {
+	h := fnv.New64a()
+	var buf []byte
+	put := func(vs []float64) {
+		buf = buf[:0]
+		for _, v := range vs {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+		h.Write(buf)
+	}
+	for _, nt := range append(append([]ckpt.NamedTensor(nil), s.Params...), s.LayerState...) {
+		put(nt.Tensor.Data())
+	}
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(s.Opt.Step)))
+	for _, slot := range s.Opt.Slots {
+		put(slot.Data)
+	}
+	return h.Sum64()
+}
+
+// TestStateSaveHoldsItsRoundsState pins the fence between the coordinator's
+// background state save and the fold: the session views the global
+// parameters and the global optimizer's slots, so the next round's Commit
+// must not write them before the save is durable. afterRound records the
+// global state every round leaves; a second Dir, opened before the run,
+// loads the newest state at every boundary and after the run. It must be the
+// previous boundary's (the current one's after the run) and hold exactly the
+// state recorded for it. Momentum gives the workers (FedAvg) and the global
+// model (all-reduce) optimizer slots.
+func TestStateSaveHoldsItsRoundsState(t *testing.T) {
+	const (
+		workers = 3
+		rounds  = 6
+		samples = 12
+		seed    = uint64(5)
+	)
+	for _, agg := range []string{"fedavg", "allreduce"} {
+		t.Run(agg, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "state")
+			reader, err := ckpt.Open(path) // opened before anything is written
+			if err != nil {
+				t.Fatal(err)
+			}
+			var c *Coordinator
+			recorded := map[int]uint64{}
+			checked := 0
+			cfg := Config{
+				Workers: workers, Rounds: rounds, Samples: samples, Seed: seed,
+				Aggregator: agg, Optimizer: "momentum", LR: 0.05,
+				StateDir: path, Logf: t.Logf,
+			}
+			cfg.afterRound = func(r int) {
+				live, err := c.core.SessionView(r + 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if agg == "allreduce" && len(live.Opt.Slots) == 0 {
+					t.Errorf("round %d: the global momentum optimizer has no slots", r)
+				}
+				recorded[r+1] = globalStateHash(live)
+				if r == 0 {
+					return
+				}
+				s, name, err := reader.Load()
+				if err != nil {
+					t.Errorf("after round %d: no loadable state: %v", r, err)
+					return
+				}
+				if s.Round != r {
+					t.Errorf("after round %d: %s resumes at round %d, want %d", r, name, s.Round, r)
+				} else if globalStateHash(s) != recorded[r] {
+					t.Errorf("after round %d: %s does not hold the state recorded after round %d", r, name, r-1)
+				}
+				checked++
+			}
+			c, err = New(cfg, testModel(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			tr := NewLoopback()
+			addr, err := c.Start(tr, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, werr := range runStateWorkers(tr, addr, workers, seed, samples) {
+				if werr != nil {
+					t.Fatalf("worker %d: %v", i, werr)
+				}
+			}
+			if _, err := c.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if checked != rounds-1 {
+				t.Fatalf("checked %d boundaries, want %d", checked, rounds-1)
+			}
+			s, name, err := reader.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Round != rounds || globalStateHash(s) != recorded[rounds] {
+				t.Fatalf("after the run: %s resumes at round %d, want %d holding the final state", name, s.Round, rounds)
+			}
+		})
+	}
 }

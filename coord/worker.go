@@ -333,14 +333,15 @@ func runWorkerSession(t Transport, addr string, opts WorkerOptions, ship *obs.De
 		if err != nil {
 			return err
 		}
-		// Snapshot the pre-round state: if the coordinator closes this round
-		// below quorum and asks for a retry, local training must restart
-		// from exactly here or the retried update diverges from the one a
-		// fault-free round would have folded.
-		preOpt, err := w.CaptureState()
+		// Copy the pre-round state (training writes the slots in place): if
+		// the coordinator closes this round below quorum and asks for a
+		// retry, local training must restart from exactly here or the
+		// retried update diverges from the one a fault-free round folds.
+		preOpt, err := w.StateView()
 		if err != nil {
 			return err
 		}
+		preOpt.Opt = preOpt.Opt.Clone()
 		preLayers := ckpt.CaptureLayerState(w.Chain.Stages)
 
 		// Local computation with heartbeats flowing; the coordinator-side
@@ -362,13 +363,14 @@ func runWorkerSession(t Transport, addr string, opts WorkerOptions, ship *obs.De
 				return err
 			}
 		}
-		ws, err := w.CaptureState()
+		// Views, like u.Vecs: encodeUpdate serializes them before any training.
+		ws, err := w.StateView()
 		if err != nil {
 			return err
 		}
-		// The captured state is the rejoin recovery point: account this
-		// round's contribution as if folded, matching what an in-process
-		// fleet checkpoint taken after the round would hold.
+		// The state is the rejoin recovery point: account this round's
+		// contribution as if folded, matching what an in-process fleet
+		// checkpoint taken after the round would hold.
 		ws.Rounds++
 		ws.Samples += int64(u.Samples)
 		msg := updateMsg{

@@ -189,9 +189,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Saves are written in the background and joined one step later: the
-	// checkpoint taken after step k is durable before step k+2 starts. The
-	// victim saved after step 5 and died in step 8, so that is the one.
+	// Saves are written in the background and joined before the next
+	// optimizer step: the checkpoint taken after step k is durable before
+	// step k+1 changes the weights. The victim saved after step 5 and died in
+	// step 8, so that is the one.
 	fmt.Printf("  loaded %s, the checkpoint taken after step %d (the victim died in step %d) -> resume at epoch %d, batch %d\n",
 		latest, cur.Epoch*(samples/batchSize)+cur.Batch, crashStep, cur.Epoch, cur.Batch)
 	cp := &trainer.CheckpointPlan{Dir: dir, EverySteps: every, Seed: modelSeed}

@@ -21,9 +21,8 @@ type Update struct {
 	// local epoch's mean; all-reduce: the round batch's loss).
 	Loss float64
 	// Vecs is the update payload, parallel to the global chain's Params():
-	// parameter values for FedAvg, accumulated gradients for all-reduce.
-	// The tensors must be owned by the update (cloned), never aliases of
-	// live worker state.
+	// parameter values for FedAvg, accumulated gradients for all-reduce. The
+	// tensors are the worker replica's own, valid until its next round.
 	Vecs []*tensor.Tensor
 
 	// Usage is what the local computation cost, for the round report.
@@ -37,8 +36,9 @@ type Update struct {
 //
 //   - Local runs on the worker's goroutine, concurrently with other workers.
 //     It may mutate only its worker (the worker's model replica was loaded
-//     with the current global parameters before the round started) and must
-//     return payload tensors that are clones, not aliases of live state.
+//     with the current global parameters before the round started). Its
+//     payload is a view of the replica, valid until the worker's next round;
+//     the engines consume it before then (the encode, or Commit's fold).
 //
 //   - Fold receives the surviving updates of the round sorted by ascending
 //     worker index, each with Samples > 0, and merges them into the global
@@ -99,7 +99,7 @@ func (a *FedAvg) Local(w *Worker, round int) (Update, error) {
 		u.Usage.Add(st.Usage)
 	}
 	for _, p := range w.Chain.Params() {
-		u.Vecs = append(u.Vecs, p.Value.Clone())
+		u.Vecs = append(u.Vecs, p.Value)
 	}
 	return u, nil
 }
@@ -118,8 +118,9 @@ func (a *FedAvg) Fold(global []*nn.Param, updates []Update) error {
 		return fmt.Errorf("fleet: fedavg fold with no samples")
 	}
 	for k, p := range global {
-		// The update vectors are owned clones (Aggregator contract) and the
-		// old global value is not a fold input, so fold in place.
+		// The update vectors are worker replicas, never the global model
+		// (Aggregator contract), and the old global value is not a fold
+		// input, so fold in place.
 		p.Value.Zero()
 		for _, u := range updates {
 			p.Value.AxpyInPlace(float64(u.Samples)/total, u.Vecs[k])
@@ -184,7 +185,7 @@ func (a *GradAllReduce) Local(w *Worker, round int) (Update, error) {
 	u.Loss = loss
 	u.Usage = res.Usage
 	for _, p := range w.Chain.Params() {
-		u.Vecs = append(u.Vecs, p.Grad.Clone())
+		u.Vecs = append(u.Vecs, p.Grad)
 	}
 	return u, nil
 }

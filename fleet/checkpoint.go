@@ -23,15 +23,16 @@ import (
 // is dropped. Bit-identity with an uninterrupted run is guaranteed when the
 // fleet configuration (membership, seed, aggregation) is unchanged.
 
-// CaptureSession assembles the fleet's durable state with the given next
-// round cursor. Tensors are cloned; the fleet may keep running.
-func (f *Fleet) CaptureSession(nextRound int) (*ckpt.Session, error) {
-	s, err := f.core.CaptureSession(nextRound)
+// SessionView assembles the fleet's durable state with the given next round
+// cursor. Parameters and optimizer slots are views of the live model and
+// optimizers, valid until the next round runs.
+func (f *Fleet) SessionView(nextRound int) (*ckpt.Session, error) {
+	s, err := f.core.SessionView(nextRound)
 	if err != nil {
 		return nil, err
 	}
 	for _, w := range f.workers {
-		ws, err := w.CaptureState()
+		ws, err := w.StateView()
 		if err != nil {
 			return nil, err
 		}
@@ -40,14 +41,15 @@ func (f *Fleet) CaptureSession(nextRound int) (*ckpt.Session, error) {
 	return s, nil
 }
 
-// CaptureState captures the worker's durable per-round state — progress
-// counters and local optimizer state — as the checkpoint worker record.
-// Tensors are cloned; the worker may keep training. This is the unit both
-// fleet checkpoints and the coord protocol's rejoin recovery exchange.
-func (w *Worker) CaptureState() (ckpt.WorkerState, error) {
-	opt, err := trainer.CaptureOptimizerState(w.opt, w.Chain.Params())
+// StateView returns the worker's durable per-round state — progress
+// counters and local optimizer state, whose slots are live vectors valid
+// until the worker trains again — as the checkpoint worker record. This is
+// the unit both fleet checkpoints and the coord protocol's rejoin recovery
+// exchange.
+func (w *Worker) StateView() (ckpt.WorkerState, error) {
+	opt, err := trainer.OptimizerStateView(w.opt, w.Chain.Params())
 	if err != nil {
-		return ckpt.WorkerState{}, fmt.Errorf("fleet: capturing %s optimizer state: %w", w.Spec.Name, err)
+		return ckpt.WorkerState{}, fmt.Errorf("fleet: %s optimizer state: %w", w.Spec.Name, err)
 	}
 	return ckpt.WorkerState{
 		Index:   w.Index,
@@ -58,8 +60,8 @@ func (w *Worker) CaptureState() (ckpt.WorkerState, error) {
 	}, nil
 }
 
-// RestoreState applies a previously captured worker record: local optimizer
-// state (the optimizer kind must match) and progress counters.
+// RestoreState applies a saved worker record: local optimizer state (the
+// optimizer kind must match) and progress counters.
 func (w *Worker) RestoreState(ws ckpt.WorkerState) error {
 	if err := trainer.RestoreOptimizerState(w.opt, w.Chain.Params(), ws.Opt); err != nil {
 		return fmt.Errorf("fleet: restoring %s optimizer state: %w", w.Spec.Name, err)
@@ -72,7 +74,7 @@ func (w *Worker) RestoreState(ws ckpt.WorkerState) error {
 // SaveCheckpoint durably writes the fleet state into the directory and
 // returns the checkpoint file name.
 func (f *Fleet) SaveCheckpoint(d *ckpt.Dir, nextRound int) (string, error) {
-	s, err := f.CaptureSession(nextRound)
+	s, err := f.SessionView(nextRound)
 	if err != nil {
 		return "", err
 	}

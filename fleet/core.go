@@ -217,25 +217,25 @@ func (c *Core) globalOptimizer() trainer.Optimizer {
 	return nil
 }
 
-// CaptureSession snapshots the global half of the run's durable state with
-// the given next-round cursor: kind, seed, batch size, parameters, layer
-// state and the aggregator's global optimizer. Tensors are cloned, so the
-// run may go on while the session is written; the caller appends its worker
-// records.
-func (c *Core) CaptureSession(nextRound int) (*ckpt.Session, error) {
+// SessionView assembles the global half of the run's durable state with the
+// given next-round cursor: kind, seed, batch size, parameters, layer state
+// and the aggregator's global optimizer. Parameters and optimizer slots are
+// views of the global model, valid until the next Commit, the only writer of
+// them; the caller appends its worker records.
+func (c *Core) SessionView(nextRound int) (*ckpt.Session, error) {
 	s := &ckpt.Session{
 		Kind:           c.kind,
 		LibraryVersion: ckpt.LibraryVersion,
 		Round:          nextRound,
 		BatchSize:      c.batchSize,
 		Seed:           c.seed,
-		Params:         ckpt.CaptureParams(c.params),
+		Params:         ckpt.ParamTensors(c.params),
 		LayerState:     ckpt.CaptureLayerState(c.global.Stages),
 	}
 	if opt := c.globalOptimizer(); opt != nil {
-		st, err := trainer.CaptureOptimizerState(opt, c.params)
+		st, err := trainer.OptimizerStateView(opt, c.params)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: capturing global optimizer state: %w", err)
+			return nil, fmt.Errorf("fleet: global optimizer state: %w", err)
 		}
 		s.Opt = st
 	}

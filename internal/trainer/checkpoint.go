@@ -30,9 +30,10 @@ type Cursor struct {
 // Saves run in the background (see TrainFrom for the durability contract):
 // for the duration of the TrainFrom call a ckpt.Saver owns Dir, so nothing
 // else may Save into it, and a Hook that wants to read the directory opens
-// its own ckpt.Dir on the same path. One captured session — a clone of the
-// parameters, layer state and optimizer state — is in memory beside the live
-// model while its write is in flight, never more than one.
+// its own ckpt.Dir on the same path. A save holds no second copy of the
+// model: its session views the live parameters and optimizer slots, and only
+// the layer state (batch-norm statistics), the RNG words and the cursors are
+// copied. The next optimizer step waits for the write instead.
 type CheckpointPlan struct {
 	// Dir is the checkpoint directory; required.
 	Dir *ckpt.Dir
@@ -58,7 +59,8 @@ type CheckpointPlan struct {
 const saverLane = -2
 
 // planSaver drives TrainFrom's checkpoints through the background saver:
-// snapshot on the step loop, write off it, join one step later.
+// snapshot on the step loop, write off it, join before the next optimizer
+// step writes the tensors the snapshot views.
 type planSaver struct {
 	t     *Trainer
 	cp    *CheckpointPlan
@@ -93,9 +95,9 @@ func (ps *planSaver) join() error {
 	return nil
 }
 
-// snapshot joins the previous save, captures the training state at cur
-// (stamping the plan's seed and RNG state) and hands it to the writer. At
-// most one snapshot exists at a time: the join comes before the capture.
+// snapshot joins the previous save, takes a view of the training state at
+// cur (stamping the plan's seed and RNG state) and hands it to the writer. At
+// most one snapshot exists at a time: the join comes before the view.
 func (ps *planSaver) snapshot(cur Cursor) error {
 	sp := obs.DefaultTracer().Span("checkpoint-snapshot", -1, -1)
 	defer func() { sp.EndDetail(fmt.Sprintf("epoch=%d batch=%d", cur.Epoch, cur.Batch)) }()
@@ -103,7 +105,7 @@ func (ps *planSaver) snapshot(cur Cursor) error {
 		return err
 	}
 	captured := time.Now()
-	s, err := ps.t.CaptureSession(cur)
+	s, err := ps.t.SessionView(cur)
 	if err != nil {
 		return err
 	}
@@ -124,10 +126,10 @@ func (ps *planSaver) snapshot(cur Cursor) error {
 	return nil
 }
 
-// afterStep is the step loop's hook: every step joins the save the previous
-// step may have submitted, and every EverySteps-th step takes the next one.
-// With tracing on it also files the step just finished as a train-step span
-// on the step loop's lane, so a trace shows each checkpoint-save against the
+// afterStep is the step loop's hook after an optimizer step (which joined
+// any save in flight): every EverySteps-th step takes the next save. With
+// tracing on it also files the step just finished as a train-step span on
+// the step loop's lane, so a trace shows each checkpoint-save against the
 // step it overlaps.
 func (ps *planSaver) afterStep(next Cursor) error {
 	ps.steps++
@@ -135,10 +137,10 @@ func (ps *planSaver) afterStep(next Cursor) error {
 		tr.Record(obs.Event{Name: "train-step", Round: -1, Worker: -1, Start: ps.stepStart, Dur: time.Since(ps.stepStart)})
 		defer func() { ps.stepStart = time.Now() }()
 	}
-	if ps.steps%ps.cp.EverySteps == 0 {
+	if ps.cp.EverySteps > 0 && ps.steps%ps.cp.EverySteps == 0 {
 		return ps.snapshot(next)
 	}
-	return ps.join()
+	return nil
 }
 
 // close makes the last submitted save durable and stops the writer.
@@ -148,11 +150,12 @@ func (ps *planSaver) close() error {
 	return err
 }
 
-// CaptureSession assembles the durable training state at the given cursor.
-// Parameter and state tensors are cloned, so the caller may keep training
-// while the session is encoded.
-func (t *Trainer) CaptureSession(cur Cursor) (*ckpt.Session, error) {
-	opt, err := CaptureOptimizerState(t.Cfg.Optimizer, t.Chain.Params())
+// SessionView assembles the durable training state at the given cursor.
+// Parameter values and optimizer slots are views of the live tensors, valid
+// until the next optimizer step; the layer state is copied, because the next
+// forward pass updates it.
+func (t *Trainer) SessionView(cur Cursor) (*ckpt.Session, error) {
+	opt, err := OptimizerStateView(t.Cfg.Optimizer, t.Chain.Params())
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +165,7 @@ func (t *Trainer) CaptureSession(cur Cursor) (*ckpt.Session, error) {
 		Epoch:          cur.Epoch,
 		Step:           cur.Batch,
 		BatchSize:      t.Cfg.BatchSize,
-		Params:         ckpt.CaptureParams(t.Chain.Params()),
+		Params:         ckpt.ParamTensors(t.Chain.Params()),
 		LayerState:     ckpt.CaptureLayerState(t.Chain.Stages),
 		Opt:            opt,
 	}, nil
@@ -171,7 +174,7 @@ func (t *Trainer) CaptureSession(cur Cursor) (*ckpt.Session, error) {
 // SaveCheckpoint durably writes the training state at the given cursor into
 // the directory and returns the checkpoint file name.
 func (t *Trainer) SaveCheckpoint(d *ckpt.Dir, cur Cursor) (string, error) {
-	s, err := t.CaptureSession(cur)
+	s, err := t.SessionView(cur)
 	if err != nil {
 		return "", err
 	}
@@ -233,15 +236,17 @@ func (t *Trainer) RestoreSession(s *ckpt.Session) (Cursor, error) {
 // per-epoch statistics of the epochs it executed (the first may cover only
 // part of an epoch when resuming mid-epoch).
 //
-// A periodic save does not stop the step loop for the flash write. At a save
-// point the loop snapshots the training state (CaptureSession's clones) and
-// hands it to a background ckpt.Saver, which runs the ordinary crash-safe
-// Dir.Save; the write is joined at the end of the very next step, whatever
-// EverySteps is. The contract: the checkpoint taken after step k is durable
-// before step k+2 starts, so a process killed at any instant resumes from
-// its last or its last-but-one save point. At most one snapshot is in memory
-// at a time. A failed write surfaces one step later as TrainFrom's error,
-// with the manifest still naming the previous checkpoint. TrainFrom returns
+// A periodic save does not stop the step loop for the flash write, and it
+// does not copy the model. At a save point the loop hands a SessionView of
+// the training state to a background ckpt.Saver, which runs the ordinary
+// crash-safe Dir.Save while the next step's forward and backward passes run;
+// that step joins the write right before its optimizer update, the first
+// write to the tensors the view shares. The contract: the checkpoint taken
+// after step k is durable before step k+1 changes the weights, so a process
+// killed at any instant resumes from its last save point, or from the one
+// before it when the kill lands inside step k+1's forward or backward pass.
+// A failed write surfaces in that step as TrainFrom's error, with the
+// manifest still naming the previous checkpoint. TrainFrom returns
 // — normally, with an error, or unwinding a panic from the Hook — only after
 // the last submitted save is durable; the completion checkpoint is durable
 // on a nil return. SaveCheckpoint remains the synchronous form.
@@ -265,7 +270,6 @@ func (t *Trainer) TrainFrom(ds Dataset, start Cursor, cp *CheckpointPlan) (all [
 	}
 
 	var ps *planSaver
-	var afterStep func(next Cursor) error
 	if cp != nil {
 		ps = newPlanSaver(t, cp)
 		// Deferred so an error return and a panicking Hook also leave the
@@ -275,9 +279,6 @@ func (t *Trainer) TrainFrom(ds Dataset, start Cursor, cp *CheckpointPlan) (all [
 				err = cerr
 			}
 		}()
-		if cp.EverySteps > 0 {
-			afterStep = ps.afterStep
-		}
 	}
 
 	for e := start.Epoch; e < t.Cfg.Epochs; e++ {
@@ -285,7 +286,7 @@ func (t *Trainer) TrainFrom(ds Dataset, start Cursor, cp *CheckpointPlan) (all [
 		if e == start.Epoch {
 			sb = start.Batch
 		}
-		st, err := t.trainEpoch(ds, e, sb, afterStep)
+		st, err := t.trainEpoch(ds, e, sb, ps)
 		if err != nil {
 			return all, err
 		}

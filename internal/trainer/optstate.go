@@ -7,36 +7,37 @@ import (
 	"github.com/edgeml/edgetrain/internal/nn"
 )
 
-// Optimizer state capture for checkpoint/resume. The in-memory optimisers
-// key their state by *nn.Param identity, which does not survive a process
-// restart, so the durable form (ckpt.OptimizerState) is keyed by parameter
-// name instead. Capture and restore iterate the parameter list in order,
-// making the serialized slot order deterministic.
+// Optimizer state for checkpoint/resume. The in-memory optimisers key their
+// state by *nn.Param identity, which does not survive a process restart, so
+// the durable form (ckpt.OptimizerState) is keyed by parameter name instead.
+// Views and restores iterate the parameter list in order, making the
+// serialized slot order deterministic.
 
 // StatefulOptimizer is an Optimizer whose internal state must survive
 // checkpoint and resume (momentum velocities, Adam moments and step count).
 // SGD carries no state and does not implement it.
 type StatefulOptimizer interface {
 	Optimizer
-	// CaptureState snapshots the optimizer state for the given parameters as
-	// owned copies. Parameters the optimizer has not touched yet contribute
-	// no slots (their state is implicitly zero).
-	CaptureState(params []*nn.Param) (ckpt.OptimizerState, error)
+	// StateView returns the optimizer state for the given parameters; slot
+	// data are the live vectors, valid until the next Step (Clone to keep
+	// them). Untouched parameters have no slots (their state is zero).
+	StateView(params []*nn.Param) (ckpt.OptimizerState, error)
 	// RestoreState replaces the optimizer's state for the given parameters
-	// with a captured snapshot.
+	// with copies of a saved state's vectors.
 	RestoreState(params []*nn.Param, st ckpt.OptimizerState) error
 }
 
-// CaptureOptimizerState snapshots any optimizer's durable state: stateful
-// optimisers serialize their vectors, stateless ones just their name.
-func CaptureOptimizerState(opt Optimizer, params []*nn.Param) (ckpt.OptimizerState, error) {
+// OptimizerStateView returns any optimizer's durable state: a stateful
+// optimizer's StateView (live vectors, valid until its next Step), a
+// stateless one's name.
+func OptimizerStateView(opt Optimizer, params []*nn.Param) (ckpt.OptimizerState, error) {
 	if so, ok := opt.(StatefulOptimizer); ok {
-		return so.CaptureState(params)
+		return so.StateView(params)
 	}
 	return ckpt.OptimizerState{Name: opt.Name()}, nil
 }
 
-// RestoreOptimizerState restores a captured snapshot into an optimizer,
+// RestoreOptimizerState restores a saved state into an optimizer,
 // verifying the optimizer kind matches — resuming Adam state into SGD would
 // silently train a different trajectory.
 func RestoreOptimizerState(opt Optimizer, params []*nn.Param, st ckpt.OptimizerState) error {
@@ -52,22 +53,22 @@ func RestoreOptimizerState(opt Optimizer, params []*nn.Param, st ckpt.OptimizerS
 	return nil
 }
 
-// captureSlots serializes one named state vector per tracked parameter, in
-// parameter order. Parameter names must be unique (the same invariant
-// nn.SaveParams enforces).
-func captureSlots(params []*nn.Param, slot string, vecs map[*nn.Param][]float64) ([]ckpt.OptSlot, error) {
+// slotViews names one state vector per tracked parameter, in parameter
+// order, without copying it. Parameter names must be unique (the same
+// invariant nn.SaveParams enforces).
+func slotViews(params []*nn.Param, slot string, vecs map[*nn.Param][]float64) ([]ckpt.OptSlot, error) {
 	var out []ckpt.OptSlot
 	seen := make(map[string]bool, len(params))
 	for _, p := range params {
 		if seen[p.Name] {
-			return nil, fmt.Errorf("trainer: duplicate parameter name %q while capturing optimizer state", p.Name)
+			return nil, fmt.Errorf("trainer: duplicate parameter name %q in optimizer state", p.Name)
 		}
 		seen[p.Name] = true
 		v, ok := vecs[p]
 		if !ok {
 			continue
 		}
-		out = append(out, ckpt.OptSlot{Param: p.Name, Slot: slot, Data: append([]float64(nil), v...)})
+		out = append(out, ckpt.OptSlot{Param: p.Name, Slot: slot, Data: v})
 	}
 	return out, nil
 }
@@ -97,9 +98,9 @@ func restoreSlots(params []*nn.Param, slot string, slots []ckpt.OptSlot) (map[*n
 	return vecs, nil
 }
 
-// CaptureState implements StatefulOptimizer.
-func (m *Momentum) CaptureState(params []*nn.Param) (ckpt.OptimizerState, error) {
-	slots, err := captureSlots(params, "velocity", m.velocity)
+// StateView implements StatefulOptimizer.
+func (m *Momentum) StateView(params []*nn.Param) (ckpt.OptimizerState, error) {
+	slots, err := slotViews(params, "velocity", m.velocity)
 	if err != nil {
 		return ckpt.OptimizerState{}, err
 	}
@@ -116,13 +117,13 @@ func (m *Momentum) RestoreState(params []*nn.Param, st ckpt.OptimizerState) erro
 	return nil
 }
 
-// CaptureState implements StatefulOptimizer.
-func (a *Adam) CaptureState(params []*nn.Param) (ckpt.OptimizerState, error) {
-	mSlots, err := captureSlots(params, "m", a.m)
+// StateView implements StatefulOptimizer.
+func (a *Adam) StateView(params []*nn.Param) (ckpt.OptimizerState, error) {
+	mSlots, err := slotViews(params, "m", a.m)
 	if err != nil {
 		return ckpt.OptimizerState{}, err
 	}
-	vSlots, err := captureSlots(params, "v", a.v)
+	vSlots, err := slotViews(params, "v", a.v)
 	if err != nil {
 		return ckpt.OptimizerState{}, err
 	}

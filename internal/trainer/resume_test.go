@@ -258,7 +258,7 @@ func TestOptimizerStateRoundTrip(t *testing.T) {
 		if _, err := tr.Train(ds); err != nil {
 			t.Fatal(err)
 		}
-		st, err := CaptureOptimizerState(tr.Cfg.Optimizer, tr.Chain.Params())
+		st, err := OptimizerStateView(tr.Cfg.Optimizer, tr.Chain.Params())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func TestOptimizerStateRoundTrip(t *testing.T) {
 		if err := RestoreOptimizerState(fresh, tr.Chain.Params(), st); err != nil {
 			t.Fatalf("restore into fresh %s: %v", fresh.Name(), err)
 		}
-		st2, err := CaptureOptimizerState(fresh, tr.Chain.Params())
+		st2, err := OptimizerStateView(fresh, tr.Chain.Params())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,10 @@
 package trainer
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io/fs"
 	"math"
 	"os"
@@ -15,6 +17,8 @@ import (
 
 	"github.com/edgeml/edgetrain/ckpt"
 	"github.com/edgeml/edgetrain/internal/chain"
+	"github.com/edgeml/edgetrain/internal/nn"
+	"github.com/edgeml/edgetrain/internal/tensor"
 	"github.com/edgeml/edgetrain/obs"
 )
 
@@ -49,7 +53,7 @@ func stepsOf(cur Cursor) int { return cur.Epoch*saverPerEp + cur.Batch }
 // optimizerBytes fingerprints the optimizer state (Adam moments and step).
 func optimizerBytes(t testing.TB, tr *Trainer) []uint64 {
 	t.Helper()
-	st, err := CaptureOptimizerState(tr.Cfg.Optimizer, tr.Chain.Params())
+	st, err := OptimizerStateView(tr.Cfg.Optimizer, tr.Chain.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,5 +383,148 @@ func TestSaveMetricsAndSpans(t *testing.T) {
 			t.Fatalf("checkpoint-save %d (%v +%v) does not overlap train-step %d (%v +%v)",
 				k+1, w.Start, w.Dur, k+2, next.Start, next.Dur)
 		}
+	}
+}
+
+// sessionHash fingerprints a session's weights, layer state and optimizer
+// state, bit for bit.
+func sessionHash(s *ckpt.Session) uint64 {
+	h := fnv.New64a()
+	var buf []byte
+	put := func(vs []float64) {
+		buf = buf[:0]
+		for _, v := range vs {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+		h.Write(buf)
+	}
+	for _, nt := range append(append([]ckpt.NamedTensor(nil), s.Params...), s.LayerState...) {
+		put(nt.Tensor.Data())
+	}
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(s.Opt.Step)))
+	for _, slot := range s.Opt.Slots {
+		put(slot.Data)
+	}
+	return h.Sum64()
+}
+
+// TestCheckpointHoldsItsStepsState pins the fence between a background save
+// and the optimizer: the session views the live weights and Adam moments, so
+// the next step must not update them before the write is durable. The Hook
+// records the training state after every step; a second Dir loads the newest
+// checkpoint in every Hook and after the run, and each must hold exactly the
+// state recorded for its cursor. In a Hook it must also be the last save
+// point before the step, the contract "durable before step k+1 changes the
+// weights".
+func TestCheckpointHoldsItsStepsState(t *testing.T) {
+	ds := imageDataset(saverSamples)
+	for name, pol := range saverPolicies {
+		for _, every := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/every=%d", name, every), func(t *testing.T) {
+				path := t.TempDir()
+				dir, err := ckpt.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reader, err := ckpt.Open(path) // opened before anything is written
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr := saverTrainer(t, pol)
+				recorded := map[int]uint64{}
+				check := func(s *ckpt.Session, name string) int {
+					t.Helper()
+					got := stepsOf(Cursor{Epoch: s.Epoch, Batch: s.Step})
+					if want, ok := recorded[got]; !ok || sessionHash(s) != want {
+						t.Errorf("%s does not hold the state recorded after step %d", name, got)
+					}
+					return got
+				}
+				step, checked := 0, 0
+				tr.Cfg.Hook = func(int, float64) {
+					step++
+					live, err := tr.SessionView(Cursor{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					recorded[step] = sessionHash(live)
+					due := (step - 1) / every * every
+					if due == 0 {
+						return
+					}
+					s, name, err := reader.Load()
+					if err != nil {
+						t.Errorf("step %d: no loadable checkpoint: %v", step, err)
+						return
+					}
+					if got := check(s, name); got != due {
+						t.Errorf("step %d: %s holds the state after step %d, want step %d", step, name, got, due)
+					}
+					checked++
+				}
+				if _, err := tr.TrainFrom(ds, Cursor{}, &CheckpointPlan{Dir: dir, EverySteps: every}); err != nil {
+					t.Fatal(err)
+				}
+				if checked == 0 {
+					t.Fatal("the hook never checked a checkpoint")
+				}
+				s, name, err := reader.Load()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := check(s, name); got != step {
+					t.Fatalf("after TrainFrom: %s holds the state after step %d, want the completion checkpoint (step %d)", name, got, step)
+				}
+			})
+		}
+	}
+}
+
+// TestCheckpointAllocBudget pins what a save point costs in memory: a run
+// that saves after every step allocates, per step, less than half the
+// parameter bytes more than the same run without a checkpoint plan. A save
+// that copied the weights and both Adam moments paid three times the
+// parameter bytes.
+func TestCheckpointAllocBudget(t *testing.T) {
+	const samples, batch = 32, 2
+	const steps = samples / batch
+	ds := imageDataset(samples)
+	var paramBytes int64
+	perStep := func(every int) float64 {
+		rng := tensor.NewRNG(3)
+		c := chain.New(
+			nn.NewFlatten("flat"),
+			nn.NewLinear("fc1", 64, 2048, true, rng),
+			nn.NewReLU("r1"),
+			nn.NewLinear("fc2", 2048, 3, true, rng),
+		)
+		paramBytes = nn.ParamBytes(c.Stages)
+		tr, err := New(c, Config{Epochs: 1, BatchSize: batch, Optimizer: NewAdam(0.01), Policy: chain.Policy{Kind: "storeall"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cp *CheckpointPlan
+		if every > 0 {
+			dir, err := ckpt.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp = &CheckpointPlan{Dir: dir, EverySteps: every}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := tr.TrainFrom(ds, Cursor{}, cp); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / steps
+	}
+	plain := perStep(0)
+	saving := perStep(1)
+	extra := (saving - plain) / float64(paramBytes)
+	t.Logf("%.0f KB per step without checkpoints, %.0f KB saving every step: %.2f x the %.0f KB of parameters more",
+		plain/1e3, saving/1e3, extra, float64(paramBytes)/1e3)
+	if extra >= 0.5 {
+		t.Fatalf("a save point allocates %.2f x the parameter bytes, want under 0.5 x", extra)
 	}
 }

@@ -122,11 +122,11 @@ func (t *Trainer) TrainEpoch(ds Dataset, epoch int) (EpochStats, error) {
 }
 
 // trainEpoch runs one epoch starting at batch startBatch (non-zero when
-// resuming mid-epoch from a checkpoint). afterStep, when non-nil, runs after
-// every optimisation step with the cursor of the NEXT batch — the hook the
-// checkpointing loop saves at, so a resumed run continues exactly where the
-// interrupted one left off.
-func (t *Trainer) trainEpoch(ds Dataset, epoch, startBatch int, afterStep func(next Cursor) error) (EpochStats, error) {
+// resuming mid-epoch from a checkpoint). ps, when non-nil, checkpoints: each
+// optimizer step first joins the save in flight, which views the tensors the
+// step writes, then ps saves at the cursor of the NEXT batch, so a resumed
+// run continues exactly where the interrupted one left off.
+func (t *Trainer) trainEpoch(ds Dataset, epoch, startBatch int, ps *planSaver) (EpochStats, error) {
 	stats := EpochStats{Epoch: epoch}
 	// Metric handles resolve once per epoch; the per-step cost is a pair of
 	// atomic adds (nil no-ops when observability is off).
@@ -153,6 +153,11 @@ func (t *Trainer) trainEpoch(ds Dataset, epoch, startBatch int, afterStep func(n
 		if err != nil {
 			return stats, fmt.Errorf("trainer: step %d failed: %w", b, err)
 		}
+		if ps != nil {
+			if err := ps.join(); err != nil {
+				return stats, err
+			}
+		}
 		t.Cfg.Optimizer.Step(t.Chain.Params())
 		obsSteps.Inc()
 
@@ -165,12 +170,12 @@ func (t *Trainer) trainEpoch(ds Dataset, epoch, startBatch int, afterStep func(n
 		if t.Cfg.Hook != nil {
 			t.Cfg.Hook(stats.Steps, loss)
 		}
-		if afterStep != nil {
+		if ps != nil {
 			next := Cursor{Epoch: epoch, Batch: b + 1}
 			if next.Batch >= nb {
 				next = Cursor{Epoch: epoch + 1, Batch: 0}
 			}
-			if err := afterStep(next); err != nil {
+			if err := ps.afterStep(next); err != nil {
 				return stats, err
 			}
 		}
