@@ -570,7 +570,9 @@ func (c *Coordinator) run() {
 			// count; the window resets for the next round.
 			rs.Flaps = c.flaps
 			c.flaps = 0
-			c.co.commitRound(&rs, slots)
+			// Finish labels the round's per-worker series with the report's
+			// names: the slots' holders as of this commit.
+			describeWorkers(rep, slots)
 			for _, a := range c.core.Finish(rep, rs) {
 				c.cfg.Logf("coord: ALERT %s", a)
 			}
@@ -1123,8 +1125,7 @@ func (c *Coordinator) awaitQuorum(r int, slots []slot, needEvent bool) error {
 }
 
 // describeWorkers fills the report's per-worker identity columns from the
-// slots as the run left them: who held each position last, and what its
-// budget selected.
+// slots as they stand: who holds each position, and what its budget selected.
 func describeWorkers(rep *fleet.Report, slots []slot) {
 	for i := range slots {
 		s, sum := &slots[i], &rep.Workers[i]

@@ -1,25 +1,19 @@
 package coord
 
 import (
-	"github.com/edgeml/edgetrain/fleet"
 	"github.com/edgeml/edgetrain/obs"
 	"github.com/edgeml/edgetrain/obs/health"
 )
 
-// coordObs bundles the coordinator's metric handles. It is always
-// non-nil on a Coordinator; with observability disabled every handle is
-// nil and each recording call is a nil-receiver no-op. Counters on the
-// round path are added from the same RoundStats fields buildReport
-// accumulates, so the final scraped values match the end-of-run report
-// totals exactly.
+// coordObs bundles the coordinator's own metric handles: round attempts,
+// membership, transport and telemetry ingest. It is always non-nil on a
+// Coordinator; with observability disabled every handle is nil and each
+// recording call is a nil-receiver no-op. A committed round's series
+// (coord_rounds_committed_total, the byte counters, the per-worker rows) are
+// published by fleet.Core.Finish, from the stats the report accumulates.
 type coordObs struct {
-	// reg backs the per-worker labeled series (nil when observability is
-	// disabled — labeled handles resolve to nil no-ops).
-	reg *obs.Registry
-
-	roundsStarted   *obs.Counter
-	roundsCommitted *obs.Counter
-	roundRetries    *obs.Counter
+	roundsStarted *obs.Counter
+	roundRetries  *obs.Counter
 
 	joined     *obs.Counter
 	rejoined   *obs.Counter
@@ -29,10 +23,6 @@ type coordObs struct {
 	heartbeats *obs.Counter
 
 	stagedBytes *obs.Counter
-	uplink      *obs.Counter
-	rawUplink   *obs.Counter
-	downlink    *obs.Counter
-	wire        *obs.Counter
 
 	telemetryFrames  *obs.Counter
 	telemetrySamples *obs.Counter
@@ -40,7 +30,6 @@ type coordObs struct {
 
 	liveWorkers *obs.Gauge
 	roundCursor *obs.Gauge
-	roundSec    *obs.Histogram
 }
 
 func newCoordObs() *coordObs {
@@ -49,9 +38,7 @@ func newCoordObs() *coordObs {
 	if r == nil {
 		return co
 	}
-	co.reg = r
 	co.roundsStarted = r.Counter("coord_rounds_started_total", "Aggregation rounds the coordinator began driving.")
-	co.roundsCommitted = r.Counter("coord_rounds_committed_total", "Rounds whose fold committed (matches the report's round count).")
 	co.roundRetries = r.Counter("coord_round_retries_total", "Round attempts discarded below quorum and re-broadcast.")
 	co.joined = r.Counter("coord_workers_joined_total", "Workers seated by a successful handshake (first joins).")
 	co.rejoined = r.Counter("coord_workers_rejoined_total", "Workers that reclaimed their slot after a reconnect.")
@@ -60,51 +47,12 @@ func newCoordObs() *coordObs {
 	co.badUpdates = r.Counter("coord_updates_rejected_total", "Staged updates rejected (wrong codec or failed validation).")
 	co.heartbeats = r.Counter("coord_heartbeats_total", "Heartbeat frames received from workers.")
 	co.stagedBytes = r.Counter("coord_staged_update_bytes_total", "Update payload bytes received for staging (retries included).")
-	co.uplink = r.Counter("coord_uplink_bytes_total", "Committed update bytes (post-compression), as the report accounts them.")
-	co.rawUplink = r.Counter("coord_raw_uplink_bytes_total", "Committed update bytes at their uncompressed size.")
-	co.downlink = r.Counter("coord_downlink_bytes_total", "Broadcast bytes sent to round participants.")
-	co.wire = r.Counter("coord_wire_bytes_total", "Measured transport bytes (frames both directions, per round deltas).")
 	co.telemetryFrames = r.Counter("coord_telemetry_frames_total", "Telemetry shipments ingested from worker heartbeats and updates.")
 	co.telemetrySamples = r.Counter("coord_telemetry_samples_total", "Metric delta samples ingested from worker telemetry.")
 	co.telemetryEvents = r.Counter("coord_telemetry_events_total", "Trace events ingested from worker telemetry.")
 	co.liveWorkers = r.Gauge("coord_live_workers", "Currently connected workers.")
 	co.roundCursor = r.Gauge("coord_round", "Round the run loop is currently driving.")
-	co.roundSec = r.Histogram("coord_round_seconds", "Wall-clock time of one committed round (retry attempts included).", nil)
 	return co
-}
-
-// commitRound publishes one committed round from the same stats the
-// report will accumulate, including per-worker labeled series — the
-// fleet-wide view acceptance test cross-checks these against the final
-// report, so they must add exactly the RoundStats fields Report.Add does.
-func (co *coordObs) commitRound(rs *fleet.RoundStats, slots []slot) {
-	co.roundsCommitted.Inc()
-	co.uplink.Add(rs.UplinkBytes)
-	co.rawUplink.Add(rs.RawUplinkBytes)
-	co.downlink.Add(rs.DownlinkBytes)
-	for i := range rs.Workers {
-		ws := &rs.Workers[i]
-		co.wire.Add(ws.WireBytes)
-		if co.reg == nil || slots[i].name == "" {
-			continue
-		}
-		wl := obs.L("worker", slots[i].name)
-		if ws.Samples > 0 {
-			co.reg.CounterWith("coord_worker_rounds_total",
-				"Rounds whose fold included this worker's update.", wl).Inc()
-		}
-		if ws.Dropped {
-			co.reg.CounterWith("coord_worker_dropouts_total",
-				"Rounds this worker was selected for but lost to dropout.", wl).Inc()
-		}
-		co.reg.CounterWith("coord_worker_upload_bytes_total",
-			"Committed update bytes from this worker (post-compression).", wl).Add(ws.UploadBytes)
-		co.reg.CounterWith("coord_worker_download_bytes_total",
-			"Broadcast bytes sent to this worker.", wl).Add(ws.DownloadBytes)
-		co.reg.CounterWith("coord_worker_wire_bytes_total",
-			"Measured transport bytes moved with this worker, both directions.", wl).Add(ws.WireBytes)
-	}
-	co.roundSec.Observe(rs.WallClock.Seconds())
 }
 
 // ingestTelemetry folds one worker shipment into the process registry and

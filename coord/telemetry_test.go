@@ -265,3 +265,79 @@ func TestCoordinatorHealthDegrades(t *testing.T) {
 		t.Fatalf("clean round did not recover health: %+v", h)
 	}
 }
+
+// TestRoundSeriesSameForBothEngines pins that one recorder books the rounds
+// of both loops: every fleet_* series the in-process engine publishes for a
+// run has a coord_* twin, same labels and same value, on a coordinator
+// driving the same fleet. The exceptions are what only a coordinator can
+// measure: wire bytes, zero in process, and the wall-clock histograms, which
+// agree in observation count only.
+func TestRoundSeriesSameForBothEngines(t *testing.T) {
+	if obs.Default() != nil {
+		t.Fatal("observability enabled at test entry")
+	}
+	scrape := func(run func()) map[string]obs.Sample {
+		reg := obs.NewRegistry()
+		obs.SetDefault(reg)
+		defer obs.SetDefault(nil)
+		run()
+		m := map[string]obs.Sample{}
+		for _, s := range reg.Snapshot() {
+			key := s.Name
+			for _, l := range s.Labels {
+				key += "{" + l.Key + "=" + l.Value + "}"
+			}
+			m[key] = s
+		}
+		return m
+	}
+	inProcess := scrape(func() {
+		specs := make([]fleet.WorkerSpec, eqWorkers)
+		for i := range specs {
+			specs[i].Name = fmt.Sprintf("w%d", i)
+		}
+		f, err := fleet.New(fleet.Config{Workers: specs, Rounds: eqRounds, Seed: eqSeed},
+			testModel(eqSeed), testDataset(eqSamples, eqSeed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	coordinated := scrape(func() { runDistributed(t, NewLoopback(), "fedavg") })
+
+	twins := 0
+	for key, s := range inProcess {
+		family, ok := strings.CutPrefix(key, "fleet_")
+		// fleet_validation* and fleet_alerts_total are shared by name: both
+		// loops validate updates and evaluate health rules through package
+		// fleet, and no Core books them.
+		if !ok || strings.HasPrefix(family, "validation") || strings.HasPrefix(family, "alerts_total") {
+			continue
+		}
+		twin, ok := coordinated["coord_"+family]
+		if !ok {
+			t.Errorf("%s has no coord_ twin", key)
+			continue
+		}
+		twins++
+		switch {
+		case strings.Contains(family, "wire_bytes_total"):
+			if s.Value != 0 || twin.Value <= 0 {
+				t.Errorf("%s = %v in process, %v coordinated; want 0 and > 0", family, s.Value, twin.Value)
+			}
+		case s.Kind == "histogram":
+			if s.Count != twin.Count {
+				t.Errorf("%s holds %d observations in process, %d coordinated", family, s.Count, twin.Count)
+			}
+		case s.Value != twin.Value:
+			t.Errorf("%s = %v in process, %v coordinated", family, s.Value, twin.Value)
+		}
+	}
+	// Ten fleet-wide series plus four per worker (no dropouts here).
+	if want := 10 + 4*eqWorkers; twins != want {
+		t.Fatalf("%d round series compared, want %d", twins, want)
+	}
+}

@@ -141,9 +141,9 @@ func (f *Fleet) RunFrom(startRound int, d *ckpt.Dir, everyRounds int) (*Report, 
 		if err != nil {
 			return nil, err
 		}
-		// The same declarative health rules the distributed coordinator
-		// evaluates run here at every round boundary; firings land in the
-		// report's ALERTS section and the fleet_alerts_total counter.
+		// The coordinator closes its rounds through the same Finish: the
+		// report, the fleet_* round series and the health rules, whose
+		// firings land in the report's ALERTS section and fleet_alerts_total.
 		f.core.Finish(rep, rs)
 		if d != nil && everyRounds > 0 && (r+1)%everyRounds == 0 && r+1 < f.cfg.Rounds {
 			if _, err := f.SaveCheckpoint(d, r+1); err != nil {

@@ -21,10 +21,11 @@ const defaultUplinkMbps = 10.0
 // in-process Fleet and the coord package's Coordinator each hold one. It
 // owns everything a round does to the global model and to the books — the
 // ordered fold, the per-worker statistics, the traffic accounting, the
-// report, the health rules and the global half of a durable session — so
-// the two loops cannot drift apart in any of them. What differs between the
-// loops stays with them: how participants are chosen, how a worker's update
-// travels, and what happens when one does not arrive.
+// report, the round's metric series, the health rules and the global half of
+// a durable session — so the two loops cannot drift apart in any of them.
+// What differs between the loops stays with them: how participants are
+// chosen, how a worker's update travels, and what happens when one does not
+// arrive.
 //
 // A Core is confined to the goroutine that drives the rounds; only
 // ActiveAlerts may be called from another.
@@ -43,9 +44,10 @@ type Core struct {
 
 // NewCore builds the round core around the global model the factory
 // produces. kind labels the run's durable sessions ("fleet", "coord") so one
-// loop's checkpoint is never resumed into the other. Of cfg it reads
-// Aggregator (nil means FedAvg), Compression, UplinkMbps (zero means the
-// Waggle node's 10 Mbps), Seed and BatchSize.
+// loop's checkpoint is never resumed into the other, and names the family of
+// its round series (fleet_…, coord_…). Of cfg it reads Aggregator (nil means
+// FedAvg), Compression, UplinkMbps (zero means the Waggle node's 10 Mbps),
+// Seed and BatchSize.
 func NewCore(kind string, cfg Config, model func() (*chain.Chain, error)) (*Core, error) {
 	if cfg.Aggregator == nil {
 		cfg.Aggregator = NewFedAvg()
@@ -195,13 +197,61 @@ func (c *Core) NewReport(workers []WorkerSummary) *Report {
 }
 
 // Finish closes a committed round: it folds the round into the report,
-// evaluates the training-health rules against it and returns the alerts the
-// round fired (also appended to the report).
+// publishes the round's metric series, evaluates the training-health rules
+// against it and returns the alerts the round fired (also appended to the
+// report). A per-worker series is labeled with the name rep.Workers holds for
+// that position, so a caller whose positions change hands names them first.
 func (c *Core) Finish(rep *Report, rs RoundStats) []health.Alert {
 	rep.add(rs)
+	c.publish(rep, &rs)
 	alerts := c.mon.ObserveRound(rs.healthStats())
 	rep.Alerts = append(rep.Alerts, alerts...)
 	return alerts
+}
+
+// publish books one committed round on the process-default registry (nothing
+// when observability is off), in the family the core's kind names: fleet_…
+// for the in-process engine, coord_… for the coordinator. It adds exactly the
+// RoundStats fields Report.add accumulates, so a final scrape agrees with the
+// end-of-run report, worker rows included. A worker's labeled series appear
+// once it took part in a round: received the broadcast or moved wire bytes.
+func (c *Core) publish(rep *Report, rs *RoundStats) {
+	r := obs.Default()
+	if r == nil {
+		return
+	}
+	p := c.kind + "_"
+	r.Counter(p+"rounds_committed_total", "Rounds whose fold committed (the report's round count).").Inc()
+	r.Counter(p+"participants_total", "Updates folded into committed rounds.").Add(int64(rs.Participants))
+	r.Counter(p+"dropouts_total", "Selected workers whose update never reached a committed fold.").Add(int64(rs.Dropouts))
+	r.Counter(p+"uplink_bytes_total", "Committed update bytes (post-compression), as the report accounts them.").Add(rs.UplinkBytes)
+	r.Counter(p+"raw_uplink_bytes_total", "Committed update bytes at their uncompressed size.").Add(rs.RawUplinkBytes)
+	r.Counter(p+"downlink_bytes_total", "Broadcast bytes sent to round participants.").Add(rs.DownlinkBytes)
+	r.Gauge(p+"compression_ratio", "Raw/encoded uplink ratio over the report's rounds (1 with compression off).").Set(rep.CompressionRatio())
+	r.Histogram(p+"round_seconds", "Wall-clock time of one committed round, broadcast through fold (retry attempts included).", nil).
+		Observe(rs.WallClock.Seconds())
+	local := r.Histogram(p+"local_train_seconds", "Local training time behind one folded update.", nil)
+	wire := r.Counter(p+"wire_bytes_total", "Measured transport bytes, both directions (zero for in-process rounds).")
+	for i := range rs.Workers {
+		ws := &rs.Workers[i]
+		wire.Add(ws.WireBytes)
+		if ws.Samples > 0 {
+			local.Observe(ws.Duration.Seconds())
+		}
+		if !ws.Participated && ws.WireBytes == 0 {
+			continue
+		}
+		wl := obs.L("worker", rep.Workers[i].Name)
+		if ws.Samples > 0 {
+			r.CounterWith(p+"worker_rounds_total", "Rounds whose fold included this worker's update.", wl).Inc()
+		}
+		if ws.Dropped {
+			r.CounterWith(p+"worker_dropouts_total", "Rounds this worker was selected for but lost to dropout.", wl).Inc()
+		}
+		r.CounterWith(p+"worker_upload_bytes_total", "Committed update bytes from this worker (post-compression).", wl).Add(ws.UploadBytes)
+		r.CounterWith(p+"worker_download_bytes_total", "Broadcast bytes sent to this worker.", wl).Add(ws.DownloadBytes)
+		r.CounterWith(p+"worker_wire_bytes_total", "Measured transport bytes moved with this worker, both directions.", wl).Add(ws.WireBytes)
+	}
 }
 
 // ActiveAlerts returns the alerts the most recently finished round fired;

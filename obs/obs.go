@@ -12,7 +12,7 @@
 // handle method (Counter.Add, Gauge.Set, Histogram.Observe, Span.End, …)
 // is a nil-safe no-op. Instrumented code therefore calls
 //
-//	obs.Default().Counter("fleet_rounds_total", "…").Inc()
+//	obs.Default().Counter("fleet_rounds_committed_total", "…").Inc()
 //
 // unconditionally: with no registry installed the chain is two nil checks
 // and costs ~nothing — zero-config callers pay for neither allocations

@@ -162,8 +162,8 @@ func TestObservabilityNoPerturbation(t *testing.T) {
 	if got := counterValue(reg, "chain_steps_total"); got == 0 {
 		t.Fatal("instrumented fleet run recorded no chain steps")
 	}
-	if got := counterValue(reg, "fleet_rounds_total"); got != obsRounds {
-		t.Fatalf("fleet_rounds_total = %g, want %d", got, obsRounds)
+	if got := counterValue(reg, "fleet_rounds_committed_total"); got != obsRounds {
+		t.Fatalf("fleet_rounds_committed_total = %g, want %d", got, obsRounds)
 	}
 
 	// Distributed coordinator over the loopback transport.
