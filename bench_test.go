@@ -488,25 +488,6 @@ func BenchmarkTwoLevelCheckpointing(b *testing.B) {
 	b.ReportMetric(ramOnly.Rho(152, checkpoint.DefaultCostModel), "rho_ram_only")
 }
 
-// BenchmarkBaselinePolicies compares every implemented placement policy
-// (store-all, Revolve, sequential, periodic, logarithmic) at a rho=2 budget
-// on a 152-step chain.
-func BenchmarkBaselinePolicies(b *testing.B) {
-	var cmp []checkpoint.BaselineComparison
-	for i := 0; i < b.N; i++ {
-		cmp = checkpoint.CompareBaselines(152, 2.0, checkpoint.DefaultCostModel)
-	}
-	for _, c := range cmp {
-		if c.Scheme == "revolve" {
-			b.ReportMetric(float64(c.Slots), "revolve_slots")
-		}
-		if c.Scheme == "logarithmic" {
-			b.ReportMetric(float64(c.Slots), "log_slots")
-			b.ReportMetric(c.Rho, "log_rho")
-		}
-	}
-}
-
 // BenchmarkFederatedTraffic places the federated-averaging middle ground next
 // to cloud and edge training.
 func BenchmarkFederatedTraffic(b *testing.B) {

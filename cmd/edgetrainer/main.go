@@ -7,13 +7,12 @@
 // Usage:
 //
 // The -policy flag accepts any strategy of the public plan package
-// (storeall, revolve, sequential, periodic, logspaced, twolevel, auto).
+// (storeall, revolve, sequential, twolevel, auto).
 //
 //	edgetrainer                                   # store-all baseline
 //	edgetrainer -policy revolve -slots 3          # optimal checkpointing
 //	edgetrainer -policy revolve -rho 1.8          # slot count chosen from a rho budget
 //	edgetrainer -policy sequential -segments 4    # PyTorch-style baseline
-//	edgetrainer -policy logspaced                 # logarithmic placement
 //	edgetrainer -policy auto -budget 2MB          # cheapest strategy fitting a RAM budget
 //	edgetrainer -policy auto -device waggle       # budget from the device's memory
 //	edgetrainer -policy twolevel -slots 2 -disk-slots 3 -store tiered   # real flash spilling
@@ -29,7 +28,6 @@ import (
 
 	"github.com/edgeml/edgetrain/ckpt"
 	"github.com/edgeml/edgetrain/internal/chain"
-	"github.com/edgeml/edgetrain/internal/checkpoint"
 	"github.com/edgeml/edgetrain/internal/device"
 	"github.com/edgeml/edgetrain/internal/memmodel"
 	"github.com/edgeml/edgetrain/internal/parallel"
@@ -48,7 +46,6 @@ func main() {
 	slots := flag.Int("slots", 0, "checkpoint slots for the revolve policy")
 	rho := flag.Float64("rho", 0, "recompute budget for the revolve policy (used when -slots is 0)")
 	segments := flag.Int("segments", 4, "segments for the sequential policy")
-	interval := flag.Int("interval", 0, "checkpoint period for the periodic policy")
 	diskSlots := flag.Int("disk-slots", 0, "flash checkpoints for the twolevel policy")
 	budget := flag.String("budget", "", "RAM byte budget for the auto policy, e.g. 2MB or 1500000")
 	deviceName := flag.String("device", "", "device whose memory defaults the budget: waggle or cloud")
@@ -94,8 +91,7 @@ func main() {
 	}
 	dataset := trainer.NewSliceDataset(ds)
 
-	pol := chain.Policy{Kind: *policy, Slots: *slots, Segments: *segments, Interval: *interval,
-		DiskSlots: *diskSlots, Rho: *rho, Cost: checkpoint.DefaultCostModel}
+	pol := chain.Policy{Kind: *policy, Slots: *slots, Segments: *segments, DiskSlots: *diskSlots, Rho: *rho}
 
 	// Budget-aware planning: an explicit -budget wins, otherwise -device
 	// donates its memory capacity.

@@ -8,7 +8,7 @@
 //
 //	revolveplan -l 152 -slots 8                   # cost summary for one configuration
 //	revolveplan -l 50 -slots 3 -print             # full action listing
-//	revolveplan -l 60 -strategy logspaced         # any strategy of -list
+//	revolveplan -l 60 -strategy sequential -segments 6   # any strategy of -list
 //	revolveplan -l 80 -strategy twolevel -slots 2 -disk-slots 4
 //	revolveplan -l 152 -rho 2                     # minimal slots for a recompute budget
 //	revolveplan -l 152 -sequential                # Section V formula sweep over segments
@@ -37,7 +37,6 @@ func main() {
 	slots := flag.Int("slots", 0, "checkpoint slot budget")
 	diskSlots := flag.Int("disk-slots", 0, "flash-tier checkpoints for the twolevel strategy")
 	segments := flag.Int("segments", 0, "segment count for the sequential strategy")
-	interval := flag.Int("interval", 0, "checkpoint period for the periodic strategy")
 	rho := flag.Float64("rho", 0, "recompute-factor budget (selects minimal slots)")
 	backward := flag.Float64("backward-ratio", 2.0, "cost of a backward step relative to a forward step")
 	budget := flag.String("budget", "", "RAM byte budget for the auto strategy, e.g. 64MB")
@@ -120,7 +119,6 @@ func main() {
 			Slots:         *slots,
 			DiskSlots:     *diskSlots,
 			Segments:      *segments,
-			Interval:      *interval,
 			Rho:           *rho,
 			BackwardRatio: *backward,
 			MemoryBudget:  budgetBytes,

@@ -17,11 +17,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/edgeml/edgetrain/plan"
 )
 
 // buildCmds compiles all cmd/ binaries into one temp dir and returns it.
@@ -80,6 +83,18 @@ func TestCommandSmoke(t *testing.T) {
 	}
 	// Further assertions on some cases' output, by case name.
 	checks := map[string]func(out string) error{
+		// Every option the strategy table advertises is a revolveplan flag.
+		"revolveplan-list": func(string) error {
+			help, _ := exec.Command(filepath.Join(bin, "revolveplan"), "-h").CombinedOutput()
+			for _, info := range plan.Describe() {
+				for _, opt := range info.Options {
+					if !regexp.MustCompile(`(?m)^\s+-` + regexp.QuoteMeta(opt) + `\b`).Match(help) {
+						return fmt.Errorf("%s lists option %q, which is no flag of revolveplan -h:\n%s", info.Name, opt, help)
+					}
+				}
+			}
+			return nil
+		},
 		"revolveplan-sweep-elided": func(out string) error {
 			if n := strings.Count(out, "\n"); n > 45 {
 				return fmt.Errorf("%d lines, want at most 45: the table is not elided", n)

@@ -11,8 +11,8 @@
 //     that alone decides whether an action is legal (behind Run, PeakBytes
 //     and the chain executor).
 //   - plan — the planning API: Build(name, spec, Options{...}) over one
-//     static table of strategies ("revolve", "periodic", "logspaced",
-//     "sequential", "storeall", "twolevel", "auto").
+//     static table of strategies ("revolve", "sequential", "storeall",
+//     "twolevel", "auto").
 //   - store — the pluggable checkpoint stores: RAM references, the bit-exact
 //     disk codec, and the tiered store that really spills flash-tier slots.
 //   - ckpt — the durable checkpoint format and crash-safe resume engine: a

@@ -16,13 +16,12 @@ import (
 	"log"
 
 	"github.com/edgeml/edgetrain/internal/chain"
-	"github.com/edgeml/edgetrain/internal/checkpoint"
 	"github.com/edgeml/edgetrain/internal/teacher"
 )
 
 func main() {
 	cfg := teacher.DefaultConfig()
-	cfg.Policy = chain.Policy{Kind: "revolve", Slots: 3, Cost: checkpoint.DefaultCostModel}
+	cfg.Policy = chain.Policy{Kind: "revolve", Slots: 3}
 
 	fmt.Printf("node viewpoint skew: %.2f; harvesting %d tracks of %d frames each\n\n",
 		cfg.NodeViewpoint, cfg.Tracks, cfg.FramesPerTrack)

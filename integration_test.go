@@ -5,6 +5,7 @@ package edgetrain
 // the executor, mirroring how the command-line tools compose the packages.
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/edgeml/edgetrain/ckpt"
@@ -150,14 +151,13 @@ func TestVersionIsSet(t *testing.T) {
 // validate the schedule through the trace simulator.
 func TestRootAPIPlansEveryStrategy(t *testing.T) {
 	names := plan.Strategies()
-	if len(names) < 6 {
-		t.Fatalf("expected at least the six built-in strategies, got %v", names)
+	if want := []string{"auto", "revolve", "sequential", "storeall", "twolevel"}; !slices.Equal(names, want) {
+		t.Fatalf("strategies %v, want exactly %v", names, want)
 	}
 	spec := plan.ChainSpec{Length: 24}
 	opts := map[string]plan.Options{
 		"revolve":    {Slots: 3},
 		"sequential": {Segments: 4},
-		"periodic":   {Interval: 5},
 		"twolevel":   {Slots: 2, DiskSlots: 3},
 	}
 	for _, name := range names {

@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/edgeml/edgetrain/internal/checkpoint"
 	"github.com/edgeml/edgetrain/internal/nn"
 	"github.com/edgeml/edgetrain/internal/tensor"
 	"github.com/edgeml/edgetrain/plan"
@@ -390,24 +389,20 @@ func ExecutePlain(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, train bool)
 // strategy of the public plan package; the remaining fields are its tunables.
 type Policy struct {
 	// Kind is a strategy name ("storeall", "revolve", "sequential",
-	// "periodic", "logspaced", "twolevel", "auto"). The legacy spelling
-	// "store-all" and the empty string select "storeall".
+	// "twolevel", "auto"). The legacy spelling "store-all" and the empty
+	// string select "storeall".
 	Kind string
 	// Slots is the checkpoint budget for "revolve" (and the RAM tier of
 	// "twolevel").
 	Slots int
 	// Segments is the segment count for "sequential".
 	Segments int
-	// Interval is the checkpoint period for "periodic".
-	Interval int
 	// DiskSlots is the flash-tier checkpoint count for "twolevel".
 	DiskSlots int
 	// Rho, when positive, is a recompute budget from which strategies derive
-	// their memory tunable (e.g. "revolve" with Slots == 0).
+	// their memory tunable (e.g. "revolve" with Slots == 0) under the
+	// default cost model.
 	Rho float64
-	// Cost is the cost model used for the Rho-based selection; a zero
-	// BackwardRatio selects the default.
-	Cost checkpoint.CostModel
 	// MemoryBudget, when positive, is the RAM byte budget handed to
 	// budget-aware strategies ("auto" selects and parametrizes the cheapest
 	// strategy whose peak resident footprint fits it).
@@ -455,13 +450,11 @@ func (p Policy) Spec(c *Chain, x *tensor.Tensor) plan.ChainSpec {
 // options is the strategy's tunables as the plan package takes them.
 func (p Policy) options() plan.Options {
 	return plan.Options{
-		Slots:         p.Slots,
-		Segments:      p.Segments,
-		Interval:      p.Interval,
-		DiskSlots:     p.DiskSlots,
-		Rho:           p.Rho,
-		BackwardRatio: p.Cost.BackwardRatio,
-		MemoryBudget:  p.MemoryBudget,
+		Slots:        p.Slots,
+		Segments:     p.Segments,
+		DiskSlots:    p.DiskSlots,
+		Rho:          p.Rho,
+		MemoryBudget: p.MemoryBudget,
 	}
 }
 

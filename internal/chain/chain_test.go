@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/edgeml/edgetrain/internal/checkpoint"
 	"github.com/edgeml/edgetrain/internal/nn"
 	"github.com/edgeml/edgetrain/internal/parallel"
 	"github.com/edgeml/edgetrain/internal/resnet"
@@ -92,8 +91,6 @@ func TestCheckpointedGradientsMatchPlain(t *testing.T) {
 		{"revolve-3", "revolve", plan.Options{Slots: 3}},
 		{"sequential-2", "sequential", plan.Options{Segments: 2}},
 		{"sequential-3", "sequential", plan.Options{Segments: 3}},
-		{"periodic-3", "periodic", plan.Options{Interval: 3}},
-		{"logspaced", "logspaced", plan.Options{}},
 		{"twolevel-2-1", "twolevel", plan.Options{Slots: 1, DiskSlots: 2}},
 		{"store-all", "storeall", plan.Options{}},
 	}
@@ -202,7 +199,7 @@ func TestPolicyPlan(t *testing.T) {
 	if _, err := (Policy{Kind: "revolve", Slots: 3}).Plan(10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (Policy{Kind: "revolve", Rho: 1.8, Cost: checkpoint.DefaultCostModel}).Plan(10); err != nil {
+	if _, err := (Policy{Kind: "revolve", Rho: 1.8}).Plan(10); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := (Policy{Kind: "revolve"}).Plan(10); err == nil {

@@ -36,13 +36,6 @@ func TestScheduleGolden(t *testing.T) {
 			}
 			return ps
 		},
-		"periodic": func(int) (ps []Policy) {
-			for _, s := range grid {
-				ps = append(ps, Policy{Kind: "periodic", Interval: s + 1})
-			}
-			return ps
-		},
-		"logspaced": func(int) []Policy { return []Policy{{Kind: "logspaced"}} },
 		"twolevel": func(int) (ps []Policy) {
 			for _, s := range grid {
 				for _, d := range []int{2, 4} {
@@ -68,18 +61,6 @@ func TestScheduleGolden(t *testing.T) {
 		"auto/L=21":        "b4ec450be84bcb84b44f6cc5dc6c5cddbda163f0e33e644b43c1bbde8f6f7049",
 		"auto/L=50":        "9f02b19da2dc8fd2fadf744594937aa76f21c0aab643ce2e65656792947dc943",
 		"auto/L=152":       "d2d59d060d71a0df983cfdc4686e1e73b5ed3c1f8c2e5de9ae9e2696fbf45173",
-		"logspaced/L=1":    "bb5e48cfeec17fd422a60373b8abf4af6ab36f79416546d2786075b53441b989",
-		"logspaced/L=2":    "e3ef066ccccac6f6488d857d1683038d09df9883a62679a485a02ba4b3e6618b",
-		"logspaced/L=5":    "0ea213e0d3ee80986ab3ad3b237142ebca0d8921e4c67c04426e34d94b026eb2",
-		"logspaced/L=21":   "e105ce6591bb51981f29cd0fba73fb251fd9c8012b274342cc9ce0c2a2059a8a",
-		"logspaced/L=50":   "451ad8eff7eb4e438c3675dbe8dee5d4d1fed1413fa3a47782c45c76c00aef45",
-		"logspaced/L=152":  "e25dba89ddb79ca5cbb8739afa3d40e241c6c8b95f4aa0e0fec7a5caa5da21a1",
-		"periodic/L=1":     "9f36dabc02c8c40ed84c0893ca141efa2070d22b3a2e5fa37061acd4ede1d7d3",
-		"periodic/L=2":     "d4a1fc206a34c8247772a8514b185889a9e800061595cf0fec09521de6d6216e",
-		"periodic/L=5":     "2d902f2371ca00d6c00ae294266c6a438df35222f7db21ce63ea9ef04a130b33",
-		"periodic/L=21":    "47960a0d4dce02af5bd6423e4d3f0d8f54fde1d97a8727db420ecc8f2a3acd93",
-		"periodic/L=50":    "cb4214cf544e5259a397126d2c21dae4cefe10e9ce02c652bf3f8d125009bad8",
-		"periodic/L=152":   "6d2deb99719363d93adaf013c0fd6c46d6cb9b816b32ab0d6e8f2c82286e0424",
 		"revolve/L=1":      "161486456bbc56d9d5c03dc63800a2f8b6f026838073d4b5b34c1622fc4a46bf",
 		"revolve/L=2":      "2ba89e95eb38ef306dd78fcab97d58a481d105244519dd236c6072777c2a0e5e",
 		"revolve/L=5":      "c36847a3bf8dfbddbf9099a7db3ecb82441c83107cd7e2cfc93abbf9fc85fa1b",

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/edgeml/edgetrain/internal/checkpoint"
 	"github.com/edgeml/edgetrain/internal/nn"
 	"github.com/edgeml/edgetrain/internal/tensor"
 	"github.com/edgeml/edgetrain/plan"
@@ -234,8 +233,7 @@ func TestStepSpillsDiskTiersByDefault(t *testing.T) {
 
 // TestPolicyOptionMapping pins the Policy → plan.Options / plan.ChainSpec
 // mapping field by field: every Policy tunable lands in the option of the
-// same meaning, a zero Cost.BackwardRatio stays zero so strategies apply
-// their default, the memory shape flows into the spec — and every built-in
+// same meaning, the memory shape flows into the spec — and every built-in
 // strategy planned through a Policy is the schedule plan.Build gives.
 func TestPolicyOptionMapping(t *testing.T) {
 	cases := []struct {
@@ -246,18 +244,12 @@ func TestPolicyOptionMapping(t *testing.T) {
 		{"zero policy maps to zero options", Policy{}, plan.Options{}},
 		{"slots", Policy{Slots: 5}, plan.Options{Slots: 5}},
 		{"segments", Policy{Segments: 4}, plan.Options{Segments: 4}},
-		{"interval", Policy{Interval: 3}, plan.Options{Interval: 3}},
 		{"disk slots", Policy{DiskSlots: 7}, plan.Options{DiskSlots: 7}},
 		{"rho", Policy{Rho: 1.5}, plan.Options{Rho: 1.5}},
 		{"memory budget", Policy{MemoryBudget: 1 << 20}, plan.Options{MemoryBudget: 1 << 20}},
-		{"explicit backward ratio", Policy{Cost: checkpoint.CostModel{BackwardRatio: 3}}, plan.Options{BackwardRatio: 3}},
-		{"zero backward ratio stays unset", Policy{Cost: checkpoint.CostModel{}}, plan.Options{}},
-		{"default cost model forwards its ratio", Policy{Cost: checkpoint.DefaultCostModel}, plan.Options{BackwardRatio: 2}},
 		{"everything at once",
-			Policy{Slots: 2, Segments: 3, Interval: 4, DiskSlots: 5, Rho: 1.25,
-				MemoryBudget: 4096, Cost: checkpoint.CostModel{BackwardRatio: 1}},
-			plan.Options{Slots: 2, Segments: 3, Interval: 4, DiskSlots: 5, Rho: 1.25,
-				MemoryBudget: 4096, BackwardRatio: 1}},
+			Policy{Slots: 2, Segments: 3, DiskSlots: 5, Rho: 1.25, MemoryBudget: 4096},
+			plan.Options{Slots: 2, Segments: 3, DiskSlots: 5, Rho: 1.25, MemoryBudget: 4096}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -283,8 +275,6 @@ func TestPolicyOptionMapping(t *testing.T) {
 		{Policy{Kind: "storeall"}, plan.Options{}},
 		{Policy{Kind: "revolve", Slots: 3}, plan.Options{Slots: 3}},
 		{Policy{Kind: "sequential", Segments: 3}, plan.Options{Segments: 3}},
-		{Policy{Kind: "periodic", Interval: 4}, plan.Options{Interval: 4}},
-		{Policy{Kind: "logspaced"}, plan.Options{}},
 		{Policy{Kind: "twolevel", Slots: 2, DiskSlots: 3}, plan.Options{Slots: 2, DiskSlots: 3}},
 	}
 	const l = 14

@@ -363,8 +363,6 @@ func TestCheckpointedTrainingMatchesPlainState(t *testing.T) {
 	wantState, wantLoss := run(chain.Policy{Kind: "storeall"})
 	for _, p := range []chain.Policy{
 		{Kind: "revolve", Slots: 2},
-		{Kind: "periodic", Interval: 3},
-		{Kind: "logspaced"},
 		{Kind: "sequential", Segments: 3},
 		{Kind: "twolevel", Slots: 1, DiskSlots: 2, Store: tiered},
 	} {

@@ -131,18 +131,13 @@ func AutoSelect(spec ChainSpec, o Options) (AutoChoice, error) {
 		})
 
 		// Two-level: same RAM residency, with evenly spaced flash
-		// checkpoints buying recompute back at I/O cost. The flash-count
+		// checkpoints buying recompute back at I/O cost, one forward step per
+		// state written or read. The flash-count
 		// search is the analytical one in internal/checkpoint (it
 		// undercounts re-reads of a boundary within a segment, but ranks
 		// counts consistently); a zero winner degenerates to plain Revolve,
 		// already a candidate.
 		cfg := checkpoint.TwoLevelConfig{RAMSlots: slots, WriteCost: 1, ReadCost: 1}
-		if o.FlashWriteCost > 0 {
-			cfg.WriteCost = o.FlashWriteCost
-		}
-		if o.FlashReadCost > 0 {
-			cfg.ReadCost = o.FlashReadCost
-		}
 		best, err := checkpoint.OptimalDiskCheckpoints(l, cfg, m, 0)
 		if err != nil {
 			return AutoChoice{}, err

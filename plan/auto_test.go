@@ -137,7 +137,8 @@ func TestAutoDefaults(t *testing.T) {
 
 // TestAutoPrefersTwoLevelWhenRAMStarved pins the paper's Section VI story:
 // with RAM for only a few states on a long chain, spilling boundaries to
-// flash must beat pure in-RAM Revolve under the default flash costs.
+// flash must beat pure in-RAM Revolve with flash priced at one forward step
+// per state written or read.
 func TestAutoPrefersTwoLevelWhenRAMStarved(t *testing.T) {
 	spec := plan.ChainSpec{Length: 48, WeightBytes: 0, ActivationBytes: 1 << 16}
 	choice, err := plan.AutoSelect(spec, plan.Options{MemoryBudget: 4 * spec.ActivationBytes})
@@ -149,16 +150,5 @@ func TestAutoPrefersTwoLevelWhenRAMStarved(t *testing.T) {
 	}
 	if choice.DiskSlots < 1 || choice.Slots != 2 {
 		t.Fatalf("unexpected tunables: %+v", choice)
-	}
-
-	// With ruinously expensive flash, the same configuration must fall back
-	// to pure recomputation.
-	choice, err = plan.AutoSelect(spec,
-		plan.Options{MemoryBudget: 4 * spec.ActivationBytes, FlashWriteCost: 1000, FlashReadCost: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if choice.Strategy != "revolve" {
-		t.Fatalf("expensive flash should force revolve, got %s", choice.Strategy)
 	}
 }

@@ -4,9 +4,9 @@
 //
 //	sched, err := plan.Build("revolve", plan.ChainSpec{Length: 152}, plan.Options{Slots: 8})
 //
-// The strategies — "revolve", "periodic", "logspaced", "sequential",
-// "storeall", "twolevel" and the budget-aware "auto" — are implemented by the
-// algorithm layer in internal/checkpoint; Strategies and Describe list them.
+// The strategies — "revolve", "sequential", "storeall", "twolevel" and the
+// budget-aware "auto" — are implemented by the algorithm layer in
+// internal/checkpoint; Strategies and Describe list them.
 // Every strategy returns a schedule.Schedule, the type the chain executor and
 // the command-line tools consume; use schedule.Run (or Validate here) to check
 // a plan and obtain its cost trace.
@@ -38,7 +38,8 @@ type StrategyInfo struct {
 	Name string
 	// Description is a one-line summary of the placement policy.
 	Description string
-	// Options lists the option names the strategy consumes (for usage text).
+	// Options lists the strategy's tunables by the names of the revolveplan
+	// flags that set them (for usage text).
 	Options []string
 }
 
@@ -51,8 +52,6 @@ type Options struct {
 	Slots int
 	// Segments is the uniform segment count ("sequential").
 	Segments int
-	// Interval is the checkpoint period k ("periodic").
-	Interval int
 	// DiskSlots is the flash-tier checkpoint count ("twolevel").
 	DiskSlots int
 	// Rho is a recompute-factor budget; strategies that support it derive
@@ -66,12 +65,6 @@ type Options struct {
 	// (ChainSpec.WeightBytes) plus every simultaneously retained activation
 	// state. Zero selects the default: the 2 GB Waggle-node capacity.
 	MemoryBudget int64
-	// FlashWriteCost and FlashReadCost are the costs of writing/reading one
-	// state to or from flash in forward-step units, used when "auto" weighs
-	// a two-level plan against pure recomputation. Zero selects the default
-	// (1 forward step each).
-	FlashWriteCost float64
-	FlashReadCost  float64
 }
 
 // Build looks the strategy up by name and plans a schedule for the chain

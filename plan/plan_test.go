@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -22,8 +21,6 @@ func strategyOpts(name string, slots int) plan.Options {
 		return plan.Options{Slots: slots}
 	case "sequential":
 		return plan.Options{Segments: slots + 1}
-	case "periodic":
-		return plan.Options{Interval: slots + 1}
 	case "twolevel":
 		return plan.Options{Slots: slots, DiskSlots: 2}
 	default:
@@ -99,14 +96,11 @@ func TestRhoBudgetSelection(t *testing.T) {
 	if _, _, err := plan.Validate("sequential", plan.ChainSpec{Length: l}, plan.Options{Rho: 2.0}); err != nil {
 		t.Fatalf("sequential with rho budget: %v", err)
 	}
-	if _, _, err := plan.Validate("periodic", plan.ChainSpec{Length: l}, plan.Options{Rho: 2.0}); err != nil {
-		t.Fatalf("periodic with rho budget: %v", err)
-	}
 }
 
 func TestMissingOptionsAreRejected(t *testing.T) {
 	spec := plan.ChainSpec{Length: 20}
-	for _, name := range []string{"revolve", "sequential", "periodic", "twolevel"} {
+	for _, name := range []string{"revolve", "sequential", "twolevel"} {
 		if _, err := plan.Build(name, spec, plan.Options{}); err == nil {
 			t.Fatalf("%s without options should fail for a nontrivial chain", name)
 		}
@@ -115,21 +109,6 @@ func TestMissingOptionsAreRejected(t *testing.T) {
 	for _, name := range plan.Strategies() {
 		if _, _, err := plan.Validate(name, plan.ChainSpec{Length: 1}, plan.Options{}); err != nil {
 			t.Fatalf("%s must plan a length-1 chain without options: %v", name, err)
-		}
-	}
-}
-
-func TestLogSpacedMatchesClosedForms(t *testing.T) {
-	for _, l := range []int{1, 2, 5, 16, 17, 64, 100} {
-		_, tr, err := plan.Validate("logspaced", plan.ChainSpec{Length: l}, plan.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := checkpoint.LogSpacedForwards(l); tr.Forwards != want {
-			t.Fatalf("l=%d: logspaced ran %d forwards, closed form says %d", l, tr.Forwards, want)
-		}
-		if want := checkpoint.LogSpacedMemorySlots(l); tr.PeakSlots != want {
-			t.Fatalf("l=%d: logspaced peaked at %d slots, closed form says %d", l, tr.PeakSlots, want)
 		}
 	}
 }
@@ -154,21 +133,25 @@ func TestTwoLevelStaysWithinTiers(t *testing.T) {
 	}
 }
 
-// TestRegistry pins the static strategy table: every built-in is listed, in
-// sorted order, with a description, and a mistyped name is diagnosable from
-// the error.
+// TestRegistry pins the static strategy table: exactly the five built-ins,
+// in sorted order, each with a description, and a mistyped or deleted name
+// is diagnosable from the error.
 func TestRegistry(t *testing.T) {
 	names := plan.Strategies()
-	if !sort.StringsAreSorted(names) {
-		t.Fatalf("strategy names not sorted: %v", names)
+	want := []string{"auto", "revolve", "sequential", "storeall", "twolevel"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("strategies %v, want exactly %v", names, want)
 	}
-	for _, want := range []string{"auto", "revolve", "periodic", "logspaced", "sequential", "storeall", "twolevel"} {
-		if !slices.Contains(names, want) {
-			t.Fatalf("built-in strategy %q not listed (have %v)", want, names)
+	for _, unknown := range []string{"nope", "periodic", "logspaced"} {
+		_, err := plan.Build(unknown, plan.ChainSpec{Length: 3}, plan.Options{})
+		if err == nil {
+			t.Fatalf("unknown strategy %q accepted", unknown)
 		}
-	}
-	if _, err := plan.Build("nope", plan.ChainSpec{Length: 3}, plan.Options{}); err == nil || !strings.Contains(err.Error(), "revolve") {
-		t.Fatalf("unknown-strategy error should list the known names, got %v", err)
+		for _, name := range want {
+			if !strings.Contains(err.Error(), name) {
+				t.Fatalf("unknown-strategy error should list %q, got %v", name, err)
+			}
+		}
 	}
 	infos := plan.Describe()
 	if len(infos) != len(names) {

@@ -17,19 +17,8 @@ var strategies = []struct {
 	{StrategyInfo{
 		Name:        "auto",
 		Description: "budget-aware: cheapest of storeall/revolve/twolevel whose resident footprint fits a RAM byte budget",
-		Options:     []string{"memory-budget", "backward-ratio", "flash-cost"},
+		Options:     []string{"budget", "device", "state-bytes", "weight-bytes", "backward-ratio"},
 	}, planAuto},
-	{StrategyInfo{
-		Name:        "logspaced",
-		Description: "states at power-of-two distances from the end: O(log l) memory, up to O(l) recompute",
-	}, func(spec ChainSpec, o Options) (schedule.Schedule, error) {
-		return checkpoint.PlanLogSpaced(spec.Length)
-	}},
-	{StrategyInfo{
-		Name:        "periodic",
-		Description: "checkpoint every k-th state, recomputing within each period",
-		Options:     []string{"interval", "rho", "backward-ratio"},
-	}, planPeriodic},
 	{StrategyInfo{
 		Name:        "revolve",
 		Description: "optimal (binomial/Revolve) checkpointing: minimum forward work for a slot budget",
@@ -88,36 +77,6 @@ func planSequential(spec ChainSpec, o Options) (schedule.Schedule, error) {
 		return schedule.Schedule{}, fmt.Errorf("plan: sequential needs Segments or Rho")
 	}
 	return checkpoint.PlanSequential(spec.Length, segments)
-}
-
-func planPeriodic(spec ChainSpec, o Options) (schedule.Schedule, error) {
-	interval := o.Interval
-	if interval <= 0 && o.Rho > 0 {
-		// Choose the interval with the fewest retained states whose
-		// recompute factor stays within the budget.
-		m := costModel(o)
-		bestSlots := -1
-		for k := 1; k <= spec.Length; k++ {
-			segments := (spec.Length + k - 1) / k
-			fw := checkpoint.SequentialForwards(spec.Length, segments)
-			if m.Rho(spec.Length, fw) > o.Rho+1e-12 {
-				continue
-			}
-			if s := checkpoint.PeriodicMemorySlots(spec.Length, k); bestSlots == -1 || s < bestSlots {
-				bestSlots, interval = s, k
-			}
-		}
-		if interval <= 0 {
-			return schedule.Schedule{}, fmt.Errorf("plan: periodic cannot meet rho<=%.3f for length %d", o.Rho, spec.Length)
-		}
-	}
-	if interval <= 0 && spec.Length <= 1 {
-		interval = 1 // a trivial chain needs no tunable
-	}
-	if interval <= 0 {
-		return schedule.Schedule{}, fmt.Errorf("plan: periodic needs Interval or Rho")
-	}
-	return checkpoint.PlanPeriodic(spec.Length, interval)
 }
 
 func planTwoLevel(spec ChainSpec, o Options) (schedule.Schedule, error) {
