@@ -89,13 +89,18 @@ func BenchmarkMatMulNT(b *testing.B) {
 // BenchmarkGemmModelShapes measures the GEMM kernels, on one worker and on
 // every micro-kernel path this build has (path=vector, path=go), on the
 // im2col shapes of the benchmark student's convolutions (outC x ColRows x
-// ColsN, one per width plus the stem) in the roles a training step uses them
-// — NN for the forward (outC,ColRows)x(ColRows,ColsN), TN for the column
-// gradient (outC,ColRows)ᵀx(outC,ColsN), dW for the weight gradient as
-// Conv2DBackward computes it, (outC,ColsN)x(ColsN,ColRows) over Im2Row
-// patches — plus NT, nn.Linear's forward order (the weight gradient's before
-// it moved to dW; it has no vector form, so both paths read the same), and
-// two cubes as the machine reference. The narrow shapes (ColsN = 16 and 4)
+// ColsN, one per width plus the stem) in the roles a training step uses them:
+//   - NN for the forward, (outC,ColRows)x(ColRows,ColsN);
+//   - TN for the column gradient, (outC,ColRows)ᵀx(outC,ColsN). This is
+//     nn.Linear's weight-gradient order too; Conv2DBackward runs the same
+//     product as NN over the weight transposed once per call;
+//   - dW for the weight gradient as Conv2DBackward computes it, transposed:
+//     (ColRows,ColsN)x(ColsN,outC), the patch matrix times a transposed copy
+//     of the upstream gradient;
+//   - NT, nn.Linear's forward order (the weight gradient's before it moved
+//     to dW). It has no vector form, so both paths read the same.
+//
+// Two cubes are the machine reference. The narrow shapes (ColsN = 16 and 4)
 // hold over half the model's FLOPs, and a kernel tuned on the cubes alone can
 // be 3x short there. Read the numbers against BenchmarkRoofline's.
 func BenchmarkGemmModelShapes(b *testing.B) {
@@ -110,9 +115,9 @@ func BenchmarkGemmModelShapes(b *testing.B) {
 			outC, colRows, colsN := s[0], s[1], s[2]
 			w := RandNormal(rng, 0, 1, outC, colRows)
 			col := RandNormal(rng, 0, 1, colRows, colsN)
-			rows := Transpose(col)
 			gOut := RandNormal(rng, 0, 1, outC, colsN)
-			out, dcol, dw := New(outC, colsN), New(colRows, colsN), New(outC, colRows)
+			gOutT := Transpose(gOut)
+			out, dcol, dw, dwT := New(outC, colsN), New(colRows, colsN), New(outC, colRows), New(colRows, outC)
 			name := fmt.Sprintf("%dx%dx%d", outC, colRows, colsN)
 			flops := 2 * float64(outC) * float64(colRows) * float64(colsN)
 			for _, role := range []struct {
@@ -121,7 +126,7 @@ func BenchmarkGemmModelShapes(b *testing.B) {
 			}{
 				{"NN", func() { MatMulInto(out, w, col) }},
 				{"TN", func() { MatMulTNInto(dcol, w, gOut) }},
-				{"dW", func() { MatMulInto(dw, gOut, rows) }},
+				{"dW", func() { MatMulInto(dwT, col, gOutT) }},
 				{"NT", func() { MatMulNTInto(dw, gOut, col) }},
 			} {
 				b.Run("path="+pathName(vec)+"/"+role.name+"/"+name, func(b *testing.B) {
@@ -211,6 +216,42 @@ func BenchmarkConv2DBackward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Conv2DBackward(input, weight, false, gradOut, 1, 1)
+	}
+}
+
+// BenchmarkConvNodeShapes times the convolution forward and backward, batch 8
+// on one worker, on every convolution shape of the benchmark's node model
+// (BuildSmall{ResNet34, Stages 4, BaseWidth 8} on 16×16 frames): its 3×3
+// shapes, the one-channel stem included, and its three 1×1/2 downsample
+// convolutions. The names read inC x outC, input plane, kernel and stride.
+// The 4×4 and 2×2 planes give patch-matrix rows of 4 to 16 elements, so a
+// patch builder tuned on the wide planes alone can lose there.
+func BenchmarkConvNodeShapes(b *testing.B) {
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	const batch = 8
+	shapes := [][5]int{ // inC, outC, plane, kernel, stride
+		{1, 8, 16, 3, 1}, {8, 8, 16, 3, 1}, {8, 16, 16, 3, 2}, {16, 16, 8, 3, 1},
+		{16, 32, 8, 3, 2}, {32, 32, 4, 3, 1}, {32, 64, 4, 3, 2}, {64, 64, 2, 3, 1},
+		{8, 16, 16, 1, 2}, {16, 32, 8, 1, 2}, {32, 64, 4, 1, 2},
+	}
+	rng := NewRNG(5)
+	for _, s := range shapes {
+		inC, outC, plane, k, stride := s[0], s[1], s[2], s[3], s[4]
+		pad := k / 2
+		input := RandNormal(rng, 0, 1, batch, inC, plane, plane)
+		weight := RandNormal(rng, 0, 0.5, outC, inC, k, k)
+		out := Conv2D(input, weight, nil, stride, pad)
+		name := fmt.Sprintf("%dx%d/%dx%d/k%ds%d", inC, outC, plane, plane, k, stride)
+		b.Run("fwd/"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Conv2DInto(out, input, weight, nil, stride, pad)
+			}
+		})
+		b.Run("bwd/"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Conv2DBackward(input, weight, false, out, stride, pad)
+			}
+		})
 	}
 }
 

@@ -45,7 +45,19 @@ func (g ConvGeom) OutputShape(n int) []int { return []int{n, g.OutC, g.OutH, g.O
 
 // Im2Col expands a single image (C,H,W view into data) into a column matrix
 // of shape (InC*KH*KW, OutH*OutW) stored into col, which must have length
-// ColRows*ColsN. Padding positions contribute zeros.
+// ColRows*ColsN: row c*KH*KW + kh*KW + kw holds, for every output position
+// (oh, ow), input element (c, oh*StrideH - PadH + kh, ow*StrideW - PadW + kw),
+// and +0 where that falls in the padding.
+//
+// The bounds are worked out once per tap (convTap), not per element, and
+// shared by every channel. On a wide output plane each channel then fills
+// its row in spans: at stride 1 with an output as wide as the input (the
+// "same" 3×3 convolutions) the tap's source is one shifted span of the
+// plane, copied whole, with the edge columns it wraps into cleared after;
+// otherwise a row is gathered at the stride. On a narrow plane (ColsN <=
+// narrowPlane) a row is too short to pay for that set-up, so the channel
+// loop goes innermost instead: each output position is placed, or cleared,
+// in every channel's row at once.
 func (g ConvGeom) Im2Col(img []float64, col []float64) {
 	if len(img) != g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: Im2Col image length %d, want %d", len(img), g.InC*g.InH*g.InW))
@@ -53,29 +65,75 @@ func (g ConvGeom) Im2Col(img []float64, col []float64) {
 	if len(col) != g.ColRows*g.ColsN {
 		panic(fmt.Sprintf("tensor: Im2Col column length %d, want %d", len(col), g.ColRows*g.ColsN))
 	}
-	idx := 0
-	for c := 0; c < g.InC; c++ {
-		chOff := c * g.InH * g.InW
-		for kh := 0; kh < g.KH; kh++ {
-			for kw := 0; kw < g.KW; kw++ {
+	plane, rowStride := g.InH*g.InW, g.KH*g.KW*g.ColsN
+	span := g.StrideH == 1 && g.StrideW == 1 && g.OutW == g.InW
+	for kh := 0; kh < g.KH; kh++ {
+		for kw := 0; kw < g.KW; kw++ {
+			t := g.tap(kh, kw)
+			r0 := (kh*g.KW + kw) * g.ColsN // channel c's row starts at c*rowStride + r0
+			if g.ColsN <= narrowPlane {
 				for oh := 0; oh < g.OutH; oh++ {
-					ih := oh*g.StrideH - g.PadH + kh
-					if ih < 0 || ih >= g.InH {
-						for ow := 0; ow < g.OutW; ow++ {
-							col[idx] = 0
-							idx++
-						}
-						continue
-					}
-					rowOff := chOff + ih*g.InW
 					for ow := 0; ow < g.OutW; ow++ {
-						iw := ow*g.StrideW - g.PadW + kw
-						if iw < 0 || iw >= g.InW {
-							col[idx] = 0
-						} else {
-							col[idx] = img[rowOff+iw]
+						d := r0 + oh*g.OutW + ow
+						if !t.has(oh, ow) {
+							for c := 0; c < g.InC; c++ {
+								col[d] = 0
+								d += rowStride
+							}
+							continue
 						}
-						idx++
+						s := oh*g.StrideH*g.InW + ow*g.StrideW + t.off
+						for c := 0; c < g.InC; c++ {
+							col[d] = img[s]
+							d += rowStride
+							s += plane
+						}
+					}
+				}
+				continue
+			}
+			first, end := t.ohLo*g.OutW+t.owLo, (t.ohHi-1)*g.OutW+t.owHi
+			for c := 0; c < g.InC; c++ {
+				dst := col[c*rowStride+r0:][:g.ColsN]
+				if t.ohLo == t.ohHi || t.owLo == t.owHi {
+					zeroFloats(dst)
+					continue
+				}
+				src := img[c*plane:][:plane]
+				// Explicit loops, not zeroFloats: the edges are a few
+				// elements, too short to pay for a call to memclr.
+				for i := 0; i < first; i++ {
+					dst[i] = 0
+				}
+				for i := end; i < len(dst); i++ {
+					dst[i] = 0
+				}
+				if span {
+					copy(dst[first:end], src[first+t.off:end+t.off])
+					// Between one row's last valid column and the next
+					// row's first, the span read the neighbouring row.
+					w := t.owHi - t.owLo
+					if gap := g.OutW - w; gap > 0 {
+						for i := first + w; i < end; i += g.OutW {
+							for j := i; j < i+gap; j++ {
+								dst[j] = 0
+							}
+						}
+					}
+					continue
+				}
+				for oh := t.ohLo; oh < t.ohHi; oh++ {
+					row := dst[oh*g.OutW:][:g.OutW]
+					for ow := 0; ow < t.owLo; ow++ {
+						row[ow] = 0
+					}
+					for ow := t.owHi; ow < len(row); ow++ {
+						row[ow] = 0
+					}
+					s := oh*g.StrideH*g.InW + t.owLo*g.StrideW + t.off
+					for ow := t.owLo; ow < t.owHi; ow++ {
+						row[ow] = src[s]
+						s += g.StrideW
 					}
 				}
 			}
@@ -83,48 +141,45 @@ func (g ConvGeom) Im2Col(img []float64, col []float64) {
 	}
 }
 
-// Im2Row is Im2Col transposed: it expands a single image into the patch
-// matrix of shape (OutH*OutW, InC*KH*KW), one output position per row, so
-// rows[p*ColRows+r] == col[r*ColsN+p]. The weight gradient multiplies by this
-// form, which puts the long tap dimension where the GEMM vectorises.
-func (g ConvGeom) Im2Row(img []float64, rows []float64) {
-	if len(img) != g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: Im2Row image length %d, want %d", len(img), g.InC*g.InH*g.InW))
+// narrowPlane is the largest output plane (OutH*OutW) Im2Col and Col2Im treat
+// as narrow, running the channel loop innermost. Measured on the benchmark
+// model's shapes, the channel-inner order wins up to 4×4 outputs and loses
+// from 6×6 on.
+const narrowPlane = 16
+
+// convTap is one kernel tap's share of the patch matrix: output positions
+// (oh, ow) in [ohLo, ohHi) x [owLo, owHi) read their channel's input element
+// oh*StrideH*InW + ow*StrideW + off, and all others fall in the padding.
+type convTap struct{ ohLo, ohHi, owLo, owHi, off int }
+
+func (g ConvGeom) tap(kh, kw int) convTap {
+	ohLo, ohHi := tapRange(kh, g.StrideH, g.PadH, g.InH, g.OutH)
+	owLo, owHi := tapRange(kw, g.StrideW, g.PadW, g.InW, g.OutW)
+	return convTap{ohLo, ohHi, owLo, owHi, (kh-g.PadH)*g.InW + kw - g.PadW}
+}
+
+func (t convTap) has(oh, ow int) bool {
+	return oh >= t.ohLo && oh < t.ohHi && ow >= t.owLo && ow < t.owHi
+}
+
+// tapRange returns the range [lo, hi) of output indices o whose tap at kernel
+// offset k lands inside an input of length in, 0 <= o*stride - pad + k < in,
+// clipped to [0, out); lo == hi when there is none.
+func tapRange(k, stride, pad, in, out int) (lo, hi int) {
+	if d := pad - k; d > 0 {
+		lo = min((d+stride-1)/stride, out)
 	}
-	if len(rows) != g.ColRows*g.ColsN {
-		panic(fmt.Sprintf("tensor: Im2Row patch matrix length %d, want %d", len(rows), g.ColRows*g.ColsN))
+	if e := in - 1 + pad - k; e >= 0 {
+		hi = min(e/stride+1, out)
 	}
-	idx := 0
-	for oh := 0; oh < g.OutH; oh++ {
-		for ow := 0; ow < g.OutW; ow++ {
-			iw0 := ow*g.StrideW - g.PadW
-			for c := 0; c < g.InC; c++ {
-				chOff := c * g.InH * g.InW
-				for kh := 0; kh < g.KH; kh++ {
-					ih := oh*g.StrideH - g.PadH + kh
-					patch := rows[idx : idx+g.KW]
-					idx += g.KW
-					if ih < 0 || ih >= g.InH {
-						zeroFloats(patch)
-						continue
-					}
-					rowOff := chOff + ih*g.InW
-					for kw := range patch {
-						if iw := iw0 + kw; iw < 0 || iw >= g.InW {
-							patch[kw] = 0
-						} else {
-							patch[kw] = img[rowOff+iw]
-						}
-					}
-				}
-			}
-		}
-	}
+	return lo, max(lo, hi)
 }
 
 // Col2Im accumulates a column matrix (as produced by Im2Col) back into an
 // image gradient buffer of length InC*InH*InW. The buffer is NOT zeroed; the
-// caller controls accumulation semantics.
+// caller controls accumulation semantics. It walks Im2Col's taps in Im2Col's
+// order, so an image element, which takes at most one addend per tap, takes
+// them in ascending (kh, kw) whichever loop runs inside.
 func (g ConvGeom) Col2Im(col []float64, img []float64) {
 	if len(img) != g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: Col2Im image length %d, want %d", len(img), g.InC*g.InH*g.InW))
@@ -132,25 +187,57 @@ func (g ConvGeom) Col2Im(col []float64, img []float64) {
 	if len(col) != g.ColRows*g.ColsN {
 		panic(fmt.Sprintf("tensor: Col2Im column length %d, want %d", len(col), g.ColRows*g.ColsN))
 	}
-	idx := 0
-	for c := 0; c < g.InC; c++ {
-		chOff := c * g.InH * g.InW
-		for kh := 0; kh < g.KH; kh++ {
-			for kw := 0; kw < g.KW; kw++ {
-				for oh := 0; oh < g.OutH; oh++ {
-					ih := oh*g.StrideH - g.PadH + kh
-					if ih < 0 || ih >= g.InH {
-						idx += g.OutW
-						continue
-					}
-					rowOff := chOff + ih*g.InW
-					for ow := 0; ow < g.OutW; ow++ {
-						iw := ow*g.StrideW - g.PadW + kw
-						if iw >= 0 && iw < g.InW {
-							img[rowOff+iw] += col[idx]
+	plane, rowStride := g.InH*g.InW, g.KH*g.KW*g.ColsN
+	span := g.StrideH == 1 && g.StrideW == 1 && g.OutW == g.InW
+	for kh := 0; kh < g.KH; kh++ {
+		for kw := 0; kw < g.KW; kw++ {
+			t := g.tap(kh, kw)
+			r0 := (kh*g.KW + kw) * g.ColsN
+			if g.ColsN <= narrowPlane {
+				for oh := t.ohLo; oh < t.ohHi; oh++ {
+					for ow := t.owLo; ow < t.owHi; ow++ {
+						d, s := oh*g.StrideH*g.InW+ow*g.StrideW+t.off, r0+oh*g.OutW+ow
+						for c := 0; c < g.InC; c++ {
+							img[d] += col[s]
+							d += plane
+							s += rowStride
 						}
-						idx++
 					}
+				}
+				continue
+			}
+			w := t.owHi - t.owLo
+			if w == 0 {
+				continue
+			}
+			for c := 0; c < g.InC; c++ {
+				src := col[c*rowStride+r0:][:g.ColsN]
+				dst := img[c*plane:][:plane]
+				if span && w == g.OutW {
+					// A tap that misses no column: its rows are one span
+					// of the plane, as in Im2Col, and nothing wraps.
+					seg := src[t.ohLo*g.OutW : t.ohHi*g.OutW]
+					dd := dst[t.ohLo*g.OutW+t.off:][:len(seg)]
+					for i, v := range seg {
+						dd[i] += v
+					}
+					continue
+				}
+				s, d := t.ohLo*g.OutW+t.owLo, t.ohLo*g.StrideH*g.InW+t.owLo*g.StrideW+t.off
+				for oh := t.ohLo; oh < t.ohHi; oh++ {
+					seg := src[s : s+w]
+					if g.StrideW == 1 {
+						dd := dst[d : d+w]
+						for i, v := range seg {
+							dd[i] += v
+						}
+					} else {
+						for i, v := range seg {
+							dst[d+i*g.StrideW] += v
+						}
+					}
+					s += g.OutW
+					d += g.StrideH * g.InW
 				}
 			}
 		}
@@ -262,15 +349,23 @@ func addBiasRows(dst, bias []float64, cols, lo, hi int) {
 // weight and upstream gradient gradOut (N, OutC, OutH, OutW), it returns
 // (gradInput, gradWeight, gradBias). gradBias is nil if bias was nil.
 //
+// Each image builds the forward's patch matrix (Im2Col) once and uses it
+// twice, and both products are NN GEMMs over operands transposed up front,
+// so neither has a strided k (the copies live in pooled scratch, and in
+// gradWeight's own storage until the fold, so nothing is allocated for
+// them):
+//   - the weight gradient gOut x colᵀ, whose k (the output positions) is
+//     contiguous in both operands, is computed transposed, as col x gOutᵀ
+//     over a transposed copy of the image's gOut: the same products, added
+//     in the same ascending-position order;
+//   - the column gradient wᵀ x gOut, over the weight transposed once per
+//     call, then overwrites the patch matrix and is scattered back to the
+//     image with Col2Im.
+//
 // The batch is processed in parallel with pooled per-worker scratch; the
 // weight gradient is accumulated as per-image partials folded in batch
-// order, so the result is bit-identical at any worker count. Both GEMMs are
-// column-vectorisable: the column gradient is wᵀ x gOut (TN), and the weight
-// gradient gOut x colᵀ — whose k, the output positions, is contiguous in both
-// operands — is computed as gOut x rows over the transposed patch matrix
-// (Im2Row), an NN-accumulate that adds the same products in the same
-// ascending-position order. The backward needs no patch matrix in column
-// form, and no Transpose temporaries are materialized.
+// order, so the result is bit-identical at any worker count. A single image
+// parallelizes its GEMMs over row panels instead.
 func Conv2DBackward(input, weight *Tensor, hasBias bool, gradOut *Tensor, stride, pad int) (gradInput, gradWeight, gradBias *Tensor) {
 	g := convGeomChecked("Conv2DBackward", input, weight, gradOut, stride, pad)
 	n, inC, inH, inW := input.shape[0], g.InC, g.InH, g.InW
@@ -281,65 +376,74 @@ func Conv2DBackward(input, weight *Tensor, hasBias bool, gradOut *Tensor, stride
 	if hasBias {
 		gradBias = New(outC)
 	}
-	wd := weight.data
-	gwd := gradWeight.data
 	imgLen := inC * inH * inW
 	outLen := outC * g.ColsN
 	colLen := g.ColRows * g.ColsN
 	wLen := outC * g.ColRows
 
-	if n == 1 {
-		rowsp := getScratch(colLen)
-		dcolp := getScratch(colLen)
-		rows, dcol := *rowsp, *dcolp
-		gOut := gradOut.data[:outLen]
-		g.Im2Row(input.data[:imgLen], rows)
-		// dW = gOut (outC, ColsN) x rows (ColsN, ColRows); gradWeight starts zeroed.
-		parallel.For(outC, gemmRowGrain(g.ColsN, g.ColRows), func(lo, hi int) {
-			gemmNNAcc(gwd, gOut, rows, g.ColsN, g.ColRows, lo, hi)
-		})
-		// dcol = wᵀ (ColRows, outC) x gOut, then scatter back to the image.
-		parallel.For(g.ColRows, gemmRowGrain(outC, g.ColsN), func(lo, hi int) {
-			gemmTN(dcol, wd, gOut, outC, g.ColRows, g.ColsN, lo, hi)
-		})
-		g.Col2Im(dcol, gradInput.data[:imgLen])
-		putScratch(rowsp)
-		putScratch(dcolp)
-	} else {
-		// One chunk per image: chunk boundaries (and therefore the partial
-		// weight-gradient association order) never depend on worker count.
-		partials := make([]*[]float64, parallel.Chunks(n, 1))
-		parallel.ForChunks(n, 1, func(chunk, lo, hi int) {
-			rowsp := getScratch(colLen)
-			dcolp := getScratch(colLen)
-			dwp := getScratch(wLen)
-			rows, dcol, dw := *rowsp, *dcolp, *dwp
-			zeroFloats(dw)
-			for b := lo; b < hi; b++ {
-				img := input.data[b*imgLen : (b+1)*imgLen]
-				gOut := gradOut.data[b*outLen : (b+1)*outLen]
-				g.Im2Row(img, rows)
-				gemmNNAcc(dw, gOut, rows, g.ColsN, g.ColRows, 0, outC)
-				gemmTN(dcol, wd, gOut, outC, g.ColRows, g.ColsN, 0, g.ColRows)
-				g.Col2Im(dcol, gradInput.data[b*imgLen:(b+1)*imgLen])
-			}
-			partials[chunk] = dwp
-			putScratch(rowsp)
-			putScratch(dcolp)
-		})
-		// Every element of the weight gradient adds its per-image partials
-		// in batch order; which worker adds an element changes nothing.
-		parallel.For(wLen, elemGrain, func(lo, hi int) {
-			dst := gwd[lo:hi]
-			for _, p := range partials {
-				for i, v := range (*p)[lo:hi] {
-					dst[i] += v
-				}
-			}
-		})
-		for _, p := range partials {
-			putScratch(p)
+	// Until the fold below overwrites every element of gradWeight, its
+	// storage holds the weight transposed, (ColRows, outC).
+	wT := gradWeight.data
+	transposeInto(wT, weight.data, outC, g.ColRows)
+	// partials[b] is image b's weight gradient, transposed: (ColRows, outC).
+	partials := make([]*[]float64, n)
+	image := func(b int) {
+		// One pooled buffer holds the patch matrix and gOutᵀ.
+		bufp := getScratch(colLen + g.ColsN*outC)
+		partials[b] = getScratch(wLen)
+		col, gt, dwT := (*bufp)[:colLen], (*bufp)[colLen:], *partials[b]
+		gOut := gradOut.data[b*outLen : (b+1)*outLen]
+		g.Im2Col(input.data[b*imgLen:(b+1)*imgLen], col)
+		transposeInto(gt, gOut, outC, g.ColsN)
+		// The second product overwrites the spent patch matrix.
+		if n == 1 {
+			parallel.For(g.ColRows, gemmRowGrain(g.ColsN, outC), func(lo, hi int) {
+				gemmNN(dwT, col, gt, g.ColsN, outC, lo, hi)
+			})
+			parallel.For(g.ColRows, gemmRowGrain(outC, g.ColsN), func(lo, hi int) {
+				gemmNN(col, wT, gOut, outC, g.ColsN, lo, hi)
+			})
+		} else {
+			gemmNN(dwT, col, gt, g.ColsN, outC, 0, g.ColRows)
+			gemmNN(col, wT, gOut, outC, g.ColsN, 0, g.ColRows)
 		}
+		g.Col2Im(col, gradInput.data[b*imgLen:(b+1)*imgLen])
+		putScratch(bufp)
+	}
+	if n == 1 {
+		image(0)
+	} else {
+		parallel.For(n, 1, func(lo, hi int) {
+			for b := lo; b < hi; b++ {
+				image(b)
+			}
+		})
+	}
+
+	// Every element of the weight gradient adds its per-image partials in
+	// batch order; which worker adds an element changes nothing. A chunk
+	// folds whole rows of the transposed partials into image 0's, reading
+	// each contiguously, then writes them out as a column block of
+	// gradWeight. Image 0's partial stands for +0 + itself, where gradWeight
+	// starts: a sum begun at +0 is never -0, so the two have the same bits.
+	gwd := gradWeight.data
+	acc := *partials[0]
+	parallel.For(g.ColRows, max(elemGrain/(outC*n), 1), func(lo, hi int) {
+		for _, p := range partials[1:] {
+			dst := acc[lo*outC : hi*outC]
+			for i, v := range (*p)[lo*outC : hi*outC] {
+				dst[i] += v
+			}
+		}
+		for r := lo; r < hi; r++ {
+			dst := gwd[r:]
+			for o, v := range acc[r*outC : (r+1)*outC] {
+				dst[o*g.ColRows] = v
+			}
+		}
+	})
+	for _, p := range partials {
+		putScratch(p)
 	}
 
 	if hasBias {

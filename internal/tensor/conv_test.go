@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -162,35 +163,117 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 	if math.Abs(lhs-rhs) > 1e-9 {
 		t.Fatalf("Im2Col/Col2Im are not adjoint: %v vs %v", lhs, rhs)
 	}
-	// Im2Row is Im2Col transposed, element for element.
-	rowsX := make([]float64, g.ColRows*g.ColsN)
-	g.Im2Row(x.Data(), rowsX)
-	for r := 0; r < g.ColRows; r++ {
-		for p := 0; p < g.ColsN; p++ {
-			if rowsX[p*g.ColRows+r] != colX[r*g.ColsN+p] {
-				t.Fatalf("Im2Row(%d,%d) = %v, Im2Col(%d,%d) = %v", p, r, rowsX[p*g.ColRows+r], r, p, colX[r*g.ColsN+p])
+}
+
+// refIm2Col is the patch matrix written from its definition, independent of
+// ConvGeom.Im2Col: row (c, kh, kw), column (oh, ow) holds input element
+// (c, oh*stride - pad + kh, ow*stride - pad + kw), or +0 outside the image.
+func refIm2Col(g ConvGeom, img []float64) []float64 {
+	col := make([]float64, g.ColRows*g.ColsN)
+	for c := 0; c < g.InC; c++ {
+		for kh := 0; kh < g.KH; kh++ {
+			for kw := 0; kw < g.KW; kw++ {
+				r := (c*g.KH+kh)*g.KW + kw
+				for oh := 0; oh < g.OutH; oh++ {
+					for ow := 0; ow < g.OutW; ow++ {
+						ih, iw := oh*g.StrideH-g.PadH+kh, ow*g.StrideW-g.PadW+kw
+						if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
+							col[r*g.ColsN+oh*g.OutW+ow] = img[(c*g.InH+ih)*g.InW+iw]
+						}
+					}
+				}
+			}
+		}
+	}
+	return col
+}
+
+// refCol2Im is the scatter-add Col2Im promises, independent of it: every
+// in-image entry of the column matrix is added to its input element, in
+// (c, kh, kw, oh, ow) order.
+func refCol2Im(g ConvGeom, col, img []float64) {
+	for c := 0; c < g.InC; c++ {
+		for kh := 0; kh < g.KH; kh++ {
+			for kw := 0; kw < g.KW; kw++ {
+				r := (c*g.KH+kh)*g.KW + kw
+				for oh := 0; oh < g.OutH; oh++ {
+					for ow := 0; ow < g.OutW; ow++ {
+						ih, iw := oh*g.StrideH-g.PadH+kh, ow*g.StrideW-g.PadW+kw
+						if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
+							img[(c*g.InH+ih)*g.InW+iw] += col[r*g.ColsN+oh*g.OutW+ow]
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIm2ColCol2ImMatchDefinition pins both patch builders to their
+// definitions bit for bit over a grid of geometries: every kernel, stride
+// and padding combination that fits the plane, on planes from 1×1 up, so
+// that each of Im2Col's loop orders (a whole-plane span, gathered rows, the
+// channel-inner narrow planes) and each tap's clipping is met — 17×2 gives
+// wide outputs with taps that miss every column. Im2Col writes
+// into a buffer of NaN, so a position it skips shows, and a pad must be +0,
+// not -0. Col2Im adds into a non-zero image.
+func TestIm2ColCol2ImMatchDefinition(t *testing.T) {
+	rng := NewRNG(37)
+	planes := [][2]int{{1, 1}, {2, 2}, {3, 5}, {4, 4}, {6, 6}, {16, 16}, {17, 2}}
+	for _, hw := range planes {
+		for _, k := range []int{1, 3, 5, 7} {
+			for _, stride := range []int{1, 2, 3} {
+				for pad := 0; pad <= 3; pad++ {
+					if hw[0]+2*pad < k || hw[1]+2*pad < k {
+						continue
+					}
+					for _, inC := range []int{1, 3} {
+						g := NewConvGeom(inC, hw[0], hw[1], 1, k, k, stride, pad)
+						name := fmt.Sprintf("%dch %dx%d k%d s%d p%d", inC, hw[0], hw[1], k, stride, pad)
+						img := RandNormal(rng, 0, 1, inC*hw[0]*hw[1]).data
+						col := make([]float64, g.ColRows*g.ColsN)
+						for i := range col {
+							col[i] = math.NaN()
+						}
+						g.Im2Col(img, col)
+						for i, want := range refIm2Col(g, img) {
+							if math.Float64bits(col[i]) != math.Float64bits(want) {
+								t.Fatalf("%s: Im2Col[%d] = %v, want %v", name, i, col[i], want)
+							}
+						}
+						dcol := RandNormal(rng, 0, 1, g.ColRows*g.ColsN).data
+						got := RandNormal(rng, 0, 1, len(img)).data
+						want := append([]float64(nil), got...)
+						g.Col2Im(dcol, got)
+						refCol2Im(g, dcol, want)
+						for i := range want {
+							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("%s: Col2Im[%d] = %v, want %v", name, i, got[i], want[i])
+							}
+						}
+					}
+				}
 			}
 		}
 	}
 }
 
 // refConv2DBackward is the arithmetic Conv2DBackward promises, written as
-// plain loops: per image, the weight gradient adds gradOut x patch products in
-// ascending output position from zero and the column gradient adds weight x
-// gradOut products in ascending output channel from zero, scattered back in
-// Col2Im's order; the per-image weight gradients and per-image bias sums are
-// then folded in batch order.
+// plain loops over refIm2Col's patches: per image, the weight gradient adds
+// gradOut x patch products in ascending output position from zero and the
+// column gradient adds weight x gradOut products in ascending output channel
+// from zero, scattered back by refCol2Im; the per-image weight gradients and
+// per-image bias sums are then folded in batch order.
 func refConv2DBackward(input, weight, gradOut *Tensor, stride, pad int) (gi, gw, gb *Tensor) {
 	n, inC, inH, inW := input.Dim(0), input.Dim(1), input.Dim(2), input.Dim(3)
 	outC, kH, kW := weight.Dim(0), weight.Dim(2), weight.Dim(3)
 	g := NewConvGeom(inC, inH, inW, outC, kH, kW, stride, pad)
 	gi, gw, gb = New(input.Shape()...), New(weight.Shape()...), New(outC)
 	imgLen, outLen := inC*inH*inW, outC*g.ColsN
-	col := make([]float64, g.ColRows*g.ColsN)
 	dcol := make([]float64, g.ColRows*g.ColsN)
 	for b := 0; b < n; b++ {
 		gOut := gradOut.data[b*outLen : (b+1)*outLen]
-		g.Im2Col(input.data[b*imgLen:(b+1)*imgLen], col)
+		col := refIm2Col(g, input.data[b*imgLen:(b+1)*imgLen])
 		for o := 0; o < outC; o++ {
 			for r := 0; r < g.ColRows; r++ {
 				dw := 0.0
@@ -214,15 +297,17 @@ func refConv2DBackward(input, weight, gradOut *Tensor, stride, pad int) (gi, gw,
 				dcol[r*g.ColsN+p] = s
 			}
 		}
-		g.Col2Im(dcol, gi.data[b*imgLen:(b+1)*imgLen])
+		refCol2Im(g, dcol, gi.data[b*imgLen:(b+1)*imgLen])
 	}
 	return gi, gw, gb
 }
 
 // TestConv2DBackwardBitIdenticalToReference pins all three gradients to the
 // reference above bit for bit, on both micro-kernel paths and at one, two and
-// five workers: the transposed patch matrix and the vector tile change how
-// the weight gradient is laid out and computed, not one bit of it.
+// five workers: the transposed weight gradient and the vector tile change
+// how it is laid out and computed, not one bit of it. The last two cases are
+// the benchmark model's 2×2 and 4×4-stride-2 convolutions, whose planes are
+// narrow enough for the channel-inner patch loops.
 func TestConv2DBackwardBitIdenticalToReference(t *testing.T) {
 	cases := []struct{ inC, h, w, outC, k, stride, pad int }{
 		{3, 9, 9, 8, 3, 1, 1},
@@ -232,6 +317,8 @@ func TestConv2DBackwardBitIdenticalToReference(t *testing.T) {
 		{8, 6, 6, 12, 1, 1, 0},
 		{8, 6, 6, 4, 1, 2, 0},
 		{3, 5, 5, 4, 1, 1, 1},
+		{64, 2, 2, 64, 3, 1, 1},
+		{32, 4, 4, 64, 3, 2, 1},
 	}
 	rng := NewRNG(31)
 	for _, c := range cases {

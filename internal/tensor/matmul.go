@@ -38,10 +38,10 @@ import (
 // NT keeps its own Go strip (stripNT): its operands are contiguous in k, so
 // its lanes would have to hold partial sums of one element, and adding those
 // up reorders the sum. nn.Linear is its only user; the convolution's weight
-// gradient, which has this shape, is computed as an NN-accumulate over a
-// transposed patch matrix instead (see Conv2DBackward). Ragged rows and
-// columns go through gemmEdge, a scalar loop with the same load /
-// accumulate-a-panel / store shape.
+// gradient, which has this shape, is computed transposed instead, as an NN
+// product of the patch matrix and a transposed copy of the upstream gradient
+// (see Conv2DBackward). Ragged rows and columns go through gemmEdge, a scalar
+// loop with the same load / accumulate-a-panel / store shape.
 //
 // Ordering guarantee: whichever path produces an output element, it starts
 // from the value in dst (zero for NN and TN) and adds its k products one at a
@@ -173,9 +173,7 @@ func MatMulNTInto(dst, a, b *Tensor) *Tensor {
 
 // gemmNN computes rows [lo,hi) of dst = a x b.
 func gemmNN(dst, a, b []float64, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		zeroFloats(dst[i*n : (i+1)*n])
-	}
+	zeroFloats(dst[lo*n : hi*n])
 	gemmNNAcc(dst, a, b, k, n, lo, hi)
 }
 
@@ -198,9 +196,7 @@ func gemmNNAcc(dst, a, b []float64, k, n, lo, hi int) {
 // rows of aᵀ under a strip are strided columns of a; they are gathered once
 // per strip into a stack buffer, which turns the rest into gemmNN's strip.
 func gemmTN(dst, a, b []float64, k, m, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		zeroFloats(dst[i*n : (i+1)*n])
-	}
+	zeroFloats(dst[lo*n : hi*n])
 	nt := n - n%gemmNR
 	st := gemmStrides{ai: 1, ap: m, bp: n, bj: 1}
 	var cols [gemmMR * gemmKC]float64

@@ -3,7 +3,7 @@ package tensor
 import "sync"
 
 // scratchPool is the shared arena for kernel workspaces (im2col columns,
-// per-chunk weight-gradient partials, GEMM intermediates). Buffers are
+// per-image weight-gradient partials, GEMM intermediates). Buffers are
 // handed out per parallel chunk and returned immediately after, so at
 // steady state the hot training loop performs no heap allocation for
 // scratch: the pool converges on one buffer per concurrent worker of each

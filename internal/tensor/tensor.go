@@ -386,12 +386,19 @@ func Transpose(a *Tensor) *Tensor {
 	}
 	m, n := a.shape[0], a.shape[1]
 	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.data[j*m+i] = a.data[i*n+j]
+	transposeInto(out.data, a.data, m, n)
+	return out
+}
+
+// transposeInto writes the (n, m) transpose of the row-major (m, n) matrix
+// src into dst, one row of dst (one column of src) at a time.
+func transposeInto(dst, src []float64, m, n int) {
+	for j := 0; j < n; j++ {
+		row := dst[j*m : (j+1)*m]
+		for i := range row {
+			row[i] = src[i*n+j]
 		}
 	}
-	return out
 }
 
 // ArgmaxRows returns, for a rank-2 tensor, the column index of the maximum of
