@@ -49,22 +49,20 @@ func (b *BasicBlock) Name() string { return b.name }
 // Forward implements Layer.
 func (b *BasicBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := b.Conv1.Forward(x, train)
-	out = b.BN1.Forward(out, train)
-	out = b.Relu1.Forward(out, train)
+	out = b.BN1.forward(out, train, nil, b.Relu1)
 	out = b.Conv2.Forward(out, train)
-	out = b.BN2.Forward(out, train)
+	// BN2, the residual sum and the final ReLU run as one pass over BN2's
+	// fresh output.
+	return b.BN2.forward(out, train, shortcut(x, b.DownConv, b.DownBN, train), b.reluOut)
+}
 
-	var identity *tensor.Tensor
-	if b.DownConv != nil {
-		identity = b.DownConv.Forward(x, train)
-		identity = b.DownBN.Forward(identity, train)
-	} else {
-		identity = x
+// shortcut is a residual block's identity branch: x itself, or x through the
+// downsampling convolution and its batch norm.
+func shortcut(x *tensor.Tensor, conv *Conv2D, bn *BatchNorm2D, train bool) *tensor.Tensor {
+	if conv == nil {
+		return x
 	}
-	// out is BN2's freshly allocated output, so the residual sum can be
-	// accumulated in place without a temporary.
-	out.AddInPlace(identity)
-	return b.reluOut.Forward(out, train)
+	return bn.Forward(conv.Forward(x, train), train)
 }
 
 // Backward implements Layer.
@@ -201,23 +199,11 @@ func (b *Bottleneck) Name() string { return b.name }
 // Forward implements Layer.
 func (b *Bottleneck) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := b.Conv1.Forward(x, train)
-	out = b.BN1.Forward(out, train)
-	out = b.Relu1.Forward(out, train)
+	out = b.BN1.forward(out, train, nil, b.Relu1)
 	out = b.Conv2.Forward(out, train)
-	out = b.BN2.Forward(out, train)
-	out = b.Relu2.Forward(out, train)
+	out = b.BN2.forward(out, train, nil, b.Relu2)
 	out = b.Conv3.Forward(out, train)
-	out = b.BN3.Forward(out, train)
-
-	var identity *tensor.Tensor
-	if b.DownConv != nil {
-		identity = b.DownConv.Forward(x, train)
-		identity = b.DownBN.Forward(identity, train)
-	} else {
-		identity = x
-	}
-	out.AddInPlace(identity)
-	return b.reluOut.Forward(out, train)
+	return b.BN3.forward(out, train, shortcut(x, b.DownConv, b.DownBN, train), b.reluOut)
 }
 
 // Backward implements Layer.

@@ -103,12 +103,13 @@ type BatchNorm2D struct {
 	Gamma, Beta *Param
 	// Running statistics for inference mode.
 	RunningMean, RunningVar *tensor.Tensor
-	// Backward cache. Only the normalised activations and per-channel
-	// statistics are retained — never the input itself, which would pin a
-	// full activation tensor for no computational purpose.
+	// Backward cache: a reference to the forward input (a convolution's
+	// fresh output) and the per-channel statistics. Backward recomputes the
+	// normalised activations from them with the forward's own expression, so
+	// the layer copies nothing.
 	batchMean []float64
 	batchVar  []float64
-	xhat      *tensor.Tensor
+	lastIn    *tensor.Tensor
 }
 
 // NewBatchNorm2D creates a batch-norm layer for c channels.
@@ -128,13 +129,28 @@ func (bn *BatchNorm2D) Name() string { return bn.name }
 
 // Forward implements Layer.
 func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return bn.forward(x, train, nil, nil)
+}
+
+// forward normalises x and then, plane by plane while the plane is in cache,
+// adds res if it is non-nil and applies relu in place if it is non-nil,
+// recording the result as relu's output. Each element sees the roundings of
+// BatchNorm2D, AddInPlace and ReLU run one after another, in that order.
+func (bn *BatchNorm2D) forward(x *tensor.Tensor, train bool, res *tensor.Tensor, relu *ReLU) *tensor.Tensor {
 	mustRank(x, 4, "BatchNorm2D")
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	if c != bn.C {
 		panic(fmt.Sprintf("nn: BatchNorm2D %s expects %d channels, got %d", bn.name, bn.C, c))
 	}
 	out := x.NewLike()
-	bn.xhat = tensor.EnsureLike(bn.xhat, x)
+	var rd []float64
+	if res != nil {
+		if !res.SameShape(x) {
+			panic(fmt.Sprintf("nn: BatchNorm2D %s: shortcut shape %v, input %v", bn.name, res.Shape(), x.Shape()))
+		}
+		rd = res.Data()
+	}
+	bn.lastIn = x
 	if cap(bn.batchMean) < c {
 		bn.batchMean = make([]float64, c)
 		bn.batchVar = make([]float64, c)
@@ -142,103 +158,214 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	bn.batchMean = bn.batchMean[:c]
 	bn.batchVar = bn.batchVar[:c]
 	area := h * w
-	count := float64(n * area)
-	xd, xh, od := x.Data(), bn.xhat.Data(), out.Data()
+	xd, od := x.Data(), out.Data()
 	rm, rv := bn.RunningMean.Data(), bn.RunningVar.Data()
 	gam, bet := bn.Gamma.Value.Data(), bn.Beta.Value.Data()
 
 	// Channels are fully independent (statistics, running averages and the
 	// normalised outputs all live at per-channel offsets), so the channel
 	// loop parallelizes with bit-identical results at any worker count.
-	parallel.For(c, 1, func(clo, chi int) {
-		for ch := clo; ch < chi; ch++ {
-			var mean, variance float64
-			if train {
-				sum := 0.0
-				for b := 0; b < n; b++ {
-					off := ((b * c) + ch) * area
-					for _, v := range xd[off : off+area] {
-						sum += v
-					}
+	parallel.For(c, 4, func(clo, chi int) {
+		if train {
+			ch := clo
+			for ; ch+4 <= chi; ch += 4 {
+				mean, variance := channelStats4(xd, n, c, area, ch)
+				for j := range mean {
+					bn.setStats(ch+j, mean[j], variance[j])
 				}
-				mean = sum / count
-				sq := 0.0
-				for b := 0; b < n; b++ {
-					off := ((b * c) + ch) * area
-					for _, v := range xd[off : off+area] {
-						d := v - mean
-						sq += d * d
-					}
-				}
-				variance = sq / count
-				// Update running statistics (exponential moving average).
-				rm[ch] = (1-bn.Momentum)*rm[ch] + bn.Momentum*mean
-				rv[ch] = (1-bn.Momentum)*rv[ch] + bn.Momentum*variance
-			} else {
-				mean = rm[ch]
-				variance = rv[ch]
 			}
-			bn.batchMean[ch] = mean
-			bn.batchVar[ch] = variance
-			invStd := 1.0 / math.Sqrt(variance+bn.Eps)
+			for ; ch < chi; ch++ {
+				mean, variance := channelStats(xd, n, c, area, ch)
+				bn.setStats(ch, mean, variance)
+			}
+		} else {
+			copy(bn.batchMean[clo:chi], rm[clo:chi])
+			copy(bn.batchVar[clo:chi], rv[clo:chi])
+		}
+		for ch := clo; ch < chi; ch++ {
+			mean, invStd := bn.batchMean[ch], bn.invStd(ch)
 			g := gam[ch]
 			bta := bet[ch]
 			for b := 0; b < n; b++ {
 				off := ((b * c) + ch) * area
-				for i := off; i < off+area; i++ {
-					v := (xd[i] - mean) * invStd
-					xh[i] = v
-					od[i] = g*v + bta
+				o := od[off : off+area]
+				for i, v := range xd[off : off+area][:len(o)] {
+					o[i] = g*((v-mean)*invStd) + bta
+				}
+				if rd != nil {
+					for i, v := range rd[off : off+area][:len(o)] {
+						o[i] += v
+					}
+				}
+				if relu != nil {
+					reluInto(o, o)
 				}
 			}
 		}
 	})
+	if relu != nil {
+		relu.out = out
+	}
 	return out
+}
+
+// setStats records channel ch's batch statistics and folds them into the
+// running averages.
+func (bn *BatchNorm2D) setStats(ch int, mean, variance float64) {
+	bn.batchMean[ch] = mean
+	bn.batchVar[ch] = variance
+	rm, rv := bn.RunningMean.Data(), bn.RunningVar.Data()
+	rm[ch] = (1-bn.Momentum)*rm[ch] + bn.Momentum*mean
+	rv[ch] = (1-bn.Momentum)*rv[ch] + bn.Momentum*variance
+}
+
+// channelStats returns channel ch's batch mean and biased variance, each sum
+// one sequential chain in (sample, pixel) order.
+func channelStats(xd []float64, n, c, area, ch int) (mean, variance float64) {
+	count := float64(n * area)
+	sum := 0.0
+	for b := 0; b < n; b++ {
+		off := ((b * c) + ch) * area
+		for _, v := range xd[off : off+area] {
+			sum += v
+		}
+	}
+	mean = sum / count
+	sq := 0.0
+	for b := 0; b < n; b++ {
+		off := ((b * c) + ch) * area
+		for _, v := range xd[off : off+area] {
+			d := v - mean
+			sq += d * d
+		}
+	}
+	return mean, sq / count
+}
+
+// channelStats4 is channelStats for channels ch…ch+3 side by side: four
+// independent chains, each in the order channelStats adds, so the results
+// are bit for bit channelStats' and the add latency overlaps.
+func channelStats4(xd []float64, n, c, area, ch int) (mean, variance [4]float64) {
+	count := float64(n * area)
+	var s0, s1, s2, s3 float64
+	for b := 0; b < n; b++ {
+		off := ((b * c) + ch) * area
+		p := xd[off : off+4*area]
+		p0, p1, p2, p3 := p[:area], p[area:2*area], p[2*area:3*area], p[3*area:]
+		p1, p2, p3 = p1[:len(p0)], p2[:len(p0)], p3[:len(p0)]
+		for i, v := range p0 {
+			s0 += v
+			s1 += p1[i]
+			s2 += p2[i]
+			s3 += p3[i]
+		}
+	}
+	m0, m1, m2, m3 := s0/count, s1/count, s2/count, s3/count
+	var q0, q1, q2, q3 float64
+	for b := 0; b < n; b++ {
+		off := ((b * c) + ch) * area
+		p := xd[off : off+4*area]
+		p0, p1, p2, p3 := p[:area], p[area:2*area], p[2*area:3*area], p[3*area:]
+		p1, p2, p3 = p1[:len(p0)], p2[:len(p0)], p3[:len(p0)]
+		for i, v := range p0 {
+			d0, d1, d2, d3 := v-m0, p1[i]-m1, p2[i]-m2, p3[i]-m3
+			q0 += d0 * d0
+			q1 += d1 * d1
+			q2 += d2 * d2
+			q3 += d3 * d3
+		}
+	}
+	return [4]float64{m0, m1, m2, m3}, [4]float64{q0 / count, q1 / count, q2 / count, q3 / count}
 }
 
 // Backward implements Layer. It implements the standard batch-norm gradient
 // for training mode (batch statistics).
 func (bn *BatchNorm2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if bn.xhat == nil {
+	if bn.lastIn == nil {
 		panic("nn: BatchNorm2D.Backward called before Forward")
 	}
-	n, c, h, w := bn.xhat.Dim(0), bn.xhat.Dim(1), bn.xhat.Dim(2), bn.xhat.Dim(3)
+	x := bn.lastIn
+	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	area := h * w
 	count := float64(n * area)
-	gradIn := bn.xhat.NewLike()
-	gd, xh, gid := gradOut.Data(), bn.xhat.Data(), gradIn.Data()
+	gradIn := x.NewLike()
+	gd, xd, gid := gradOut.Data(), x.Data(), gradIn.Data()
 	gam, gg, bg := bn.Gamma.Value.Data(), bn.Gamma.Grad.Data(), bn.Beta.Grad.Data()
 
-	parallel.For(c, 1, func(clo, chi int) {
-		for ch := clo; ch < chi; ch++ {
-			invStd := 1.0 / math.Sqrt(bn.batchVar[ch]+bn.Eps)
-			g := gam[ch]
-
-			var sumDy, sumDyXhat float64
-			for b := 0; b < n; b++ {
-				off := ((b * c) + ch) * area
-				for i := off; i < off+area; i++ {
-					dy := gd[i]
-					sumDy += dy
-					sumDyXhat += dy * xh[i]
-				}
+	// finish books channel ch's parameter gradients and writes its input
+	// gradient: dx = (gamma*invStd/count) * (count*dy - sumDy - xhat*sumDyXhat).
+	finish := func(ch int, sumDy, sumDyXhat float64) {
+		gg[ch] += sumDyXhat
+		bg[ch] += sumDy
+		mean, invStd := bn.batchMean[ch], bn.invStd(ch)
+		scale := gam[ch] * invStd / count
+		for b := 0; b < n; b++ {
+			off := ((b * c) + ch) * area
+			gi := gid[off : off+area]
+			dy := gd[off : off+area][:len(gi)]
+			for i, v := range xd[off : off+area][:len(gi)] {
+				gi[i] = scale * (count*dy[i] - sumDy - (v-mean)*invStd*sumDyXhat)
 			}
-			// Parameter gradients.
-			gg[ch] += sumDyXhat
-			bg[ch] += sumDy
-
-			// Input gradient:
-			// dx = (gamma*invStd/count) * (count*dy - sumDy - xhat*sumDyXhat)
-			scale := g * invStd / count
-			for b := 0; b < n; b++ {
-				off := ((b * c) + ch) * area
-				for i := off; i < off+area; i++ {
-					gid[i] = scale * (count*gd[i] - sumDy - xh[i]*sumDyXhat)
-				}
+		}
+	}
+	parallel.For(c, 4, func(clo, chi int) {
+		ch := clo
+		for ; ch+4 <= chi; ch += 4 {
+			sumDy, sumDyXhat := bn.gradSums4(gd, xd, n, area, ch)
+			for j := range sumDy {
+				finish(ch+j, sumDy[j], sumDyXhat[j])
 			}
+		}
+		for ; ch < chi; ch++ {
+			sumDy, sumDyXhat := bn.gradSums(gd, xd, n, area, ch)
+			finish(ch, sumDy, sumDyXhat)
 		}
 	})
 	return gradIn
+}
+
+// invStd is channel ch's 1/sqrt(var+eps) under the last forward's statistics.
+func (bn *BatchNorm2D) invStd(ch int) float64 { return 1.0 / math.Sqrt(bn.batchVar[ch]+bn.Eps) }
+
+// gradSums returns channel ch's sums of dy and of dy·xhat, each one chain in
+// (sample, pixel) order, with xhat recomputed as the forward computed it.
+func (bn *BatchNorm2D) gradSums(gd, xd []float64, n, area, ch int) (sumDy, sumDyXhat float64) {
+	mean, invStd := bn.batchMean[ch], bn.invStd(ch)
+	for b := 0; b < n; b++ {
+		off := ((b * bn.C) + ch) * area
+		dy := gd[off : off+area]
+		for i, v := range xd[off : off+area][:len(dy)] {
+			sumDy += dy[i]
+			sumDyXhat += dy[i] * ((v - mean) * invStd)
+		}
+	}
+	return sumDy, sumDyXhat
+}
+
+// gradSums4 is gradSums for channels ch…ch+3 side by side, bit for bit.
+func (bn *BatchNorm2D) gradSums4(gd, xd []float64, n, area, ch int) (sumDy, sumDyXhat [4]float64) {
+	m0, m1, m2, m3 := bn.batchMean[ch], bn.batchMean[ch+1], bn.batchMean[ch+2], bn.batchMean[ch+3]
+	r0, r1, r2, r3 := bn.invStd(ch), bn.invStd(ch+1), bn.invStd(ch+2), bn.invStd(ch+3)
+	var s0, s1, s2, s3, t0, t1, t2, t3 float64
+	for b := 0; b < n; b++ {
+		off := ((b * bn.C) + ch) * area
+		x, g := xd[off:off+4*area], gd[off:off+4*area]
+		x0, x1, x2, x3 := x[:area], x[area:2*area], x[2*area:3*area], x[3*area:]
+		g0, g1, g2, g3 := g[:area], g[area:2*area], g[2*area:3*area], g[3*area:]
+		x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+		g0, g1, g2, g3 = g0[:len(x0)], g1[:len(x0)], g2[:len(x0)], g3[:len(x0)]
+		for i, v := range x0 {
+			s0 += g0[i]
+			t0 += g0[i] * ((v - m0) * r0)
+			s1 += g1[i]
+			t1 += g1[i] * ((x1[i] - m1) * r1)
+			s2 += g2[i]
+			t2 += g2[i] * ((x2[i] - m2) * r2)
+			s3 += g3[i]
+			t3 += g3[i] * ((x3[i] - m3) * r3)
+		}
+	}
+	return [4]float64{s0, s1, s2, s3}, [4]float64{t0, t1, t2, t3}
 }
 
 // Params implements Layer.
@@ -260,9 +387,12 @@ func (bn *BatchNorm2D) OutputShape(in []int) []int { return append([]int(nil), i
 // Stats implements StatsProvider.
 func (bn *BatchNorm2D) Stats(in []int) Stats {
 	n := prod(in)
+	// ActivationElems is the paper framework's accounting: the input and the
+	// normalised xhat. This engine keeps only a reference to the input (the
+	// producing convolution's output) and recomputes xhat in Backward.
 	return Stats{
 		ParamCount:      2 * bn.C,
-		ActivationElems: 2 * n, // input and normalised xhat are retained
+		ActivationElems: 2 * n,
 		OutputElems:     n,
 		ForwardFLOPs:    4 * n,
 		BackwardFLOPs:   8 * n,

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"github.com/edgeml/edgetrain/internal/parallel"
 	"github.com/edgeml/edgetrain/internal/tensor"
@@ -12,10 +13,11 @@ import (
 // an element-wise kernel should carry; smaller tensors run serially.
 const elemGrain = 8192
 
-// ReLU applies max(0, x) element-wise.
+// ReLU applies max(0, x) element-wise: it keeps x where x > 0 and writes +0
+// everywhere else, NaN and −0 included.
 type ReLU struct {
 	name string
-	mask []bool // true where the input was positive, used by backward
+	out  *tensor.Tensor // the last forward's output; Backward passes g where out > 0
 }
 
 // NewReLU creates a ReLU activation layer.
@@ -24,45 +26,49 @@ func NewReLU(name string) *ReLU { return &ReLU{name: name} }
 // Name implements Layer.
 func (r *ReLU) Name() string { return r.name }
 
-// Forward implements Layer.
+// Forward implements Layer. The layer keeps a reference to its output, not a
+// mask: out > 0 exactly where x > 0, and the next layer holds that tensor
+// anyway.
 func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	out := x.NewLike()
-	if cap(r.mask) < x.Size() {
-		r.mask = make([]bool, x.Size())
-	}
-	r.mask = r.mask[:x.Size()]
 	src, d := x.Data(), out.Data()
-	parallel.For(len(d), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if v := src[i]; v > 0 {
-				r.mask[i] = true
-				d[i] = v
-			} else {
-				r.mask[i] = false
-				d[i] = 0
-			}
-		}
-	})
+	parallel.For(len(d), elemGrain, func(lo, hi int) { reluInto(d[lo:hi], src[lo:hi]) })
+	r.out = out
 	return out
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if len(r.mask) != gradOut.Size() {
+	if r.out == nil || r.out.Size() != gradOut.Size() {
 		panic("nn: ReLU.Backward called before Forward or with mismatched size")
 	}
 	gradIn := gradOut.NewLike()
-	g, d := gradOut.Data(), gradIn.Data()
+	g, o, d := gradOut.Data(), r.out.Data(), gradIn.Data()
 	parallel.For(len(d), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if r.mask[i] {
-				d[i] = g[i]
-			} else {
-				d[i] = 0
-			}
+		g, o, d := g[lo:hi], o[lo:hi], d[lo:hi]
+		o = o[:len(d)]
+		for i := range g[:len(d)] {
+			d[i] = math.Float64frombits(math.Float64bits(g[i]) & positive(o[i]))
 		}
 	})
 	return gradIn
+}
+
+// reluInto writes ReLU(src) to dst, which may be src itself, without a
+// branch on the data.
+func reluInto(dst, src []float64) {
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] = math.Float64frombits(math.Float64bits(v) & positive(v))
+	}
+}
+
+// positive is all ones where v > 0 and zero elsewhere (NaN and ±0 included):
+// v > 0 exactly when its bits, less one, fall below those of +Inf, and the
+// borrow of that subtraction is the answer.
+func positive(v float64) uint64 {
+	_, borrow := bits.Sub64(math.Float64bits(v)-1, 0x7ff0000000000000, 0)
+	return -borrow
 }
 
 // Params implements Layer.

@@ -47,7 +47,9 @@ func (p *Param) Count() int { return p.Value.Size() }
 // input in that window. Conversely, every layer returns a freshly allocated
 // output tensor from Forward — never an internal buffer — so the
 // checkpointed executor can snapshot stage outputs by reference and replay
-// forwards without corrupting retained states. Layers never mutate their
+// forwards without corrupting retained states. A layer may keep a reference
+// to that output too (ReLU's backward reads it), so callers must not mutate
+// an output before the matching Backward either. Layers never mutate their
 // inputs or upstream gradients.
 //
 // Accumulation contract: Backward adds each parameter's whole-call gradient
