@@ -466,28 +466,6 @@ func BenchmarkSyntheticRenderer(b *testing.B) {
 
 // --- Extensions beyond the paper ------------------------------------------------
 
-// BenchmarkTwoLevelCheckpointing evaluates the flash-spilling (disk-revolve
-// style) extension on a Waggle-like configuration: a 152-step chain, two RAM
-// slots and an SD card whose write/read cost equals five forward steps.
-func BenchmarkTwoLevelCheckpointing(b *testing.B) {
-	cfg := checkpoint.TwoLevelConfig{RAMSlots: 2, WriteCost: 5, ReadCost: 5}
-	var best checkpoint.TwoLevelCost
-	var err error
-	for i := 0; i < b.N; i++ {
-		best, err = checkpoint.OptimalDiskCheckpoints(152, cfg, checkpoint.DefaultCostModel, 30)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	ramOnly, err := checkpoint.PlanTwoLevelCost(152, 0, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(best.DiskCheckpoints), "disk_checkpoints")
-	b.ReportMetric(best.Rho(152, checkpoint.DefaultCostModel), "rho_with_flash")
-	b.ReportMetric(ramOnly.Rho(152, checkpoint.DefaultCostModel), "rho_ram_only")
-}
-
 // BenchmarkFederatedTraffic places the federated-averaging middle ground next
 // to cloud and edge training.
 func BenchmarkFederatedTraffic(b *testing.B) {

@@ -241,10 +241,9 @@ func applyTensors(what string, stored []NamedTensor, dst []NamedTensor) error {
 
 // ApplyParams copies the session's parameter values into the given
 // parameters. Every parameter must be present under its name with an
-// identical shape, and every stored tensor must be consumed — the same
-// strictness as nn.LoadParams, so resuming into a mismatched model fails
-// loudly, and fails before any value is copied, never leaving half-restored
-// weights.
+// identical shape, and every stored tensor must be consumed, so resuming
+// into a mismatched model fails loudly, and fails before any value is
+// copied, never leaving half-restored weights.
 func (s *Session) ApplyParams(params []*nn.Param) error {
 	return applyTensors("parameter", s.Params, ParamTensors(params))
 }

@@ -152,7 +152,11 @@ func main() {
 		}
 		fmt.Printf("  restores:           %d\n", tr.Restores)
 		fmt.Printf("  max step reruns:    %d\n", tr.MaxStepExecutions)
-		fmt.Printf("  recompute factor:   %.3f\n", cost.Rho(*l, tr.Forwards))
+		factor := 1.0
+		if *l > 0 {
+			factor = cost.TraceTime(*l, tr) / cost.BaselineTime(*l)
+		}
+		fmt.Printf("  recompute factor:   %.3f\n", factor)
 		seq := checkpoint.SequentialMemorySlots(*l, tr.PeakSlots+1)
 		fmt.Printf("  checkpoint_sequential with %d segments would retain %d activations (vs %d here)\n",
 			tr.PeakSlots+1, seq, tr.PeakSlots+1)

@@ -72,7 +72,7 @@ func TestCommandSmoke(t *testing.T) {
 			"-nodes", "3", "-rounds", "2", "-samples", "12", "-agg", "allreduce",
 			"-device-mix", "jetson,waggle,rpi", "-budget", "280KB,210KB,201KB",
 			"-participation", "1",
-		}, "twolevel"},
+		}, "revolve(1)"},
 		{"fleettrainer-compressed", []string{
 			"-nodes", "2", "-rounds", "2", "-samples", "8",
 			"-compress", "topk:0.25+int8+deflate",

@@ -3,10 +3,12 @@
 //
 // Three workers (Jetson-class, Waggle-class, Raspberry-class) train one
 // student model on non-IID shards of the synthetic viewpoint data. Their RAM
-// budgets differ, so each auto-selects a different checkpoint strategy:
-// the Jetson stores every activation, the Waggle node runs Revolve
-// recomputation, and the Pi spills a two-level plan's flash tier through a
-// real tiered store. The demo then shows both aggregation modes:
+// budgets differ, so each auto-selects a different checkpoint plan: the
+// Jetson stores every activation, the Waggle node runs Revolve with two
+// slots, and the Pi Revolve with one. On this model no flash-checkpoint count
+// beats Revolve once flash costs one forward step per state written or read,
+// so the Pi does not spill; examples/flash_spill shows a chain where it
+// pays. The demo then shows both aggregation modes:
 //
 //  1. Synchronous gradient all-reduce, verified bit-identical to
 //     single-node training on the concatenated dataset — heterogeneous
@@ -66,8 +68,8 @@ func dataset() *trainer.SliceDataset {
 	return trainer.NewSliceDataset(ds)
 }
 
-// specs gives each device a budget just above what its strategy needs, so
-// the auto planner picks three different strategies for the same network.
+// specs gives each device a budget just above what its plan needs, so the
+// auto planner picks three different plans for the same network.
 func specs() []fleet.WorkerSpec {
 	c, err := model()
 	if err != nil {
@@ -79,7 +81,7 @@ func specs() []fleet.WorkerSpec {
 	return []fleet.WorkerSpec{
 		{Device: device.JetsonNano(), BudgetBytes: budget(12)},   // fits store-all
 		{Device: device.Waggle(), BudgetBytes: budget(4.5)},      // Revolve recomputation
-		{Device: device.RaspberryPi(), BudgetBytes: budget(3.4)}, // two-level flash spilling
+		{Device: device.RaspberryPi(), BudgetBytes: budget(3.4)}, // Revolve with one slot
 	}
 }
 

@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"fmt"
 	"math"
+
+	"github.com/edgeml/edgetrain/schedule"
 )
 
 // CostModel converts forward/backward step counts into the recompute factor
@@ -45,6 +47,14 @@ func (m CostModel) BaselineTime(l int) float64 {
 func (m CostModel) Time(l int, forwards int64) float64 {
 	m = m.normalized()
 	return float64(forwards) + m.BackwardRatio*float64(l)
+}
+
+// TraceTime returns the time (in forward-step units) of the schedule whose
+// trace is tr: its forwards and l backward steps, plus one forward step per
+// state written to or read from flash. It prices what the executor runs,
+// including a flash slot read again on every restore from it.
+func (m CostModel) TraceTime(l int, tr *schedule.Trace) float64 {
+	return m.Time(l, tr.Forwards) + float64(tr.DiskWrites+tr.DiskReads)
 }
 
 // Rho returns the recompute factor of a schedule that executes `forwards`

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"github.com/edgeml/edgetrain/schedule"
 )
 
 func TestCostModelBaselineAndRho(t *testing.T) {
@@ -22,6 +24,41 @@ func TestCostModelBaselineAndRho(t *testing.T) {
 	}
 	if m.Rho(0, 0) != 1 {
 		t.Fatal("Rho of an empty chain should be 1")
+	}
+}
+
+// TestTraceTimeCountsFlashIO: a traced plan is priced at its forwards and
+// backwards plus one forward step per flash write and per flash read, and
+// a flash slot restored twice is read twice. Two-level with 3 flash and 3
+// RAM slots on 21 steps writes 3 boundaries and reads 5 times: 42 backward
+// + 34 forward + 8 I/O = 84, what Revolve with 3 slots costs.
+func TestTraceTimeCountsFlashIO(t *testing.T) {
+	m := DefaultCostModel
+	s, err := PlanTwoLevel(21, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := schedule.Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Forwards != 34 || tr.DiskWrites != 3 || tr.DiskReads != 5 {
+		t.Fatalf("twolevel(3) on 21 steps: %d forwards, %d flash writes, %d flash reads; want 34, 3, 5",
+			tr.Forwards, tr.DiskWrites, tr.DiskReads)
+	}
+	if got := m.TraceTime(21, tr); got != 84 || got != m.Time(21, MinForwards(21, 3)) {
+		t.Fatalf("TraceTime = %v, want 84 (revolve(3) costs %v)", got, m.Time(21, MinForwards(21, 3)))
+	}
+	// A schedule with no flash tier costs its forwards and backwards alone.
+	s, err = PlanRevolve(21, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr, err = schedule.Run(s); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.TraceTime(21, tr), m.Time(21, tr.Forwards); got != want {
+		t.Fatalf("revolve(3): TraceTime %v, want Time %v", got, want)
 	}
 }
 

@@ -2,129 +2,12 @@ package nn
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"github.com/edgeml/edgetrain/internal/tensor"
 )
-
-// Model serialisation. On the Waggle deployment the teacher model is shipped
-// to the node once and the student model is persisted to the node's SD card
-// between opportunistic training windows, so the library needs a stable way
-// to save and restore parameters. The format is a gob-encoded snapshot keyed
-// by parameter name; loading matches by name and verifies shapes, so a model
-// rebuilt from the same constructor round-trips exactly.
-
-// paramRecord is the on-disk representation of one parameter.
-type paramRecord struct {
-	Name  string
-	Shape []int
-	Data  []float64
-}
-
-// snapshot is the on-disk representation of a model.
-type snapshot struct {
-	FormatVersion int
-	Params        []paramRecord
-}
-
-// snapshotFormatVersion identifies the serialisation layout.
-const snapshotFormatVersion = 1
-
-// SaveParams writes the values of all parameters of the given layers to w.
-func SaveParams(w io.Writer, layers []Layer) error {
-	var snap snapshot
-	snap.FormatVersion = snapshotFormatVersion
-	seen := map[string]bool{}
-	for _, l := range layers {
-		for _, p := range l.Params() {
-			if seen[p.Name] {
-				return fmt.Errorf("nn: duplicate parameter name %q while saving", p.Name)
-			}
-			seen[p.Name] = true
-			snap.Params = append(snap.Params, paramRecord{
-				Name:  p.Name,
-				Shape: p.Value.Shape(),
-				Data:  append([]float64(nil), p.Value.Data()...),
-			})
-		}
-	}
-	return gob.NewEncoder(w).Encode(snap)
-}
-
-// LoadParams reads a snapshot from r and copies its values into the matching
-// parameters of the given layers. Every parameter of the layers must be
-// present in the snapshot with an identical shape; extra snapshot entries are
-// an error as well, so teacher/student mix-ups are caught early.
-func LoadParams(r io.Reader, layers []Layer) error {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("nn: decoding snapshot: %w", err)
-	}
-	if snap.FormatVersion != snapshotFormatVersion {
-		return fmt.Errorf("nn: unsupported snapshot format %d", snap.FormatVersion)
-	}
-	byName := make(map[string]paramRecord, len(snap.Params))
-	for _, rec := range snap.Params {
-		byName[rec.Name] = rec
-	}
-	loaded := 0
-	for _, l := range layers {
-		for _, p := range l.Params() {
-			rec, ok := byName[p.Name]
-			if !ok {
-				return fmt.Errorf("nn: snapshot is missing parameter %q", p.Name)
-			}
-			if !sameShape(rec.Shape, p.Value.Shape()) {
-				return fmt.Errorf("nn: parameter %q has shape %v in the snapshot but %v in the model", p.Name, rec.Shape, p.Value.Shape())
-			}
-			copy(p.Value.Data(), rec.Data)
-			loaded++
-		}
-	}
-	if loaded != len(snap.Params) {
-		return fmt.Errorf("nn: snapshot contains %d parameters but the model consumed only %d", len(snap.Params), loaded)
-	}
-	return nil
-}
-
-func sameShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// SaveParamsFile saves the layers' parameters to a file.
-func SaveParamsFile(path string, layers []Layer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := SaveParams(f, layers); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadParamsFile loads parameters from a file produced by SaveParamsFile.
-func LoadParamsFile(path string, layers []Layer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return LoadParams(f, layers)
-}
 
 // Single-tensor codec. The checkpoint store's flash tier spills activation
 // states to disk between the forward sweep and the backward sweep, so the

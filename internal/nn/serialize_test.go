@@ -1,125 +1,10 @@
 package nn
 
 import (
-	"bytes"
-	"path/filepath"
 	"testing"
 
 	"github.com/edgeml/edgetrain/internal/tensor"
 )
-
-func buildSerializableNet(seed uint64) *Sequential {
-	rng := tensor.NewRNG(seed)
-	return NewSequential("net",
-		NewConv2D("conv1", 1, 4, 3, 1, 1, true, rng),
-		NewBatchNorm2D("bn1", 4),
-		NewReLU("relu1"),
-		NewGlobalAvgPool2D("gap"),
-		NewLinear("fc", 4, 3, true, rng),
-	)
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	src := buildSerializableNet(1)
-	dst := buildSerializableNet(2) // different weights
-
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, src.Layers); err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadParams(&buf, dst.Layers); err != nil {
-		t.Fatal(err)
-	}
-	srcParams, dstParams := src.Params(), dst.Params()
-	for i := range srcParams {
-		if !tensor.AllClose(srcParams[i].Value, dstParams[i].Value, 0) {
-			t.Fatalf("parameter %s not restored exactly", srcParams[i].Name)
-		}
-	}
-	// The restored model produces identical outputs.
-	rng := tensor.NewRNG(3)
-	x := tensor.RandNormal(rng, 0, 1, 2, 1, 8, 8)
-	if !tensor.AllClose(src.Forward(x, false), dst.Forward(x, false), 1e-12) {
-		t.Fatal("restored model output differs")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.gob")
-	src := buildSerializableNet(4)
-	if err := SaveParamsFile(path, src.Layers); err != nil {
-		t.Fatal(err)
-	}
-	dst := buildSerializableNet(5)
-	if err := LoadParamsFile(path, dst.Layers); err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.AllClose(src.Params()[0].Value, dst.Params()[0].Value, 0) {
-		t.Fatal("file round-trip failed")
-	}
-	if err := LoadParamsFile(filepath.Join(dir, "missing.gob"), dst.Layers); err == nil {
-		t.Fatal("loading a missing file should fail")
-	}
-}
-
-func TestLoadParamsShapeMismatch(t *testing.T) {
-	src := buildSerializableNet(6)
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, src.Layers); err != nil {
-		t.Fatal(err)
-	}
-	// A model with a different classifier width must be rejected.
-	rng := tensor.NewRNG(7)
-	other := NewSequential("net",
-		NewConv2D("conv1", 1, 4, 3, 1, 1, true, rng),
-		NewBatchNorm2D("bn1", 4),
-		NewReLU("relu1"),
-		NewGlobalAvgPool2D("gap"),
-		NewLinear("fc", 4, 7, true, rng),
-	)
-	if err := LoadParams(&buf, other.Layers); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
-}
-
-func TestLoadParamsMissingAndExtra(t *testing.T) {
-	src := buildSerializableNet(8)
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, src.Layers); err != nil {
-		t.Fatal(err)
-	}
-	// A model with an extra parameter not present in the snapshot.
-	rng := tensor.NewRNG(9)
-	bigger := NewSequential("net", append(append([]Layer{}, buildSerializableNet(9).Layers...), NewLinear("extra", 3, 2, true, rng))...)
-	if err := LoadParams(bytes.NewReader(buf.Bytes()), bigger.Layers); err == nil {
-		t.Fatal("missing snapshot entry accepted")
-	}
-	// A model consuming fewer parameters than the snapshot provides.
-	smaller := NewSequential("net", buildSerializableNet(10).Layers[:2]...)
-	if err := LoadParams(bytes.NewReader(buf.Bytes()), smaller.Layers); err == nil {
-		t.Fatal("extra snapshot entries accepted")
-	}
-}
-
-func TestSaveParamsDuplicateNames(t *testing.T) {
-	rng := tensor.NewRNG(11)
-	dup := NewSequential("net",
-		NewLinear("same", 2, 2, true, rng),
-		NewLinear("same", 2, 2, true, rng),
-	)
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, dup.Layers); err == nil {
-		t.Fatal("duplicate parameter names accepted")
-	}
-}
-
-func TestLoadParamsGarbage(t *testing.T) {
-	net := buildSerializableNet(12)
-	if err := LoadParams(bytes.NewReader([]byte("not a gob stream")), net.Layers); err == nil {
-		t.Fatal("garbage snapshot accepted")
-	}
-}
 
 func TestParamBytes(t *testing.T) {
 	rng := tensor.NewRNG(13)

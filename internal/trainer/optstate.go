@@ -55,7 +55,7 @@ func RestoreOptimizerState(opt Optimizer, params []*nn.Param, st ckpt.OptimizerS
 
 // slotViews names one state vector per tracked parameter, in parameter
 // order, without copying it. Parameter names must be unique (the same
-// invariant nn.SaveParams enforces).
+// invariant ckpt.Session.ApplyParams enforces).
 func slotViews(params []*nn.Param, slot string, vecs map[*nn.Param][]float64) ([]ckpt.OptSlot, error) {
 	var out []ckpt.OptSlot
 	seen := make(map[string]bool, len(params))

@@ -12,9 +12,10 @@ import (
 // much RAM the device has, which checkpointing strategy — and with which
 // tunables — trains this chain fastest while fitting the budget? It evaluates
 // store-all, Revolve and the two-level flash-spilling scheme with the
-// existing cost model and returns the cheapest fitting plan, so callers can
-// hand the planner a device capacity (device.Device.MemoryBytes) instead of
-// hand-picking slot counts.
+// existing cost model, pricing each two-level candidate by the trace of the
+// schedule it would run (CostModel.TraceTime), and returns the cheapest
+// fitting plan, so callers can hand the planner a device capacity
+// (device.Device.MemoryBytes) instead of hand-picking slot counts.
 //
 // The budget covers the resident training state under the homogeneous-chain
 // model: ChainSpec.WeightBytes plus one ChainSpec.ActivationBytes for every
@@ -110,66 +111,47 @@ func AutoSelect(spec ChainSpec, o Options) (AutoChoice, error) {
 	maxStates := (budget - spec.WeightBytes) / act
 	ramBytes := func(states int) int64 { return spec.WeightBytes + int64(states)*act }
 
-	var candidates []AutoChoice
+	// Store-all does L-1 advances and no flash I/O, the least any schedule
+	// does: when it fits, nothing else can win.
 	baseline.PeakRAMBytes = ramBytes(baseline.PeakRAMStates)
-	candidates = append(candidates, baseline)
+	if baseline.PeakRAMBytes <= budget {
+		baseline.Rho = baseline.Time / m.BaselineTime(l)
+		return baseline, nil
+	}
 
 	// Revolve and the two-level scheme keep the chain input, the working
 	// state and their RAM checkpoints resident: slots + 2 states.
 	slots := int(maxStates) - 2
-	if slots > l-1 {
-		slots = l - 1
-	}
-	if slots >= 1 {
-		candidates = append(candidates, AutoChoice{
-			Strategy:      "revolve",
-			Slots:         slots,
-			Budget:        budget,
-			PeakRAMStates: slots + 2,
-			PeakRAMBytes:  ramBytes(slots + 2),
-			Time:          m.Time(l, checkpoint.MinForwards(l, slots)),
-		})
-
-		// Two-level: same RAM residency, with evenly spaced flash
-		// checkpoints buying recompute back at I/O cost, one forward step per
-		// state written or read. The flash-count
-		// search is the analytical one in internal/checkpoint (it
-		// undercounts re-reads of a boundary within a segment, but ranks
-		// counts consistently); a zero winner degenerates to plain Revolve,
-		// already a candidate.
-		cfg := checkpoint.TwoLevelConfig{RAMSlots: slots, WriteCost: 1, ReadCost: 1}
-		best, err := checkpoint.OptimalDiskCheckpoints(l, cfg, m, 0)
-		if err != nil {
-			return AutoChoice{}, err
-		}
-		if best.DiskCheckpoints > 0 {
-			candidates = append(candidates, AutoChoice{
-				Strategy:      "twolevel",
-				Slots:         slots,
-				DiskSlots:     best.DiskCheckpoints,
-				Budget:        budget,
-				PeakRAMStates: slots + 2,
-				PeakRAMBytes:  ramBytes(slots + 2),
-				DiskBytes:     int64(best.DiskCheckpoints) * act,
-				Time:          best.TotalTime(l, m),
-			})
-		}
-	}
-
-	best := AutoChoice{}
-	found := false
-	for _, c := range candidates {
-		if c.PeakRAMBytes > budget {
-			continue
-		}
-		if !found || c.Time < best.Time {
-			best, found = c, true
-		}
-	}
-	if !found {
+	if slots < 1 {
 		return AutoChoice{}, fmt.Errorf(
 			"plan: auto: no strategy fits budget %d bytes (minimal-Revolve needs %d: weights %d + 3 states of %d)",
 			budget, ramBytes(3), spec.WeightBytes, act)
+	}
+	best := AutoChoice{
+		Strategy:      "revolve",
+		Slots:         slots,
+		Budget:        budget,
+		PeakRAMStates: slots + 2,
+		PeakRAMBytes:  ramBytes(slots + 2),
+		Time:          m.Time(l, checkpoint.MinForwards(l, slots)),
+	}
+	// Two-level: the same RAM residency, with d evenly spaced flash
+	// checkpoints buying recompute back at I/O cost. Each count is priced
+	// by the trace of the schedule it would run; a tie stays with Revolve,
+	// which does no flash I/O.
+	for d := 1; d < l; d++ {
+		s, err := checkpoint.PlanTwoLevel(l, d, slots)
+		if err != nil {
+			return AutoChoice{}, err
+		}
+		tr, err := schedule.Run(s)
+		if err != nil {
+			return AutoChoice{}, fmt.Errorf("plan: auto: twolevel(%d) with %d RAM slots: %w", d, slots, err)
+		}
+		if t := m.TraceTime(l, tr); t < best.Time {
+			best.Strategy, best.DiskSlots, best.Time = "twolevel", d, t
+			best.DiskBytes = int64(tr.PeakDiskSlots) * act
+		}
 	}
 	best.Rho = best.Time / m.BaselineTime(l)
 	return best, nil

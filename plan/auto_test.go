@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/edgeml/edgetrain/internal/checkpoint"
 	"github.com/edgeml/edgetrain/internal/memmodel"
 	"github.com/edgeml/edgetrain/plan"
 	"github.com/edgeml/edgetrain/schedule"
@@ -150,5 +151,88 @@ func TestAutoPrefersTwoLevelWhenRAMStarved(t *testing.T) {
 	}
 	if choice.DiskSlots < 1 || choice.Slots != 2 {
 		t.Fatalf("unexpected tunables: %+v", choice)
+	}
+}
+
+// TestAutoPredictsWhatItRuns: the price auto ranks its pick by is the price
+// of the schedule Build returns for the executor, flash reads and writes
+// included, and its flash footprint is the one that schedule occupies. A
+// twolevel pick must be strictly cheaper than Revolve at the same RAM slots.
+func TestAutoPredictsWhatItRuns(t *testing.T) {
+	const weights, act = 1 << 20, 1 << 16
+	m := checkpoint.DefaultCostModel
+	var lengths []int
+	for l := 2; l <= 30; l++ {
+		lengths = append(lengths, l)
+	}
+	lengths = append(lengths, 50, 152)
+	for _, l := range lengths {
+		var budgets []int // in states, from the minimal-Revolve floor
+		for states := 3; states <= l+2; states++ {
+			budgets = append(budgets, states)
+		}
+		if l == 152 {
+			budgets = []int{3, 5, 8, l + 1}
+		}
+		for _, states := range budgets {
+			spec := plan.ChainSpec{Length: l, WeightBytes: weights, ActivationBytes: act}
+			o := plan.Options{MemoryBudget: weights + int64(states)*act}
+			choice, err := plan.AutoSelect(spec, o)
+			if err != nil {
+				t.Fatalf("L=%d, %d states: %v", l, states, err)
+			}
+			sched, tr, err := plan.Validate("auto", spec, o)
+			if err != nil {
+				t.Fatalf("L=%d, %d states: %v", l, states, err)
+			}
+			if got := m.TraceTime(l, tr); got != choice.Time {
+				t.Fatalf("L=%d, %d states: %s predicted at %g, its schedule %s runs at %g",
+					l, states, choice.Strategy, choice.Time, sched.Policy, got)
+			}
+			if want := int64(tr.PeakDiskSlots) * act; choice.DiskBytes != want {
+				t.Fatalf("L=%d, %d states: predicted %d flash bytes, the schedule occupies %d", l, states, choice.DiskBytes, want)
+			}
+			if choice.Strategy != "twolevel" {
+				continue
+			}
+			revolve, err := checkpoint.PlanRevolve(l, choice.Slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rtr, err := schedule.Run(revolve)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rt := m.TraceTime(l, rtr); choice.Time >= rt {
+				t.Fatalf("L=%d, %d states: twolevel(ram=%d, disk=%d) at %g is no cheaper than revolve(%d) at %g",
+					l, states, choice.Slots, choice.DiskSlots, choice.Time, choice.Slots, rt)
+			}
+		}
+	}
+}
+
+// BenchmarkAutoSelect times one selection: a roomy budget that store-all
+// fits, and a budget of 5 states on a short and on a long chain, where every
+// flash-checkpoint count is planned and traced.
+func BenchmarkAutoSelect(b *testing.B) {
+	const weights, act = 1 << 20, 1 << 16
+	for _, c := range []struct {
+		name   string
+		l      int
+		budget int64
+	}{
+		{"L=21/default", 21, 0},
+		{"L=21/states=5", 21, weights + 5*act},
+		{"L=152/states=5", 152, weights + 5*act},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			spec := plan.ChainSpec{Length: c.l, WeightBytes: weights, ActivationBytes: act}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := plan.AutoSelect(spec, plan.Options{MemoryBudget: c.budget}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

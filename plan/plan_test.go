@@ -113,23 +113,51 @@ func TestMissingOptionsAreRejected(t *testing.T) {
 	}
 }
 
+// TestTwoLevelStaysWithinTiers: a two-level plan keeps to its RAM and flash
+// slot budgets, and its flash checkpoints buy back recompute over RAM-only
+// Revolve at the same RAM budget. With no flash checkpoints it is Revolve,
+// with no flash traffic.
 func TestTwoLevelStaysWithinTiers(t *testing.T) {
-	const l, ram, disk = 60, 3, 4
-	_, tr, err := plan.Validate("twolevel", plan.ChainSpec{Length: l},
-		plan.Options{Slots: ram, DiskSlots: disk})
+	const l, ram = 60, 3
+	revolve, err := checkpoint.PlanRevolve(l, ram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.PeakSlots > ram+disk {
-		t.Fatalf("two-level peak %d exceeds ram+disk=%d", tr.PeakSlots, ram+disk)
-	}
-	// The segmented plan must beat RAM-only revolve at the same RAM budget.
-	_, ramOnly, err := plan.Validate("revolve", plan.ChainSpec{Length: l}, plan.Options{Slots: ram})
+	ramOnly, err := schedule.Run(revolve)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Forwards >= ramOnly.Forwards {
-		t.Fatalf("two-level (%d forwards) should recompute less than RAM-only revolve (%d)", tr.Forwards, ramOnly.Forwards)
+	for _, row := range []struct {
+		name string
+		disk int
+	}{
+		{"zero flash is revolve", 0},
+		{"flash buys back recompute", 4},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s, err := checkpoint.PlanTwoLevel(l, row.disk, ram)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := schedule.Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.PeakRAMSlots > ram || tr.PeakDiskSlots > row.disk {
+				t.Fatalf("two-level peak %d RAM + %d flash slots exceeds %d + %d",
+					tr.PeakRAMSlots, tr.PeakDiskSlots, ram, row.disk)
+			}
+			if row.disk == 0 {
+				if !reflect.DeepEqual(s.Actions, revolve.Actions) || tr.DiskWrites+tr.DiskReads != 0 {
+					t.Fatalf("twolevel(0) is not revolve(%d): %d forwards, %d flash writes, %d flash reads",
+						ram, tr.Forwards, tr.DiskWrites, tr.DiskReads)
+				}
+				return
+			}
+			if tr.Forwards >= ramOnly.Forwards {
+				t.Fatalf("two-level (%d forwards) should recompute less than RAM-only revolve (%d)", tr.Forwards, ramOnly.Forwards)
+			}
+		})
 	}
 }
 
