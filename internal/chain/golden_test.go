@@ -58,7 +58,7 @@ func TestScheduleGolden(t *testing.T) {
 		"auto/L=1":         "3c3575c4ec3b660919d9d34f1a41aebf6ef4db24d5ad3c97193fdeeb23d6819d",
 		"auto/L=2":         "58cc0d7f469a604212fc278b904c82353d22322f267878e0010f299b0270d559",
 		"auto/L=5":         "3b1930fcda08724395c98a565e2bf37f2230307e5e6bfdcba6f616ca862fbc59",
-		"auto/L=21":        "b4ec450be84bcb84b44f6cc5dc6c5cddbda163f0e33e644b43c1bbde8f6f7049",
+		"auto/L=21":        "c3d6dcbb2a2633f6018ecbf0e0d6ddf06e956029518c53dbc3a4066d6b281c51",
 		"auto/L=50":        "9f02b19da2dc8fd2fadf744594937aa76f21c0aab643ce2e65656792947dc943",
 		"auto/L=152":       "d2d59d060d71a0df983cfdc4686e1e73b5ed3c1f8c2e5de9ae9e2696fbf45173",
 		"revolve/L=1":      "161486456bbc56d9d5c03dc63800a2f8b6f026838073d4b5b34c1622fc4a46bf",
