@@ -389,8 +389,7 @@ func ExecutePlain(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, train bool)
 // strategy of the public plan package; the remaining fields are its tunables.
 type Policy struct {
 	// Kind is a strategy name ("storeall", "revolve", "sequential",
-	// "twolevel", "auto"). The legacy spelling "store-all" and the empty
-	// string select "storeall".
+	// "twolevel", "auto"). The empty string selects "storeall".
 	Kind string
 	// Slots is the checkpoint budget for "revolve" (and the RAM tier of
 	// "twolevel").
@@ -422,14 +421,12 @@ type Policy struct {
 }
 
 // strategyName normalises the policy kind to a plan strategy name: the
-// legacy spelling "store-all" and the empty default mean "storeall".
+// empty default means "storeall".
 func (p Policy) strategyName() string {
-	switch p.Kind {
-	case "", "store-all":
+	if p.Kind == "" {
 		return "storeall"
-	default:
-		return p.Kind
 	}
+	return p.Kind
 }
 
 // Spec is the chain's memory shape for budget-aware planning: the policy's

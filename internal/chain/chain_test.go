@@ -223,7 +223,7 @@ func TestStepWithPolicies(t *testing.T) {
 	c, x := buildTestChain(17)
 	for _, p := range []Policy{
 		{},
-		{Kind: "store-all"},
+		{Kind: "storeall"},
 		{Kind: "revolve", Slots: 2},
 		{Kind: "sequential", Segments: 3},
 	} {

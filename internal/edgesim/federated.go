@@ -3,7 +3,6 @@ package edgesim
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Federated-style model updates are the natural middle ground between the
@@ -111,15 +110,4 @@ func SimulateFederated(cfg FederatedConfig) (FederatedResult, []Result, error) {
 	periodSeconds := float64(cfg.Fleet.Days) * 24 * 3600
 	res.MeanUplinkMbpsPerNode = float64(res.UplinkBytes) / float64(cfg.Fleet.Nodes) * 8 / periodSeconds / 1e6
 	return res, base, nil
-}
-
-// RenderFederated formats the federated result next to the plain strategies.
-func RenderFederated(fed FederatedResult, base []Result) string {
-	var b strings.Builder
-	b.WriteString(Render(append(append([]Result{}, base...), fed.Result)))
-	fmt.Fprintf(&b, "\nfederated exchange: %d rounds of %.1f MB per node per round (%d participants/round)\n",
-		fed.Rounds, float64(fed.BytesPerRound)/1e6, fed.ParticipantsPerRound)
-	b.WriteString("note: averaging across nodes undoes the per-viewpoint specialisation that Section III is after;\n")
-	b.WriteString("federated updates are attractive when nodes share a common viewpoint distribution, not here.\n")
-	return b.String()
 }

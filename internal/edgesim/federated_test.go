@@ -1,9 +1,6 @@
 package edgesim
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestSimulateFederatedTrafficOrdering(t *testing.T) {
 	fed, base, err := SimulateFederated(DefaultFederatedConfig())
@@ -90,17 +87,6 @@ func TestSimulateFederatedValidation(t *testing.T) {
 	cfg.Fleet.Nodes = 0
 	if _, _, err := SimulateFederated(cfg); err == nil {
 		t.Fatal("invalid fleet accepted")
-	}
-}
-
-func TestRenderFederated(t *testing.T) {
-	fed, base, err := SimulateFederated(DefaultFederatedConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := RenderFederated(fed, base)
-	if !strings.Contains(out, "federated") || !strings.Contains(out, "rounds") {
-		t.Fatalf("render incomplete:\n%s", out)
 	}
 }
 

@@ -71,19 +71,6 @@ func Figure1Panel(cfg FigureConfig, rhos []float64, acc Accounting, cost checkpo
 	return p, nil
 }
 
-// Figure1 computes all four panels.
-func Figure1(rhos []float64, acc Accounting, cost checkpoint.CostModel) ([]*Panel, error) {
-	var panels []*Panel
-	for _, cfg := range Figure1Panels {
-		p, err := Figure1Panel(cfg, rhos, acc, cost)
-		if err != nil {
-			return nil, err
-		}
-		panels = append(panels, p)
-	}
-	return panels, nil
-}
-
 // Render prints the panel as a table: one row per rho, one column per
 // variant, values in MB, with an asterisk marking points that exceed the 2 GB
 // edge device.

@@ -60,9 +60,13 @@ func TestFigure1PanelStructure(t *testing.T) {
 }
 
 func TestFigure1AllPanels(t *testing.T) {
-	panels, err := Figure1([]float64{1, 1.5, 2, 2.5, 3}, DefaultAccounting, checkpoint.DefaultCostModel)
-	if err != nil {
-		t.Fatal(err)
+	var panels []*Panel
+	for _, cfg := range Figure1Panels {
+		p, err := Figure1Panel(cfg, []float64{1, 1.5, 2, 2.5, 3}, DefaultAccounting, checkpoint.DefaultCostModel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		panels = append(panels, p)
 	}
 	if len(panels) != 4 {
 		t.Fatalf("expected 4 panels, got %d", len(panels))

@@ -495,95 +495,3 @@ func (g *GlobalAvgPool2D) Stats(in []int) Stats {
 		BackwardFLOPs: prod(in),
 	}
 }
-
-// AvgPool2D is an average pooling layer with a square window.
-type AvgPool2D struct {
-	name    string
-	Kernel  int
-	Stride  int
-	inShape []int
-}
-
-// NewAvgPool2D creates an average pooling layer.
-func NewAvgPool2D(name string, kernel, stride int) *AvgPool2D {
-	return &AvgPool2D{name: name, Kernel: kernel, Stride: stride}
-}
-
-// Name implements Layer.
-func (a *AvgPool2D) Name() string { return a.name }
-
-// Forward implements Layer.
-func (a *AvgPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	mustRank(x, 4, "AvgPool2D")
-	a.inShape = x.AppendShape(a.inShape)
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	outH := (h-a.Kernel)/a.Stride + 1
-	outW := (w-a.Kernel)/a.Stride + 1
-	out := tensor.New(n, c, outH, outW)
-	win := float64(a.Kernel * a.Kernel)
-	xd, od := x.Data(), out.Data()
-	parallel.For(n*c, 1, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			plane := xd[p*h*w : (p+1)*h*w]
-			for oh := 0; oh < outH; oh++ {
-				for ow := 0; ow < outW; ow++ {
-					s := 0.0
-					for kh := 0; kh < a.Kernel; kh++ {
-						row := (oh*a.Stride + kh) * w
-						for kw := 0; kw < a.Kernel; kw++ {
-							s += plane[row+ow*a.Stride+kw]
-						}
-					}
-					od[(p*outH+oh)*outW+ow] = s / win
-				}
-			}
-		}
-	})
-	return out
-}
-
-// Backward implements Layer.
-func (a *AvgPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if a.inShape == nil {
-		panic("nn: AvgPool2D.Backward called before Forward")
-	}
-	gradIn := tensor.New(a.inShape...)
-	n, c := a.inShape[0], a.inShape[1]
-	h, w := a.inShape[2], a.inShape[3]
-	outH, outW := gradOut.Dim(2), gradOut.Dim(3)
-	win := float64(a.Kernel * a.Kernel)
-	gd, gid := gradOut.Data(), gradIn.Data()
-	parallel.For(n*c, 1, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			plane := gid[p*h*w : (p+1)*h*w]
-			for oh := 0; oh < outH; oh++ {
-				for ow := 0; ow < outW; ow++ {
-					g := gd[(p*outH+oh)*outW+ow] / win
-					for kh := 0; kh < a.Kernel; kh++ {
-						row := (oh*a.Stride + kh) * w
-						for kw := 0; kw < a.Kernel; kw++ {
-							plane[row+ow*a.Stride+kw] += g
-						}
-					}
-				}
-			}
-		}
-	})
-	return gradIn
-}
-
-// Params implements Layer.
-func (a *AvgPool2D) Params() []*Param { return nil }
-
-// OutputShape implements Layer.
-func (a *AvgPool2D) OutputShape(in []int) []int {
-	outH := (in[2]-a.Kernel)/a.Stride + 1
-	outW := (in[3]-a.Kernel)/a.Stride + 1
-	return []int{in[0], in[1], outH, outW}
-}
-
-// Stats implements StatsProvider.
-func (a *AvgPool2D) Stats(in []int) Stats {
-	out := a.OutputShape(in)
-	return Stats{OutputElems: prod(out), ForwardFLOPs: prod(in), BackwardFLOPs: prod(in)}
-}

@@ -8,9 +8,9 @@ import (
 )
 
 // TestLayersBitIdenticalAcrossWorkerCounts runs a forward+backward pass of a
-// small conv net (conv, batch norm, group norm, pooling, linear) under
-// worker counts 1 and many, asserting bit-identical outputs, input
-// gradients and parameter gradients — the layer-level form of the engine's
+// small conv net (conv, batch norm, ReLU, basic and bottleneck blocks, max
+// and global-average pooling) under worker counts 1 and many, asserting
+// bit-identical outputs, input gradients and parameter gradients — the layer-level form of the engine's
 // determinism guarantee (EDGETRAIN_WORKERS must only change wall-clock).
 func TestLayersBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	build := func() (*Sequential, []Layer) {
@@ -20,7 +20,7 @@ func TestLayersBitIdenticalAcrossWorkerCounts(t *testing.T) {
 			NewBatchNorm2D("bn1", 8),
 			NewReLU("r1"),
 			NewBasicBlock("blk", 8, 16, 2, rng),
-			NewGroupNorm2D("gn", 16, 4),
+			NewBottleneck("bneck", 16, 4, 1, rng),
 			NewMaxPool2D("mp", 2, 2),
 			NewGlobalAvgPool2D("gap"),
 		}

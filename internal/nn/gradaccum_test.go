@@ -41,8 +41,8 @@ func TestBackwardSingleAddAccumulation(t *testing.T) {
 		{"linear-bias", NewLinear("fc", 6, 5, true, rng), []int{4, 6}},
 		{"conv-bias", NewConv2D("conv", 2, 3, 3, 1, 1, true, rng), []int{3, 2, 6, 6}},
 		{"batchnorm", NewBatchNorm2D("bn", 3), []int{3, 3, 5, 5}},
-		{"groupnorm", NewGroupNorm2D("gn", 4, 2), []int{2, 4, 5, 5}},
 		{"basicblock", NewBasicBlock("blk", 3, 6, 2, rng), []int{2, 3, 8, 8}},
+		{"bottleneck", NewBottleneck("bneck", 4, 2, 2, rng), []int{2, 4, 6, 6}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

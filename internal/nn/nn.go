@@ -103,17 +103,6 @@ func prod(shape []int) int64 {
 	return p
 }
 
-// CountParams sums the parameter counts of all layers.
-func CountParams(layers []Layer) int {
-	total := 0
-	for _, l := range layers {
-		for _, p := range l.Params() {
-			total += p.Count()
-		}
-	}
-	return total
-}
-
 // ZeroGrads clears the gradients of all parameters of all layers.
 func ZeroGrads(layers []Layer) {
 	for _, l := range layers {

@@ -195,13 +195,6 @@ func TestMaxPoolLayerGradients(t *testing.T) {
 	checkLayerGradients(t, m, x, rng, 10, 1e-4)
 }
 
-func TestAvgPoolLayerGradients(t *testing.T) {
-	rng := tensor.NewRNG(11)
-	a := NewAvgPool2D("avg", 2, 2)
-	x := tensor.RandNormal(rng, 0, 1, 2, 2, 6, 6)
-	checkLayerGradients(t, a, x, rng, 10, 1e-4)
-}
-
 func TestGlobalAvgPoolLayerGradients(t *testing.T) {
 	rng := tensor.NewRNG(12)
 	g := NewGlobalAvgPool2D("gap")
@@ -331,13 +324,10 @@ func TestSequentialComposition(t *testing.T) {
 	checkLayerGradients(t, seq, x, rng, 10, 1e-4)
 }
 
-func TestCountParamsAndZeroGrads(t *testing.T) {
+func TestZeroGrads(t *testing.T) {
 	rng := tensor.NewRNG(18)
 	l := NewLinear("fc", 3, 2, true, rng)
 	layers := []Layer{l, NewReLU("r")}
-	if CountParams(layers) != 3*2+2 {
-		t.Fatalf("CountParams = %d, want 8", CountParams(layers))
-	}
 	l.W.Grad.Fill(5)
 	ZeroGrads(layers)
 	if l.W.Grad.Sum() != 0 {

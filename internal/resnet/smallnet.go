@@ -105,22 +105,3 @@ func BuildSmall(cfg SmallConfig) (*nn.Sequential, error) {
 	)
 	return nn.NewSequential(fmt.Sprintf("small-%s", cfg.Variant), layers...), nil
 }
-
-// SmallDepth returns the number of chain stages BuildSmall produces for the
-// configuration (stem layers + residual blocks + head layers), which is the
-// chain length seen by the checkpointed executor.
-func SmallDepth(cfg SmallConfig) (int, error) {
-	cfg, err := cfg.validate()
-	if err != nil {
-		return 0, err
-	}
-	blocks, _, err := cfg.Variant.config()
-	if err != nil {
-		return 0, err
-	}
-	n := 3 + 2 // stem conv/bn/relu + avgpool/fc
-	for stage := 0; stage < cfg.Stages; stage++ {
-		n += blocks[stage]
-	}
-	return n, nil
-}

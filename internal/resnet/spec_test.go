@@ -148,13 +148,6 @@ func TestBuildSmallForwardBackward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	depth, err := SmallDepth(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if net.Len() != depth {
-		t.Fatalf("BuildSmall produced %d stages, SmallDepth says %d", net.Len(), depth)
-	}
 	rng := tensor.NewRNG(3)
 	x := tensor.RandNormal(rng, 0, 1, 2, cfg.InputChannels, 16, 16)
 	out := net.Forward(x, true)

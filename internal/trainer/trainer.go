@@ -116,11 +116,6 @@ func New(c *chain.Chain, cfg Config) (*Trainer, error) {
 	return &Trainer{Chain: c, Cfg: cfg}, nil
 }
 
-// TrainEpoch runs one pass over the dataset and returns its statistics.
-func (t *Trainer) TrainEpoch(ds Dataset, epoch int) (EpochStats, error) {
-	return t.trainEpoch(ds, epoch, 0, nil)
-}
-
 // trainEpoch runs one epoch starting at batch startBatch (non-zero when
 // resuming mid-epoch from a checkpoint). ps, when non-nil, checkpoints: each
 // optimizer step first joins the save in flight, which views the tensors the
