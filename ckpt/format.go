@@ -32,9 +32,9 @@ const (
 const (
 	// StyleRaw stores the payload verbatim; encoded len == raw len.
 	StyleRaw = uint32(0)
-	// StyleDeflate stores the payload DEFLATE-compressed (compress/flate).
-	// Frames compress independently, so parallel encoding stays
-	// bit-deterministic.
+	// StyleDeflate stores the payload DEFLATE-compressed: compress/flate
+	// writes it, the package's own inflater (inflate.go) reads it. Frames
+	// compress independently, so parallel encoding stays bit-deterministic.
 	StyleDeflate = uint32(1)
 )
 
@@ -69,22 +69,6 @@ var flateWriters = sync.Pool{New: func() any {
 		panic(err)
 	}
 	return w
-}}
-
-// inflater is a DEFLATE decompressor together with the byte reader it drains,
-// pooled as one value so that inflating a frame allocates neither.
-type inflater struct {
-	src bytes.Reader
-	fr  io.ReadCloser // also a flate.Resetter
-}
-
-// inflaters pools DEFLATE decompressors the way flateWriters pools
-// compressors: a fresh flate reader allocates its 32 KB window and Huffman
-// tables, which would otherwise be paid once per frame.
-var inflaters = sync.Pool{New: func() any {
-	z := &inflater{}
-	z.fr = flate.NewReader(&z.src)
-	return z
 }}
 
 // Frame is the codec unit shared by the on-disk checkpoint format and the
@@ -178,8 +162,8 @@ func fill(r io.Reader, buf []byte, n int) ([]byte, error) {
 // decodeFramePayload verifies one encoded frame's CRC and undoes its style,
 // returning the raw payload — shared by the parallel checkpoint decoder, the
 // FrameReader and DecodeFrame. A raw frame's payload is f.enc itself; a
-// DEFLATE frame inflates into dst's storage (nil allocates). idx labels the
-// frame in error messages.
+// DEFLATE frame inflates (inflate.go) into dst's storage (nil allocates),
+// which grows as fill's buffers do. idx labels the frame in error messages.
 func decodeFramePayload(f encFrame, idx int, dst []byte) ([]byte, error) {
 	if got := crc32.ChecksumIEEE(f.enc); got != f.crc {
 		return nil, corruptf("frame %d CRC mismatch (stored %#x, computed %#x)", idx, f.crc, got)
@@ -187,23 +171,7 @@ func decodeFramePayload(f encFrame, idx int, dst []byte) ([]byte, error) {
 	if f.style == StyleRaw {
 		return f.enc, nil
 	}
-	z := inflaters.Get().(*inflater)
-	defer inflaters.Put(z)
-	z.src.Reset(f.enc)
-	if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
-		return nil, fmt.Errorf("ckpt: resetting inflater: %w", err)
-	}
-	raw, err := fill(z.fr, dst, int(f.rawLen))
-	if err == nil {
-		// Read one byte beyond the declared raw length so an understating
-		// header is caught, not silently truncated.
-		var over [1]byte
-		if n, rerr := io.ReadFull(z.fr, over[:]); n != 0 {
-			err = fmt.Errorf("more than the declared length")
-		} else if rerr != io.EOF {
-			err = rerr
-		}
-	}
+	raw, err := inflate(dst, f.enc, int(f.rawLen))
 	if err != nil {
 		return nil, corruptf("frame %d decompresses to %d bytes, header says %d (%v)", idx, len(raw), f.rawLen, err)
 	}

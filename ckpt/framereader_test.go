@@ -37,6 +37,44 @@ func TestFrameReaderLyingLength(t *testing.T) {
 	}
 }
 
+// TestDeflateFrameLyingRawLength is TestFrameReaderLyingLength for the
+// decoded length: a valid DEFLATE frame of about 1 KiB whose header declares
+// 3 GiB of raw payload is corrupt, found out for a few megabytes, through
+// DecodeFrame and a FrameReader alike. The inflater's output grows as
+// decoded bytes arrive; it is never sized from the header.
+func TestDeflateFrameLyingRawLength(t *testing.T) {
+	payload := make([]byte, 4<<10)
+	for i := range payload {
+		payload[i] = byte(i * i >> 3) // compresses to about a quarter
+	}
+	var b bytes.Buffer
+	if _, err := WriteFrame(&b, Frame{Type: 20, Payload: payload}, StyleDeflate); err != nil {
+		t.Fatal(err)
+	}
+	frame := b.Bytes()
+	if n := len(frame) - FrameHeaderBytes; n < 512 || n > 2<<10 {
+		t.Fatalf("the DEFLATE payload is %d bytes, want about 1 KiB", n)
+	}
+	binary.LittleEndian.PutUint64(frame[16:], 3<<30) // the CRC covers the encoded bytes only
+	for _, how := range []string{"DecodeFrame", "FrameReader"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var err error
+		if how == "DecodeFrame" {
+			_, _, err = DecodeFrame(frame, 0)
+		} else {
+			_, _, err = NewFrameReader(bytes.NewReader(frame), 0).Next()
+		}
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: got %v, want ErrCorrupt", how, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Fatalf("%s: decoding a 1 KiB frame that claims 3 GiB allocated %d bytes", how, grew)
+		}
+	}
+}
+
 // trickle hands a stream out a few bytes per Read and checks, at every Read
 // into the payload, how much buffer the reader is holding against how much
 // payload has really arrived.

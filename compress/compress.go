@@ -148,18 +148,18 @@ func (c *Compressor) Encode(vecs []*tensor.Tensor) (*EncodedUpdate, error) {
 		// Error feedback: compress data + residual, then keep whatever this
 		// encoding failed to transmit as the next round's residual. The sum
 		// is formed in the residual buffer itself, which from here on is the
-		// work vector. The lossless path skips the addition entirely so the
-		// shipped bits are exactly the input bits (x + 0.0 is not a bitwise
-		// identity for -0).
+		// work vector, and the same pass finds the int8 grid's range. The
+		// lossless path skips the addition entirely so the shipped bits are
+		// exactly the input bits (x + 0.0 is not a bitwise identity for -0).
 		work := data
+		var lo, hi float64
+		finite := true
 		if !lossless {
 			if len(c.residual[i]) != n {
 				c.residual[i] = make([]float64, n)
 			}
 			work = c.residual[i]
-			for j, v := range data {
-				work[j] = v + work[j]
-			}
+			lo, hi, finite = addResidual(work, data)
 		}
 
 		// Select the transmitted elements: all of them, or the top-k by
@@ -237,7 +237,11 @@ func (c *Compressor) Encode(vecs []*tensor.Tensor) (*EncodedUpdate, error) {
 		case FP16:
 			encodeFP16(out, vals)
 		case Int8:
-			encodeInt8(out, vals)
+			min, scale := int8Grid(lo, hi, finite)
+			if sparse {
+				min, scale = int8Params(vals)
+			}
+			encodeInt8(out, vals, min, scale)
 		}
 		if sparse {
 			for j, ix := range idx {
@@ -292,17 +296,30 @@ func encodeFP16(out []byte, vals []float64) {
 	}
 }
 
-// encodeInt8 writes the tensor's quantization grid and one byte per value,
-// and leaves each quantization error.
-func encodeInt8(out []byte, vals []float64) {
-	min, scale := int8Params(vals)
+// encodeInt8 writes the quantization grid and one byte per value, and leaves
+// each quantization error. A value maps onto the [0, 255] grid
+// round-to-nearest-even, with NaN and out-of-range values clamped into the
+// grid; a scale of 0 maps everything to 0.
+func encodeInt8(out []byte, vals []float64, min, scale float64) {
 	binary.LittleEndian.PutUint64(out[0:], math.Float64bits(min))
 	binary.LittleEndian.PutUint64(out[8:], math.Float64bits(scale))
-	out = out[16:]
+	out = out[16 : 16+len(vals)]
+	if scale == 0 {
+		clear(out)
+		for j, v := range vals {
+			vals[j] = v - (min + scale*0) // the loop below's error at q = 0
+		}
+		return
+	}
 	for j, v := range vals {
-		q := int8Quantize(v, min, scale)
-		out[j] = q
-		vals[j] = v - (min + scale*float64(q))
+		q := math.RoundToEven((v - min) / scale)
+		if !(q >= 0) { // catches NaN too
+			q = 0
+		} else if q > 255 {
+			q = 255
+		}
+		out[j] = byte(q)
+		vals[j] = v - (min + scale*q)
 	}
 }
 
@@ -325,47 +342,65 @@ func sparseCount(topK float64, n int) int {
 	return k
 }
 
-// int8Params picks the per-tensor affine quantization grid: min plus a scale
-// spanning [min, max] in 255 steps. A constant tensor gets scale 0 (every
-// element decodes to min exactly). Any non-finite value poisons the grid to
-// NaN so the whole tensor decodes to NaN — clamping a NaN or Inf onto the
-// grid would silently launder a poisoned update past validation.
-func int8Params(vals []float64) (min, scale float64) {
-	min, max := math.Inf(1), math.Inf(-1)
-	for _, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return math.NaN(), math.NaN()
+// expMask selects a float64's exponent bits. The exponent is all ones, and
+// the value Inf or NaN, exactly when adding 1<<52 to the masked bits carries
+// into the sign bit: OR-ing that sum over a vector tests every element for
+// finiteness without a branch.
+const expMask = 0x7FF0_0000_0000_0000
+
+// addResidual forms the work vector work[j] = data[j] + work[j] in one pass
+// and returns its minimum, its maximum and whether every element is finite.
+func addResidual(work, data []float64) (lo, hi float64, finite bool) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	var inf uint64
+	work = work[:len(data)]
+	for j, v := range data {
+		x := v + work[j]
+		work[j] = x
+		inf |= math.Float64bits(x)&expMask + 1<<52
+		if x < lo {
+			lo = x
 		}
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
+		if x > hi {
+			hi = x
 		}
 	}
-	scale = (max - min) / 255
+	return lo, hi, inf>>63 == 0
+}
+
+// int8Params scans vals for int8Grid.
+func int8Params(vals []float64) (min, scale float64) {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	var inf uint64
+	for _, v := range vals {
+		inf |= math.Float64bits(v)&expMask + 1<<52
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	return int8Grid(lo, hi, inf>>63 == 0)
+}
+
+// int8Grid picks the per-tensor affine quantization grid from the range of
+// the values: min plus a scale spanning [min, max] in 255 steps. A constant
+// tensor gets scale 0 (every element decodes to min exactly). Any
+// non-finite value poisons the grid to NaN so the whole tensor decodes to
+// NaN — clamping a NaN or Inf onto the grid would silently launder a
+// poisoned update past validation.
+func int8Grid(lo, hi float64, finite bool) (min, scale float64) {
+	if !finite {
+		return math.NaN(), math.NaN()
+	}
+	scale = (hi - lo) / 255
 	if scale == 0 || math.IsInf(scale, 0) {
 		// Constant tensor, or a finite range overflowing float64: ship min
 		// and let every element decode to it.
 		scale = 0
 	}
-	return min, scale
-}
-
-// int8Quantize maps v onto the [0, 255] grid, round-to-nearest-even, with
-// NaN and out-of-range values clamped into the grid.
-func int8Quantize(v, min, scale float64) byte {
-	if scale == 0 {
-		return 0
-	}
-	q := math.RoundToEven((v - min) / scale)
-	if !(q >= 0) { // catches NaN too
-		return 0
-	}
-	if q > 255 {
-		return 255
-	}
-	return byte(q)
+	return lo, scale
 }
 
 // Decode reconstructs an update from a blob produced by Encode. It is a pure

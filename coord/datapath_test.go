@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"github.com/edgeml/edgetrain/ckpt"
+	"github.com/edgeml/edgetrain/compress"
 	"github.com/edgeml/edgetrain/fleet"
 	"github.com/edgeml/edgetrain/internal/chain"
 	"github.com/edgeml/edgetrain/internal/nn"
@@ -342,6 +343,24 @@ func FuzzFrameReader(f *testing.F) {
 			}
 			f.Add(append(two, second.Bytes()...))
 		}
+	}
+	// Two real update blobs: a compressed update is one DEFLATE frame, and
+	// these are the streams the inflater decodes every round.
+	rng := tensor.NewRNG(29)
+	for _, s := range []string{"int8+deflate", "topk:0.05+int8+deflate"} {
+		spec, err := compress.ParseSpec(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		c, err := compress.NewCompressor(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		enc, err := c.Encode([]*tensor.Tensor{randTensor(rng, 24, 16), randTensor(rng, 16)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc.Data)
 	}
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		const bound = 1 << 20

@@ -5,6 +5,7 @@ import (
 
 	"github.com/edgeml/edgetrain/internal/chain"
 	"github.com/edgeml/edgetrain/internal/nn"
+	"github.com/edgeml/edgetrain/internal/parallel"
 	"github.com/edgeml/edgetrain/internal/tensor"
 	"github.com/edgeml/edgetrain/internal/trainer"
 )
@@ -117,14 +118,12 @@ func (a *FedAvg) Fold(global []*nn.Param, updates []Update) error {
 	if total == 0 {
 		return fmt.Errorf("fleet: fedavg fold with no samples")
 	}
+	weights := sampleWeights(updates, total)
 	for k, p := range global {
 		// The update vectors are worker replicas, never the global model
 		// (Aggregator contract), and the old global value is not a fold
 		// input, so fold in place.
-		p.Value.Zero()
-		for _, u := range updates {
-			p.Value.AxpyInPlace(float64(u.Samples)/total, u.Vecs[k])
-		}
+		fold(p.Value.Data(), updates, k, weights, 1)
 	}
 	return nil
 }
@@ -208,24 +207,66 @@ func (a *GradAllReduce) Fold(global []*nn.Param, updates []Update) error {
 	if total == 0 {
 		return fmt.Errorf("fleet: allreduce fold with no samples")
 	}
-	for k, p := range global {
-		g := p.Grad
-		g.Zero()
-		if equal {
-			// Plain sum + one final scaling: the association single-node
-			// gradient accumulation uses, hence bit-identical weights.
-			for _, u := range updates {
-				g.AddInPlace(u.Vecs[k])
-			}
-			g.ScaleInPlace(1 / float64(len(updates)))
-		} else {
-			for _, u := range updates {
-				g.AxpyInPlace(float64(u.Samples)/total, u.Vecs[k])
-			}
+	weights, scale := sampleWeights(updates, total), 1.0
+	if equal {
+		// Plain sum + one final scaling: the association single-node
+		// gradient accumulation uses, hence bit-identical weights. A weight
+		// of 1 multiplies exactly.
+		for i := range weights {
+			weights[i] = 1
 		}
+		scale = 1 / float64(len(updates))
+	}
+	for k, p := range global {
+		fold(p.Grad.Data(), updates, k, weights, scale)
 	}
 	a.Opt.Step(global)
 	return nil
+}
+
+// sampleWeights is each update's share of the round's samples.
+func sampleWeights(updates []Update, total float64) []float64 {
+	w := make([]float64, len(updates))
+	for i, u := range updates {
+		w[i] = float64(u.Samples) / total
+	}
+	return w
+}
+
+// foldChunk is how many elements fold carries through every update at a
+// time: 4 KB of the destination stays in L1 while each update streams past.
+const foldChunk = 512
+
+// fold is both aggregators' one kernel. It sets dst to
+// (0 + w[0]·u[0] + w[1]·u[1] + …)·scale element-wise, where u[i] is the k-th
+// tensor of updates[i], adding in slot order: the 0 + keeps the +0 a zeroed
+// accumulator gave a −0 product, and scale 1 is skipped. It works one
+// L1-sized chunk at a time, so dst is written once however many updates
+// there are, and large tensors split across the worker team; every element
+// is the same sum whoever computes it.
+func fold(dst []float64, updates []Update, k int, w []float64, scale float64) {
+	parallel.For(len(dst), 8192, func(lo, hi int) {
+		for c := lo; c < hi; c += foldChunk {
+			d := dst[c:min(c+foldChunk, hi)]
+			for i, u := range updates {
+				a, src := w[i], u.Vecs[k].Data()[c:c+len(d)]
+				if i == 0 {
+					for j, v := range src {
+						d[j] = 0 + a*v
+					}
+					continue
+				}
+				for j, v := range src {
+					d[j] += a * v
+				}
+			}
+			if scale != 1 {
+				for j := range d {
+					d[j] *= scale
+				}
+			}
+		}
+	})
 }
 
 // NewAggregator resolves an aggregation mode by name ("fedavg" or

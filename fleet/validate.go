@@ -45,11 +45,32 @@ func ValidateUpdate(global []*nn.Param, u Update) error {
 			return reject(fmt.Errorf("%w: worker %d: parameter %q payload shape %v, want %v",
 				ErrBadUpdate, u.Worker, global[k].Name, v.Shape(), global[k].Value.Shape()))
 		}
-		for _, x := range v.Data() {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return reject(fmt.Errorf("%w: worker %d: non-finite value %v in parameter %q", ErrBadUpdate, u.Worker, x, global[k].Name))
+		if !allFinite(v.Data()) {
+			// Rescan for the first offender, so the message names it.
+			for _, x := range v.Data() {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					return reject(fmt.Errorf("%w: worker %d: non-finite value %v in parameter %q", ErrBadUpdate, u.Worker, x, global[k].Name))
+				}
 			}
 		}
 	}
 	return nil
+}
+
+// allFinite reports whether no element of d is NaN or ±Inf. A float64 is
+// non-finite exactly when its exponent bits are all ones, that is when
+// adding 1<<52 to them carries into the sign bit; OR-ing that sum over the
+// vector tests every element with integer operations and no branch.
+func allFinite(d []float64) bool {
+	const exp = 0x7FF0_0000_0000_0000
+	var a, b uint64
+	for len(d) >= 2 {
+		a |= math.Float64bits(d[0])&exp + 1<<52
+		b |= math.Float64bits(d[1])&exp + 1<<52
+		d = d[2:]
+	}
+	for _, x := range d {
+		a |= math.Float64bits(x)&exp + 1<<52
+	}
+	return (a|b)>>63 == 0
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -92,5 +93,37 @@ func TestFoldRejectsPoisonedUpdate(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestValidateUpdateNonFinite pins the finiteness screen bit by bit: every
+// NaN and infinity is rejected at either end of a tensor, with the message
+// naming the first offender as it always has, and the extremes of the finite
+// range pass.
+func TestValidateUpdateNonFinite(t *testing.T) {
+	global := validationGlobal()
+	nanPayload := math.Float64frombits(0x7FF8_0000_DEAD_BEEF)
+	negNaN := math.Float64frombits(0xFFF0_0000_0000_0001) // signalling, sign set
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), nanPayload, negNaN} {
+		for _, at := range []int{0, 5} {
+			u := validUpdate(global)
+			u.Vecs[0].Data()[at] = x
+			if at == 0 {
+				u.Vecs[0].Data()[5] = math.Inf(1) // a later offender: the message names the first
+			}
+			err := ValidateUpdate(global, u)
+			want := fmt.Sprintf("%v: worker 1: non-finite value %v in parameter %q", ErrBadUpdate, x, "w")
+			if err == nil || err.Error() != want {
+				t.Fatalf("value %x at %d: got %v, want %q", math.Float64bits(x), at, err, want)
+			}
+		}
+	}
+	for _, x := range []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0x1p-1022} {
+		u := validUpdate(global)
+		u.Vecs[0].Data()[0], u.Vecs[1].Data()[2] = x, x
+		if err := ValidateUpdate(global, u); err != nil {
+			t.Fatalf("finite value %v rejected: %v", x, err)
+		}
 	}
 }

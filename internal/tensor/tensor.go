@@ -288,15 +288,6 @@ func (t *Tensor) ScaleInPlace(s float64) *Tensor {
 	return t
 }
 
-// AxpyInPlace computes t += alpha*o element-wise.
-func (t *Tensor) AxpyInPlace(alpha float64, o *Tensor) *Tensor {
-	mustSameShape(t, o)
-	for i := range t.data {
-		t.data[i] += alpha * o.data[i]
-	}
-	return t
-}
-
 // Add returns t + o as a new tensor.
 func Add(t, o *Tensor) *Tensor { return t.Clone().AddInPlace(o) }
 

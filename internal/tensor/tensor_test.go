@@ -100,10 +100,6 @@ func TestElementwiseOps(t *testing.T) {
 	if got := Scale(2, a).Data(); got[2] != 6 {
 		t.Fatalf("Scale wrong: %v", got)
 	}
-	a.AxpyInPlace(10, b)
-	if a.At(0) != 41 {
-		t.Fatalf("Axpy wrong: %v", a)
-	}
 }
 
 func TestShapeMismatchPanics(t *testing.T) {
