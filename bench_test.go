@@ -77,7 +77,7 @@ func benchmarkFigurePanel(b *testing.B, cfg memmodel.FigureConfig) {
 	var panel *memmodel.Panel
 	var err error
 	for i := 0; i < b.N; i++ {
-		panel, err = memmodel.Figure1Panel(cfg, rhos, memmodel.DefaultAccounting, checkpoint.DefaultCostModel)
+		panel, err = memmodel.Figure1Panel(cfg, rhos, memmodel.DefaultAccounting, checkpoint.DefaultCostModel, checkpoint.MemoryVsRho)
 		if err != nil {
 			b.Fatal(err)
 		}

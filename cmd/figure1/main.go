@@ -20,7 +20,6 @@ import (
 
 	"github.com/edgeml/edgetrain/internal/checkpoint"
 	"github.com/edgeml/edgetrain/internal/memmodel"
-	"github.com/edgeml/edgetrain/internal/resnet"
 )
 
 func rhoGrid(max, step float64) []float64 {
@@ -37,7 +36,6 @@ func main() {
 	image := flag.Int("image", 0, "custom image size (used with -batch)")
 	maxRho := flag.Float64("rho-max", 3.0, "largest recompute factor in the sweep")
 	step := flag.Float64("rho-step", 0.1, "recompute factor step")
-	backward := flag.Float64("backward-ratio", 2.0, "cost of a backward step relative to a forward step")
 	accounting := flag.String("accounting", "adam", "optimiser-state accounting: adam or sgd")
 	fit := flag.Bool("fit", false, "print the Section VI fit analysis instead of the curves")
 	baseline := flag.String("baseline", "revolve", "checkpointing scheme: revolve or sequential")
@@ -47,7 +45,7 @@ func main() {
 	if *accounting == "sgd" {
 		acc = memmodel.SGDAccounting
 	}
-	cost := checkpoint.CostModel{BackwardRatio: *backward}
+	cost := checkpoint.DefaultCostModel
 	rhos := rhoGrid(*maxRho, *step)
 
 	if *fit {
@@ -55,37 +53,21 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Print(memmodel.RenderFitAnalysis(results))
+		fmt.Print(memmodel.RenderFitAnalysis(results, cost))
 		return
 	}
 
+	curve := checkpoint.MemoryVsRho
+	if *baseline == "sequential" {
+		curve = checkpoint.SequentialMemoryVsRho
+	}
 	printPanel := func(cfg memmodel.FigureConfig) {
-		if *baseline == "sequential" {
-			fmt.Printf("Figure %s (checkpoint_sequential baseline) — batch=%d image=%d\n",
-				cfg.Panel, cfg.BatchSize, cfg.ImageSize)
-			fmt.Printf("%-8s", "rho")
-			for _, v := range resnet.Variants {
-				fmt.Printf("%14s", v.String())
-			}
-			fmt.Println()
-			for _, rho := range rhos {
-				fmt.Printf("%-8.2f", rho)
-				for _, v := range resnet.Variants {
-					chainSpec, err := memmodel.LinearChain(v, cfg.ImageSize, cfg.BatchSize, acc)
-					if err != nil {
-						log.Fatal(err)
-					}
-					pts := checkpoint.SequentialMemoryVsRho(chainSpec, []float64{rho}, cost)
-					fmt.Printf("%14.1f", float64(pts[0].MemoryBytes)/1e6)
-				}
-				fmt.Println()
-			}
-			fmt.Println()
-			return
-		}
-		p, err := memmodel.Figure1Panel(cfg, rhos, acc, cost)
+		p, err := memmodel.Figure1Panel(cfg, rhos, acc, cost, curve)
 		if err != nil {
 			log.Fatal(err)
+		}
+		if *baseline == "sequential" {
+			fmt.Print("checkpoint_sequential baseline: ")
 		}
 		fmt.Println(p.Render())
 	}

@@ -38,7 +38,6 @@ func main() {
 	diskSlots := flag.Int("disk-slots", 0, "flash-tier checkpoints for the twolevel strategy")
 	segments := flag.Int("segments", 0, "segment count for the sequential strategy")
 	rho := flag.Float64("rho", 0, "recompute-factor budget (selects minimal slots)")
-	backward := flag.Float64("backward-ratio", 2.0, "cost of a backward step relative to a forward step")
 	budget := flag.String("budget", "", "RAM byte budget for the auto strategy, e.g. 64MB")
 	deviceName := flag.String("device", "", "device whose memory defaults the budget: waggle or cloud")
 	stateBytes := flag.String("state-bytes", "", "size of one stored state for the auto strategy, e.g. 4MB")
@@ -49,7 +48,7 @@ func main() {
 	list := flag.Bool("list", false, "list the planning strategies")
 	flag.Parse()
 
-	cost := checkpoint.CostModel{BackwardRatio: *backward}
+	cost := checkpoint.DefaultCostModel
 
 	parseBytes := func(s string) int64 {
 		if s == "" {
@@ -109,19 +108,18 @@ func main() {
 		}
 	case *rho > 0 && *strategy == "revolve" && *slots == 0:
 		res := checkpoint.MinSlotsForRho(*l, *rho, cost)
-		fmt.Printf("chain l=%d, recompute budget rho<=%.3f (backward ratio %.1f):\n", *l, *rho, *backward)
+		fmt.Printf("chain l=%d, recompute budget rho<=%.3f (backward ratio %.1f):\n", *l, *rho, cost.BackwardRatio)
 		fmt.Printf("  minimal checkpoint slots: %d\n", res.Slots)
 		fmt.Printf("  forward executions:       %d\n", res.Forwards)
 		fmt.Printf("  achieved rho:             %.3f\n", cost.Rho(*l, res.Forwards))
 		fmt.Printf("  feasible:                 %v\n", res.Feasible)
 	default:
 		opts := plan.Options{
-			Slots:         *slots,
-			DiskSlots:     *diskSlots,
-			Segments:      *segments,
-			Rho:           *rho,
-			BackwardRatio: *backward,
-			MemoryBudget:  budgetBytes,
+			Slots:        *slots,
+			DiskSlots:    *diskSlots,
+			Segments:     *segments,
+			Rho:          *rho,
+			MemoryBudget: budgetBytes,
 		}
 		if opts.Slots <= 0 && *strategy == "revolve" && *rho == 0 {
 			opts.Slots = 8

@@ -58,6 +58,11 @@ func TestCommandSmoke(t *testing.T) {
 		{"revolveplan-twolevel-tiers", []string{
 			"-l", "40", "-strategy", "twolevel", "-slots", "2", "-disk-slots", "3",
 		}, "tier breakdown"},
+		{"revolveplan-revolve3-rho", []string{"-l", "21", "-slots", "3"}, "recompute factor:   1.667"},
+		{"revolveplan-rho-budget", []string{"-l", "152", "-rho", "2"}, "minimal checkpoint slots: 6"},
+		{"revolveplan-auto-storeall", []string{
+			"-l", "21", "-strategy", "auto", "-budget", "1GB", "-state-bytes", "1KB",
+		}, "auto: storeall, peak 22 states / 0.0 MB RAM, rho=1.000"},
 		{"revolveplan-sweep-elided", []string{"-l", "152", "-sweep"}, "optimal checkpointing"},
 		{"revolveplan-sequential-elided", []string{"-l", "40", "-sequential"}, "best segment count"},
 		{"edgetrainer-auto-spill", []string{
@@ -78,7 +83,7 @@ func TestCommandSmoke(t *testing.T) {
 			"-compress", "topk:0.25+int8+deflate",
 		}, "compression: topk:0.25+int8+deflate"},
 		{"memtable", []string{"-table", "1"}, "ResNet"},
-		{"figure1-fit", []string{"-fit"}, ""},
+		{"figure1-fit", []string{"-fit"}, "min rho (paper)  min rho (engine)"},
 		{"aotsim", []string{"-nodes", "3", "-days", "2"}, ""},
 	}
 	// Further assertions on some cases' output, by case name.
@@ -92,6 +97,14 @@ func TestCommandSmoke(t *testing.T) {
 						return fmt.Errorf("%s lists option %q, which is no flag of revolveplan -h:\n%s", info.Name, opt, help)
 					}
 				}
+			}
+			return nil
+		},
+		// The paper's column and the engine's, one taped forward apart:
+		// 1d's ResNet-152 needs 1.55 and 1.88.
+		"figure1-fit": func(out string) error {
+			if !regexp.MustCompile(`(?m)^1d +ResNet152 +false +1\.55 +1\.88 +7$`).MatchString(out) {
+				return fmt.Errorf("no 1d ResNet152 row at paper rho 1.55, engine rho 1.88, 7 slots")
 			}
 			return nil
 		},

@@ -4,12 +4,14 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/edgeml/edgetrain/internal/checkpoint"
 	"github.com/edgeml/edgetrain/internal/nn"
 	"github.com/edgeml/edgetrain/internal/parallel"
 	"github.com/edgeml/edgetrain/internal/resnet"
 	"github.com/edgeml/edgetrain/internal/tensor"
 	"github.com/edgeml/edgetrain/plan"
 	"github.com/edgeml/edgetrain/schedule"
+	"github.com/edgeml/edgetrain/store"
 )
 
 // buildSched plans a schedule through the public plan package for a chain of
@@ -177,6 +179,107 @@ func TestExecuteForwardCountMatchesScheduleTrace(t *testing.T) {
 	}
 	if res.PeakStates > tr.PeakSlots+1 {
 		t.Fatalf("executor retained %d states, schedule says at most %d+input", res.PeakStates, tr.PeakSlots)
+	}
+}
+
+// countingStage is an identity stage that counts its own calls.
+type countingStage struct{ forwards, backwards *int }
+
+func (s countingStage) Name() string { return "count" }
+func (s countingStage) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+	*s.forwards++
+	return x
+}
+func (s countingStage) Backward(g *tensor.Tensor) *tensor.Tensor {
+	*s.backwards++
+	return g
+}
+func (s countingStage) Params() []*nn.Param        { return nil }
+func (s countingStage) OutputShape(in []int) []int { return in }
+
+// TestPriceCountsExecutedForwards: CostModel prices what the executor runs.
+// On a chain of stages that count their own calls, every schedule of every
+// planner, at every legal tunable, runs its trace's advances plus one taped
+// forward per stage, and one backward per stage; TraceTime is exactly those
+// calls at one unit per forward and BackwardRatio per backward, plus one per
+// flash write or read the store made. Store-all through Step is plain
+// backpropagation, L forwards, which auto prices at the baseline: rho 1.
+func TestPriceCountsExecutedForwards(t *testing.T) {
+	m := checkpoint.DefaultCostModel
+	ts, err := store.NewTiered(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	x := tensor.Full(1, 1, 2)
+	loss := func(out *tensor.Tensor) *tensor.Tensor { return out }
+	var lengths []int
+	for l := 1; l <= 30; l++ {
+		lengths = append(lengths, l)
+	}
+	for _, l := range append(lengths, 50, 152) {
+		var forwards, backwards int
+		stages := make([]nn.Layer, l)
+		for i := range stages {
+			stages[i] = countingStage{&forwards, &backwards}
+		}
+		c := New(stages...)
+		type run struct {
+			strategy string
+			o        plan.Options
+		}
+		runs := []run{{"storeall", plan.Options{}}}
+		for s := 1; s < l; s++ {
+			runs = append(runs, run{"revolve", plan.Options{Slots: s}})
+		}
+		for s := 1; s <= l; s++ {
+			runs = append(runs, run{"sequential", plan.Options{Segments: s}})
+		}
+		for d := 1; d <= min(l-1, 6); d++ {
+			for r := 1; r <= min(l-1, 6); r++ {
+				runs = append(runs, run{"twolevel", plan.Options{Slots: r, DiskSlots: d}})
+			}
+		}
+		for _, r := range runs {
+			sched := buildSched(t, r.strategy, l, r.o)
+			tr, err := schedule.Run(sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forwards, backwards = 0, 0
+			res, err := ExecuteWithStore(c, x, loss, sched, ts, true)
+			if err != nil {
+				t.Fatalf("L=%d %s: %v", l, sched.Policy, err)
+			}
+			if int64(forwards) != tr.Forwards+int64(l) || backwards != l {
+				t.Fatalf("L=%d %s: ran %d forwards and %d backwards, want %d advances + %d taped and %d",
+					l, sched.Policy, forwards, backwards, tr.Forwards, l, l)
+			}
+			counted := float64(forwards) + m.BackwardRatio*float64(backwards) + float64(res.DiskWrites+res.DiskReads)
+			if got := m.TraceTime(l, tr); got != counted {
+				t.Fatalf("L=%d %s: TraceTime %g, the executor's calls and flash I/O cost %g",
+					l, sched.Policy, got, counted)
+			}
+		}
+
+		for _, kind := range []string{"storeall", "auto"} {
+			forwards, backwards = 0, 0
+			if _, err := Step(c, x, loss, Policy{Kind: kind}, true); err != nil {
+				t.Fatal(err)
+			}
+			if forwards != l || backwards != l {
+				t.Fatalf("L=%d: Step(%s) ran %d forwards and %d backwards, want %d each", l, kind, forwards, backwards, l)
+			}
+		}
+		choice, err := plan.AutoSelect(Policy{}.Spec(c, x), plan.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if choice.Strategy != "storeall" || choice.Time != m.BaselineTime(l) || choice.Rho != 1 ||
+			choice.Time != float64(forwards)+m.BackwardRatio*float64(backwards) {
+			t.Fatalf("L=%d: auto picked %s at time %g, rho %g; store-all runs at the baseline %g, rho 1",
+				l, choice.Strategy, choice.Time, choice.Rho, m.BaselineTime(l))
+		}
 	}
 }
 

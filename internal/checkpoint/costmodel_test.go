@@ -13,14 +13,18 @@ func TestCostModelBaselineAndRho(t *testing.T) {
 	if m.BaselineTime(100) != 300 {
 		t.Fatalf("BaselineTime(100) = %v, want 300", m.BaselineTime(100))
 	}
-	// Store-all: l-1 forwards -> rho just below 1.
-	rho := m.Rho(100, 99)
-	if rho >= 1 || rho < 0.99 {
-		t.Fatalf("store-all rho = %v, want just below 1", rho)
+	// Plain backpropagation tapes its one sweep: no advance, rho exactly 1.
+	if got := m.Rho(100, 0); got != 1 {
+		t.Fatalf("Rho(100, 0) = %v, want exactly 1", got)
 	}
-	// Doubling the forwards over the baseline: (200 + 200) / 300 = 4/3.
-	if got := m.Rho(100, 200); math.Abs(got-4.0/3.0) > 1e-12 {
-		t.Fatalf("Rho(100, 200) = %v, want 4/3", got)
+	// A schedule storing every state advances l-1 times before its adjoints
+	// retape them: rho* = 1 + (l-1)/((1+B)·l), 1.317 at l = 21.
+	if got := m.Rho(21, 20); math.Abs(got-(1+20.0/63)) > 1e-12 {
+		t.Fatalf("Rho(21, 20) = %v, want 1 + 20/63", got)
+	}
+	// 200 advances over the 300-unit baseline: (200 + 300) / 300 = 5/3.
+	if got := m.Rho(100, 200); math.Abs(got-5.0/3.0) > 1e-12 {
+		t.Fatalf("Rho(100, 200) = %v, want 5/3", got)
 	}
 	if m.Rho(0, 0) != 1 {
 		t.Fatal("Rho of an empty chain should be 1")
@@ -30,8 +34,9 @@ func TestCostModelBaselineAndRho(t *testing.T) {
 // TestTraceTimeCountsFlashIO: a traced plan is priced at its forwards and
 // backwards plus one forward step per flash write and per flash read, and
 // a flash slot restored twice is read twice. Two-level with 3 flash and 3
-// RAM slots on 21 steps writes 3 boundaries and reads 5 times: 42 backward
-// + 34 forward + 8 I/O = 84, what Revolve with 3 slots costs.
+// RAM slots on 21 steps writes 3 boundaries and reads 5 times: 21 taped
+// forwards + 42 backward + 34 advances + 8 I/O = 105, what Revolve with 3
+// slots costs.
 func TestTraceTimeCountsFlashIO(t *testing.T) {
 	m := DefaultCostModel
 	s, err := PlanTwoLevel(21, 3, 3)
@@ -46,8 +51,8 @@ func TestTraceTimeCountsFlashIO(t *testing.T) {
 		t.Fatalf("twolevel(3) on 21 steps: %d forwards, %d flash writes, %d flash reads; want 34, 3, 5",
 			tr.Forwards, tr.DiskWrites, tr.DiskReads)
 	}
-	if got := m.TraceTime(21, tr); got != 84 || got != m.Time(21, MinForwards(21, 3)) {
-		t.Fatalf("TraceTime = %v, want 84 (revolve(3) costs %v)", got, m.Time(21, MinForwards(21, 3)))
+	if got := m.TraceTime(21, tr); got != 105 || got != m.Time(21, MinForwards(21, 3)) {
+		t.Fatalf("TraceTime = %v, want 105 (revolve(3) costs %v)", got, m.Time(21, MinForwards(21, 3)))
 	}
 	// A schedule with no flash tier costs its forwards and backwards alone.
 	s, err = PlanRevolve(21, 3)
@@ -74,32 +79,40 @@ func TestCostModelDefaults(t *testing.T) {
 
 func TestForwardBudget(t *testing.T) {
 	m := CostModel{BackwardRatio: 2}
-	// rho=1: budget = 3l - 2l = l.
-	if got := m.ForwardBudget(152, 1); got != 152 {
-		t.Fatalf("ForwardBudget(152, 1) = %d, want 152", got)
+	// rho=1: plain backpropagation's price, no advance to spare.
+	if got := m.ForwardBudget(152, 1); got != 0 {
+		t.Fatalf("ForwardBudget(152, 1) = %d, want 0", got)
 	}
-	// rho=2: budget = 6l - 2l = 4l.
-	if got := m.ForwardBudget(100, 2); got != 400 {
-		t.Fatalf("ForwardBudget(100, 2) = %d, want 400", got)
+	// rho=2: budget = (2-1)·3l = 3l.
+	if got := m.ForwardBudget(100, 2); got != 300 {
+		t.Fatalf("ForwardBudget(100, 2) = %d, want 300", got)
 	}
-	// rho below the backward share is infeasible.
+	// rho*(l) buys exactly the l-1 advances of storing every state.
+	if got := m.ForwardBudget(21, m.Rho(21, 20)); got != 20 {
+		t.Fatalf("ForwardBudget(21, rho*) = %d, want 20", got)
+	}
+	// rho below 1 is infeasible.
 	if got := m.ForwardBudget(100, 0.5); got != -1 {
 		t.Fatalf("ForwardBudget(100, 0.5) = %d, want -1", got)
 	}
 }
 
+// rhoStar is the boundary of every slot search: Rho(l, l-1), the price of a
+// schedule that stores every state.
+func rhoStar(l int) float64 { return DefaultCostModel.Rho(l, int64(l-1)) }
+
 func TestMinSlotsForRhoAtOne(t *testing.T) {
-	// rho = 1 admits exactly the store-all schedule (budget l >= l-1 forwards),
-	// so the slot count should be close to l-1 and memory equals the tables.
+	// rho = 1 is plain backpropagation's price, which no schedule meets: the
+	// search reports infeasible at the store-all footprint, l-1 slots.
 	res := MinSlotsForRho(50, 1, DefaultCostModel)
-	if !res.Feasible {
-		t.Fatal("rho=1 must be feasible")
+	if res.Feasible || res.Slots != 49 {
+		t.Fatalf("rho=1: %+v, want infeasible at 49 slots", res)
 	}
-	if res.Slots < 40 {
-		t.Fatalf("rho=1 should need nearly all slots, got %d", res.Slots)
-	}
-	if res.Forwards > 50 {
-		t.Fatalf("rho=1 forwards %d exceed budget", res.Forwards)
+	// rho* admits exactly the 49 advances of one sweep, which needs 48 slots:
+	// the last state is the working state.
+	res = MinSlotsForRho(50, rhoStar(50), DefaultCostModel)
+	if !res.Feasible || res.Slots != 48 || res.Forwards != 49 || MinForwards(50, 47) <= 49 {
+		t.Fatalf("rho*: %+v, want feasible and minimal at 48 slots and 49 advances", res)
 	}
 }
 
@@ -108,8 +121,8 @@ func TestMinSlotsForRhoDecreasesWithRho(t *testing.T) {
 	prev := l
 	for _, rho := range []float64{1.0, 1.2, 1.5, 1.8, 2.0, 2.5, 3.0} {
 		res := MinSlotsForRho(l, rho, DefaultCostModel)
-		if !res.Feasible {
-			t.Fatalf("rho=%v should be feasible for l=%d", rho, l)
+		if below := rho < rhoStar(l); res.Feasible == below || below && res.Slots != l-1 {
+			t.Fatalf("rho=%v (rho* = %.3f) for l=%d: %+v", rho, rhoStar(l), l, res)
 		}
 		if res.Slots > prev {
 			t.Fatalf("slot count must not increase with rho: %d at rho=%v after %d", res.Slots, rho, prev)
@@ -140,23 +153,20 @@ func TestMinSlotsForRhoTrivialChain(t *testing.T) {
 	}
 }
 
-func TestRhoResultString(t *testing.T) {
-	s := MinSlotsForRho(34, 2, DefaultCostModel).String()
-	if len(s) == 0 {
-		t.Fatal("empty String")
-	}
-}
-
-// Property: the slot count returned by MinSlotsForRho always satisfies the
-// budget, and one slot fewer always violates it (minimality), for feasible rho.
+// Property: below rho* the search is infeasible at the store-all slot count;
+// at or above it the returned slot count satisfies the budget, and one slot
+// fewer violates it (minimality).
 func TestMinSlotsForRhoMinimalProperty(t *testing.T) {
 	m := DefaultCostModel
 	f := func(lRaw uint8, rhoRaw uint8) bool {
 		l := int(lRaw%100) + 2
 		rho := 1.0 + float64(rhoRaw%30)/10.0
 		res := MinSlotsForRho(l, rho, m)
+		if rho < rhoStar(l) {
+			return !res.Feasible && res.Slots == l-1
+		}
 		if !res.Feasible {
-			return false // rho >= 1 is always feasible
+			return false
 		}
 		budget := m.ForwardBudget(l, rho)
 		if res.Forwards > budget {

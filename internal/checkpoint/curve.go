@@ -22,16 +22,10 @@ func (cs ChainSpec) MemoryWithSlots(c int) int64 {
 // MemoryNoCheckpoint returns the peak training memory of plain
 // backpropagation, with every one of the Length per-stage activations stored.
 // This is the quantity tabulated in Tables I-III and equals
-// MemoryWithSlots(Length-1), the footprint the slot search converges to as
-// rho approaches 1.
+// MemoryWithSlots(Length-1), the footprint the slot search reports below the
+// price of storing every state.
 func (cs ChainSpec) MemoryNoCheckpoint() int64 {
 	return cs.MemoryWithSlots(cs.Length - 1)
-}
-
-// FitsIn reports whether the no-checkpoint footprint fits a device with the
-// given memory capacity in bytes.
-func (cs ChainSpec) FitsIn(capacity int64) bool {
-	return cs.MemoryNoCheckpoint() <= capacity
 }
 
 // CurvePoint is one point of a Figure 1 series: the recompute factor, the
@@ -51,8 +45,8 @@ type CurvePoint struct {
 // no-checkpointing baseline.
 //
 // For rho values below the minimum achievable overhead the point is marked
-// infeasible and reports the store-all footprint, which is how "rho = 1
-// corresponds to the case with no checkpointing" appears in the plots.
+// infeasible and reports the store-all footprint, which is how "no
+// checkpointing" appears at the left edge of the plots.
 func MemoryVsRho(cs ChainSpec, rhos []float64, m CostModel) []CurvePoint {
 	points := make([]CurvePoint, 0, len(rhos))
 	for _, rho := range rhos {
@@ -72,9 +66,10 @@ func MemoryVsRho(cs ChainSpec, rhos []float64, m CostModel) []CurvePoint {
 	return points
 }
 
-// MinRhoToFit returns the smallest recompute factor (searched on a fine grid
-// up to maxRho) at which the chain's peak memory fits the given capacity, or
-// ok=false if even the largest allowed recompute factor does not suffice.
+// MinRhoToFit returns the smallest recompute factor at which the chain's peak
+// memory fits the given capacity: 1 when plain backpropagation fits, else the
+// rho of the largest slot count that fits. ok is false if that rho exceeds
+// maxRho or no slot count fits at all.
 func MinRhoToFit(cs ChainSpec, capacity int64, m CostModel, maxRho float64) (rho float64, slots int, ok bool) {
 	if cs.MemoryWithSlots(0) > capacity {
 		return 0, 0, false // weights plus a single buffer alone exceed memory
@@ -87,15 +82,8 @@ func MinRhoToFit(cs ChainSpec, capacity int64, m CostModel, maxRho float64) (rho
 	if maxSlots < 0 {
 		return 0, 0, false
 	}
-	forwards := MinForwards(cs.Length, maxSlots)
-	r := m.Rho(cs.Length, forwards)
-	if r < 1 {
-		r = 1
-	}
-	if r > maxRho {
-		return r, maxSlots, false
-	}
-	return r, maxSlots, true
+	r := m.Rho(cs.Length, MinForwards(cs.Length, maxSlots))
+	return r, maxSlots, r <= maxRho
 }
 
 // SequentialMemoryVsRho is the uniform-segment (checkpoint_sequential)

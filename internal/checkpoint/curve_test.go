@@ -29,8 +29,12 @@ func TestChainSpecMemory(t *testing.T) {
 	if cs.MemoryNoCheckpoint() != 1000+10*10 {
 		t.Fatalf("MemoryNoCheckpoint = %d, want 1100", cs.MemoryNoCheckpoint())
 	}
-	if !cs.FitsIn(1100) || cs.FitsIn(1099) {
-		t.Fatal("FitsIn threshold wrong")
+	// Plain backpropagation fits exactly its no-checkpoint footprint.
+	if r, _, ok := MinRhoToFit(cs, cs.MemoryNoCheckpoint(), DefaultCostModel, 10); !ok || r != 1 {
+		t.Fatalf("capacity = MemoryNoCheckpoint: rho %v ok %v, want 1 true", r, ok)
+	}
+	if r, _, _ := MinRhoToFit(cs, cs.MemoryNoCheckpoint()-1, DefaultCostModel, 10); r <= 1 {
+		t.Fatalf("one byte under MemoryNoCheckpoint fits at rho %v, want above 1", r)
 	}
 }
 

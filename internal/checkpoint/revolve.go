@@ -17,10 +17,11 @@
 // where the input batch is present anyway). A schedule may re-run ("advance")
 // forward steps from a stored state to rebuild states that were discarded.
 //
-// The cost of a schedule is measured in forward-step executions performed by
-// Advance actions. The forward work that is intrinsic to every adjoint step
-// (recomputing a layer's internals during its backward) is identical with and
-// without checkpointing and is accounted separately by CostModel.
+// The cost of a schedule is counted in forward-step executions performed by
+// Advance actions. Every adjoint step also runs its stage's forward once more,
+// to tape it for the backward; CostModel prices that taped forward inside the
+// adjoint, so the l adjoint steps cost (1+BackwardRatio)·l whatever the
+// schedule, and the advances on top of them are the recompute overhead.
 package checkpoint
 
 import (

@@ -50,11 +50,11 @@ func BestSequentialSegments(l int) (segments, slots int) {
 	return bestS, bestM
 }
 
-// SequentialForwards returns the total number of forward-step executions of
-// checkpoint_sequential with s segments on a chain of l blocks, under the
-// package convention that the forward execution folded into each adjoint step
-// is not counted: the initial sweep costs l-1 advances and every segment
-// except the last is re-advanced once (floor(l/s)-1 steps each).
+// SequentialForwards returns the number of advances of checkpoint_sequential
+// with s segments on a chain of l blocks, under the package convention that
+// the taped forward of each adjoint step is not an advance: the initial sweep
+// costs l-1 advances and every segment except the last is re-advanced once
+// (floor(l/s)-1 steps each).
 func SequentialForwards(l, s int) int64 {
 	if l <= 0 {
 		return 0
@@ -69,9 +69,8 @@ func SequentialForwards(l, s int) int64 {
 }
 
 // SequentialRho returns the recompute factor of checkpoint_sequential with s
-// segments under the given cost model. Note that unlike the Revolve
-// schedules, the initial forward sweep here always runs the full chain, so
-// rho >= 1 + something even for s = 1.
+// segments under the given cost model. s = 1 runs l-1 advances, the schedule
+// of storing every state, so it costs Rho(l, l-1) like Revolve with l-1 slots.
 func SequentialRho(l, s int, m CostModel) float64 {
 	return m.Rho(l, SequentialForwards(l, s))
 }

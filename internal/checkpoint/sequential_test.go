@@ -89,9 +89,13 @@ func TestSequentialForwardsAndRho(t *testing.T) {
 		t.Fatalf("SequentialForwards(10,2) = %d, want 13", SequentialForwards(10, 2))
 	}
 	m := CostModel{BackwardRatio: 1}
-	// l=10, s=2: time = 13 + 10 = 23, baseline 20 -> rho 1.15.
-	if got := SequentialRho(10, 2, m); math.Abs(got-1.15) > 1e-12 {
-		t.Fatalf("SequentialRho(10,2) = %v, want 1.15", got)
+	// l=10, s=2: time = 13 + 20 = 33, baseline 20 -> rho 1.65.
+	if got := SequentialRho(10, 2, m); math.Abs(got-1.65) > 1e-12 {
+		t.Fatalf("SequentialRho(10,2) = %v, want 1.65", got)
+	}
+	// s=1 is the schedule of storing every state: rho*.
+	if got, want := SequentialRho(10, 1, m), m.Rho(10, 9); got != want {
+		t.Fatalf("SequentialRho(10,1) = %v, want rho* = %v", got, want)
 	}
 }
 
@@ -110,16 +114,21 @@ func TestMinSequentialSlotsForRho(t *testing.T) {
 	if _, _, ok := MinSequentialSlotsForRho(100, 0.5, m); ok {
 		t.Fatal("rho=0.5 cannot be feasible")
 	}
-	// rho=1 admits only s=1 (no recomputation beyond the sweep).
-	slots1, segs1, ok1 := MinSequentialSlotsForRho(100, 1, m)
+	// rho=1 is below rho*: not even one segment meets it.
+	if _, _, ok := MinSequentialSlotsForRho(100, 1, m); ok {
+		t.Fatal("rho=1 is below rho* and cannot be feasible")
+	}
+	// rho* admits only s=1 (no recomputation beyond the sweep).
+	slots1, segs1, ok1 := MinSequentialSlotsForRho(100, rhoStar(100), m)
 	if !ok1 || segs1 != 1 || slots1 != 100 {
-		t.Fatalf("rho=1 should force a single segment storing everything, got slots=%d segs=%d ok=%v", slots1, segs1, ok1)
+		t.Fatalf("rho* should force a single segment storing everything, got slots=%d segs=%d ok=%v", slots1, segs1, ok1)
 	}
 }
 
 // Property: the optimal binomial checkpointing never needs more memory than
 // checkpoint_sequential at the same recompute budget — the paper's core
-// argument for replacing the uniform scheme.
+// argument for replacing the uniform scheme. Below rho* neither meets the
+// budget.
 func TestRevolveDominatesSequentialProperty(t *testing.T) {
 	m := DefaultCostModel
 	f := func(lRaw, rhoRaw uint8) bool {
@@ -127,6 +136,9 @@ func TestRevolveDominatesSequentialProperty(t *testing.T) {
 		rho := 1.1 + float64(rhoRaw%20)/10.0
 		seqSlots, _, seqOK := MinSequentialSlotsForRho(l, rho, m)
 		res := MinSlotsForRho(l, rho, m)
+		if rho < rhoStar(l) {
+			return !seqOK && !res.Feasible && res.Slots == l-1
+		}
 		if !res.Feasible {
 			return false
 		}

@@ -1,6 +1,8 @@
 package memmodel
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -34,7 +36,7 @@ func TestLinearChainConsistency(t *testing.T) {
 }
 
 func TestFigure1PanelStructure(t *testing.T) {
-	panel, err := Figure1Panel(Figure1Panels[0], nil, DefaultAccounting, checkpoint.DefaultCostModel)
+	panel, err := Figure1Panel(Figure1Panels[0], nil, DefaultAccounting, checkpoint.DefaultCostModel, checkpoint.MemoryVsRho)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func TestFigure1PanelStructure(t *testing.T) {
 func TestFigure1AllPanels(t *testing.T) {
 	var panels []*Panel
 	for _, cfg := range Figure1Panels {
-		p, err := Figure1Panel(cfg, []float64{1, 1.5, 2, 2.5, 3}, DefaultAccounting, checkpoint.DefaultCostModel)
+		p, err := Figure1Panel(cfg, []float64{1, 1.5, 2, 2.5, 3}, DefaultAccounting, checkpoint.DefaultCostModel, checkpoint.MemoryVsRho)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +129,7 @@ func TestFigure1FitClaims(t *testing.T) {
 	if worst < 1.2 || worst > 2.6 {
 		t.Errorf("worst-case recompute factor to fit everything is %.2f; the paper's narrative puts it between 1.5 and 2 (we accept up to 2.6 given the different backward-cost accounting)", worst)
 	}
-	if out := RenderFitAnalysis(results); !strings.Contains(out, "1d") {
+	if out := RenderFitAnalysis(results, checkpoint.DefaultCostModel); !strings.Contains(out, "1d") {
 		t.Fatal("fit analysis render incomplete")
 	}
 }
@@ -145,5 +147,100 @@ func TestFitAnalysisFigure1bClaim(t *testing.T) {
 	rho, _, ok := checkpoint.MinRhoToFit(chain18, EdgeDeviceMemoryBytes, checkpoint.DefaultCostModel, 4)
 	if !ok || rho > 1.7 {
 		t.Errorf("ResNet-18 at batch 8 / image 500 should fit with a modest recompute factor, needed %.2f", rho)
+	}
+}
+
+// paperPrice is the paper's time to solution: the advances plus l backward
+// steps, with the forward each adjoint step re-runs to tape its stage left
+// out. The pins below hold it as the reference the figure must reproduce.
+func paperPrice(l int, advances int64, b float64) float64 {
+	return float64(advances) + b*float64(l)
+}
+
+// TestFigure1PaperConventionPinned: every cell of every revolve and
+// sequential panel on the default grid, and every "min rho (paper)" value of
+// the fit analysis, "never" rows included, is what the paper's convention
+// gives: rows evaluated at rho + tapedShare under CostModel land on the same
+// slot counts.
+func TestFigure1PaperConventionPinned(t *testing.T) {
+	cost := checkpoint.DefaultCostModel
+	b := cost.BackwardRatio
+	revolve := func(cs checkpoint.ChainSpec, rho float64) int64 {
+		budget := rho*cost.BaselineTime(cs.Length) - b*float64(cs.Length)
+		if budget >= 0 {
+			if slots, _, ok := checkpoint.MinSlotsForForwards(cs.Length, int64(math.Floor(budget+1e-9))); ok {
+				return cs.MemoryWithSlots(slots)
+			}
+		}
+		return cs.MemoryNoCheckpoint()
+	}
+	sequential := func(cs checkpoint.ChainSpec, rho float64) int64 {
+		best := -1
+		for s := 1; s <= cs.Length; s++ {
+			r := paperPrice(cs.Length, checkpoint.SequentialForwards(cs.Length, s), b) / cost.BaselineTime(cs.Length)
+			if m := checkpoint.SequentialMemorySlots(cs.Length, s); r <= rho+1e-12 && (best == -1 || m < best) {
+				best = m
+			}
+		}
+		if best == -1 {
+			return cs.MemoryNoCheckpoint()
+		}
+		return cs.WeightBytes + int64(best+1)*cs.ActivationBytes
+	}
+	for _, scheme := range []struct {
+		name  string
+		curve func(checkpoint.ChainSpec, []float64, checkpoint.CostModel) []checkpoint.CurvePoint
+		want  func(checkpoint.ChainSpec, float64) int64
+	}{
+		{"revolve", checkpoint.MemoryVsRho, revolve},
+		{"sequential", checkpoint.SequentialMemoryVsRho, sequential},
+	} {
+		for _, cfg := range Figure1Panels {
+			p, err := Figure1Panel(cfg, nil, DefaultAccounting, cost, scheme.curve)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range p.Series {
+				for i, rho := range p.Rhos {
+					if got, want := s.Points[i].MemoryBytes, scheme.want(s.Chain, rho); got != want {
+						t.Fatalf("%s panel %s %s at rho %.2f: %d bytes, the paper's convention gives %d",
+							scheme.name, cfg.Panel, s.Variant, rho, got, want)
+					}
+				}
+			}
+		}
+	}
+
+	nevers := 0
+	for _, maxRho := range []float64{4, 1.5, 1.2, 1.05} {
+		results, err := FitAnalysis(DefaultAccounting, cost, maxRho)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := strings.Split(RenderFitAnalysis(results, cost), "\n")[2:]
+		for i, r := range results {
+			cs, err := LinearChain(r.Variant, r.Config.ImageSize, r.Config.BatchSize, DefaultAccounting)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := "never"
+			if cs.MemoryNoCheckpoint() <= EdgeDeviceMemoryBytes {
+				want = "1.00"
+			} else if slots := int((EdgeDeviceMemoryBytes-cs.WeightBytes)/cs.ActivationBytes) - 1; slots >= 0 {
+				rho := max(1, paperPrice(cs.Length, checkpoint.MinForwards(cs.Length, slots), b)/cost.BaselineTime(cs.Length))
+				if rho <= maxRho {
+					want = fmt.Sprintf("%.2f", rho)
+				}
+			}
+			if got := strings.Fields(rows[i])[3]; got != want {
+				t.Fatalf("max rho %g, panel %s %s: min rho (paper) %s, want %s", maxRho, r.Config.Panel, r.Variant, got, want)
+			}
+			if want == "never" {
+				nevers++
+			}
+		}
+	}
+	if nevers == 0 {
+		t.Fatal("no fit row reads \"never\": the pin does not reach the maxRho cut")
 	}
 }

@@ -70,7 +70,7 @@ func (c AutoChoice) String() string {
 // capacity (memmodel.EdgeDeviceMemoryBytes) when Options.MemoryBudget is zero.
 func AutoSelect(spec ChainSpec, o Options) (AutoChoice, error) {
 	l := spec.Length
-	m := costModel(o)
+	m := checkpoint.DefaultCostModel
 	budget := o.MemoryBudget
 	if budget <= 0 {
 		budget = memmodel.EdgeDeviceMemoryBytes
@@ -83,8 +83,10 @@ func AutoSelect(spec ChainSpec, o Options) (AutoChoice, error) {
 		// With unknown state sizes this is the weights alone — a lower
 		// bound; the paths below refine it once act is known.
 		PeakRAMBytes: spec.WeightBytes,
-		Time:         m.Time(l, int64(max(l-1, 0))),
-		Rho:          1,
+		// Step runs store-all as plain backpropagation: l taped forwards
+		// and no advance, the baseline itself.
+		Time: m.BaselineTime(l),
+		Rho:  1,
 	}
 	if l <= 1 {
 		// A trivial chain retains nothing beyond its input and output, but
@@ -111,11 +113,10 @@ func AutoSelect(spec ChainSpec, o Options) (AutoChoice, error) {
 	maxStates := (budget - spec.WeightBytes) / act
 	ramBytes := func(states int) int64 { return spec.WeightBytes + int64(states)*act }
 
-	// Store-all does L-1 advances and no flash I/O, the least any schedule
+	// Store-all does no advance and no flash I/O, the least any schedule
 	// does: when it fits, nothing else can win.
 	baseline.PeakRAMBytes = ramBytes(baseline.PeakRAMStates)
 	if baseline.PeakRAMBytes <= budget {
-		baseline.Rho = baseline.Time / m.BaselineTime(l)
 		return baseline, nil
 	}
 

@@ -155,9 +155,11 @@ func TestAutoPrefersTwoLevelWhenRAMStarved(t *testing.T) {
 }
 
 // TestAutoPredictsWhatItRuns: the price auto ranks its pick by is the price
-// of the schedule Build returns for the executor, flash reads and writes
-// included, and its flash footprint is the one that schedule occupies. A
-// twolevel pick must be strictly cheaper than Revolve at the same RAM slots.
+// of what the executor runs, flash reads and writes included, and its flash
+// footprint is the one that schedule occupies. A store-all pick runs as
+// chain.Step runs it, through ExecutePlain: l taped forwards and no advance.
+// A twolevel pick must be strictly cheaper than Revolve at the same RAM
+// slots.
 func TestAutoPredictsWhatItRuns(t *testing.T) {
 	const weights, act = 1 << 20, 1 << 16
 	m := checkpoint.DefaultCostModel
@@ -185,9 +187,13 @@ func TestAutoPredictsWhatItRuns(t *testing.T) {
 			if err != nil {
 				t.Fatalf("L=%d, %d states: %v", l, states, err)
 			}
-			if got := m.TraceTime(l, tr); got != choice.Time {
-				t.Fatalf("L=%d, %d states: %s predicted at %g, its schedule %s runs at %g",
-					l, states, choice.Strategy, choice.Time, sched.Policy, got)
+			got := m.TraceTime(l, tr)
+			if choice.Strategy == "storeall" {
+				got = m.Time(l, 0)
+			}
+			if got != choice.Time || choice.Rho != choice.Time/m.BaselineTime(l) {
+				t.Fatalf("L=%d, %d states: %s predicted at %g (rho %g), its schedule %s runs at %g",
+					l, states, choice.Strategy, choice.Time, choice.Rho, sched.Policy, got)
 			}
 			if want := int64(tr.PeakDiskSlots) * act; choice.DiskBytes != want {
 				t.Fatalf("L=%d, %d states: predicted %d flash bytes, the schedule occupies %d", l, states, choice.DiskBytes, want)

@@ -57,9 +57,6 @@ type Options struct {
 	// Rho is a recompute-factor budget; strategies that support it derive
 	// their memory tunable (slots or segments) as the minimum meeting it.
 	Rho float64
-	// BackwardRatio is the cost of a backward step relative to a forward
-	// step, used when resolving Rho. Zero selects the default (2).
-	BackwardRatio float64
 	// MemoryBudget is the RAM byte budget for budget-aware strategies
 	// ("auto"): it covers the whole resident training state, weights
 	// (ChainSpec.WeightBytes) plus every simultaneously retained activation

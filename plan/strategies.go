@@ -17,17 +17,17 @@ var strategies = []struct {
 	{StrategyInfo{
 		Name:        "auto",
 		Description: "budget-aware: cheapest of storeall/revolve/twolevel whose resident footprint fits a RAM byte budget",
-		Options:     []string{"budget", "device", "state-bytes", "weight-bytes", "backward-ratio"},
+		Options:     []string{"budget", "device", "state-bytes", "weight-bytes"},
 	}, planAuto},
 	{StrategyInfo{
 		Name:        "revolve",
 		Description: "optimal (binomial/Revolve) checkpointing: minimum forward work for a slot budget",
-		Options:     []string{"slots", "rho", "backward-ratio"},
+		Options:     []string{"slots", "rho"},
 	}, planRevolve},
 	{StrategyInfo{
 		Name:        "sequential",
 		Description: "PyTorch checkpoint_sequential: uniform segments, last segment stored in full",
-		Options:     []string{"segments", "rho", "backward-ratio"},
+		Options:     []string{"segments", "rho"},
 	}, planSequential},
 	{StrategyInfo{
 		Name:        "storeall",
@@ -42,18 +42,10 @@ var strategies = []struct {
 	}, planTwoLevel},
 }
 
-// costModel resolves the cost model from the options.
-func costModel(o Options) checkpoint.CostModel {
-	if o.BackwardRatio > 0 {
-		return checkpoint.CostModel{BackwardRatio: o.BackwardRatio}
-	}
-	return checkpoint.DefaultCostModel
-}
-
 func planRevolve(spec ChainSpec, o Options) (schedule.Schedule, error) {
 	slots := o.Slots
 	if slots <= 0 && o.Rho > 0 {
-		slots = checkpoint.MinSlotsForRho(spec.Length, o.Rho, costModel(o)).Slots
+		slots = checkpoint.MinSlotsForRho(spec.Length, o.Rho, checkpoint.DefaultCostModel).Slots
 	}
 	if slots <= 0 && spec.Length > 1 {
 		return schedule.Schedule{}, fmt.Errorf("plan: revolve needs Slots or Rho")
@@ -64,7 +56,7 @@ func planRevolve(spec ChainSpec, o Options) (schedule.Schedule, error) {
 func planSequential(spec ChainSpec, o Options) (schedule.Schedule, error) {
 	segments := o.Segments
 	if segments <= 0 && o.Rho > 0 {
-		_, s, ok := checkpoint.MinSequentialSlotsForRho(spec.Length, o.Rho, costModel(o))
+		_, s, ok := checkpoint.MinSequentialSlotsForRho(spec.Length, o.Rho, checkpoint.DefaultCostModel)
 		if !ok {
 			return schedule.Schedule{}, fmt.Errorf("plan: sequential cannot meet rho<=%.3f for length %d", o.Rho, spec.Length)
 		}
