@@ -112,8 +112,7 @@ func main() {
 	// Checkpoint store: tiered (real flash spilling into -spill-dir) by
 	// default for twolevel, plain in-RAM references otherwise. An auto policy
 	// gets none: chain.Step resolves it per step and spills a selection with
-	// a flash tier through a temporary tiered store of its own, so a roomy
-	// budget runs plain backpropagation instead of a store-all schedule.
+	// a flash tier through a temporary tiered store of its own.
 	kind := *storeKind
 	if kind == "" {
 		if *policy == "twolevel" {
@@ -127,7 +126,7 @@ func main() {
 		// An explicit -store ram pins the in-RAM reference store even for
 		// tier-annotated policies (chain.Step would otherwise spill their
 		// disk tiers through a temporary tiered store); the computed default
-		// leaves Store nil so plain policies keep the store-less fast path.
+		// leaves Store nil for chain.Step to pick.
 		if *storeKind == "ram" {
 			pol.Store = store.NewRAM()
 		}

@@ -140,10 +140,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// A live tape holds a state as a slot does: compare at both.
+		held := tr.PeakSlots + tr.PeakTapes
 		fmt.Printf("%s schedule for l=%d with %d slots:\n", sched.Policy, *l, sched.Slots)
 		fmt.Printf("  forward executions: %d (revolve optimum for %d slots: %d)\n",
-			tr.Forwards, tr.PeakSlots, checkpoint.MinForwards(*l, tr.PeakSlots))
+			tr.Forwards, held, checkpoint.MinForwards(*l, held))
 		fmt.Printf("  peak slots used:    %d\n", tr.PeakSlots)
+		if tr.PeakTapes > 0 {
+			fmt.Printf("  peak live tapes:    %d\n", tr.PeakTapes)
+		}
 		if tr.PeakDiskSlots > 0 {
 			fmt.Printf("  tier breakdown:     peak %d RAM + %d flash slots, %d flash writes, %d flash reads\n",
 				tr.PeakRAMSlots, tr.PeakDiskSlots, tr.DiskWrites, tr.DiskReads)
@@ -155,9 +160,9 @@ func main() {
 			factor = cost.TraceTime(*l, tr) / cost.BaselineTime(*l)
 		}
 		fmt.Printf("  recompute factor:   %.3f\n", factor)
-		seq := checkpoint.SequentialMemorySlots(*l, tr.PeakSlots+1)
+		seq := checkpoint.SequentialMemorySlots(*l, held+1)
 		fmt.Printf("  checkpoint_sequential with %d segments would retain %d activations (vs %d here)\n",
-			tr.PeakSlots+1, seq, tr.PeakSlots+1)
+			held+1, seq, held+1)
 		if *print {
 			fmt.Println()
 			fmt.Print(schedule.Render(sched))

@@ -63,6 +63,7 @@ func TestCommandSmoke(t *testing.T) {
 		{"revolveplan-auto-storeall", []string{
 			"-l", "21", "-strategy", "auto", "-budget", "1GB", "-state-bytes", "1KB",
 		}, "auto: storeall, peak 22 states / 0.0 MB RAM, rho=1.000"},
+		{"revolveplan-storeall", []string{"-l", "21", "-strategy", "storeall"}, "recompute factor:   1.000"},
 		{"revolveplan-sweep-elided", []string{"-l", "152", "-sweep"}, "optimal checkpointing"},
 		{"revolveplan-sequential-elided", []string{"-l", "40", "-sequential"}, "best segment count"},
 		{"edgetrainer-auto-spill", []string{

@@ -362,8 +362,7 @@ func (c countingLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // TestWorkerExecutesItsChoice pins that a worker runs the strategy its budget
 // selected, resolved once: on a Waggle-class 2 GB budget the choice is
 // store-all and a step is plain backpropagation — exactly L stage forwards,
-// no spill store — where it used to re-derive the choice every step and run
-// the store-all schedule through the recomputing executor (2L-1 forwards).
+// no spill store — where it used to re-derive the choice every step.
 // The same model on a tight budget still picks twolevel and really spills.
 func TestWorkerExecutesItsChoice(t *testing.T) {
 	forwards := 0

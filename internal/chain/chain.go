@@ -1,9 +1,10 @@
 // Package chain executes real neural networks (built from internal/nn
 // layers) under a checkpointing schedule.Schedule, planned by name through
 // package plan (Policy.Plan). It is the bridge between the paper's scheduling
-// theory and an actual training step: the executor re-runs stage forwards
+// theory and an actual training step: one executor runs every policy, store-all
+// too (one taped advance, then the backward sweep), re-runs stage forwards
 // exactly where the schedule says to, retains only the states the schedule
-// snapshots, and produces gradients that are identical to plain
+// snapshots or tapes, and produces gradients identical to plain
 // backpropagation. It holds no legality rules of its own: every action is
 // applied to a schedule.Validator before it is executed.
 //
@@ -93,18 +94,19 @@ type Result struct {
 // flash traffic of a spilling store. One execution reports one Usage in its
 // Result; an epoch, a round or a whole fleet run folds those with Add.
 type Usage struct {
-	// ForwardEvals counts stage forward executions triggered by Advance
-	// actions (recomputation and the initial sweep). The forward run folded
-	// into each adjoint step is counted separately in BackwardEvals.
+	// ForwardEvals counts stage forwards run by Advance actions, taped or
+	// not. The forward an adjoint step re-runs when its stage has no live
+	// tape is counted in BackwardEvals, with the step.
 	ForwardEvals  int
 	BackwardEvals int
 
 	// PeakStates is the maximum number of simultaneously retained states
-	// (checkpoints plus the chain input).
+	// (checkpoints and live tapes plus the chain input).
 	PeakStates int
 	// PeakStateBytes is the measured peak RAM footprint of the execution's
-	// states: the chain input, the RAM-resident checkpoints, and the live
-	// working state when it is not one of those (the largest transient).
+	// states: the chain input, the RAM-resident checkpoints, the live tapes,
+	// and the live working state when it is not one of those (the largest
+	// transient).
 	// States a tiered store spilled to disk do not count here, and neither
 	// do weights, gradients or optimiser state.
 	PeakStateBytes int64
@@ -182,12 +184,14 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 		stepStart = time.Now()
 	}
 
-	// The validator tracks the working state's index, each slot's state and
-	// the pending adjoint; the tensors live in the store, and the executor
-	// only remembers which slots it put there.
+	// The validator tracks the working state's index, each slot's state,
+	// the live tapes and the pending adjoint; the tensors live in the store
+	// and in tapes (tapes[i]: step i's output, whose backward its layer has
+	// cached), and the executor only remembers which slots it put there.
 	v := schedule.NewValidator(l, sched.Slots)
 	current := x
 	held := map[int]bool{}
+	tapes := make([]*tensor.Tensor, l+1)
 	startRAM := st.BytesResident() // pre-existing residency of a reused store
 	startStats := st.Stats()       // accounting baseline, so a reused store reports per-step deltas
 
@@ -201,20 +205,25 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 		return nil, err
 	}
 
-	// trackPeak measures the RAM actually retained right now: the chain
-	// input, the store's RAM-resident checkpoints, and the live working
-	// state unless it aliases one of those (the RAM store keeps references,
-	// so a just-snapshotted or just-restored state must not count twice).
-	trackPeak := func() {
-		bytes := x.Bytes() + st.BytesResident() - startRAM
-		if current != x && !st.Holds(current) {
+	// trackPeak measures the states retained right now: the chain input,
+	// the store's RAM-resident checkpoints, the live tapes, and the working
+	// state x_i unless it aliases one of those (the RAM store keeps
+	// references, and a taped sweep's working state is its newest tape).
+	trackPeak := func(i int) {
+		bytes, states := x.Bytes()+st.BytesResident()-startRAM, 1+len(held)
+		for _, t := range tapes {
+			if t != nil {
+				bytes += t.Bytes()
+				states++
+			}
+		}
+		if current != x && !st.Holds(current) && current != tapes[i] {
 			bytes += current.Bytes()
 		}
-		if bytes > res.PeakStateBytes {
-			res.PeakStateBytes = bytes
-		}
+		res.PeakStateBytes = max(res.PeakStateBytes, bytes)
+		res.PeakStates = max(res.PeakStates, states)
 	}
-	trackPeak()
+	trackPeak(0)
 
 	var upstream *tensor.Tensor // gradient flowing into the pending stage
 
@@ -245,7 +254,11 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 			for stage := v.State() - a.Steps + 1; stage <= v.State(); stage++ {
 				current = runForward(stage, current)
 				res.ForwardEvals++
-				trackPeak()
+				tapes[stage] = nil
+				if a.Taped {
+					tapes[stage] = current
+				}
+				trackPeak(stage)
 			}
 			if om.on {
 				fwdDur += time.Since(t0)
@@ -260,7 +273,7 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 			if d := st.Stats().DiskBytes - startStats.DiskBytes; d > res.PeakDiskBytes {
 				res.PeakDiskBytes = d
 			}
-			trackPeak()
+			trackPeak(v.State())
 		case schedule.ActionRestore:
 			if a.Slot == schedule.InputSlot {
 				current = x
@@ -270,7 +283,7 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 					return fail(fmt.Errorf("chain: action %d (%s): %w", i, a, err))
 				}
 				current = t
-				trackPeak()
+				trackPeak(v.State())
 			}
 		case schedule.ActionFree:
 			if err := st.Free(a.Slot); err != nil {
@@ -278,15 +291,19 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 			}
 			delete(held, a.Slot)
 		case schedule.ActionBackprop:
-			// The adjoint of a stage always re-runs its forward so the layer's
-			// internal cache corresponds to the correct input, then applies
-			// the layer backward.
+			// The adjoint of a stage consumes its live tape or re-runs its
+			// forward so the layer's internal cache corresponds to the
+			// correct input, then applies the layer backward.
 			var t0 time.Time
 			if om.on {
 				t0 = time.Now()
 			}
 			stage := v.Pending() + 1
-			out := runForward(stage, current)
+			out := tapes[stage]
+			tapes[stage] = nil
+			if out == nil {
+				out = runForward(stage, current)
+			}
 			res.BackwardEvals++
 			if stage == l {
 				res.Output = out
@@ -301,11 +318,9 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 			}
 		}
 	}
-	tr, err := v.Finish()
-	if err != nil {
+	if _, err := v.Finish(); err != nil {
 		return fail(fmt.Errorf("chain: %w", err))
 	}
-	res.PeakStates = 1 + tr.PeakSlots
 	res.InputGrad = upstream
 	stats := st.Stats()
 	res.DiskWrites = stats.DiskWrites - startStats.DiskWrites
@@ -332,57 +347,12 @@ func pinState(first *[]float64, state []nn.NamedState) {
 	}
 }
 
-// ExecutePlain runs a conventional forward and backward pass (every stage's
-// cache retained by the layer itself). It is the baseline the checkpointed
-// executor is validated against and corresponds to the store-all row of the
-// paper's analysis.
+// ExecutePlain runs a conventional forward and backward pass: Step with the
+// default store-all policy, one taped sweep and the backward sweep through
+// the one executor. It stays as a name for the benchmark's store-all
+// workload, which calls it.
 func ExecutePlain(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, train bool) (*Result, error) {
-	if lossGrad == nil {
-		return nil, ErrNoLossGrad
-	}
-	res := &Result{}
-	om := obsHandles()
-	var stepStart, t0 time.Time
-	var fwdDur, bwdDur time.Duration
-	if om.on {
-		stepStart = time.Now()
-		t0 = stepStart
-	}
-	states := []*tensor.Tensor{x}
-	current := x
-	for _, s := range c.Stages {
-		current = s.Forward(current, train)
-		states = append(states, current)
-		res.ForwardEvals++
-	}
-	if om.on {
-		fwdDur = time.Since(t0)
-	}
-	res.Output = current
-	var bytes int64
-	for _, s := range states {
-		bytes += s.Bytes()
-	}
-	res.PeakStates = len(states)
-	res.PeakStateBytes = bytes
-
-	grad := lossGrad(current)
-	if grad == nil {
-		return nil, fmt.Errorf("chain: loss-gradient callback returned nil")
-	}
-	if om.on {
-		t0 = time.Now()
-	}
-	for i := len(c.Stages) - 1; i >= 0; i-- {
-		grad = c.Stages[i].Backward(grad)
-		res.BackwardEvals++
-	}
-	if om.on {
-		bwdDur = time.Since(t0)
-	}
-	res.InputGrad = grad
-	om.record(res.Usage, stepStart, fwdDur, bwdDur)
-	return res, nil
+	return Step(c, x, lossGrad, Policy{}, train)
 }
 
 // Policy selects how Step plans its checkpointing schedule. Kind names a
@@ -463,12 +433,12 @@ func (p Policy) Plan(l int) (schedule.Schedule, error) {
 
 // Step plans a schedule for the chain according to the policy and executes
 // it. An "auto" policy is first resolved to the strategy its budget selects
-// for the chain's memory shape (Spec). Then one rule picks the executor and
-// the store: the policy's Store when it has one; otherwise plain
-// backpropagation (ExecutePlain) for store-all, a temporary tiered store,
+// for the chain's memory shape (Spec). Then one rule picks the store: the
+// policy's Store when it has one; otherwise a temporary tiered store,
 // removed on return, for a schedule with a flash tier — that tier was chosen
 // to keep its states out of RAM, so the all-in-RAM store would silently break
-// the budget — and in-RAM tensor references for everything else.
+// the budget — and in-RAM tensor references for everything else. Store-all
+// writes to no store: it is plain backpropagation whatever its store.
 func Step(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, p Policy, train bool) (*Result, error) {
 	if p.strategyName() == "auto" {
 		choice, err := plan.AutoSelect(p.Spec(c, x), p.options())
@@ -476,9 +446,6 @@ func Step(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, p Policy, train boo
 			return nil, err
 		}
 		p.Kind, p.Slots, p.DiskSlots = choice.Strategy, choice.Slots, choice.DiskSlots
-	}
-	if p.strategyName() == "storeall" && p.Store == nil {
-		return ExecutePlain(c, x, lossGrad, train)
 	}
 	sched, err := p.Plan(c.Len())
 	if err != nil {

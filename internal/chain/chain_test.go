@@ -63,16 +63,32 @@ func gradSnapshot(c *Chain) []*tensor.Tensor {
 	return out
 }
 
+// TestExecutePlainMatchesSequential checks the store-all run of the one
+// executor against an independent reference: nn.Sequential's own Forward and
+// Backward on a twin chain, bit for bit in the output, the input gradient and
+// every parameter gradient.
 func TestExecutePlainMatchesSequential(t *testing.T) {
 	c, x := buildTestChain(1)
-	seq := nn.NewSequential("net", c.Stages...)
+	twin, _ := buildTestChain(1)
+	loss := fixedLossGrad(7)
+	seq := nn.NewSequential("net", twin.Stages...)
 	want := seq.Forward(x, true)
-	res, err := ExecutePlain(c, x, fixedLossGrad(7), true)
+	wantIn := seq.Backward(loss(want))
+	res, err := ExecutePlain(c, x, loss, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.AllClose(res.Output, want, 1e-9) {
-		t.Fatal("ExecutePlain output differs from Sequential.Forward")
+	if d := tensor.MaxAbsDiff(res.Output, want); d != 0 {
+		t.Fatalf("ExecutePlain output differs from Sequential.Forward by %g", d)
+	}
+	if d := tensor.MaxAbsDiff(res.InputGrad, wantIn); d != 0 {
+		t.Fatalf("ExecutePlain input gradient differs from Sequential.Backward by %g", d)
+	}
+	got, wantGrads := gradSnapshot(c), gradSnapshot(twin)
+	for i := range wantGrads {
+		if d := tensor.MaxAbsDiff(got[i], wantGrads[i]); d != 0 {
+			t.Fatalf("parameter gradient %d differs from Sequential.Backward by %g", i, d)
+		}
 	}
 	if res.ForwardEvals != c.Len() || res.BackwardEvals != c.Len() {
 		t.Fatalf("plain execution counts wrong: %+v", res)
@@ -269,6 +285,27 @@ func TestPriceCountsExecutedForwards(t *testing.T) {
 			}
 			if forwards != l || backwards != l {
 				t.Fatalf("L=%d: Step(%s) ran %d forwards and %d backwards, want %d each", l, kind, forwards, backwards, l)
+			}
+		}
+		// Store-all with a store of its own runs the same sweep: it writes
+		// nothing to the store and gives the storeless run's bits.
+		ref, err := Step(c, x, loss, Policy{Kind: "storeall"}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range []store.Store{store.NewRAM(), ts} {
+			forwards, backwards = 0, 0
+			before := st.Stats()
+			res, err := Step(c, x, loss, Policy{Kind: "storeall", Store: st}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if forwards != l || backwards != l || st.Stats() != before {
+				t.Fatalf("L=%d: store-all with %T ran %d forwards and %d backwards, store stats %+v -> %+v; want %d each, none written",
+					l, st, forwards, backwards, before, st.Stats(), l)
+			}
+			if tensor.MaxAbsDiff(res.Output, ref.Output) != 0 || tensor.MaxAbsDiff(res.InputGrad, ref.InputGrad) != 0 {
+				t.Fatalf("L=%d: store-all with %T changed the bits", l, st)
 			}
 		}
 		choice, err := plan.AutoSelect(Policy{}.Spec(c, x), plan.Options{})

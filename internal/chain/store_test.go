@@ -58,6 +58,68 @@ func TestPeakStateBytesCountsWorkingState(t *testing.T) {
 	}
 }
 
+// TestStoreAllPeakOnUnevenStates: on a chain whose states differ in size,
+// store-all through Step, with no store, a RAM store or a tiered store,
+// retains every state x_0..x_L, counts each exactly once, and reports the
+// bytes schedule.PeakBytes predicts for its schedule, with the same bits.
+func TestStoreAllPeakOnUnevenStates(t *testing.T) {
+	widths := []int{8, 16, 4, 12, 8, 24, 3}
+	const batch = 4
+	build := func() (*Chain, *tensor.Tensor) {
+		rng := tensor.NewRNG(43)
+		var layers []nn.Layer
+		for i := 1; i < len(widths); i++ {
+			layers = append(layers, nn.NewLinear(string(rune('a'+i)), widths[i-1], widths[i], true, rng))
+		}
+		return New(layers...), tensor.RandNormal(rng, 0, 1, batch, widths[0])
+	}
+	l := len(widths) - 1
+	var sizes []int64
+	var sum int64
+	for _, w := range widths {
+		sizes = append(sizes, int64(batch*w*8))
+		sum += int64(batch * w * 8)
+	}
+	sched := buildSched(t, "storeall", l, plan.Options{})
+	predicted, err := schedule.PeakBytes(sched, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if predicted != sum {
+		t.Fatalf("PeakBytes(store-all) = %d, want the byte sum of x_0..x_L, %d", predicted, sum)
+	}
+	ts, err := store.NewTiered(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	var ref *Result
+	var refGrads []*tensor.Tensor
+	for _, st := range []store.Store{nil, store.NewRAM(), ts} {
+		c, x := build()
+		res, err := Step(c, x, fixedLossGrad(3), Policy{Kind: "storeall", Store: st}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PeakStates != l+1 || res.PeakStateBytes != predicted {
+			t.Fatalf("store %T: %d states, %d bytes; want %d states, %d bytes", st, res.PeakStates, res.PeakStateBytes, l+1, predicted)
+		}
+		grads := gradSnapshot(c)
+		if ref == nil {
+			ref, refGrads = res, grads
+			continue
+		}
+		if tensor.MaxAbsDiff(res.Output, ref.Output) != 0 || tensor.MaxAbsDiff(res.InputGrad, ref.InputGrad) != 0 {
+			t.Fatalf("store %T: output or input gradient differs from the storeless run", st)
+		}
+		for i := range grads {
+			if tensor.MaxAbsDiff(grads[i], refGrads[i]) != 0 {
+				t.Fatalf("store %T: parameter gradient %d differs from the storeless run", st, i)
+			}
+		}
+	}
+}
+
 // TestDiskStoreExecutionMatchesRAM runs the same revolve schedule through
 // the in-RAM reference store and the serialize-everything disk store: the
 // gradients must be bit-identical and the disk execution must retain only
@@ -218,9 +280,8 @@ func TestStepSpillsDiskTiersByDefault(t *testing.T) {
 	}
 
 	// The other end of the same rule: a roomy budget resolves "auto" to
-	// store-all, and store-all without a store is plain backpropagation (L
-	// forwards, every state retained) — not the store-all schedule, whose
-	// every adjoint re-runs its stage.
+	// store-all, whose schedule is plain backpropagation (L taped forwards,
+	// every state retained, no adjoint re-running its stage).
 	c3, _ := buildUniformChain(41, l)
 	res, err = Step(c3, x, fixedLossGrad(13), Policy{Kind: "auto", MemoryBudget: weights + int64(l+1)*s}, true)
 	if err != nil {

@@ -11,10 +11,10 @@ import (
 // to solution of a checkpointed backpropagation and the time to solution of
 // plain backpropagation with all activations stored.
 //
-// One adjoint step is a taped forward plus a backward: the executor re-runs a
-// stage's forward to rebuild its tape before the backward, so an adjoint step
-// costs 1+BackwardRatio forward units, and plain backpropagation, which tapes
-// its one forward sweep, costs exactly l adjoint steps.
+// One adjoint step is a taped forward plus a backward: the stage's tape comes
+// from a taped advance or from a re-run of its forward just before the
+// backward, so an adjoint step costs 1+BackwardRatio forward units, and plain
+// backpropagation, one taped sweep, costs exactly l adjoint steps.
 //
 // BackwardRatio is the cost of one backward relative to one forward step.
 // Deep-learning practice and the AD literature both put this close to 2 (the
@@ -61,9 +61,7 @@ func (m CostModel) TraceTime(l int, tr *schedule.Trace) float64 {
 
 // Rho returns the recompute factor of a schedule that executes `advances`
 // forward steps for a chain of l steps: Time / BaselineTime, so every advance
-// is overhead and zero advances is exactly 1. A schedule that stores every
-// state still advances l-1 times before its adjoints retape them, so its rho
-// is above 1; only plain backpropagation, which tapes its one sweep, is 1.
+// is overhead and zero advances is exactly 1.
 func (m CostModel) Rho(l int, advances int64) float64 {
 	if l == 0 {
 		return 1

@@ -102,8 +102,9 @@ func TestForwardBudget(t *testing.T) {
 func rhoStar(l int) float64 { return DefaultCostModel.Rho(l, int64(l-1)) }
 
 func TestMinSlotsForRhoAtOne(t *testing.T) {
-	// rho = 1 is plain backpropagation's price, which no schedule meets: the
-	// search reports infeasible at the store-all footprint, l-1 slots.
+	// rho = 1 is plain backpropagation's price, which no Revolve schedule
+	// meets: the search reports infeasible at the store-all footprint, l-1
+	// slots.
 	res := MinSlotsForRho(50, 1, DefaultCostModel)
 	if res.Feasible || res.Slots != 49 {
 		t.Fatalf("rho=1: %+v, want infeasible at 49 slots", res)

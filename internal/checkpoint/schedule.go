@@ -144,26 +144,19 @@ func PlanRevolve(l, c int) (schedule.Schedule, error) {
 	return p.sched, nil
 }
 
-// PlanStoreAll builds the no-checkpointing baseline: one forward sweep that
-// stores every intermediate state, followed by the backward sweep. It uses
-// l-1 slots and performs l-1 forward steps.
+// PlanStoreAll builds the no-checkpointing baseline, plain backpropagation:
+// one taped forward sweep over the whole chain, then the backward sweep,
+// whose adjoints consume the tapes. It uses no slot and no untaped forward.
 func PlanStoreAll(l int) (schedule.Schedule, error) {
 	if err := ValidateArgs(l, 0); err != nil {
 		return schedule.Schedule{}, err
 	}
-	slots := max(l-1, 0)
-	p := newPlanner(l, slots, "store-all")
-	for st := 1; st <= l-1; st++ {
-		p.advanceTo(st)
-		p.snapshot(st)
+	p := newPlanner(l, 0, "store-all")
+	if l > 0 {
+		p.emit(schedule.Action{Kind: schedule.ActionAdvance, Steps: l, Taped: true})
 	}
-	for step := l; step >= 1; step-- {
-		p.backprop(step)
-		if step <= l-1 {
-			// State x_step was only needed for the adjoint of step+1, which
-			// has already run; release its slot.
-			p.free(step)
-		}
+	for range l {
+		p.emit(schedule.Action{Kind: schedule.ActionBackprop})
 	}
 	return p.sched, nil
 }

@@ -71,16 +71,15 @@ func TestPlanStoreAll(t *testing.T) {
 		}
 		tr := mustTrace(t, sched)
 		checkAdjointOrder(t, tr, l)
-		if tr.Forwards != int64(l-1) && l > 0 {
-			if !(l == 1 && tr.Forwards == 0) {
-				t.Fatalf("store-all for l=%d ran %d forwards, want %d", l, tr.Forwards, l-1)
-			}
+		if tr.Forwards != 0 {
+			t.Fatalf("store-all for l=%d ran %d untaped forwards, want 0", l, tr.Forwards)
 		}
-		if tr.MaxStepExecutions > 1 {
-			t.Fatalf("store-all must never recompute, but a step ran %d times", tr.MaxStepExecutions)
+		if tr.PeakTapes != l || sched.Slots != 0 || tr.PeakSlots != 0 {
+			t.Fatalf("store-all for l=%d: %d live tapes, %d slots (%d used), want %d tapes and no slot",
+				l, tr.PeakTapes, sched.Slots, tr.PeakSlots, l)
 		}
-		if tr.PeakSlots > l-1 && l > 1 {
-			t.Fatalf("store-all peak slots %d exceeds l-1=%d", tr.PeakSlots, l-1)
+		if tr.MaxStepExecutions != 1 {
+			t.Fatalf("store-all must run each step once, but a step ran %d times", tr.MaxStepExecutions)
 		}
 	}
 }

@@ -24,10 +24,9 @@ func (c countingLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // TestTrainerLeavesStoreToStep pins that the trainer hands a policy without a
 // Store to chain.Step as it is, so Step's one store rule decides. An "auto"
 // policy on the default budget resolves to store-all, and every micro-batch
-// is plain backpropagation: L stage forwards. A spill store handed to it
-// would route store-all through the recomputing executor, 2L-1 forwards. A
-// "twolevel" policy still spills, through Step's temporary tiered store, and
-// leaves no spill directory behind.
+// is plain backpropagation: L stage forwards. A "twolevel" policy still
+// spills, through Step's temporary tiered store, and leaves no spill
+// directory behind.
 func TestTrainerLeavesStoreToStep(t *testing.T) {
 	forwards := 0
 	c := linearOnlyChain(3)

@@ -83,10 +83,8 @@ func AutoSelect(spec ChainSpec, o Options) (AutoChoice, error) {
 		// With unknown state sizes this is the weights alone — a lower
 		// bound; the paths below refine it once act is known.
 		PeakRAMBytes: spec.WeightBytes,
-		// Step runs store-all as plain backpropagation: l taped forwards
-		// and no advance, the baseline itself.
-		Time: m.BaselineTime(l),
-		Rho:  1,
+		Time:         m.BaselineTime(l),
+		Rho:          1,
 	}
 	if l <= 1 {
 		// A trivial chain retains nothing beyond its input and output, but

@@ -156,8 +156,8 @@ func TestAutoPrefersTwoLevelWhenRAMStarved(t *testing.T) {
 
 // TestAutoPredictsWhatItRuns: the price auto ranks its pick by is the price
 // of what the executor runs, flash reads and writes included, and its flash
-// footprint is the one that schedule occupies. A store-all pick runs as
-// chain.Step runs it, through ExecutePlain: l taped forwards and no advance.
+// footprint is the one that schedule occupies. A store-all pick's schedule
+// is one taped sweep: l taped forwards and no advance, the baseline.
 // A twolevel pick must be strictly cheaper than Revolve at the same RAM
 // slots.
 func TestAutoPredictsWhatItRuns(t *testing.T) {
@@ -188,9 +188,6 @@ func TestAutoPredictsWhatItRuns(t *testing.T) {
 				t.Fatalf("L=%d, %d states: %v", l, states, err)
 			}
 			got := m.TraceTime(l, tr)
-			if choice.Strategy == "storeall" {
-				got = m.Time(l, 0)
-			}
 			if got != choice.Time || choice.Rho != choice.Time/m.BaselineTime(l) {
 				t.Fatalf("L=%d, %d states: %s predicted at %g (rho %g), its schedule %s runs at %g",
 					l, states, choice.Strategy, choice.Time, choice.Rho, sched.Policy, got)

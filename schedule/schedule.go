@@ -25,7 +25,8 @@ type ActionKind int
 // stored one, and Backprop performs the adjoint of the next pending step.
 const (
 	// ActionAdvance executes Steps forward steps from the current working
-	// state, moving it forward along the chain.
+	// state, moving it forward along the chain. A Taped advance keeps each
+	// step's tape live, so that step's Backprop runs no forward.
 	ActionAdvance ActionKind = iota
 	// ActionSnapshot copies the current working state into checkpoint slot
 	// Slot, which must be free.
@@ -36,7 +37,7 @@ const (
 	// ActionFree releases checkpoint slot Slot.
 	ActionFree
 	// ActionBackprop performs the adjoint of the next pending step, which
-	// requires the working state to hold that step's input.
+	// requires that step's live tape or the working state to hold its input.
 	ActionBackprop
 )
 
@@ -75,14 +76,18 @@ func (t Tier) String() string {
 type Action struct {
 	Kind  ActionKind
 	Steps int  // ActionAdvance: number of forward steps to execute
+	Taped bool // ActionAdvance: each step's forward writes its tape
 	Slot  int  // Snapshot/Restore/Free: slot index, or InputSlot for Restore
 	Tier  Tier // ActionSnapshot: storage tier the slot is written to
 }
 
-// String renders the action compactly, e.g. "advance(3)" or "snapshot[2]".
+// String renders the action compactly, e.g. "advance(21)+tape" or "snapshot[2]".
 func (a Action) String() string {
 	switch a.Kind {
 	case ActionAdvance:
+		if a.Taped {
+			return fmt.Sprintf("advance(%d)+tape", a.Steps)
+		}
 		return fmt.Sprintf("advance(%d)", a.Steps)
 	case ActionSnapshot:
 		if a.Tier != TierRAM {
@@ -153,10 +158,10 @@ func Render(s Schedule) string {
 
 // PeakBytes simulates a schedule against a heterogeneous chain whose state i
 // (the output of step i) occupies stateBytes[i] bytes, and returns the peak
-// number of bytes held in checkpoint slots plus the chain input
-// (stateBytes[0]). stateBytes must have Length+1 entries (states x_0..x_L).
-// The schedule is validated as by Run; the sizes ride on the Validator's own
-// slot tracking.
+// number of bytes held in checkpoint slots and live tapes (step i's tape
+// holding x_i) plus the chain input (stateBytes[0]). stateBytes must have
+// Length+1 entries (states x_0..x_L). The schedule is validated as by Run;
+// the sizes ride on the Validator's own slot and tape tracking.
 func PeakBytes(s Schedule, stateBytes []int64) (int64, error) {
 	if s.Length < 0 || len(stateBytes) != s.Length+1 {
 		return 0, fmt.Errorf("schedule: need %d state sizes, got %d", s.Length+1, len(stateBytes))
@@ -164,6 +169,7 @@ func PeakBytes(s Schedule, stateBytes []int64) (int64, error) {
 	v := NewValidator(s.Length, s.Slots)
 	held := stateBytes[0]
 	peak := held
+	var taped int64 // bytes of the live tapes
 	for _, a := range s.Actions {
 		if err := v.Apply(a); err != nil {
 			return 0, fmt.Errorf("schedule: %w", err)
@@ -171,11 +177,18 @@ func PeakBytes(s Schedule, stateBytes []int64) (int64, error) {
 		switch a.Kind {
 		case ActionSnapshot:
 			held += stateBytes[v.current]
-			peak = max(peak, held)
 		case ActionFree:
 			// A freed slot still names the state it held.
 			held -= stateBytes[v.slots[a.Slot].state]
+		case ActionAdvance, ActionBackprop:
+			taped = 0
+			for st, live := range v.tapes {
+				if live {
+					taped += stateBytes[st]
+				}
+			}
 		}
+		peak = max(peak, held+taped)
 	}
 	if _, err := v.Finish(); err != nil {
 		return 0, fmt.Errorf("schedule: %w", err)

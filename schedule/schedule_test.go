@@ -55,6 +55,10 @@ func TestRunRejectsInvalidSchedules(t *testing.T) {
 		{"too many backprops", 1, 0, []Action{{Kind: ActionBackprop}, {Kind: ActionBackprop}}},
 		{"incomplete", 2, 1, []Action{{Kind: ActionAdvance, Steps: 1}, {Kind: ActionBackprop}}},
 		{"unknown kind", 1, 0, []Action{{Kind: ActionKind(99)}}},
+		{"tape killed by an untaped advance", 2, 0, []Action{
+			{Kind: ActionAdvance, Steps: 1, Taped: true}, {Kind: ActionRestore, Slot: InputSlot},
+			{Kind: ActionAdvance, Steps: 1}, {Kind: ActionAdvance, Steps: 1, Taped: true},
+			{Kind: ActionBackprop}, {Kind: ActionBackprop}}},
 		{"negative length and budget", -3, -2, []Action{{Kind: ActionSnapshot, Slot: 0}}},
 		{"negative length, no actions", -3, 0, nil},
 	}
@@ -71,6 +75,9 @@ func TestActionStringsAndRender(t *testing.T) {
 	}
 	if got := (Action{Kind: ActionAdvance, Steps: 3}).String(); got != "advance(3)" {
 		t.Fatalf("advance rendered as %q", got)
+	}
+	if got := (Action{Kind: ActionAdvance, Steps: 21, Taped: true}).String(); got != "advance(21)+tape" {
+		t.Fatalf("taped advance rendered as %q", got)
 	}
 	mem := Schedule{Length: 5, Slots: 4, Policy: "store-all", Actions: storeAll5()}
 	r := Render(mem)
@@ -113,5 +120,14 @@ func TestPeakBytes(t *testing.T) {
 	}
 	if peakH != 104 {
 		t.Fatalf("hetero peak %d, want 104", peakH)
+	}
+	// Store-all as one taped sweep holds every state as a tape: the input
+	// plus x_1..x_5, each counted once.
+	taped := Schedule{Length: 5, Policy: "store-all", Actions: []Action{{Kind: ActionAdvance, Steps: 5, Taped: true}}}
+	for range 5 {
+		taped.Actions = append(taped.Actions, Action{Kind: ActionBackprop})
+	}
+	if peak, err := PeakBytes(taped, []int64{1, 2, 4, 8, 16, 32}); err != nil || peak != 63 {
+		t.Fatalf("taped store-all peak %d (%v), want 63", peak, err)
 	}
 }

@@ -5,8 +5,11 @@ import "fmt"
 // Trace is the result of simulating a schedule: cost and memory counters plus
 // the per-step order in which adjoints were performed.
 type Trace struct {
-	Forwards      int64 // forward-step executions by Advance actions
+	// Forwards counts the steps of untaped Advance actions: a taped forward
+	// is the one each adjoint step already prices.
+	Forwards      int64
 	PeakSlots     int   // maximum simultaneously occupied checkpoint slots
+	PeakTapes     int   // maximum simultaneously live step tapes
 	Restores      int   // number of Restore actions executed
 	Snapshots     int   // number of Snapshot actions executed
 	BackpropOrder []int // step indices in the order their adjoints ran
@@ -24,11 +27,11 @@ type Trace struct {
 
 // Validator simulates a schedule action by action, checking that the list is
 // a correct reversal of the chain: every adjoint step runs exactly once, in
-// order L..1, with its input state available, never exceeding the slot
-// budget. It is the only code that decides whether an action is legal: Run
-// and PeakBytes feed it a whole schedule, and the chain executor applies each
-// action to one before executing it, so what was checked and what ran are
-// the same list.
+// order L..1, with its tape live or its input state available, never
+// exceeding the slot budget. It is the only code that decides whether an
+// action is legal: Run and PeakBytes feed it a whole schedule, and the chain
+// executor applies each action to one before executing it, so what was
+// checked and what ran are the same list.
 type Validator struct {
 	length       int
 	slots        []validatorSlot
@@ -38,6 +41,7 @@ type Validator struct {
 	occupiedRAM  int
 	occupiedDisk int
 	stepRuns     []int
+	tapes        []bool // tapes[i]: step i's tape is live
 	index        int
 	trace        Trace
 }
@@ -58,6 +62,7 @@ func NewValidator(length, slots int) *Validator {
 		slots:    make([]validatorSlot, max(slots, 0)),
 		pending:  length,
 		stepRuns: make([]int, max(length, 0)+1),
+		tapes:    make([]bool, max(length, 0)+1),
 	}
 }
 
@@ -83,11 +88,23 @@ func (v *Validator) Apply(a Action) error {
 		if v.current+a.Steps > v.length {
 			return fmt.Errorf("action %d (%s): advance past end of chain (state %d + %d > %d)", i, a, v.current, a.Steps, v.length)
 		}
+		// An untaped advance overwrites whatever tape its steps held.
 		for st := v.current + 1; st <= v.current+a.Steps; st++ {
 			v.stepRuns[st]++
+			v.tapes[st] = a.Taped
 		}
 		v.current += a.Steps
-		v.trace.Forwards += int64(a.Steps)
+		if !a.Taped {
+			v.trace.Forwards += int64(a.Steps)
+			break
+		}
+		live := 0
+		for _, taped := range v.tapes {
+			if taped {
+				live++
+			}
+		}
+		v.trace.PeakTapes = max(v.trace.PeakTapes, live)
 	case ActionSnapshot:
 		if a.Slot < 0 || a.Slot >= len(v.slots) {
 			return fmt.Errorf("action %d (%s): slot out of range", i, a)
@@ -147,9 +164,10 @@ func (v *Validator) Apply(a Action) error {
 		if v.pending == 0 {
 			return fmt.Errorf("action %d (%s): all adjoint steps already performed", i, a)
 		}
-		if v.current != v.pending-1 {
-			return fmt.Errorf("action %d (%s): adjoint of step %d requires working state %d, have %d", i, a, v.pending, v.pending-1, v.current)
+		if !v.tapes[v.pending] && v.current != v.pending-1 {
+			return fmt.Errorf("action %d (%s): adjoint of step %d requires its tape or working state %d, have %d", i, a, v.pending, v.pending-1, v.current)
 		}
+		v.tapes[v.pending] = false
 		v.trace.BackpropOrder = append(v.trace.BackpropOrder, v.pending)
 		v.pending--
 	default:
