@@ -55,12 +55,12 @@ func TestScheduleGolden(t *testing.T) {
 		},
 	}
 	golden := map[string]string{
-		"auto/L=1":         "3c3575c4ec3b660919d9d34f1a41aebf6ef4db24d5ad3c97193fdeeb23d6819d",
-		"auto/L=2":         "58cc0d7f469a604212fc278b904c82353d22322f267878e0010f299b0270d559",
-		"auto/L=5":         "3b1930fcda08724395c98a565e2bf37f2230307e5e6bfdcba6f616ca862fbc59",
-		"auto/L=21":        "c3d6dcbb2a2633f6018ecbf0e0d6ddf06e956029518c53dbc3a4066d6b281c51",
-		"auto/L=50":        "9f02b19da2dc8fd2fadf744594937aa76f21c0aab643ce2e65656792947dc943",
-		"auto/L=152":       "d2d59d060d71a0df983cfdc4686e1e73b5ed3c1f8c2e5de9ae9e2696fbf45173",
+		"auto/L=1":         "bc20c1db1b5fa10eb6c580dba32603c0ef0c6fc94776bf94ae54ffa009452a32",
+		"auto/L=2":         "ba3e4a1176936e493841ac5bc51af7ca6361c8ee244ef0f35a6d46a2628a9c4e",
+		"auto/L=5":         "de44bee505657b0709f5961bcdbd907e6264419559fd7b901f4c018c1e3f2c0b",
+		"auto/L=21":        "948922c21f5a1dd791ed920999c77a13ef9f6ee5f217610a24829e15a2ddb3e8",
+		"auto/L=50":        "ee0bca299a7ae353f776df5ee3b855cb011ebb76abf044c7a04c4f63744eb014",
+		"auto/L=152":       "21292929f9c12d273cdd100f74675124e648cdc85ca0cf0229fca884f382e4d8",
 		"revolve/L=1":      "161486456bbc56d9d5c03dc63800a2f8b6f026838073d4b5b34c1622fc4a46bf",
 		"revolve/L=2":      "2ba89e95eb38ef306dd78fcab97d58a481d105244519dd236c6072777c2a0e5e",
 		"revolve/L=5":      "c36847a3bf8dfbddbf9099a7db3ecb82441c83107cd7e2cfc93abbf9fc85fa1b",
@@ -73,12 +73,12 @@ func TestScheduleGolden(t *testing.T) {
 		"sequential/L=21":  "7bbc45864c4a684fab26c202bb9bd19817a6c415643df4285f1afe7767f39222",
 		"sequential/L=50":  "c7be3bd593142ca4170a897adaac065bcc9bb8386b9f4e52eb927b6ba4a74f93",
 		"sequential/L=152": "68a8219c5aafa90e5336a4152550e98f425b8d0218c8ab9344eb7dbb7b65c5e7",
-		"storeall/L=1":     "c52bfa04070f25b4bc979a81bbbefc120a5dc597bc5c5885fce7fc3c5870dee3",
-		"storeall/L=2":     "532cef5e33c2e23351fbbbf50b7a945b7e260019f3dd114fe3cbc639cd45dba0",
-		"storeall/L=5":     "f35247fbef9a140219003ffccb339bc4529c3b7cc8d129cfaf7013b07c8b725c",
-		"storeall/L=21":    "03b3b84f748d6dd10a6d79c1bd87079d86d5181a98aff25280374d48b20be5f4",
-		"storeall/L=50":    "2e6354d746c5f7963489cce9398b886f88bd991df57e0bd2dce17c6c21032341",
-		"storeall/L=152":   "71f244d79ac47f87ee68702f8f49afac7786cfd10ad180a347d1df9127b4b283",
+		"storeall/L=1":     "cd556e1e5688d0d3b1b966e5d6ce68c9d288556eb5c1f42b27b6f9e4d66fc415",
+		"storeall/L=2":     "6f806f22d7e44dbc43178b77519e1ecab9eb3de83afeb43ea9c1c66d749929b6",
+		"storeall/L=5":     "937581711040569b63d2a072a4eb8b973f3f9fbfb105fa147f900a0dad315ff1",
+		"storeall/L=21":    "8a1d5e4bc84cf84019b3b98f602b2888e020100acd02641a2bb4cff6f276dcc1",
+		"storeall/L=50":    "2b5d9acd1ac6711dee4ca84ec22557d81ea75a9a5bd63460450a20952ca05027",
+		"storeall/L=152":   "a0565158ff6a9c1176c72ab87b72a14045d4b42c2920ec4b3e41d3a222a866e7",
 		"twolevel/L=1":     "71554f493ee19fb582682e50e25754568b5396659d193b452e2b67994b82154e",
 		"twolevel/L=2":     "c846caade90e293f4b2dd1ad314b6dae7d8762fe674f7b40cac5e89ba99e77c6",
 		"twolevel/L=5":     "a19581113734ccd532170b27c7dad03ac6975bc0d1735e4391d663b2c45c0cdb",
