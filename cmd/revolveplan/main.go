@@ -145,10 +145,7 @@ func main() {
 		fmt.Printf("%s schedule for l=%d with %d slots:\n", sched.Policy, *l, sched.Slots)
 		fmt.Printf("  forward executions: %d (revolve optimum for %d slots: %d)\n",
 			tr.Forwards, held, checkpoint.MinForwards(*l, held))
-		fmt.Printf("  peak slots used:    %d\n", tr.PeakSlots)
-		if tr.PeakTapes > 0 {
-			fmt.Printf("  peak live tapes:    %d\n", tr.PeakTapes)
-		}
+		fmt.Printf("  peak states:        %d (the input, RAM slots, live tapes and working state)\n", tr.PeakStates)
 		if tr.PeakDiskSlots > 0 {
 			fmt.Printf("  tier breakdown:     peak %d RAM + %d flash slots, %d flash writes, %d flash reads\n",
 				tr.PeakRAMSlots, tr.PeakDiskSlots, tr.DiskWrites, tr.DiskReads)
@@ -160,9 +157,14 @@ func main() {
 			factor = cost.TraceTime(*l, tr) / cost.BaselineTime(*l)
 		}
 		fmt.Printf("  recompute factor:   %.3f\n", factor)
-		seq := checkpoint.SequentialMemorySlots(*l, held+1)
-		fmt.Printf("  checkpoint_sequential with %d segments would retain %d activations (vs %d here)\n",
-			held+1, seq, held+1)
+		if segs := min(held+1, *l); segs > 0 {
+			_, seq, err := plan.Validate("sequential", plan.ChainSpec{Length: *l}, plan.Options{Segments: segs})
+			if err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("  checkpoint_sequential with %d segments would hold %d states (vs %d here)\n",
+				segs, seq.PeakStates, tr.PeakStates)
+		}
 		if *print {
 			fmt.Println()
 			fmt.Print(schedule.Render(sched))

@@ -64,6 +64,7 @@ func TestCommandSmoke(t *testing.T) {
 			"-l", "21", "-strategy", "auto", "-budget", "1GB", "-state-bytes", "1KB",
 		}, "auto: storeall, peak 22 states / 0.0 MB RAM, rho=1.000"},
 		{"revolveplan-storeall", []string{"-l", "21", "-strategy", "storeall"}, "recompute factor:   1.000"},
+		{"revolveplan-storeall-segments", []string{"-l", "21", "-strategy", "storeall"}, "checkpoint_sequential with 21 segments"},
 		{"revolveplan-sweep-elided", []string{"-l", "152", "-sweep"}, "optimal checkpointing"},
 		{"revolveplan-sequential-elided", []string{"-l", "40", "-sequential"}, "best segment count"},
 		{"edgetrainer-auto-spill", []string{
@@ -106,6 +107,14 @@ func TestCommandSmoke(t *testing.T) {
 		"figure1-fit": func(out string) error {
 			if !regexp.MustCompile(`(?m)^1d +ResNet152 +false +1\.55 +1\.88 +7$`).MatchString(out) {
 				return fmt.Errorf("no 1d ResNet152 row at paper rho 1.55, engine rho 1.88, 7 slots")
+			}
+			return nil
+		},
+		// Store-all's 21 live tapes compare with one segment per step, not
+		// with more segments than the chain has steps.
+		"revolveplan-storeall-segments": func(out string) error {
+			if strings.Contains(out, "22 segments") {
+				return fmt.Errorf("compares a 21-step chain with 22 segments")
 			}
 			return nil
 		},

@@ -111,8 +111,12 @@ func TestEndToEndCheckpointedTrainingOnWaggleBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats[0].PeakStates > res.Slots+1 {
-		t.Fatalf("measured peak states %d exceed the planned budget of %d slots plus the input", stats[0].PeakStates, res.Slots)
+	_, planned, err := plan.Validate("revolve", plan.ChainSpec{Length: c.Len()}, plan.Options{Slots: res.Slots})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats[0].PeakStates != planned.PeakStates {
+		t.Fatalf("measured peak states %d, the plan for %d slots holds %d", stats[0].PeakStates, res.Slots, planned.PeakStates)
 	}
 	if stats[0].Steps == 0 {
 		t.Fatal("training performed no steps")
@@ -212,7 +216,7 @@ func TestRootAPIExecutesRegistrySchedule(t *testing.T) {
 	if int64(res.ForwardEvals) != tr.Forwards {
 		t.Fatalf("executor ran %d forwards, trace says %d", res.ForwardEvals, tr.Forwards)
 	}
-	if res.PeakStates > tr.PeakSlots+1 {
-		t.Fatalf("executor retained %d states, trace allows %d plus the input", res.PeakStates, tr.PeakSlots)
+	if res.PeakStates != tr.PeakStates {
+		t.Fatalf("executor retained %d states, trace says %d", res.PeakStates, tr.PeakStates)
 	}
 }

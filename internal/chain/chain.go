@@ -5,8 +5,10 @@
 // too (one taped advance, then the backward sweep), re-runs stage forwards
 // exactly where the schedule says to, retains only the states the schedule
 // snapshots or tapes, and produces gradients identical to plain
-// backpropagation. It holds no legality rules of its own: every action is
-// applied to a schedule.Validator before it is executed.
+// backpropagation. It holds no legality or memory rules of its own: every
+// action is checked against a schedule.Validator before it is executed and
+// applied to it after, and that Validator counts the states the step held
+// (schedule.Trace.PeakStates).
 //
 // The recompute sweeps run on the parallel kernel engine in internal/tensor:
 // every stage forward re-executed by an Advance action goes through the same
@@ -100,15 +102,12 @@ type Usage struct {
 	ForwardEvals  int
 	BackwardEvals int
 
-	// PeakStates is the maximum number of simultaneously retained states
-	// (checkpoints and live tapes plus the chain input).
-	PeakStates int
-	// PeakStateBytes is the measured peak RAM footprint of the execution's
-	// states: the chain input, the RAM-resident checkpoints, the live tapes,
-	// and the live working state when it is not one of those (the largest
-	// transient).
-	// States a tiered store spilled to disk do not count here, and neither
-	// do weights, gradients or optimiser state.
+	// PeakStates and PeakStateBytes are the peak of the states the
+	// execution held in RAM, counted by schedule.Trace.PeakStates' rule
+	// from the sizes of the tensors it held and the snapshots its store
+	// kept resident. States a store spilled to disk do not count, and
+	// neither do weights, gradients or optimiser state.
+	PeakStates     int
 	PeakStateBytes int64
 
 	// PeakDiskBytes is the high-water mark of checkpoint bytes an execution
@@ -151,16 +150,17 @@ func Execute(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched schedule.S
 // ExecuteWithStore runs one training step like Execute, but routes the
 // schedule's Snapshot/Restore/Free actions through the given checkpoint
 // store. With a tiered store, the disk-tier snapshots of a two-level plan
-// are serialized to flash and the reported PeakStateBytes counts only what
-// stayed resident in RAM; PeakDiskBytes and the I/O counters account for the
+// are serialized to flash and the reported peak counts only what stayed
+// resident in RAM; PeakDiskBytes and the I/O counters account for the
 // spilled tier. The store is left empty on success (a valid schedule frees
 // every slot) and is not closed, so one store can serve a whole training run
 // while its Stats accumulate.
 //
-// Every action is applied to a schedule.Validator before it is executed, so
-// the executor runs exactly the list schedule.Run accepts: an illegal action
-// is refused before it touches a layer or the store, and the slots occupied
-// so far are released.
+// Every action is checked against a schedule.Validator before it is
+// executed and applied to it after, so the executor runs exactly the list
+// schedule.Run accepts and its peak is the Validator's count: an illegal
+// action is refused before it touches a layer or the store, and the slots
+// occupied so far are released.
 func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched schedule.Schedule, st store.Store, train bool) (*Result, error) {
 	if lossGrad == nil {
 		return nil, ErrNoLossGrad
@@ -185,15 +185,17 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 	}
 
 	// The validator tracks the working state's index, each slot's state,
-	// the live tapes and the pending adjoint; the tensors live in the store
-	// and in tapes (tapes[i]: step i's output, whose backward its layer has
+	// the live tapes and the pending adjoint, and counts their bytes from
+	// size, filled as each state appears; the tensors live in the store and
+	// in tapes (tapes[i]: step i's output, whose backward its layer has
 	// cached), and the executor only remembers which slots it put there.
-	v := schedule.NewValidator(l, sched.Slots)
+	size := make([]int64, l+1)
+	size[0] = x.Bytes()
+	v := schedule.NewValidator(l, sched.Slots, size)
 	current := x
 	held := map[int]bool{}
 	tapes := make([]*tensor.Tensor, l+1)
-	startRAM := st.BytesResident() // pre-existing residency of a reused store
-	startStats := st.Stats()       // accounting baseline, so a reused store reports per-step deltas
+	startStats := st.Stats() // accounting baseline, so a reused store reports per-step deltas
 
 	// fail releases every slot this execution occupied before returning the
 	// error, so a reused store is not left poisoned ("slot already
@@ -204,26 +206,6 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 		}
 		return nil, err
 	}
-
-	// trackPeak measures the states retained right now: the chain input,
-	// the store's RAM-resident checkpoints, the live tapes, and the working
-	// state x_i unless it aliases one of those (the RAM store keeps
-	// references, and a taped sweep's working state is its newest tape).
-	trackPeak := func(i int) {
-		bytes, states := x.Bytes()+st.BytesResident()-startRAM, 1+len(held)
-		for _, t := range tapes {
-			if t != nil {
-				bytes += t.Bytes()
-				states++
-			}
-		}
-		if current != x && !st.Holds(current) && current != tapes[i] {
-			bytes += current.Bytes()
-		}
-		res.PeakStateBytes = max(res.PeakStateBytes, bytes)
-		res.PeakStates = max(res.PeakStates, states)
-	}
-	trackPeak(0)
 
 	var upstream *tensor.Tensor // gradient flowing into the pending stage
 
@@ -242,7 +224,7 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 	}
 
 	for i, a := range sched.Actions {
-		if err := v.Apply(a); err != nil {
+		if err := v.Check(a); err != nil {
 			return fail(fmt.Errorf("chain: %w", err))
 		}
 		switch a.Kind {
@@ -251,29 +233,35 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 			if om.on {
 				t0 = time.Now()
 			}
-			for stage := v.State() - a.Steps + 1; stage <= v.State(); stage++ {
+			for stage := v.State() + 1; stage <= v.State()+a.Steps; stage++ {
 				current = runForward(stage, current)
+				size[stage] = current.Bytes()
 				res.ForwardEvals++
 				tapes[stage] = nil
 				if a.Taped {
 					tapes[stage] = current
 				}
-				trackPeak(stage)
 			}
 			if om.on {
 				fwdDur += time.Since(t0)
 			}
 		case schedule.ActionSnapshot:
+			resident := st.BytesResident()
 			if err := st.Put(a.Slot, a.Tier, current); err != nil {
 				return fail(fmt.Errorf("chain: action %d (%s): %w", i, a, err))
 			}
 			held[a.Slot] = true
+			// The snapshot counts as in RAM exactly when the store kept it
+			// there: the RAM store keeps every tier, the disk store none.
+			a.Tier = schedule.TierDisk
+			if st.BytesResident() > resident {
+				a.Tier = schedule.TierRAM
+			}
 			// Disk residency only grows on Put, so sampling here captures
 			// this step's flash peak even on a reused store.
 			if d := st.Stats().DiskBytes - startStats.DiskBytes; d > res.PeakDiskBytes {
 				res.PeakDiskBytes = d
 			}
-			trackPeak(v.State())
 		case schedule.ActionRestore:
 			if a.Slot == schedule.InputSlot {
 				current = x
@@ -283,7 +271,6 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 					return fail(fmt.Errorf("chain: action %d (%s): %w", i, a, err))
 				}
 				current = t
-				trackPeak(v.State())
 			}
 		case schedule.ActionFree:
 			if err := st.Free(a.Slot); err != nil {
@@ -298,7 +285,7 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 			if om.on {
 				t0 = time.Now()
 			}
-			stage := v.Pending() + 1
+			stage := v.Pending()
 			out := tapes[stage]
 			tapes[stage] = nil
 			if out == nil {
@@ -317,10 +304,15 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 				bwdDur += time.Since(t0)
 			}
 		}
+		if err := v.Apply(a); err != nil {
+			return fail(fmt.Errorf("chain: %w", err))
+		}
 	}
-	if _, err := v.Finish(); err != nil {
+	tr, err := v.Finish()
+	if err != nil {
 		return fail(fmt.Errorf("chain: %w", err))
 	}
+	res.PeakStates, res.PeakStateBytes = tr.PeakStates, tr.PeakStateBytes
 	res.InputGrad = upstream
 	stats := st.Stats()
 	res.DiskWrites = stats.DiskWrites - startStats.DiskWrites

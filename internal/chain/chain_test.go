@@ -193,8 +193,8 @@ func TestExecuteForwardCountMatchesScheduleTrace(t *testing.T) {
 	if res.BackwardEvals != c.Len() {
 		t.Fatalf("executor ran %d adjoints, want %d", res.BackwardEvals, c.Len())
 	}
-	if res.PeakStates > tr.PeakSlots+1 {
-		t.Fatalf("executor retained %d states, schedule says at most %d+input", res.PeakStates, tr.PeakSlots)
+	if res.PeakStates != tr.PeakStates {
+		t.Fatalf("executor retained %d states, schedule trace says %d", res.PeakStates, tr.PeakStates)
 	}
 }
 

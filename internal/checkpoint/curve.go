@@ -2,16 +2,20 @@ package checkpoint
 
 // ChainSpec is the homogeneous-chain ("LinearResNet") memory description used
 // by Section VI: a chain of Length equal steps, a fixed weight-related memory
-// cost, and one activation buffer of ActivationBytes per stored state.
+// cost, and one activation buffer of ActivationBytes per stored state. It is
+// also what a schedule is planned for (plan.ChainSpec is this type), where
+// the memory fields are optional context and may be left zero.
 type ChainSpec struct {
-	Name            string
-	Length          int   // number of homogeneous steps (the network depth)
-	WeightBytes     int64 // memory for weights, gradients and optimiser state
-	ActivationBytes int64 // memory of one stored inter-stage state (per batch)
+	Name            string // optional label, e.g. "resnet50-b8-i500"
+	Length          int    // number of homogeneous steps (the network depth)
+	WeightBytes     int64  // memory for weights, gradients and optimiser state
+	ActivationBytes int64  // memory of one stored inter-stage state (per batch)
 }
 
 // MemoryWithSlots returns the peak training memory when c checkpoint slots
-// are used: weights plus the chain input plus c stored states.
+// are used, in the paper's convention (Section V, Figure 1): weights plus the
+// chain input plus c stored states. The engine also holds the working state
+// beside them; schedule.Trace.PeakStates is its count for a given schedule.
 func (cs ChainSpec) MemoryWithSlots(c int) int64 {
 	if c < 0 {
 		c = 0
@@ -93,13 +97,9 @@ func SequentialMemoryVsRho(cs ChainSpec, rhos []float64, m CostModel) []CurvePoi
 	points := make([]CurvePoint, 0, len(rhos))
 	for _, rho := range rhos {
 		slots, _, ok := MinSequentialSlotsForRho(cs.Length, rho, m)
-		var mem int64
+		mem := cs.MemoryNoCheckpoint()
 		if ok {
-			// SequentialMemorySlots already includes the stored final segment;
-			// add the input buffer to match MemoryWithSlots conventions.
-			mem = cs.WeightBytes + int64(slots+1)*cs.ActivationBytes
-		} else {
-			mem = cs.MemoryNoCheckpoint()
+			mem = cs.MemoryWithSlots(slots)
 		}
 		points = append(points, CurvePoint{Rho: rho, Slots: slots, MemoryBytes: mem, Feasible: ok})
 	}

@@ -128,9 +128,10 @@ func TestPeakBytesForSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := mustTrace(t, sched)
-	// Uniform sizes: peak bytes = (peak slots + input) * 100.
-	if peak != int64(tr.PeakSlots+1)*100 {
-		t.Fatalf("uniform peak %d, want %d", peak, int64(tr.PeakSlots+1)*100)
+	// Uniform sizes: peak bytes = (peak slots + input + working state) * 100,
+	// which is the trace's peak states.
+	if peak != int64(tr.PeakSlots+2)*100 || peak != int64(tr.PeakStates)*100 {
+		t.Fatalf("uniform peak %d, want %d (%d peak states)", peak, int64(tr.PeakSlots+2)*100, tr.PeakStates)
 	}
 
 	// Heterogeneous: early activations are large (high-resolution feature

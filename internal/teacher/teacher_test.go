@@ -6,6 +6,7 @@ import (
 	"github.com/edgeml/edgetrain/internal/chain"
 	"github.com/edgeml/edgetrain/internal/tensor"
 	"github.com/edgeml/edgetrain/internal/vision"
+	"github.com/edgeml/edgetrain/plan"
 )
 
 func TestNewClassifierShapes(t *testing.T) {
@@ -82,9 +83,15 @@ func TestPipelineWithCheckpointing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The classifier chain has 10 stages; the plain executor would retain 11
-	// states, Revolve with 3 slots at most 4 plus the input.
-	if res.PeakStates == 0 || res.PeakStates > 5 {
-		t.Errorf("checkpointed student training retained %d states, expected at most 5", res.PeakStates)
+	// states, Revolve with 3 slots what its trace counts: the input, the
+	// slots and the working state.
+	l := len(NewClassifier("student", cfg.ImageSize, cfg.NumClasses, cfg.Seed).Layers)
+	_, tr, err := plan.Validate("revolve", plan.ChainSpec{Length: l}, plan.Options{Slots: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PeakStates != tr.PeakStates || tr.PeakStates != 5 {
+		t.Errorf("checkpointed student training retained %d states, the trace counts %d, want 5", res.PeakStates, tr.PeakStates)
 	}
 }
 

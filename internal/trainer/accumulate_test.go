@@ -7,6 +7,7 @@ import (
 	"github.com/edgeml/edgetrain/internal/chain"
 	"github.com/edgeml/edgetrain/internal/nn"
 	"github.com/edgeml/edgetrain/internal/tensor"
+	"github.com/edgeml/edgetrain/plan"
 )
 
 // linearOnlyChain avoids batch norm so that micro-batching is mathematically
@@ -89,9 +90,14 @@ func TestAccumulateComposesWithCheckpointing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Chain has 3 stages; Revolve with one slot retains at most 2 states.
-	if res.PeakStates > 2 {
-		t.Fatalf("checkpointed accumulation retained %d states", res.PeakStates)
+	// Chain has 3 stages; Revolve with one slot holds the input, the slot
+	// and the working state: what its trace counts.
+	_, tr, err := plan.Validate("revolve", plan.ChainSpec{Length: c.Len()}, plan.Options{Slots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PeakStates != tr.PeakStates || tr.PeakStates != 3 {
+		t.Fatalf("checkpointed accumulation retained %d states, the trace counts %d, want 3", res.PeakStates, tr.PeakStates)
 	}
 }
 

@@ -19,9 +19,8 @@ import (
 //
 // The budget covers the resident training state under the homogeneous-chain
 // model: ChainSpec.WeightBytes plus one ChainSpec.ActivationBytes for every
-// simultaneously retained state — the chain input, the RAM-tier checkpoints,
-// and the live working state the executor carries between them. Disk-tier
-// checkpoints of a two-level plan cost flash I/O time instead of RAM.
+// state schedule.Trace.PeakStates counts. Disk-tier checkpoints of a
+// two-level plan cost flash I/O time instead of RAM.
 
 // AutoChoice reports which strategy the "auto" planner selected and the
 // predicted footprint and cost of the selection.
@@ -37,8 +36,9 @@ type AutoChoice struct {
 	// Budget is the byte budget the selection was made against (after
 	// defaulting).
 	Budget int64
-	// PeakRAMStates and PeakRAMBytes are the predicted resident peak:
-	// retained states including the chain input and the working state.
+	// PeakRAMStates and PeakRAMBytes are the predicted resident peak: the
+	// Trace.PeakStates of the selected schedule, and the weights plus that
+	// many states — what chain.ExecuteWithStore reports running it.
 	PeakRAMStates int
 	PeakRAMBytes  int64
 	// DiskBytes is the predicted flash-tier footprint ("twolevel" only).
@@ -64,11 +64,18 @@ func (c AutoChoice) String() string {
 	}
 }
 
-// AutoSelect runs the "auto" strategy's selection without building the
-// schedule: it returns which strategy fits the memory budget at the lowest
-// predicted time to solution. The budget defaults to the 2 GB Waggle-node
-// capacity (memmodel.EdgeDeviceMemoryBytes) when Options.MemoryBudget is zero.
+// AutoSelect runs the "auto" strategy's selection: it returns which strategy
+// fits the memory budget at the lowest predicted time to solution. The
+// budget defaults to the 2 GB Waggle-node capacity
+// (memmodel.EdgeDeviceMemoryBytes) when Options.MemoryBudget is zero.
 func AutoSelect(spec ChainSpec, o Options) (AutoChoice, error) {
+	choice, _, err := autoSelect(spec, o)
+	return choice, err
+}
+
+// autoSelect makes AutoSelect's choice and returns it with the schedule it
+// runs, whose trace is the choice's resident forecast.
+func autoSelect(spec ChainSpec, o Options) (AutoChoice, schedule.Schedule, error) {
 	l := spec.Length
 	m := checkpoint.DefaultCostModel
 	budget := o.MemoryBudget
@@ -76,63 +83,57 @@ func AutoSelect(spec ChainSpec, o Options) (AutoChoice, error) {
 		budget = memmodel.EdgeDeviceMemoryBytes
 	}
 	act := spec.ActivationBytes
-	baseline := AutoChoice{
-		Strategy:      "storeall",
-		Budget:        budget,
-		PeakRAMStates: l + 1,
-		// With unknown state sizes this is the weights alone — a lower
-		// bound; the paths below refine it once act is known.
-		PeakRAMBytes: spec.WeightBytes,
-		Time:         m.BaselineTime(l),
-		Rho:          1,
-	}
-	if l <= 1 {
-		// A trivial chain retains nothing beyond its input and output, but
-		// the fitting contract still holds: if even that exceeds the budget
-		// there is nothing checkpointing can do.
-		baseline.PeakRAMBytes = spec.WeightBytes + int64(l+1)*act
-		if baseline.PeakRAMBytes > budget {
-			return AutoChoice{}, fmt.Errorf(
-				"plan: auto: no strategy fits budget %d bytes (a length-%d chain needs %d resident)",
-				budget, l, baseline.PeakRAMBytes)
+	forecast := func(c AutoChoice, s schedule.Schedule) (AutoChoice, schedule.Schedule, error) {
+		tr, err := schedule.Run(s)
+		if err != nil {
+			return AutoChoice{}, schedule.Schedule{}, fmt.Errorf("plan: auto: %s: %w", s.Policy, err)
 		}
-		return baseline, nil
+		c.PeakRAMStates = tr.PeakStates
+		c.PeakRAMBytes = spec.WeightBytes + int64(tr.PeakStates)*act
+		return c, s, nil
 	}
-	if act <= 0 {
-		// Without per-state sizes the budget cannot constrain anything; fall
-		// back to the no-recompute plan rather than guessing.
-		if o.MemoryBudget > 0 {
-			return AutoChoice{}, fmt.Errorf("plan: auto needs ChainSpec.ActivationBytes to enforce a memory budget")
-		}
-		return baseline, nil
+	storeAll, err := checkpoint.PlanStoreAll(l)
+	if err != nil {
+		return AutoChoice{}, schedule.Schedule{}, err
 	}
-
-	// How many states fit alongside the weights?
-	maxStates := (budget - spec.WeightBytes) / act
-	ramBytes := func(states int) int64 { return spec.WeightBytes + int64(states)*act }
-
 	// Store-all does no advance and no flash I/O, the least any schedule
-	// does: when it fits, nothing else can win.
-	baseline.PeakRAMBytes = ramBytes(baseline.PeakRAMStates)
-	if baseline.PeakRAMBytes <= budget {
-		return baseline, nil
+	// does: when it fits, nothing else can win. With unknown state sizes its
+	// forecast is the weights alone — a lower bound.
+	baseline, storeAll, err := forecast(AutoChoice{Strategy: "storeall", Budget: budget, Time: m.BaselineTime(l), Rho: 1}, storeAll)
+	switch {
+	case err != nil:
+		return AutoChoice{}, schedule.Schedule{}, err
+	case l <= 1 && baseline.PeakRAMBytes > budget:
+		// A trivial chain retains nothing beyond its input and output:
+		// checkpointing cannot help.
+		return AutoChoice{}, schedule.Schedule{}, fmt.Errorf(
+			"plan: auto: no strategy fits budget %d bytes (a length-%d chain needs %d resident)",
+			budget, l, baseline.PeakRAMBytes)
+	case l > 1 && act <= 0 && o.MemoryBudget > 0:
+		// Without per-state sizes a budget cannot constrain anything.
+		return AutoChoice{}, schedule.Schedule{}, fmt.Errorf("plan: auto needs ChainSpec.ActivationBytes to enforce a memory budget")
+	case l <= 1 || act <= 0 || baseline.PeakRAMBytes <= budget:
+		return baseline, storeAll, nil
 	}
 
 	// Revolve and the two-level scheme keep the chain input, the working
-	// state and their RAM checkpoints resident: slots + 2 states.
-	slots := int(maxStates) - 2
+	// state and their RAM checkpoints resident: slots + 2 states fit
+	// alongside the weights.
+	slots := int((budget-spec.WeightBytes)/act) - 2
 	if slots < 1 {
-		return AutoChoice{}, fmt.Errorf(
+		return AutoChoice{}, schedule.Schedule{}, fmt.Errorf(
 			"plan: auto: no strategy fits budget %d bytes (minimal-Revolve needs %d: weights %d + 3 states of %d)",
-			budget, ramBytes(3), spec.WeightBytes, act)
+			budget, spec.WeightBytes+3*act, spec.WeightBytes, act)
 	}
 	best := AutoChoice{
-		Strategy:      "revolve",
-		Slots:         slots,
-		Budget:        budget,
-		PeakRAMStates: slots + 2,
-		PeakRAMBytes:  ramBytes(slots + 2),
-		Time:          m.Time(l, checkpoint.MinForwards(l, slots)),
+		Strategy: "revolve",
+		Slots:    slots,
+		Budget:   budget,
+		Time:     m.Time(l, checkpoint.MinForwards(l, slots)),
+	}
+	picked, err := checkpoint.PlanRevolve(l, slots)
+	if err != nil {
+		return AutoChoice{}, schedule.Schedule{}, err
 	}
 	// Two-level: the same RAM residency, with d evenly spaced flash
 	// checkpoints buying recompute back at I/O cost. Each count is priced
@@ -141,40 +142,27 @@ func AutoSelect(spec ChainSpec, o Options) (AutoChoice, error) {
 	for d := 1; d < l; d++ {
 		s, err := checkpoint.PlanTwoLevel(l, d, slots)
 		if err != nil {
-			return AutoChoice{}, err
+			return AutoChoice{}, schedule.Schedule{}, err
 		}
 		tr, err := schedule.Run(s)
 		if err != nil {
-			return AutoChoice{}, fmt.Errorf("plan: auto: twolevel(%d) with %d RAM slots: %w", d, slots, err)
+			return AutoChoice{}, schedule.Schedule{}, fmt.Errorf("plan: auto: twolevel(%d) with %d RAM slots: %w", d, slots, err)
 		}
 		if t := m.TraceTime(l, tr); t < best.Time {
 			best.Strategy, best.DiskSlots, best.Time = "twolevel", d, t
 			best.DiskBytes = int64(tr.PeakDiskSlots) * act
+			picked = s
 		}
 	}
 	best.Rho = best.Time / m.BaselineTime(l)
-	return best, nil
+	return forecast(best, picked)
 }
 
 // planAuto builds the selected strategy's schedule and prefixes its policy
 // label so executions report which one "auto" selected, e.g.
 // "auto:twolevel(4)".
 func planAuto(spec ChainSpec, o Options) (schedule.Schedule, error) {
-	choice, err := AutoSelect(spec, o)
-	if err != nil {
-		return schedule.Schedule{}, err
-	}
-	var s schedule.Schedule
-	switch choice.Strategy {
-	case "storeall":
-		s, err = checkpoint.PlanStoreAll(spec.Length)
-	case "revolve":
-		s, err = checkpoint.PlanRevolve(spec.Length, choice.Slots)
-	case "twolevel":
-		s, err = checkpoint.PlanTwoLevel(spec.Length, choice.DiskSlots, choice.Slots)
-	default:
-		err = fmt.Errorf("plan: auto selected unknown strategy %q", choice.Strategy)
-	}
+	_, s, err := autoSelect(spec, o)
 	if err != nil {
 		return schedule.Schedule{}, err
 	}

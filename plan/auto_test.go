@@ -156,7 +156,8 @@ func TestAutoPrefersTwoLevelWhenRAMStarved(t *testing.T) {
 
 // TestAutoPredictsWhatItRuns: the price auto ranks its pick by is the price
 // of what the executor runs, flash reads and writes included, and its flash
-// footprint is the one that schedule occupies. A store-all pick's schedule
+// and RAM footprints are the ones that schedule's trace counts. A store-all
+// pick's schedule
 // is one taped sweep: l taped forwards and no advance, the baseline.
 // A twolevel pick must be strictly cheaper than Revolve at the same RAM
 // slots.
@@ -176,6 +177,10 @@ func TestAutoPredictsWhatItRuns(t *testing.T) {
 		if l == 152 {
 			budgets = []int{3, 5, 8, l + 1}
 		}
+		uniform := make([]int64, l+1)
+		for i := range uniform {
+			uniform[i] = act
+		}
 		for _, states := range budgets {
 			spec := plan.ChainSpec{Length: l, WeightBytes: weights, ActivationBytes: act}
 			o := plan.Options{MemoryBudget: weights + int64(states)*act}
@@ -194,6 +199,14 @@ func TestAutoPredictsWhatItRuns(t *testing.T) {
 			}
 			if want := int64(tr.PeakDiskSlots) * act; choice.DiskBytes != want {
 				t.Fatalf("L=%d, %d states: predicted %d flash bytes, the schedule occupies %d", l, states, choice.DiskBytes, want)
+			}
+			peak, err := schedule.PeakBytes(sched, uniform)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if choice.PeakRAMStates != tr.PeakStates || choice.PeakRAMBytes != weights+peak {
+				t.Fatalf("L=%d, %d states: predicted %d states / %d bytes resident, the schedule holds %d / %d",
+					l, states, choice.PeakRAMStates, choice.PeakRAMBytes, tr.PeakStates, weights+peak)
 			}
 			if choice.Strategy != "twolevel" {
 				continue

@@ -15,22 +15,16 @@ package plan
 import (
 	"fmt"
 
+	"github.com/edgeml/edgetrain/internal/checkpoint"
 	"github.com/edgeml/edgetrain/schedule"
 )
 
 // ChainSpec describes the chain a schedule is planned for. Length is the
 // number of steps; the memory fields are optional context some strategies or
-// callers use for capacity reasoning and may be left zero.
-type ChainSpec struct {
-	// Name is an optional label for the chain (e.g. "resnet50-b8-i500").
-	Name string
-	// Length is the number of chain steps L (the network depth).
-	Length int
-	// WeightBytes is the memory for weights, gradients and optimiser state.
-	WeightBytes int64
-	// ActivationBytes is the memory of one stored inter-stage state.
-	ActivationBytes int64
-}
+// callers use for capacity reasoning and may be left zero. It is the
+// algorithm layer's type, so the planners and the paper's memory model
+// share one description.
+type ChainSpec = checkpoint.ChainSpec
 
 // StrategyInfo describes a strategy for discovery and help output.
 type StrategyInfo struct {

@@ -1,8 +1,9 @@
 // Package schedule defines the public vocabulary of checkpointing schedules:
 // the primitive Action type, the Schedule type every planner emits and every
 // executor runs, and the Validator — the one piece of code that decides
-// whether an action is legal, behind Run, PeakBytes and the chain executor,
-// which applies each action to a Validator before executing it.
+// whether an action is legal and counts the states it holds (Trace.PeakStates),
+// behind Run, PeakBytes and the chain executor, which checks each action
+// against a Validator before executing it and applies it after.
 //
 // A schedule reverses a chain of Length steps F_1..F_L mapping state x_0 to
 // x_L. The adjoint of step i needs its input x_{i-1} in memory; checkpoint
@@ -123,15 +124,16 @@ type Schedule struct {
 	Actions []Action
 }
 
-// String summarises the schedule in one line, tracing it to report cost
-// counters (or the validation error if the schedule is invalid).
+// String summarises the schedule in one line, tracing it to report its
+// forwards and its peak states (or the validation error if the schedule is
+// invalid).
 func (s Schedule) String() string {
 	tr, err := Run(s)
 	if err != nil {
 		return fmt.Sprintf("Schedule(%s, L=%d, slots=%d, INVALID: %v)", s.Policy, s.Length, s.Slots, err)
 	}
 	return fmt.Sprintf("Schedule(%s, L=%d, slots=%d, forwards=%d, peak=%d)",
-		s.Policy, s.Length, s.Slots, tr.Forwards, tr.PeakSlots)
+		s.Policy, s.Length, s.Slots, tr.Forwards, tr.PeakStates)
 }
 
 // UsesTier reports whether any Snapshot action of the schedule is annotated
@@ -156,42 +158,18 @@ func Render(s Schedule) string {
 	return b.String()
 }
 
-// PeakBytes simulates a schedule against a heterogeneous chain whose state i
-// (the output of step i) occupies stateBytes[i] bytes, and returns the peak
-// number of bytes held in checkpoint slots and live tapes (step i's tape
-// holding x_i) plus the chain input (stateBytes[0]). stateBytes must have
-// Length+1 entries (states x_0..x_L). The schedule is validated as by Run;
-// the sizes ride on the Validator's own slot and tape tracking.
+// PeakBytes simulates a schedule against a heterogeneous chain whose state
+// x_i occupies stateBytes[i] bytes (Length+1 entries) and returns its
+// Trace.PeakStateBytes: Trace.PeakStates' set in bytes. A TierDisk slot is
+// not in RAM, as under the tiered store chain.Step gives every schedule
+// with a flash tier. The schedule is validated as by Run.
 func PeakBytes(s Schedule, stateBytes []int64) (int64, error) {
 	if s.Length < 0 || len(stateBytes) != s.Length+1 {
 		return 0, fmt.Errorf("schedule: need %d state sizes, got %d", s.Length+1, len(stateBytes))
 	}
-	v := NewValidator(s.Length, s.Slots)
-	held := stateBytes[0]
-	peak := held
-	var taped int64 // bytes of the live tapes
-	for _, a := range s.Actions {
-		if err := v.Apply(a); err != nil {
-			return 0, fmt.Errorf("schedule: %w", err)
-		}
-		switch a.Kind {
-		case ActionSnapshot:
-			held += stateBytes[v.current]
-		case ActionFree:
-			// A freed slot still names the state it held.
-			held -= stateBytes[v.slots[a.Slot].state]
-		case ActionAdvance, ActionBackprop:
-			taped = 0
-			for st, live := range v.tapes {
-				if live {
-					taped += stateBytes[st]
-				}
-			}
-		}
-		peak = max(peak, held+taped)
-	}
-	if _, err := v.Finish(); err != nil {
+	tr, err := run(s, stateBytes)
+	if err != nil {
 		return 0, fmt.Errorf("schedule: %w", err)
 	}
-	return peak, nil
+	return tr.PeakStateBytes, nil
 }

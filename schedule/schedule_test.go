@@ -130,4 +130,25 @@ func TestPeakBytes(t *testing.T) {
 	if peak, err := PeakBytes(taped, []int64{1, 2, 4, 8, 16, 32}); err != nil || peak != 63 {
 		t.Fatalf("taped store-all peak %d (%v), want 63", peak, err)
 	}
+	// revolve(2) on 6 uniform steps holds the input, two slots and the
+	// working state, as the executor measures.
+	adv := func(n int) Action { return Action{Kind: ActionAdvance, Steps: n} }
+	snap := func(s int) Action { return Action{Kind: ActionSnapshot, Slot: s} }
+	restore := func(s int) Action { return Action{Kind: ActionRestore, Slot: s} }
+	free := func(s int) Action { return Action{Kind: ActionFree, Slot: s} }
+	back := Action{Kind: ActionBackprop}
+	revolve := Schedule{Length: 6, Slots: 2, Actions: []Action{
+		adv(1), snap(0), adv(2), snap(1), adv(2), back, restore(1), adv(1), back, restore(1), back, free(1),
+		restore(0), adv(1), back, restore(0), back, free(0), restore(InputSlot), back}}
+	if peak, err := PeakBytes(revolve, []int64{10, 10, 10, 10, 10, 10, 10}); err != nil || peak != 40 {
+		t.Fatalf("revolve(2) peak %d (%v), want 40: 4 states", peak, err)
+	}
+	// An uneven chain can peak inside an advance: x_1 passes while the
+	// input's copy is held, and is never the working state at an action's
+	// end with that slot still full.
+	mid := Schedule{Length: 3, Slots: 1, Actions: []Action{
+		snap(0), adv(2), back, free(0), restore(InputSlot), adv(1), back, restore(InputSlot), back}}
+	if peak, err := PeakBytes(mid, []int64{1, 100, 1, 1}); err != nil || peak != 102 {
+		t.Fatalf("mid-advance peak %d (%v), want 102", peak, err)
+	}
 }

@@ -69,9 +69,7 @@ type Store interface {
 	Free(slot int) error
 	// BytesResident returns the checkpoint bytes currently held in RAM.
 	BytesResident() int64
-	// Holds reports whether the store retains t by reference, so callers
-	// accounting RAM do not double-count a tensor that is both the working
-	// state and a stored checkpoint.
+	// Holds reports whether the store retains t by reference.
 	Holds(t *tensor.Tensor) bool
 	// Stats returns the storage accounting accumulated so far.
 	Stats() Stats
