@@ -11,11 +11,10 @@ import (
 	"github.com/edgeml/edgetrain/internal/tensor"
 )
 
-// nodeStep returns one chain step (ZeroGrads + Step, no optimiser) of the
-// repository benchmark's node model — BuildSmall{ResNet34, Stages 4,
-// BaseWidth 8}, batch 8 of 16×16 — under pol, after five warm-up steps that
-// bring scratch pools and layer buffers to their steady size.
-func nodeStep(tb testing.TB, pol Policy) func() {
+// nodeModel returns the repository benchmark's node model — BuildSmall
+// {ResNet34, Stages 4, BaseWidth 8}, one input channel — as a chain, with a
+// batch of 8 side×side inputs and its loss gradient.
+func nodeModel(tb testing.TB, side int) (*Chain, *tensor.Tensor, LossGradFunc) {
 	const classes = 4
 	net, err := resnet.BuildSmall(resnet.SmallConfig{
 		Variant: resnet.ResNet34, InputChannels: 1, NumClasses: classes,
@@ -24,14 +23,21 @@ func nodeStep(tb testing.TB, pol Policy) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c := FromSequential(net)
-	x := tensor.RandNormal(tensor.NewRNG(2), 0, 1, 8, 1, 16, 16)
+	x := tensor.RandNormal(tensor.NewRNG(2), 0, 1, 8, 1, side, side)
 	labels := []int{0, 1, 2, 3, 0, 1, 2, 3}
 	lossGrad := func(out *tensor.Tensor) *tensor.Tensor {
 		ce := nn.NewSoftmaxCrossEntropy()
 		ce.Forward(out, labels)
 		return ce.Backward()
 	}
+	return FromSequential(net), x, lossGrad
+}
+
+// nodeStep returns one chain step (ZeroGrads + Step, no optimiser) of the
+// node model (nodeModel) at 16×16 under pol, after five warm-up steps that
+// bring scratch pools and layer buffers to their steady size.
+func nodeStep(tb testing.TB, pol Policy) func() {
+	c, x, lossGrad := nodeModel(tb, 16)
 	step := func() {
 		c.ZeroGrads()
 		if _, err := Step(c, x, lossGrad, pol, true); err != nil {

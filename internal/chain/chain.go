@@ -32,9 +32,7 @@
 // the bit-exact raw tensor codec, so the flash tier of a two-level schedule
 // really spills. Results are bit-identical at any worker count
 // (EDGETRAIN_WORKERS) and across stores, so a checkpointed (and even
-// spilled) step reproduces plain backpropagation exactly — gradients, and
-// the batch-norm running statistics too: the executor restores a stage's
-// non-trainable state after every forward of it but the first in a step.
+// spilled) step reproduces plain backpropagation exactly.
 package chain
 
 import (
@@ -209,20 +207,6 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 
 	var upstream *tensor.Tensor // gradient flowing into the pending stage
 
-	// Batch-norm running statistics must advance once per step, as they do
-	// under plain backpropagation, however often the schedule re-runs a
-	// stage: firstState keeps each stage's non-trainable state as its first
-	// forward of the step left it, and every later forward of that stage is
-	// followed by a restore.
-	firstState := make([][]float64, l)
-	runForward := func(stage int, input *tensor.Tensor) *tensor.Tensor {
-		out := c.Stages[stage-1].Forward(input, train)
-		if s, ok := c.Stages[stage-1].(nn.Stateful); ok && train {
-			pinState(&firstState[stage-1], s.StateTensors())
-		}
-		return out
-	}
-
 	for i, a := range sched.Actions {
 		if err := v.Check(a); err != nil {
 			return fail(fmt.Errorf("chain: %w", err))
@@ -233,13 +217,16 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 			if om.on {
 				t0 = time.Now()
 			}
+			// An untaped forward's tape is dropped at once: no backward reads it.
 			for stage := v.State() + 1; stage <= v.State()+a.Steps; stage++ {
-				current = runForward(stage, current)
+				current = c.Stages[stage-1].Forward(current, train)
 				size[stage] = current.Bytes()
 				res.ForwardEvals++
 				tapes[stage] = nil
 				if a.Taped {
 					tapes[stage] = current
+				} else {
+					nn.Release(c.Stages[stage-1])
 				}
 			}
 			if om.on {
@@ -279,8 +266,9 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 			delete(held, a.Slot)
 		case schedule.ActionBackprop:
 			// The adjoint of a stage consumes its live tape or re-runs its
-			// forward so the layer's internal cache corresponds to the
-			// correct input, then applies the layer backward.
+			// forward so the layer's tape corresponds to the correct input,
+			// then applies the layer backward, which drops that tape (and
+			// advances batch norm's running statistics once per step).
 			var t0 time.Time
 			if om.on {
 				t0 = time.Now()
@@ -289,7 +277,7 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 			out := tapes[stage]
 			tapes[stage] = nil
 			if out == nil {
-				out = runForward(stage, current)
+				out = c.Stages[stage-1].Forward(current, train)
 			}
 			res.BackwardEvals++
 			if stage == l {
@@ -319,24 +307,6 @@ func ExecuteWithStore(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, sched s
 	res.DiskReads = stats.DiskReads - startStats.DiskReads
 	om.record(res.Usage, stepStart, fwdDur, bwdDur)
 	return res, nil
-}
-
-// pinState copies the state tensors into *first on the first call for a
-// stage and copies *first back over them on every later one. The tensors are
-// per-channel vectors, so the copy is noise beside the forward it follows.
-func pinState(first *[]float64, state []nn.NamedState) {
-	if *first == nil {
-		kept := []float64{}
-		for _, st := range state {
-			kept = append(kept, st.Tensor.Data()...)
-		}
-		*first = kept
-		return
-	}
-	off := 0
-	for _, st := range state {
-		off += copy(st.Tensor.Data(), (*first)[off:])
-	}
 }
 
 // ExecutePlain runs a conventional forward and backward pass: Step with the

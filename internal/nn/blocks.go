@@ -89,29 +89,24 @@ func (b *BasicBlock) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return gMain.AddInPlace(gShortcut)
 }
 
-// Params implements Layer.
-func (b *BasicBlock) Params() []*Param {
-	ps := append([]*Param{}, b.Conv1.Params()...)
-	ps = append(ps, b.BN1.Params()...)
-	ps = append(ps, b.Conv2.Params()...)
-	ps = append(ps, b.BN2.Params()...)
+// parts lists the block's layers in parameter and state order.
+func (b *BasicBlock) parts() []Layer {
+	ls := []Layer{b.Conv1, b.BN1, b.Relu1, b.Conv2, b.BN2, b.reluOut}
 	if b.DownConv != nil {
-		ps = append(ps, b.DownConv.Params()...)
-		ps = append(ps, b.DownBN.Params()...)
+		ls = append(ls, b.DownConv, b.DownBN)
 	}
-	return ps
+	return ls
 }
+
+// Params implements Layer.
+func (b *BasicBlock) Params() []*Param { return paramsOf(b.parts()) }
 
 // StateTensors implements Stateful: the block's batch-norm running
 // statistics, in layer order.
-func (b *BasicBlock) StateTensors() []NamedState {
-	st := append([]NamedState{}, b.BN1.StateTensors()...)
-	st = append(st, b.BN2.StateTensors()...)
-	if b.DownBN != nil {
-		st = append(st, b.DownBN.StateTensors()...)
-	}
-	return st
-}
+func (b *BasicBlock) StateTensors() []NamedState { return CollectState(b.parts()) }
+
+// Release implements Releaser.
+func (b *BasicBlock) Release() { releaseAll(b.parts()) }
 
 // OutputShape implements Layer.
 func (b *BasicBlock) OutputShape(in []int) []int {
@@ -228,32 +223,24 @@ func (b *Bottleneck) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return gMain.AddInPlace(gShortcut)
 }
 
-// Params implements Layer.
-func (b *Bottleneck) Params() []*Param {
-	ps := append([]*Param{}, b.Conv1.Params()...)
-	ps = append(ps, b.BN1.Params()...)
-	ps = append(ps, b.Conv2.Params()...)
-	ps = append(ps, b.BN2.Params()...)
-	ps = append(ps, b.Conv3.Params()...)
-	ps = append(ps, b.BN3.Params()...)
+// parts lists the block's layers in parameter and state order.
+func (b *Bottleneck) parts() []Layer {
+	ls := []Layer{b.Conv1, b.BN1, b.Relu1, b.Conv2, b.BN2, b.Relu2, b.Conv3, b.BN3, b.reluOut}
 	if b.DownConv != nil {
-		ps = append(ps, b.DownConv.Params()...)
-		ps = append(ps, b.DownBN.Params()...)
+		ls = append(ls, b.DownConv, b.DownBN)
 	}
-	return ps
+	return ls
 }
+
+// Params implements Layer.
+func (b *Bottleneck) Params() []*Param { return paramsOf(b.parts()) }
 
 // StateTensors implements Stateful: the block's batch-norm running
 // statistics, in layer order.
-func (b *Bottleneck) StateTensors() []NamedState {
-	st := append([]NamedState{}, b.BN1.StateTensors()...)
-	st = append(st, b.BN2.StateTensors()...)
-	st = append(st, b.BN3.StateTensors()...)
-	if b.DownBN != nil {
-		st = append(st, b.DownBN.StateTensors()...)
-	}
-	return st
-}
+func (b *Bottleneck) StateTensors() []NamedState { return CollectState(b.parts()) }
+
+// Release implements Releaser.
+func (b *Bottleneck) Release() { releaseAll(b.parts()) }
 
 // OutputShape implements Layer.
 func (b *Bottleneck) OutputShape(in []int) []int {

@@ -54,12 +54,16 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		panic("nn: Conv2D.Backward called before Forward")
 	}
 	gi, gw, gb := tensor.Conv2DBackward(c.lastIn, c.W.Value, c.hasBias, gradOut, c.Stride, c.Pad)
+	c.Release()
 	c.W.Grad.AddInPlace(gw)
 	if c.hasBias {
 		c.B.Grad.AddInPlace(gb)
 	}
 	return gi
 }
+
+// Release implements Releaser.
+func (c *Conv2D) Release() { c.lastIn = nil }
 
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param {
@@ -106,10 +110,12 @@ type BatchNorm2D struct {
 	// Backward cache: a reference to the forward input (a convolution's
 	// fresh output) and the per-channel statistics. Backward recomputes the
 	// normalised activations from them with the forward's own expression, so
-	// the layer copies nothing.
+	// the layer copies nothing. trained marks statistics of a training
+	// forward, which Backward folds into the running averages.
 	batchMean []float64
 	batchVar  []float64
 	lastIn    *tensor.Tensor
+	trained   bool
 }
 
 // NewBatchNorm2D creates a batch-norm layer for c channels.
@@ -150,7 +156,7 @@ func (bn *BatchNorm2D) forward(x *tensor.Tensor, train bool, res *tensor.Tensor,
 		}
 		rd = res.Data()
 	}
-	bn.lastIn = x
+	bn.lastIn, bn.trained = x, train
 	if cap(bn.batchMean) < c {
 		bn.batchMean = make([]float64, c)
 		bn.batchVar = make([]float64, c)
@@ -162,21 +168,19 @@ func (bn *BatchNorm2D) forward(x *tensor.Tensor, train bool, res *tensor.Tensor,
 	rm, rv := bn.RunningMean.Data(), bn.RunningVar.Data()
 	gam, bet := bn.Gamma.Value.Data(), bn.Beta.Value.Data()
 
-	// Channels are fully independent (statistics, running averages and the
-	// normalised outputs all live at per-channel offsets), so the channel
-	// loop parallelizes with bit-identical results at any worker count.
+	// Channels are fully independent (statistics and the normalised outputs
+	// live at per-channel offsets), so the channel loop parallelizes with
+	// bit-identical results at any worker count.
 	parallel.For(c, 4, func(clo, chi int) {
 		if train {
 			ch := clo
 			for ; ch+4 <= chi; ch += 4 {
 				mean, variance := channelStats4(xd, n, c, area, ch)
-				for j := range mean {
-					bn.setStats(ch+j, mean[j], variance[j])
-				}
+				copy(bn.batchMean[ch:], mean[:])
+				copy(bn.batchVar[ch:], variance[:])
 			}
 			for ; ch < chi; ch++ {
-				mean, variance := channelStats(xd, n, c, area, ch)
-				bn.setStats(ch, mean, variance)
+				bn.batchMean[ch], bn.batchVar[ch] = channelStats(xd, n, c, area, ch)
 			}
 		} else {
 			copy(bn.batchMean[clo:chi], rm[clo:chi])
@@ -207,16 +211,6 @@ func (bn *BatchNorm2D) forward(x *tensor.Tensor, train bool, res *tensor.Tensor,
 		relu.out = out
 	}
 	return out
-}
-
-// setStats records channel ch's batch statistics and folds them into the
-// running averages.
-func (bn *BatchNorm2D) setStats(ch int, mean, variance float64) {
-	bn.batchMean[ch] = mean
-	bn.batchVar[ch] = variance
-	rm, rv := bn.RunningMean.Data(), bn.RunningVar.Data()
-	rm[ch] = (1-bn.Momentum)*rm[ch] + bn.Momentum*mean
-	rv[ch] = (1-bn.Momentum)*rv[ch] + bn.Momentum*variance
 }
 
 // channelStats returns channel ch's batch mean and biased variance, each sum
@@ -279,7 +273,9 @@ func channelStats4(xd []float64, n, c, area, ch int) (mean, variance [4]float64)
 }
 
 // Backward implements Layer. It implements the standard batch-norm gradient
-// for training mode (batch statistics).
+// for training mode (batch statistics), then folds a training forward's
+// batch statistics into the running averages: they advance once per
+// backward, however often the forward before it was re-run.
 func (bn *BatchNorm2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if bn.lastIn == nil {
 		panic("nn: BatchNorm2D.Backward called before Forward")
@@ -321,8 +317,19 @@ func (bn *BatchNorm2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			finish(ch, sumDy, sumDyXhat)
 		}
 	})
+	if bn.trained {
+		rm, rv := bn.RunningMean.Data(), bn.RunningVar.Data()
+		for ch, mean := range bn.batchMean {
+			rm[ch] = (1-bn.Momentum)*rm[ch] + bn.Momentum*mean
+			rv[ch] = (1-bn.Momentum)*rv[ch] + bn.Momentum*bn.batchVar[ch]
+		}
+	}
+	bn.Release()
 	return gradIn
 }
+
+// Release implements Releaser. The running statistics stay as they were.
+func (bn *BatchNorm2D) Release() { bn.lastIn, bn.trained = nil, false }
 
 // invStd is channel ch's 1/sqrt(var+eps) under the last forward's statistics.
 func (bn *BatchNorm2D) invStd(ch int) float64 { return 1.0 / math.Sqrt(bn.batchVar[ch]+bn.Eps) }
@@ -430,8 +437,13 @@ func (m *MaxPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if m.argmax == nil {
 		panic("nn: MaxPool2D.Backward called before Forward")
 	}
-	return tensor.MaxPool2DBackward(m.inShape, m.argmax, gradOut)
+	g := tensor.MaxPool2DBackward(m.inShape, m.argmax, gradOut)
+	m.Release()
+	return g
 }
+
+// Release implements Releaser.
+func (m *MaxPool2D) Release() { m.argmax = nil }
 
 // Params implements Layer.
 func (m *MaxPool2D) Params() []*Param { return nil }

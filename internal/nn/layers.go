@@ -51,8 +51,12 @@ func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			d[i] = math.Float64frombits(math.Float64bits(g[i]) & positive(o[i]))
 		}
 	})
+	r.Release()
 	return gradIn
 }
+
+// Release implements Releaser.
+func (r *ReLU) Release() { r.out = nil }
 
 // reluInto writes ReLU(src) to dst, which may be src itself, without a
 // branch on the data.
@@ -178,6 +182,7 @@ func (l *Linear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	// dW += gradOut^T x ; dB += column sums of gradOut ; dX = gradOut W
 	l.dwBuf = tensor.EnsureLike(l.dwBuf, l.W.Value)
 	tensor.MatMulTNInto(l.dwBuf, gradOut, l.lastIn)
+	l.Release()
 	l.W.Grad.AddInPlace(l.dwBuf)
 	if l.hasBias {
 		// Column sums land in a scratch first so the whole-batch contribution
@@ -204,6 +209,9 @@ func (l *Linear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	}
 	return tensor.MatMul(gradOut, l.W.Value)
 }
+
+// Release implements Releaser.
+func (l *Linear) Release() { l.lastIn = nil }
 
 // Params implements Layer.
 func (l *Linear) Params() []*Param {

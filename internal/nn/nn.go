@@ -7,9 +7,10 @@
 // internal/tensor: GEMMs are cache-blocked and transpose-free, convolutions
 // draw pooled im2col scratch, and per-channel/per-sample reductions are
 // parallelized via internal/parallel with bit-identical results at any
-// worker count. Layers retain a *reference* to their forward input until
-// Backward runs (the borrow contract below), so the hot training loop pays
-// no defensive copies.
+// worker count. Layers retain a *reference* to their forward input as their
+// backward tape (the borrow contract below), so the hot training loop pays
+// no defensive copies; a tape lives until Backward consumes it or Release
+// drops it.
 package nn
 
 import (
@@ -39,17 +40,19 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 func (p *Param) Count() int { return p.Value.Size() }
 
 // Layer is a differentiable module. Forward stores whatever it needs to run
-// Backward; calling Forward again overwrites that cache, which is exactly the
-// behaviour the checkpointed executor relies on when it recomputes a segment.
+// Backward, its tape; calling Forward again overwrites that tape, which is
+// exactly the behaviour the checkpointed executor relies on when it
+// recomputes a segment. Backward consumes the tape: a second Backward needs
+// a new Forward first.
 //
 // Borrow contract: a layer may retain a reference to its Forward input (not
-// a copy) until the matching Backward call, and callers must not mutate the
-// input in that window. Conversely, every layer returns a freshly allocated
-// output tensor from Forward — never an internal buffer — so the
-// checkpointed executor can snapshot stage outputs by reference and replay
-// forwards without corrupting retained states. A layer may keep a reference
-// to that output too (ReLU's backward reads it), so callers must not mutate
-// an output before the matching Backward either. Layers never mutate their
+// a copy) until the matching Backward call or a Release, and callers must
+// not mutate the input in that window. Conversely, every layer returns a
+// freshly allocated output tensor from Forward — never an internal buffer —
+// so the checkpointed executor can snapshot stage outputs by reference and
+// replay forwards without corrupting retained states. A layer may keep a
+// reference to that output too (ReLU's backward reads it), so callers must
+// not mutate an output in that window either. Layers never mutate their
 // inputs or upstream gradients.
 //
 // Accumulation contract: Backward adds each parameter's whole-call gradient
@@ -67,13 +70,28 @@ type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes the gradient with respect to the layer output and
 	// returns the gradient with respect to the layer input, accumulating
-	// parameter gradients as a side effect. It must be called after Forward.
+	// parameter gradients and dropping the tape. It must follow a Forward.
 	Backward(gradOut *tensor.Tensor) *tensor.Tensor
 	// Params returns the trainable parameters (possibly empty).
 	Params() []*Param
 	// OutputShape maps an input shape to the layer's output shape without
 	// running the layer; it is used for memory accounting and model assembly.
 	OutputShape(in []int) []int
+}
+
+// Releaser is implemented by layers (and containers of layers) that keep a
+// backward tape. Release drops it without a backward, for a forward whose
+// tape no backward will read; batch norm's running statistics then stay as
+// they were.
+type Releaser interface {
+	Release()
+}
+
+// Release drops l's backward tape if it keeps one.
+func Release(l Layer) {
+	if r, ok := l.(Releaser); ok {
+		r.Release()
+	}
 }
 
 // Stats describes the static cost of a layer for a given input shape. It is
@@ -173,9 +191,12 @@ func (s *Sequential) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params returns the concatenation of all layers' parameters.
-func (s *Sequential) Params() []*Param {
+func (s *Sequential) Params() []*Param { return paramsOf(s.Layers) }
+
+// paramsOf concatenates the layers' parameters in layer order.
+func paramsOf(layers []Layer) []*Param {
 	var ps []*Param
-	for _, l := range s.Layers {
+	for _, l := range layers {
 		ps = append(ps, l.Params()...)
 	}
 	return ps
@@ -183,6 +204,15 @@ func (s *Sequential) Params() []*Param {
 
 // StateTensors implements Stateful by recursing into the layers.
 func (s *Sequential) StateTensors() []NamedState { return CollectState(s.Layers) }
+
+// Release implements Releaser by recursing into the layers.
+func (s *Sequential) Release() { releaseAll(s.Layers) }
+
+func releaseAll(layers []Layer) {
+	for _, l := range layers {
+		Release(l)
+	}
+}
 
 // OutputShape threads the input shape through every layer.
 func (s *Sequential) OutputShape(in []int) []int {

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -170,10 +172,11 @@ func TestBatchNormTrainOutputIsNormalized(t *testing.T) {
 func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	rng := tensor.NewRNG(9)
 	bn := NewBatchNorm2D("bn", 1)
-	// Train on a few batches so running statistics move away from (0, 1).
+	// Train on a few batches so running statistics move away from (0, 1):
+	// they advance in each training forward's Backward.
 	for i := 0; i < 20; i++ {
 		x := tensor.RandNormal(rng, 10, 2, 4, 1, 3, 3)
-		bn.Forward(x, true)
+		bn.Backward(bn.Forward(x, true))
 	}
 	if bn.RunningMean.At(0) < 5 {
 		t.Fatalf("running mean did not track batch mean: %v", bn.RunningMean.At(0))
@@ -184,6 +187,56 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	if math.Abs(out.At(0, 0, 1, 1)) > 1e-6 {
 		t.Fatalf("eval-mode output for running-mean input should be ~0, got %v", out.At(0, 0, 1, 1))
 	}
+}
+
+// TestBatchNormStatsAdvanceInBackward pins where the running statistics
+// move: once per Backward after a training forward, however often that
+// forward was re-run; never for an eval forward or a released tape. A
+// Backward consumes the tape, so a second one needs a new Forward.
+func TestBatchNormStatsAdvanceInBackward(t *testing.T) {
+	rng := tensor.NewRNG(21)
+	x := tensor.RandNormal(rng, 3, 2, 4, 6, 5, 5)
+	g := tensor.RandNormal(rng, 0, 1, 4, 6, 5, 5)
+	stats := func(bn *BatchNorm2D) []float64 {
+		return append(bn.RunningMean.Clone().Data(), bn.RunningVar.Data()...)
+	}
+	once, many := NewBatchNorm2D("bn", 6), NewBatchNorm2D("bn", 6)
+	randomizeNorms(21, once)
+	randomizeNorms(21, many)
+	fresh := stats(once)
+	once.Forward(x, true)
+	once.Backward(g)
+	for k := 0; k < 3; k++ {
+		many.Forward(x, true)
+	}
+	many.Backward(g)
+	if sameBits(stats(once), fresh) {
+		t.Fatal("a training forward + Backward left the running statistics where they were")
+	}
+	if !sameBits(stats(many), stats(once)) {
+		t.Fatal("three training forwards + one Backward moved the running statistics unlike one forward + Backward")
+	}
+
+	before := stats(once)
+	once.Forward(x, false)
+	once.Backward(g)
+	if !sameBits(stats(once), before) {
+		t.Fatal("an eval forward + Backward moved the running statistics")
+	}
+	once.Forward(x, true)
+	once.Release()
+	if !sameBits(stats(once), before) {
+		t.Fatal("a released training forward moved the running statistics")
+	}
+
+	once.Forward(x, true)
+	once.Backward(g)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "called before Forward") {
+			t.Fatalf("second Backward without a Forward: recovered %v, want a \"called before Forward\" panic", r)
+		}
+	}()
+	once.Backward(g)
 }
 
 func TestMaxPoolLayerGradients(t *testing.T) {

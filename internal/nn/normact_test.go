@@ -260,8 +260,10 @@ func BenchmarkNormActNodeShapes(b *testing.B) {
 			}
 		})
 		b.Run("bn-relu/bwd/"+name, func(b *testing.B) {
-			bn.forward(x, true, nil, relu)
 			for i := 0; i < b.N; i++ {
+				b.StopTimer() // each Backward consumes its forward's tape
+				bn.forward(x, true, nil, relu)
+				b.StartTimer()
 				bn.Backward(relu.Backward(g))
 			}
 		})

@@ -103,9 +103,10 @@ func autoSelect(spec ChainSpec, o Options) (AutoChoice, schedule.Schedule, error
 	switch {
 	case err != nil:
 		return AutoChoice{}, schedule.Schedule{}, err
-	case l <= 1 && baseline.PeakRAMBytes > budget:
+	case (l <= 1 || act <= 0) && baseline.PeakRAMBytes > budget:
 		// A trivial chain retains nothing beyond its input and output:
-		// checkpointing cannot help.
+		// checkpointing cannot help. Without state sizes the forecast is the
+		// weights alone, a lower bound, so it cannot fit either.
 		return AutoChoice{}, schedule.Schedule{}, fmt.Errorf(
 			"plan: auto: no strategy fits budget %d bytes (a length-%d chain needs %d resident)",
 			budget, l, baseline.PeakRAMBytes)

@@ -128,11 +128,18 @@ func TestAutoDefaults(t *testing.T) {
 		}
 	}
 	// ...but still honour the fitting contract when the weights alone bust
-	// the budget.
-	_, err = plan.AutoSelect(plan.ChainSpec{Length: 1, WeightBytes: 10 << 20, ActivationBytes: 1 << 10},
-		plan.Options{MemoryBudget: 1 << 20})
-	if err == nil {
-		t.Fatal("trivial chain over budget accepted")
+	// the budget, whether or not the state size is known.
+	for _, row := range []struct {
+		name string
+		spec plan.ChainSpec
+		o    plan.Options
+	}{
+		{"trivial chain", plan.ChainSpec{Length: 1, WeightBytes: 10 << 20, ActivationBytes: 1 << 10}, plan.Options{MemoryBudget: 1 << 20}},
+		{"weights over the default budget, no state size", plan.ChainSpec{Length: 10, WeightBytes: 3 << 30}, plan.Options{}},
+	} {
+		if choice, err := plan.AutoSelect(row.spec, row.o); err == nil {
+			t.Fatalf("%s over budget accepted: %s", row.name, choice)
+		}
 	}
 }
 
