@@ -15,7 +15,7 @@
 //	edgetrainer -policy sequential -segments 4    # PyTorch-style baseline
 //	edgetrainer -policy auto -budget 2MB          # cheapest strategy fitting a RAM budget
 //	edgetrainer -policy auto -device waggle       # budget from the device's memory
-//	edgetrainer -policy twolevel -slots 2 -disk-slots 3 -store tiered   # real flash spilling
+//	edgetrainer -policy twolevel -slots 2 -disk-slots 3   # real flash spilling
 //	edgetrainer -checkpoint-dir run1 -checkpoint-every 10   # durable checkpoints
 //	edgetrainer -resume run1                      # continue a killed run
 package main
@@ -49,8 +49,7 @@ func main() {
 	diskSlots := flag.Int("disk-slots", 0, "flash checkpoints for the twolevel policy")
 	budget := flag.String("budget", "", "RAM byte budget for the auto policy, e.g. 2MB or 1500000")
 	deviceName := flag.String("device", "", "device whose memory defaults the budget: waggle or cloud")
-	storeKind := flag.String("store", "", "checkpoint store: ram, disk or tiered (default: tiered for twolevel, ram otherwise; an auto plan with a flash tier spills through a temporary tiered store)")
-	spillDir := flag.String("spill-dir", "", "directory for spilled checkpoints (default: a temporary directory)")
+	spillDir := flag.String("spill-dir", "", "directory for the checkpoints a schedule puts on flash (default: a temporary directory)")
 	epochs := flag.Int("epochs", 3, "training epochs")
 	batch := flag.Int("batch", 8, "batch size")
 	samples := flag.Int("samples", 160, "synthetic training samples")
@@ -109,44 +108,15 @@ func main() {
 		pol.MemoryBudget = d.MemoryBytes
 	}
 
-	// Checkpoint store: tiered (real flash spilling into -spill-dir) by
-	// default for twolevel, plain in-RAM references otherwise. An auto policy
-	// gets none: chain.Step resolves it per step and spills a selection with
-	// a flash tier through a temporary tiered store of its own.
-	kind := *storeKind
-	if kind == "" {
-		if *policy == "twolevel" {
-			kind = "tiered"
-		} else {
-			kind = "ram"
-		}
+	// One tiered store serves the whole run, whatever the policy: each
+	// snapshot stays in RAM or spills into -spill-dir as its schedule's tier
+	// says, and the store's counters accumulate across steps.
+	ts, err := store.NewTiered(*spillDir)
+	if err != nil {
+		log.Fatal(err)
 	}
-	switch kind {
-	case "ram":
-		// An explicit -store ram pins the in-RAM reference store even for
-		// tier-annotated policies (chain.Step would otherwise spill their
-		// disk tiers through a temporary tiered store); the computed default
-		// leaves Store nil for chain.Step to pick.
-		if *storeKind == "ram" {
-			pol.Store = store.NewRAM()
-		}
-	case "disk":
-		ds, err := store.NewDisk(*spillDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer ds.Close()
-		pol.Store = ds
-	case "tiered":
-		ts, err := store.NewTiered(*spillDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer ts.Close()
-		pol.Store = ts
-	default:
-		log.Fatalf("unknown -store %q (want ram, disk or tiered)", kind)
-	}
+	defer ts.Close()
+	pol.Store = ts
 
 	tr, err := trainer.New(c, trainer.Config{
 		Epochs:    *epochs,
@@ -191,8 +161,8 @@ func main() {
 		fmt.Printf("resumed from %s at epoch %d, batch %d\n", *resume, cur.Epoch, cur.Batch)
 	}
 
-	fmt.Printf("edge student training: %d-stage %s, policy=%s, store=%s, batch=%d, viewpoint=%.2f\n",
-		c.Len(), cfg.Variant, *policy, kind, *batch, *viewpoint)
+	fmt.Printf("edge student training: %d-stage %s, policy=%s, batch=%d, viewpoint=%.2f\n",
+		c.Len(), cfg.Variant, *policy, *batch, *viewpoint)
 	fmt.Printf("parallelism: %d workers (EDGETRAIN_WORKERS overrides)\n", parallel.Workers())
 	if cp != nil {
 		fmt.Printf("checkpointing to %s every %d steps\n", cp.Dir.Path(), cp.EverySteps)

@@ -71,6 +71,12 @@ func TestCommandSmoke(t *testing.T) {
 			"-policy", "auto", "-budget", "2MB", "-epochs", "1",
 			"-samples", "4", "-batch", "2",
 		}, "fits="},
+		// A two-level plan spills through the run's one tiered store: its
+		// Snapshot tiers alone send states to flash, with no store flag.
+		{"edgetrainer-twolevel-spill", []string{
+			"-policy", "twolevel", "-slots", "2", "-disk-slots", "3", "-epochs", "1",
+			"-samples", "4", "-batch", "2",
+		}, "spilled:"},
 		{"fleettrainer-fedavg", []string{
 			"-nodes", "2", "-rounds", "1", "-samples", "8",
 			"-device-mix", "waggle,rpi",

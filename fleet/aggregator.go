@@ -170,13 +170,7 @@ func (a *GradAllReduce) Local(w *Worker, round int) (Update, error) {
 		return u, nil
 	}
 	w.Chain.ZeroGrads()
-	ce := nn.NewSoftmaxCrossEntropy()
-	var loss float64
-	lossGrad := func(out *tensor.Tensor) *tensor.Tensor {
-		loss = ce.Forward(out, batch.Labels)
-		return ce.Backward()
-	}
-	res, err := chain.Step(w.Chain, batch.Images, lossGrad, w.policy, true)
+	loss, res, err := trainer.LossStep(w.Chain, batch, w.policy)
 	if err != nil {
 		return u, err
 	}

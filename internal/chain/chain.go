@@ -1,14 +1,14 @@
 // Package chain executes real neural networks (built from internal/nn
 // layers) under a checkpointing schedule.Schedule, planned by name through
-// package plan (Policy.Plan). It is the bridge between the paper's scheduling
-// theory and an actual training step: one executor runs every policy, store-all
-// too (one taped advance, then the backward sweep), re-runs stage forwards
-// exactly where the schedule says to, retains only the states the schedule
-// snapshots or tapes, and produces gradients identical to plain
-// backpropagation. It holds no legality or memory rules of its own: every
-// action is checked against a schedule.Validator before it is executed and
-// applied to it after, and that Validator counts the states the step held
-// (schedule.Trace.PeakStates).
+// package plan (plan.Build, one schedule per Step). It is the bridge between
+// the paper's scheduling theory and an actual training step: one executor
+// runs every policy, store-all too (one taped advance, then the backward
+// sweep), re-runs stage forwards exactly where the schedule says to, retains
+// only the states the schedule snapshots or tapes, and produces gradients
+// identical to plain backpropagation. It holds no legality or memory rules
+// of its own: every action is checked against a schedule.Validator before it
+// is executed and applied to it after, and that Validator counts the states
+// the step held (schedule.Trace.PeakStates).
 //
 // The recompute sweeps run on the parallel kernel engine in internal/tensor:
 // every stage forward re-executed by an Advance action goes through the same
@@ -28,11 +28,11 @@
 // Checkpoints live in a pluggable store (package store): the default RAM
 // store keeps stage outputs by reference — safe because the nn.Layer
 // contract guarantees Forward returns a fresh tensor, never a reused
-// internal buffer — while a disk or tiered store serializes states through
-// the bit-exact raw tensor codec, so the flash tier of a two-level schedule
-// really spills. Results are bit-identical at any worker count
-// (EDGETRAIN_WORKERS) and across stores, so a checkpointed (and even
-// spilled) step reproduces plain backpropagation exactly.
+// internal buffer — while a tiered store serializes the snapshots the
+// schedule puts on its flash tier through the bit-exact raw tensor codec, so
+// a two-level schedule really spills. Results are bit-identical at any
+// worker count (EDGETRAIN_WORKERS) and across stores, so a checkpointed (and
+// even spilled) step reproduces plain backpropagation exactly.
 package chain
 
 import (
@@ -76,6 +76,17 @@ func (c *Chain) Params() []*nn.Param {
 
 // ZeroGrads clears all parameter gradients.
 func (c *Chain) ZeroGrads() { nn.ZeroGrads(c.Stages) }
+
+// Infer runs the chain forward in inference mode and returns its output. No
+// backward follows, so each stage's tape is released right after its forward:
+// the sweep holds at most one stage's tape and leaves none behind.
+func (c *Chain) Infer(x *tensor.Tensor) *tensor.Tensor {
+	for _, s := range c.Stages {
+		x = s.Forward(x, false)
+		nn.Release(s)
+	}
+	return x
+}
 
 // LossGradFunc maps the chain output to the gradient of the training loss
 // with respect to that output. It is called exactly once per Execute, when
@@ -387,29 +398,26 @@ func (p Policy) options() plan.Options {
 	}
 }
 
-// Plan builds the policy's schedule for a chain of length l.
+// Plan builds the policy's schedule for a chain of length l from the
+// policy's own byte shape; Step plans from Spec, which fills it in from the
+// live chain.
 func (p Policy) Plan(l int) (schedule.Schedule, error) {
 	spec := plan.ChainSpec{Length: l, WeightBytes: p.WeightBytes, ActivationBytes: p.ActivationBytes}
 	return plan.Build(p.strategyName(), spec, p.options())
 }
 
-// Step plans a schedule for the chain according to the policy and executes
-// it. An "auto" policy is first resolved to the strategy its budget selects
-// for the chain's memory shape (Spec). Then one rule picks the store: the
-// policy's Store when it has one; otherwise a temporary tiered store,
-// removed on return, for a schedule with a flash tier — that tier was chosen
-// to keep its states out of RAM, so the all-in-RAM store would silently break
-// the budget — and in-RAM tensor references for everything else. Store-all
-// writes to no store: it is plain backpropagation whatever its store.
+// Step builds the policy's schedule with plan.Build, once, from the chain's
+// memory shape (Spec), and executes it; "auto" runs the schedule its
+// selection returns, labelled "auto:...". The schedule's tiers say which
+// snapshots belong on flash, and one rule picks the store that carries them
+// out: the policy's Store when it has one; otherwise a temporary tiered
+// store, removed on return, for a schedule with a flash tier — that tier was
+// chosen to keep its states out of RAM, so the all-in-RAM store would
+// silently break the budget — and in-RAM tensor references for everything
+// else. Store-all writes to no store: it is plain backpropagation whatever
+// its store.
 func Step(c *Chain, x *tensor.Tensor, lossGrad LossGradFunc, p Policy, train bool) (*Result, error) {
-	if p.strategyName() == "auto" {
-		choice, err := plan.AutoSelect(p.Spec(c, x), p.options())
-		if err != nil {
-			return nil, err
-		}
-		p.Kind, p.Slots, p.DiskSlots = choice.Strategy, choice.Slots, choice.DiskSlots
-	}
-	sched, err := p.Plan(c.Len())
+	sched, err := plan.Build(p.strategyName(), p.Spec(c, x), p.options())
 	if err != nil {
 		return nil, err
 	}

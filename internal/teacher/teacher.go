@@ -170,13 +170,11 @@ type Prediction struct {
 // Classify runs a trained classifier on a single frame in inference mode and
 // returns the predicted class and its softmax confidence.
 func Classify(c *chain.Chain, frame *tensor.Tensor) Prediction {
-	seq := nn.NewSequential("infer", c.Stages...)
-	logits := seq.Forward(frame, false)
+	logits := c.Infer(frame)
 	ce := nn.NewSoftmaxCrossEntropy()
 	ce.Forward(logits, make([]int, logits.Dim(0)))
 	probs := ce.Probabilities()
-	best, arg := probs.Max()
-	_ = arg
+	best, _ := probs.Max()
 	preds := tensor.ArgmaxRows(probs)
 	return Prediction{Class: preds[0], Confidence: best}
 }

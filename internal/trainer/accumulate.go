@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/edgeml/edgetrain/internal/chain"
-	"github.com/edgeml/edgetrain/internal/nn"
 	"github.com/edgeml/edgetrain/internal/tensor"
 )
 
@@ -63,15 +62,7 @@ func AccumulateStep(c *chain.Chain, batch Batch, microBatch int, opt Optimizer, 
 		microShape := append([]int{size}, shape[1:]...)
 		micro := tensor.New(microShape...)
 		copy(micro.Data(), batch.Images.Data()[start*perSample:end*perSample])
-		labels := batch.Labels[start:end]
-
-		ce := nn.NewSoftmaxCrossEntropy()
-		var loss float64
-		lossGrad := func(out *tensor.Tensor) *tensor.Tensor {
-			loss = ce.Forward(out, labels)
-			return ce.Backward()
-		}
-		step, err := chain.Step(c, micro, lossGrad, policy, true)
+		loss, step, err := LossStep(c, Batch{Images: micro, Labels: batch.Labels[start:end]}, policy)
 		if err != nil {
 			return res, fmt.Errorf("trainer: micro-batch %d: %w", res.MicroBatches, err)
 		}

@@ -135,16 +135,8 @@ func (t *Trainer) trainEpoch(ds Dataset, epoch, startBatch int, ps *planSaver) (
 		if batch.Images == nil || len(batch.Labels) == 0 {
 			continue
 		}
-		ce := nn.NewSoftmaxCrossEntropy()
-		var loss float64
-		lossGrad := func(out *tensor.Tensor) *tensor.Tensor {
-			loss = ce.Forward(out, batch.Labels)
-			return ce.Backward()
-		}
 		t.Chain.ZeroGrads()
-		// The policy goes as configured: its Store, if any, is a deployment
-		// setting, and without one Step's single rule picks the store.
-		res, err := chain.Step(t.Chain, batch.Images, lossGrad, t.Cfg.Policy, true)
+		loss, res, err := LossStep(t.Chain, batch, t.Cfg.Policy)
 		if err != nil {
 			return stats, fmt.Errorf("trainer: step %d failed: %w", b, err)
 		}
@@ -184,6 +176,23 @@ func (t *Trainer) trainEpoch(ds Dataset, epoch, startBatch int, ps *planSaver) (
 	return stats, nil
 }
 
+// LossStep runs one checkpointed training step of the batch's softmax
+// cross-entropy through chain.Step under policy p: the forward, the loss and
+// the backward, with parameter gradients added to what the chain's Params
+// already hold (it does not zero them). It returns the batch's mean loss and
+// the step's Result. The policy goes as given: its Store, if any, is a
+// deployment setting, and without one Step's single rule picks the store.
+func LossStep(c *chain.Chain, batch Batch, p chain.Policy) (float64, *chain.Result, error) {
+	ce := nn.NewSoftmaxCrossEntropy()
+	var loss float64
+	lossGrad := func(out *tensor.Tensor) *tensor.Tensor {
+		loss = ce.Forward(out, batch.Labels)
+		return ce.Backward()
+	}
+	res, err := chain.Step(c, batch.Images, lossGrad, p, true)
+	return loss, res, err
+}
+
 // Train runs the configured number of epochs and returns per-epoch stats.
 // It is TrainFrom from the start of training with no checkpointing.
 func (t *Trainer) Train(ds Dataset) ([]EpochStats, error) {
@@ -191,13 +200,13 @@ func (t *Trainer) Train(ds Dataset) ([]EpochStats, error) {
 }
 
 // Evaluate computes the loss and accuracy of the chain on a dataset without
-// updating parameters (layers run in inference mode).
+// updating parameters: each batch is one Chain.Infer sweep (layers in
+// inference mode, no tape left behind).
 func Evaluate(c *chain.Chain, ds Dataset, batchSize int) (loss, accuracy float64, err error) {
 	if batchSize <= 0 {
 		batchSize = 8
 	}
 	nb := ds.NumBatches(batchSize)
-	seq := nn.NewSequential("eval", c.Stages...)
 	totalLoss := 0.0
 	totalCorrect := 0.0
 	samples := 0
@@ -207,7 +216,7 @@ func Evaluate(c *chain.Chain, ds Dataset, batchSize int) (loss, accuracy float64
 		if batch.Images == nil || len(batch.Labels) == 0 {
 			continue
 		}
-		out := seq.Forward(batch.Images, false)
+		out := c.Infer(batch.Images)
 		ce := nn.NewSoftmaxCrossEntropy()
 		totalLoss += ce.Forward(out, batch.Labels)
 		totalCorrect += nn.Accuracy(out, batch.Labels) * float64(len(batch.Labels))

@@ -5,15 +5,16 @@
 // two-level scheme of Section VI keeps a few states as in-memory tensor
 // references and serializes the rest to flash.
 //
-// Three implementations cover the execution modes:
+// The schedule decides where each state goes: every Snapshot action carries
+// a tier. Tiered carries that decision out, and its two halves are the other
+// implementations:
 //
-//   - RAM keeps every slot as a zero-copy tensor reference (the historical
-//     executor behaviour).
-//   - Disk serializes every slot to a file, so checkpoints cost I/O instead
-//     of memory.
-//   - Tiered routes each slot to RAM or disk according to the tier the
-//     schedule annotated on its Snapshot action, executing two-level plans
-//     with real spilling.
+//   - RAM keeps every slot as a zero-copy tensor reference; it is also the
+//     executor's default for a schedule without a flash tier.
+//   - Disk, Tiered's flash half, serializes every slot to a file, so
+//     checkpoints cost I/O instead of memory.
+//   - Tiered routes each slot to its RAM or its Disk half by the Snapshot's
+//     tier, executing two-level plans with real spilling.
 //
 // Stores are not safe for concurrent use; the executor drives them from a
 // single goroutine.
