@@ -28,8 +28,8 @@ func benchSession() *Session {
 	return s
 }
 
-// BenchmarkCheckpointSave measures one durable save — encode, temp file,
-// fsync, rename, manifest.
+// BenchmarkCheckpointSave measures one durable save — encode, an in-place
+// write of the oldest slot, one fsync.
 func BenchmarkCheckpointSave(b *testing.B) {
 	s := benchSession()
 	d, err := Open(b.TempDir())
@@ -49,7 +49,7 @@ func BenchmarkCheckpointSave(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointRestore measures one full load from the manifest —
+// BenchmarkCheckpointRestore measures one full load of the newest slot —
 // read, CRC verification, decode.
 func BenchmarkCheckpointRestore(b *testing.B) {
 	s := benchSession()

@@ -27,12 +27,11 @@
 //
 // # Durability
 //
-// Dir manages a checkpoint directory: every Save writes to a temporary file,
-// fsyncs it, atomically renames it into place, and then updates a MANIFEST
-// (itself written atomically) that names the latest valid checkpoint and its
-// predecessor. Load verifies the latest checkpoint's CRCs and falls back to
-// the predecessor if the latest is corrupt or truncated, so a crash at any
-// instant — including mid-Save — leaves a loadable checkpoint behind.
+// Dir manages a checkpoint directory: a ring of three slot files. A Save
+// overwrites, in place, the slot holding neither of the two newest valid
+// checkpoints — payload, then a header with its sequence, length and CRC32
+// — and fsyncs that one file. Load takes the newest slot whose CRCs verify,
+// else the next newest, so a crash at any instant leaves a loadable one.
 //
 // Saver moves that write off the caller's loop: one background goroutine per
 // open Dir runs the same Save on one session at a time, and hands the first
@@ -40,7 +39,7 @@
 // caller's live parameters and optimizer slots; the caller waits for the
 // write before it updates them again. The trainer's
 // periodic saves and the coordinator's per-round state saves both go through
-// it; what it changes is who waits for the fsyncs, never whether they happen.
+// it; what it changes is who waits for the fsync, never whether it happens.
 //
 // Any structural defect found while loading (bad magic, truncation, CRC
 // mismatch, implausible lengths) is reported as an error wrapping ErrCorrupt,
@@ -62,13 +61,13 @@ const LibraryVersion = "2.3.0"
 // ErrCorrupt is wrapped by every error that means the checkpoint bytes are
 // structurally invalid: bad magic or version, a truncated stream, a CRC
 // mismatch, an implausible length, or an inconsistent frame set. Dir.Load
-// falls back to the previous checkpoint when the latest fails with it.
+// falls back to an older slot when the newest fails with it.
 var ErrCorrupt = errors.New("ckpt: corrupt checkpoint")
 
-// ErrNoCheckpoint is returned by Dir.Load when the directory holds no
-// manifest (nothing was ever saved, or the path is not a checkpoint
-// directory).
-var ErrNoCheckpoint = errors.New("ckpt: no checkpoint manifest")
+// ErrNoCheckpoint is returned by Dir.Load when no slot file in the directory
+// holds a valid header (nothing was ever saved, or the path is not a
+// checkpoint directory).
+var ErrNoCheckpoint = errors.New("ckpt: no checkpoint")
 
 // corruptf builds an error wrapping ErrCorrupt with context.
 func corruptf(format string, args ...any) error {

@@ -114,9 +114,10 @@ func TestFlipEveryByte(t *testing.T) {
 	}
 }
 
-// TestManifestFallbackRecoversPrevious corrupts the latest checkpoint file
-// in a directory and asserts Load falls back to the previous one.
-func TestManifestFallbackRecoversPrevious(t *testing.T) {
+// TestLoadFallsBackToPrevious damages the slot holding the newest
+// checkpoint — a flipped payload byte, a truncated file, a removed file —
+// and asserts Load falls back to the previous one.
+func TestLoadFallsBackToPrevious(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir)
 	if err != nil {
@@ -135,7 +136,7 @@ func TestManifestFallbackRecoversPrevious(t *testing.T) {
 		t.Fatalf("Save 2: %v", err)
 	}
 	if name1 == name2 {
-		t.Fatalf("both saves produced %s", name1)
+		t.Fatalf("both saves went into %s", name1)
 	}
 
 	corruptions := []struct {
@@ -147,7 +148,7 @@ func TestManifestFallbackRecoversPrevious(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			b[len(b)/2] ^= 0xFF
+			b[slotHeaderBytes+(len(b)-slotHeaderBytes)/2] ^= 0xFF
 			return os.WriteFile(path, b, 0o644)
 		}},
 		{"truncation", func(path string) error {

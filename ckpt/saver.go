@@ -11,25 +11,20 @@ import (
 // round loop — pays neither for the flash I/O nor for a second copy of the
 // model: a session may view the loop's live tensors, and the loop calls Wait
 // right before it next writes them. It is the one background writer of the
-// repository.
-//
-// The write itself is the unchanged Dir.Save: temp file, fsync, rename,
-// directory fsync, then the manifest the same way. Nothing about a
-// checkpoint's durability is weakened; only the waiting moves.
+// repository; the write is the unchanged Dir.Save, fsync included.
 //
 // At most one session is in the saver at a time: Submit first joins the
 // write in flight. The first write error is sticky — it comes back from
 // every later Submit, Wait and Close, and the saver accepts no further
 // sessions — so a loop that cannot persist its state fails at its next save
-// point instead of running on without durability. The manifest keeps naming
-// the last checkpoint that was fully published.
+// point instead of running on without durability. Load keeps returning the
+// last checkpoint that was fully written.
 //
 // While a Saver is open it owns its Dir: the opener must not call Save on
-// that Dir, and reads through it (Load, Latest) are ordered with the writes
-// only after Wait or Close has returned. A second Dir on the same path, opened
-// before the saver started (Open reclaims what looks like crash leftovers),
-// may Load at any time and sees the last published checkpoint. Submit, Wait
-// and Close are for the one goroutine that opened the Saver.
+// that Dir, and a Load through it is ordered with the writes only after Wait
+// or Close has returned. A second Dir on the same path, opened at any time,
+// may Load at any time and sees the newest checkpoint fully written. Submit,
+// Wait and Close are for the one goroutine that opened the Saver.
 type Saver struct {
 	dir  *Dir
 	lane int
@@ -102,8 +97,8 @@ func NewSaver(d *Dir, lane int) *Saver {
 // error (or any earlier one) without accepting s. Nothing the session
 // references — its own fields, or the live tensors it views — may be modified
 // until Wait, Close or the next Submit has returned. saved, when
-// non-nil, runs on the writer goroutine once s is durable, with the
-// checkpoint's file name.
+// non-nil, runs on the writer goroutine once s is durable, with the name of
+// the slot file that holds it.
 func (s *Saver) Submit(sess *Session, saved func(name string)) error {
 	if err := s.Wait(); err != nil {
 		return err

@@ -15,7 +15,8 @@ import (
 
 // TestEncodeGolden pins the raw-style bytes of the sample session to the
 // hash the format produced before the encoder streamed its frames, and the
-// file a Dir writes — through its reused buffers, twice — to Encode's bytes.
+// payload of the slot a Dir writes — through its reused buffers, twice — to
+// Encode's bytes.
 func TestEncodeGolden(t *testing.T) {
 	const golden = "b675e2c19083447f647a52fb353fcdea5291d0b65d191b0743140be7357da3b2"
 	s := sampleSession()
@@ -39,15 +40,16 @@ func TestEncodeGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s differs from Encode's bytes (%d vs %d bytes)", name, len(got), len(want))
+		if len(got) < slotHeaderBytes || !bytes.Equal(got[slotHeaderBytes:], want) {
+			t.Fatalf("%s's payload differs from Encode's bytes (%d vs %d bytes)", name, len(got)-slotHeaderBytes, len(want))
 		}
 	}
 }
 
 // TestSaverWritesInOrder submits sessions back to back: each Submit joins
-// the write before it, the callbacks see the files in order, the last one is
-// the manifest's latest after Close, and the writer goroutine is gone.
+// the write before it, the callbacks see the three slots in ring order, the
+// last one is what Load returns after Close, and the writer goroutine is
+// gone.
 func TestSaverWritesInOrder(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	d, err := Open(t.TempDir())
@@ -92,7 +94,7 @@ func TestSaverWritesInOrder(t *testing.T) {
 // TestSaverErrorIsSticky takes the directory away under an open saver: the
 // session in flight is accepted (the write has not failed yet), its error
 // comes back from the next Submit — which takes no further session — and
-// from Close, and the manifest still names the checkpoint published before.
+// from Close, and Load still returns the checkpoint written before.
 func TestSaverErrorIsSticky(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt")
 	d, err := Open(path)

@@ -129,8 +129,10 @@ func main() {
 	}
 
 	// Durable checkpointing and crash-safe resume. A -resume path must hold a
-	// manifest (it is rejected with a clear error otherwise); new checkpoints
-	// continue into -checkpoint-dir when given, else into the resume path.
+	// checkpoint slot (it is rejected with a clear error otherwise, and a
+	// directory in the old MANIFEST layout is refused by name); new
+	// checkpoints continue into -checkpoint-dir when given, else into the
+	// resume path.
 	start := trainer.Cursor{}
 	var cp *trainer.CheckpointPlan
 	resumeDir, saveDir, err := ckpt.OpenResume(*resume, *ckptDir)

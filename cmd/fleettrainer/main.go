@@ -142,7 +142,8 @@ func main() {
 	defer f.Close()
 
 	// Durable round checkpoints and crash-safe resume. A -resume path must
-	// hold a manifest (rejected with a clear error otherwise); new
+	// hold a checkpoint slot (rejected with a clear error otherwise, and a
+	// directory in the old MANIFEST layout is refused by name); new
 	// checkpoints continue into -checkpoint-dir when given, else into the
 	// resume path.
 	startRound := 0

@@ -453,8 +453,8 @@ func TestCoordinatorRestartSmoke(t *testing.T) {
 
 // TestCheckpointResumeSmoke drives the trainers' durable-checkpoint flags
 // end to end: checkpoint a run, resume it from the written directory, and
-// reject a -resume path that holds no manifest with a clear error instead of
-// a panic.
+// reject with a clear error instead of a panic a -resume path that holds no
+// checkpoint, or one in the MANIFEST layout of earlier versions.
 func TestCheckpointResumeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping binary smoke tests in -short mode")
@@ -501,7 +501,7 @@ func TestCheckpointResumeSmoke(t *testing.T) {
 		}
 	})
 
-	// A -resume path without a manifest must be rejected up front with a
+	// A -resume path without a checkpoint must be rejected up front with a
 	// clear message (never a panic), for both binaries — including an
 	// existing directory that was simply never checkpointed into.
 	for _, binary := range []string{"edgetrainer", "fleettrainer"} {
@@ -509,14 +509,39 @@ func TestCheckpointResumeSmoke(t *testing.T) {
 			for _, dir := range []string{filepath.Join(t.TempDir(), "nonexistent"), t.TempDir()} {
 				out, err := run(binary, "-resume", dir)
 				if err == nil {
-					t.Fatalf("%s -resume %s succeeded without a manifest:\n%s", binary, dir, out)
+					t.Fatalf("%s -resume %s succeeded without a checkpoint:\n%s", binary, dir, out)
 				}
 				if strings.Contains(out, "panic") {
 					t.Fatalf("%s -resume %s panicked:\n%s", binary, dir, out)
 				}
-				if !strings.Contains(out, "no checkpoint manifest") {
+				if !strings.Contains(out, "no checkpoint at") {
 					t.Fatalf("%s -resume %s error is not descriptive:\n%s", binary, dir, out)
 				}
+			}
+		})
+	}
+
+	// A directory in the MANIFEST layout of earlier versions is refused by
+	// name, whether it is the -resume path or the -checkpoint-dir, and left
+	// as it was.
+	for _, binary := range []string{"edgetrainer", "fleettrainer"} {
+		t.Run(binary+"-reject-manifest-layout", func(t *testing.T) {
+			dir := t.TempDir()
+			manifest := "edgetrain checkpoint manifest v1\nlatest ckpt-000001.ckpt\n"
+			if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte(manifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, args := range [][]string{{"-resume", dir}, {"-checkpoint-dir", dir}} {
+				out, err := run(binary, args...)
+				if err == nil {
+					t.Fatalf("%s %v accepted a MANIFEST-layout directory:\n%s", binary, args, out)
+				}
+				if !strings.Contains(out, "MANIFEST layout") {
+					t.Fatalf("%s %v did not refuse the layout by name:\n%s", binary, args, out)
+				}
+			}
+			if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+				t.Fatalf("refusing the directory changed it: %v, %v", entries, err)
 			}
 		})
 	}

@@ -4,8 +4,9 @@ package coord
 // longer a single point of failure: every round boundary hands the global
 // model, the global optimizer (all-reduce), the round cursor and the fleet
 // membership with each slot's last committed worker state to the background
-// ckpt.Saver, which writes it crash-safe through ckpt.Dir (temp file, fsync,
-// atomic rename, MANIFEST fallback). The session views the global parameters
+// ckpt.Saver, which writes it crash-safe through ckpt.Dir (a ring of three
+// slot files, each save an in-place overwrite of the oldest and one fsync;
+// Load falls back past a torn slot). The session views the global parameters
 // and optimizer slots instead of copying them, and the next round waits for
 // the write right before its fold, the one writer of them: the flash I/O
 // overlaps broadcast and local training, and a failed write fails the run

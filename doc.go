@@ -17,9 +17,10 @@
 //     disk codec, and the tiered store that really spills flash-tier slots.
 //   - ckpt — the durable checkpoint format and crash-safe resume engine: a
 //     framed binary format (per-frame type, length and CRC32) for a complete
-//     training session, behind crash-safe saves (temp file, fsync, atomic
-//     rename, MANIFEST with fallback) and one background saver. The same
-//     frame is the unit of the coord wire protocol.
+//     training session, behind crash-safe saves (a ring of three slot files
+//     overwritten in place, one fsync per save, Load falling back past a
+//     torn slot) and one background saver. The same frame is the unit of the
+//     coord wire protocol.
 //   - compress — the update-compression pipeline for the paper's Section I
 //     communication bottleneck: top-k sparsification with error feedback,
 //     fp16/int8 quantization, framed entropy coding. Specs compose as strings

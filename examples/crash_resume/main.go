@@ -4,8 +4,8 @@
 // death via os.Exit — no deferred cleanup runs, exactly like a power loss on
 // an edge node), resumes from the last durable checkpoint in a fresh
 // process, and verifies the final weights are bit-identical to a run that
-// was never interrupted. It finishes by corrupting the newest checkpoint
-// file on disk and showing the manifest falling back to its predecessor.
+// was never interrupted. It finishes by corrupting the slot file that holds
+// the newest checkpoint and showing Load fall back to the previous one.
 //
 // Run with:
 //
@@ -180,7 +180,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	latest, err := dir.Latest()
+	_, latest, err := dir.Load()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -207,10 +207,10 @@ func main() {
 	fmt.Println("  bit-identical to the uninterrupted run ✓")
 	fmt.Println()
 
-	// Act 4: corrupt the newest checkpoint on disk; the manifest falls back
-	// to its predecessor instead of loading garbage.
+	// Act 4: corrupt the slot holding the newest checkpoint; Load falls back
+	// to the previous slot instead of loading garbage.
 	fmt.Println("act 4: corruption recovery")
-	latest, err = dir.Latest()
+	newest, latest, err := dir.Load()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -223,15 +223,19 @@ func main() {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  flipped one byte in %s\n", latest)
+	fmt.Printf("  flipped one byte in %s, the newest checkpoint (cursor epoch %d, batch %d)\n",
+		latest, newest.Epoch, newest.Step)
 	s, from, err := dir.Load()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  Load detected the damage (CRC32) and fell back to %s (cursor epoch %d, batch %d)\n",
+	if from == latest {
+		log.Fatal("FAILURE: Load accepted the corrupted slot")
+	}
+	fmt.Printf("  its CRC32 failed, and Load fell back to %s, the previous checkpoint (cursor epoch %d, batch %d)\n",
 		from, s.Epoch, s.Step)
 	fmt.Println()
-	fmt.Println("every checkpoint byte is covered by a frame CRC32; saves are temp-file +")
-	fmt.Println("fsync + atomic rename behind a two-deep manifest, so a crash at any")
-	fmt.Println("instant leaves a loadable checkpoint on the node's SD card.")
+	fmt.Println("every checkpoint byte is covered by a CRC32; a save overwrites the oldest")
+	fmt.Println("of three slot files in place and fsyncs it once, so a crash at any instant")
+	fmt.Println("leaves the two checkpoints before it loadable on the node's SD card.")
 }

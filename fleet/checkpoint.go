@@ -72,7 +72,7 @@ func (w *Worker) RestoreState(ws ckpt.WorkerState) error {
 }
 
 // SaveCheckpoint durably writes the fleet state into the directory and
-// returns the checkpoint file name.
+// returns the name of the slot file that holds it.
 func (f *Fleet) SaveCheckpoint(d *ckpt.Dir, nextRound int) (string, error) {
 	s, err := f.SessionView(nextRound)
 	if err != nil {

@@ -30,7 +30,7 @@ type Cursor struct {
 // Saves run in the background (see TrainFrom for the durability contract):
 // for the duration of the TrainFrom call a ckpt.Saver owns Dir, so nothing
 // else may Save into it, and a Hook that wants to read the directory opens
-// its own ckpt.Dir on the same path. A save holds no second copy of the
+// its own ckpt.Dir on the same path, at any time. A save holds no second copy of the
 // model: its session views the live parameters and optimizer slots, and only
 // the layer state (batch-norm statistics), the RNG words and the cursors are
 // copied. The next optimizer step waits for the write instead.
@@ -172,7 +172,7 @@ func (t *Trainer) SessionView(cur Cursor) (*ckpt.Session, error) {
 }
 
 // SaveCheckpoint durably writes the training state at the given cursor into
-// the directory and returns the checkpoint file name.
+// the directory and returns the name of the slot file that holds it.
 func (t *Trainer) SaveCheckpoint(d *ckpt.Dir, cur Cursor) (string, error) {
 	s, err := t.SessionView(cur)
 	if err != nil {
@@ -246,7 +246,7 @@ func (t *Trainer) RestoreSession(s *ckpt.Session) (Cursor, error) {
 // killed at any instant resumes from its last save point, or from the one
 // before it when the kill lands inside step k+1's forward or backward pass.
 // A failed write surfaces in that step as TrainFrom's error, with the
-// manifest still naming the previous checkpoint. TrainFrom returns
+// previous checkpoint still the newest loadable one. TrainFrom returns
 // — normally, with an error, or unwinding a panic from the Hook — only after
 // the last submitted save is durable; the completion checkpoint is durable
 // on a nil return. SaveCheckpoint remains the synchronous form.
