@@ -10,6 +10,7 @@
 //	edgecoord -listen 0.0.0.0:7600 -agg allreduce   # fixed port, all-reduce
 //	edgecoord -compress topk:0.05+int8+deflate      # sparsified, quantized updates
 //	edgecoord -round-deadline 30s                   # straggler cap
+//	edgecoord -liveness 2m                          # slow uplinks: a silent worker is cut off after 2 minutes
 //	edgecoord -state-dir /var/lib/edgecoord         # durable: restart resumes the run
 package main
 
@@ -41,7 +42,7 @@ func main() {
 	compressSpec := flag.String("compress", "", "update codec spec, e.g. topk:0.05+int8+deflate (empty or 'none' disables)")
 	uplinkMbps := flag.Float64("uplink-mbps", 10, "modeled uplink rate behind the report's upload times")
 	joinTimeout := flag.Duration("join-timeout", 30*time.Second, "how long to wait for the fleet to assemble")
-	updateTimeout := flag.Duration("update-timeout", 0, "per-worker liveness bound during a round (0 disables)")
+	liveness := flag.Duration("liveness", 30*time.Second, "longest wait for a frame a worker owes; a worker silent this long is dropped (workers beat every liveness/30)")
 	roundDeadline := flag.Duration("round-deadline", 0, "hard cap on one round's collection phase (0 disables)")
 	stateDir := flag.String("state-dir", "", "durable state directory: checkpoint every round, resume on restart")
 	roundRetries := flag.Int("round-retries", 0, "re-runs of a round that misses quorum (0 = default, negative disables)")
@@ -73,7 +74,7 @@ func main() {
 		Optimizer:     *opt,
 		LR:            *lr,
 		JoinTimeout:   *joinTimeout,
-		UpdateTimeout: *updateTimeout,
+		Liveness:      *liveness,
 		RoundDeadline: *roundDeadline,
 		StateDir:      *stateDir,
 		RoundRetries:  *roundRetries,

@@ -1,9 +1,12 @@
 // Command edgeworker runs one edge worker process: it dials the coordinator
 // started by cmd/edgecoord, registers with a capability handshake (device
-// profile, RAM budget, supported aggregators), pulls its shard and round
+// profile, RAM budget, supported update codecs), pulls its shard and round
 // assignments, trains locally with the existing chain/plan machinery, and
-// pushes updates back until the run completes. A worker restarted under the
-// same -name recovers its optimizer state from the coordinator.
+// pushes updates back until the run completes. It beats at the interval the
+// coordinator's welcome sets whenever it computes between frames. A worker
+// restarted under the same -name recovers its optimizer state from the
+// coordinator, and its new connection replaces the old one if the
+// coordinator still holds it.
 //
 // Usage:
 //
@@ -60,7 +63,6 @@ func main() {
 	deviceName := flag.String("device", "waggle", "device profile: waggle, jetson, rpi or cloud")
 	budget := flag.String("budget", "device", "RAM budget: 'device' (the node's memory) or a size like 210KB")
 	codecCap := flag.String("compress", "all", "update codecs to advertise: 'all', 'none', or a spec like topk:0.05+int8+deflate")
-	heartbeat := flag.Duration("heartbeat", time.Second, "liveness interval while training")
 	retry := flag.Int("retry", 0, "reconnect attempts after a lost connection (0 = default 5, negative disables)")
 	backoffMax := flag.Duration("backoff-max", 0, "cap on the reconnect backoff (0 = default 5s)")
 	spill := flag.String("spill-dir", "", "directory for tiered checkpoint spill (default in-memory)")
@@ -126,7 +128,6 @@ func main() {
 			return fleetdemo.Dataset(a.Workers, a.Samples, a.Seed), nil
 		},
 		Codecs:     codecs,
-		Heartbeat:  *heartbeat,
 		Retries:    *retry,
 		BackoffMax: *backoffMax,
 		Logf:       logf,

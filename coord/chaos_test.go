@@ -242,15 +242,15 @@ func TestChaosPartition(t *testing.T) {
 	}
 }
 
-// TestHandshakeDeadline pins the silent-dialer satellite: a connection that
-// never sends its hello is closed by the coordinator's handshake deadline
-// instead of pinning an accept goroutine, and the fleet still serves real
-// workers afterwards.
+// TestHandshakeDeadline pins the silent dialer: a connection that never
+// sends its hello is closed by the coordinator's liveness limit instead of
+// pinning an accept goroutine, and the fleet still serves real workers
+// afterwards.
 func TestHandshakeDeadline(t *testing.T) {
 	tr := NewLoopback()
 	c, err := New(Config{
 		Workers: 1, Rounds: 1, Samples: 8, Seed: 3,
-		HandshakeTimeout: 50 * time.Millisecond,
+		Liveness: 200 * time.Millisecond,
 	}, testModel(3))
 	if err != nil {
 		t.Fatal(err)

@@ -13,19 +13,22 @@
 // in-process fleet.Run, over TCP or the in-process Loopback transport
 // alike; the equivalence tests pin exactly that.
 //
-// The fleet is elastic. A worker that dies mid-round (connection error,
-// missed liveness deadline) is dropped from that round's fold and the round
-// completes with the survivors. The coordinator keeps each slot's latest
-// durable state (optimizer slots, progress counters, captured with every
-// update), so a worker rejoining under the same name recovers its optimizer
-// state exactly as fleet.ResumeFrom restores a checkpointed in-process
-// worker. Stragglers past the round deadline stay joined: their late update
-// is acknowledged and discarded, and they rejoin the next round.
+// The fleet is elastic. A worker that dies mid-round (connection error, or
+// silence past Config.Liveness while it owes a frame) is dropped from that
+// round's fold and the round completes with the survivors. The coordinator
+// keeps each slot's latest durable state (optimizer slots, progress
+// counters, captured with every update), so a worker rejoining under the
+// same name recovers its optimizer state exactly as fleet.ResumeFrom
+// restores a checkpointed in-process worker; its hello replaces the old
+// connection if that one is still seated. Stragglers past the round deadline
+// stay joined: their late update is acknowledged and discarded, and they
+// rejoin the next round.
 package coord
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,10 +84,15 @@ type Config struct {
 	// with at least one worker joined, the run starts short-handed (default
 	// 30s).
 	JoinTimeout time.Duration
-	// UpdateTimeout is the per-worker liveness bound: a worker expected to
-	// deliver an update that has been silent (no heartbeat, no message) this
-	// long is declared dead and dropped from the round. Zero disables.
-	UpdateTimeout time.Duration
+	// Liveness bounds every wait for a frame a worker owes: its hello, its
+	// pull after the welcome or an ack, its heartbeats and update after a
+	// round directive. A connection silent this long is closed and its worker
+	// treated as dead. Waits on the coordinator itself (a parked pull, a
+	// withheld ack) are not counted. The welcome tells workers to beat every
+	// Liveness/30 while they compute, so the limit in effect bounds one
+	// frame's transfer: it must exceed an update's upload on the slowest
+	// link (default 30s).
+	Liveness time.Duration
 	// RoundDeadline is the hard cap on one round's collection phase. When it
 	// expires, workers still outstanding are marked dropped for the round
 	// (they stay joined; a late update is acknowledged and discarded) and
@@ -99,10 +107,6 @@ type Config struct {
 	// disables the quorum entirely (fold whatever arrived, the pre-quorum
 	// behaviour).
 	RoundRetries int
-	// HandshakeTimeout bounds how long an accepted connection may sit silent
-	// before its hello arrives, so a dialer that never speaks cannot pin an
-	// accept goroutine forever (default 10s).
-	HandshakeTimeout time.Duration
 	// StateDir, when non-empty, makes the coordinator durable: every round
 	// boundary saves the global model, global optimizer, round cursor and
 	// fleet membership crash-safe via ckpt.Dir, beside the next round, whose
@@ -192,8 +196,8 @@ func New(cfg Config, model func() (*chain.Chain, error)) (*Coordinator, error) {
 	if cfg.RoundRetries == 0 {
 		cfg.RoundRetries = 3
 	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 10 * time.Second
+	if cfg.Liveness <= 0 {
+		cfg.Liveness = 30 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -299,6 +303,7 @@ type event struct {
 	hello      hello
 	upd        updateMsg
 	blobBytes  int64 // evUpdate: size of the compressed blob upd.vecs was decoded from
+	err        error // evDeath: why the connection ended
 	helloReply chan helloReply
 	ackReply   chan ackReply
 }
@@ -323,15 +328,13 @@ type directive struct {
 }
 
 // remote is the run loop's view of one live worker connection. roundCh is
-// buffered so the run loop never blocks on a handler; lastSeen is written by
-// the handler on every received message (heartbeats included) and read by
-// the liveness check.
+// buffered so the run loop never blocks on a handler; the run loop closes it
+// when a rejoin under the same name takes the slot.
 type remote struct {
 	conn     Conn
 	name     string
 	index    int
 	roundCh  chan directive
-	lastSeen atomic.Int64
 	wireMark int64 // run-loop only: Stats() watermark for per-round deltas
 }
 
@@ -375,17 +378,23 @@ func (c *Coordinator) acceptLoop() {
 // strict ping-pong from the worker's side, so a synchronous pipe transport
 // (Loopback) can never deadlock: whenever the worker writes, this goroutine
 // is reading, and vice versa.
+//
+// serve also holds the fleet's one liveness rule. Every Recv here waits on a
+// frame the worker owes, so each is bounded by Config.Liveness; a silent
+// peer's connection is closed (the one transport-agnostic way to unblock a
+// pending Recv) and reported dead like any broken one. Waits on the run loop
+// (a parked pull, a withheld ack) run no clock.
 func (c *Coordinator) serve(conn Conn) {
 	defer conn.Close()
-	// The handshake read deadline: a dialer that connects and never speaks
-	// must not pin this goroutine. Closing the connection is the one
-	// transport-agnostic way to unblock a pending Recv (net.Pipe and TCP
-	// alike); if the timer won the race the handshake is over either way.
-	timer := time.AfterFunc(c.cfg.HandshakeTimeout, func() { conn.Close() })
-	f, err := conn.Recv()
-	if !timer.Stop() {
-		return
+	recv := func() (ckpt.Frame, error) {
+		limit := time.AfterFunc(c.cfg.Liveness, func() { conn.Close() })
+		f, err := conn.Recv()
+		if !limit.Stop() {
+			return f, fmt.Errorf("silent for %v", c.cfg.Liveness)
+		}
+		return f, err
 	}
+	f, err := recv()
 	if err != nil {
 		return
 	}
@@ -420,39 +429,47 @@ func (c *Coordinator) serve(conn Conn) {
 		return
 	}
 	rem := hr.rem
+	// die reports the connection's end to the run loop, which books it once
+	// however many ways it was noticed.
+	die := func(err error) { c.post(event{kind: evDeath, rem: rem, err: err}) }
 	if err := conn.Send(encodeWelcome(hr.a)); err != nil {
-		c.post(event{kind: evDeath, rem: rem})
+		die(err)
 		return
 	}
 	for {
-		f, err := conn.Recv()
+		f, err := recv()
 		if err != nil {
-			c.post(event{kind: evDeath, rem: rem})
+			die(err)
 			return
 		}
-		rem.lastSeen.Store(time.Now().UnixNano())
 		switch f.Type {
 		case msgHeartbeat:
-			// One-way liveness; lastSeen is already refreshed. A non-empty
+			// One-way liveness: its arrival restarted the clock. A non-empty
 			// payload is a telemetry shipment, ingested here off the run
 			// loop; a malformed one is as fatal as any other bad message.
 			c.co.heartbeats.Inc()
 			tm, err := parseHeartbeat(f.Payload)
 			if err != nil {
 				conn.Send(encodeError(fmt.Sprintf("coord: bad heartbeat: %v", err)))
-				c.post(event{kind: evDeath, rem: rem})
+				die(err)
 				return
 			}
 			c.ingestTelemetry(rem, tm)
 		case msgPull:
 			var d directive
+			ok := false
 			select {
-			case d = <-rem.roundCh:
+			case d, ok = <-rem.roundCh:
 			case <-c.quit:
 				// The coordinator is being torn down mid-run (crash, Close).
 				// Sever the connection WITHOUT a done frame: the run did not
 				// complete, and the worker's reconnect loop must keep dialing
 				// until a restarted coordinator picks the run back up.
+				return
+			}
+			if !ok {
+				// A rejoin under this name took the slot; the run loop has
+				// already closed this connection and booked its end.
 				return
 			}
 			if d.done {
@@ -461,14 +478,14 @@ func (c *Coordinator) serve(conn Conn) {
 				return
 			}
 			if err := conn.Send(d.frame); err != nil {
-				c.post(event{kind: evDeath, rem: rem})
+				die(err)
 				return
 			}
 		case msgUpdate:
 			m, err := parseUpdate(f.Payload)
 			if err != nil {
 				conn.Send(encodeError(fmt.Sprintf("coord: bad update: %v", err)))
-				c.post(event{kind: evDeath, rem: rem})
+				die(err)
 				return
 			}
 			c.co.stagedBytes.Add(int64(len(f.Payload)))
@@ -485,15 +502,12 @@ func (c *Coordinator) serve(conn Conn) {
 				dSpan := obs.DefaultTracer().Span("decode", m.round, rem.index)
 				dec, err := compress.Decode(m.blob)
 				dSpan.End()
+				if err == nil && dec.Spec.String() != m.codec {
+					err = fmt.Errorf("blob spec %q does not match declared codec %q", dec.Spec.String(), m.codec)
+				}
 				if err != nil {
 					conn.Send(encodeError(fmt.Sprintf("coord: bad update: %v", err)))
-					c.post(event{kind: evDeath, rem: rem})
-					return
-				}
-				if dec.Spec.String() != m.codec {
-					conn.Send(encodeError(fmt.Sprintf("coord: bad update: blob spec %q does not match declared codec %q",
-						dec.Spec.String(), m.codec)))
-					c.post(event{kind: evDeath, rem: rem})
+					die(err)
 					return
 				}
 				m.vecs = dec.Vecs
@@ -519,15 +533,16 @@ func (c *Coordinator) serve(conn Conn) {
 				}
 			}
 			if err := conn.Send(encodeAck(ackMsg{round: m.round, status: a.status})); err != nil {
-				c.post(event{kind: evDeath, rem: rem})
+				die(err)
 				return
 			}
 			if a.drop {
 				return
 			}
 		default:
-			conn.Send(encodeError(fmt.Sprintf("coord: unexpected %s message", msgName(f.Type))))
-			c.post(event{kind: evDeath, rem: rem})
+			err := fmt.Errorf("coord: unexpected %s message", msgName(f.Type))
+			conn.Send(encodeError(err.Error()))
+			die(err)
 			return
 		}
 	}
@@ -665,7 +680,7 @@ func (c *Coordinator) gather(slots []slot) error {
 		}
 		select {
 		case e := <-c.events:
-			c.handleMembership(e, slots, nil, nil)
+			c.handleMembership(e, slots, nil)
 		case <-deadline.C:
 			if liveCount(slots) > 0 {
 				c.cfg.Logf("coord: join timeout, starting with %d/%d workers", liveCount(slots), c.cfg.Workers)
@@ -688,33 +703,60 @@ func liveCount(slots []slot) int {
 	return n
 }
 
+// window is one collection attempt's books: the workers that still owe an
+// update, the updates staged for the fold, and how many workers contributed.
+type window struct {
+	rs          *fleet.RoundStats
+	expected    map[int]*remote
+	staged      map[int]*pendingUpdate
+	contributed int // staged updates + empty-shard participants
+}
+
 // handleMembership processes hello and death events; update events outside
 // a collection window (a straggler finishing between rounds) are
-// acknowledged late. expected/rs are the current collection window, nil
-// outside one.
-func (c *Coordinator) handleMembership(e event, slots []slot, expected map[int]*remote, rs *fleet.RoundStats) {
+// acknowledged late. w is the current collection window, nil outside one.
+func (c *Coordinator) handleMembership(e event, slots []slot, w *window) {
 	switch e.kind {
 	case evHello:
-		c.handleHello(e, slots)
+		c.handleHello(e, slots, w)
 	case evDeath:
-		i := e.rem.index
-		if slots[i].rem == e.rem {
-			slots[i].rem = nil
-			c.co.dropped.Inc()
-			c.noteLive(slots)
-			c.cfg.Logf("coord: worker %s (slot %d) left", e.rem.name, i)
-		}
-		if expected != nil && expected[i] == e.rem {
-			delete(expected, i)
-			rs.Workers[i].Dropped = true
-			rs.Dropouts++
-		}
+		c.retire(e.rem, e.err, slots, w)
 	case evUpdate:
 		e.ackReply <- ackReply{status: AckLate}
 	}
 }
 
-func (c *Coordinator) handleHello(e event, slots []slot) {
+// retire ends rem's hold on its slot and, inside a collection window, books
+// it as the round's dropout. A remote retired before is left alone, so a
+// death reported after a takeover or a rejection counts once.
+func (c *Coordinator) retire(rem *remote, why error, slots []slot, w *window) {
+	i := rem.index
+	if slots[i].rem == rem {
+		slots[i].rem = nil
+		c.co.dropped.Inc()
+		c.noteLive(slots)
+		c.cfg.Logf("coord: worker %s (slot %d) left: %v", rem.name, i, why)
+	}
+	if w == nil {
+		return
+	}
+	if w.expected[i] == rem {
+		delete(w.expected, i)
+	} else if p := w.staged[i]; p != nil && p.rem == rem {
+		// Only a takeover retires a remote whose update is staged. The rejoin
+		// was handed the slot's state from before this round, so folding the
+		// update would fork that state from the global model: unstage it.
+		delete(w.staged, i)
+		w.contributed--
+		p.ack <- ackReply{status: AckLate}
+	} else {
+		return
+	}
+	w.rs.Workers[i].Dropped = true
+	w.rs.Dropouts++
+}
+
+func (c *Coordinator) handleHello(e event, slots []slot, w *window) {
 	h := e.hello
 	fail := func(format string, args ...any) {
 		c.co.rejected.Inc()
@@ -728,12 +770,8 @@ func (c *Coordinator) handleHello(e event, slots []slot) {
 		fail("coord: empty worker name")
 		return
 	}
-	if len(h.aggregators) > 0 && !contains(h.aggregators, c.core.Aggregator().Name()) {
-		fail("coord: fleet runs %q aggregation, worker %s supports %v", c.core.Aggregator().Name(), h.name, h.aggregators)
-		return
-	}
 	for _, need := range c.core.Spec().Required() {
-		if !contains(h.codecs, need) {
+		if !slices.Contains(h.codecs, need) {
 			fail("coord: fleet compresses updates with %q, worker %s lacks codec %q (supports %v)",
 				c.core.Compression(), h.name, need, h.codecs)
 			return
@@ -745,10 +783,6 @@ func (c *Coordinator) handleHello(e event, slots []slot) {
 	idx, rejoin := -1, false
 	for i := range slots {
 		if slots[i].name == h.name {
-			if slots[i].rem != nil {
-				fail("coord: worker name %q is already connected", h.name)
-				return
-			}
 			idx, rejoin = i, true
 			break
 		}
@@ -773,16 +807,24 @@ func (c *Coordinator) handleHello(e event, slots []slot) {
 		fail("coord: fleet full (%d workers)", len(slots))
 		return
 	}
+	s := &slots[idx]
+	if old := s.rem; old != nil {
+		// The name's connection is still seated: the worker restarted before
+		// its old connection failed (a peer gone silent without closing).
+		// The old connection ends as a death would, and the hello below
+		// seats the new one as a rejoin.
+		old.conn.Close()
+		close(old.roundCh)
+		c.retire(old, errors.New("replaced by a new connection under its name"), slots, w)
+	}
 	rem := &remote{
 		conn:    e.conn,
 		name:    h.name,
 		index:   idx,
 		roundCh: make(chan directive, 1),
 	}
-	rem.lastSeen.Store(time.Now().UnixNano())
 	sent, received := e.conn.Stats()
 	rem.wireMark = sent + received
-	s := &slots[idx]
 	if !rejoin {
 		s.state = nil
 		s.strategy = ""
@@ -804,6 +846,7 @@ func (c *Coordinator) handleHello(e event, slots []slot) {
 		Optimizer:   c.cfg.Optimizer,
 		LR:          c.cfg.LR,
 		Compression: c.core.Compression(),
+		Heartbeat:   max(c.cfg.Liveness/30, time.Millisecond),
 	}
 	if rejoin {
 		a.State = s.state
@@ -824,19 +867,10 @@ func (c *Coordinator) handleHello(e event, slots []slot) {
 	e.helloReply <- helloReply{a: a, rem: rem}
 }
 
-func contains(ss []string, want string) bool {
-	for _, s := range ss {
-		if s == want {
-			return true
-		}
-	}
-	return false
-}
-
 // runRound executes one aggregation round: broadcast the global parameters
-// to every live worker, collect their updates (handling joins, deaths,
-// stragglers and liveness timeouts meanwhile), and fold the arrivals in
-// ascending slot order — but only when at least MinWorkers contributed. A
+// to every live worker, collect their updates (handling joins, deaths and
+// stragglers meanwhile), and fold the arrivals in ascending slot order —
+// but only when at least MinWorkers contributed. A
 // collection that ends below that quorum folds nothing: the arrived updates
 // are acknowledged "retry" and discarded, the coordinator waits for the
 // fleet to recover, and the same round is re-broadcast (bounded by
@@ -927,7 +961,7 @@ func (c *Coordinator) attemptRound(r int, frame ckpt.Frame, slots []slot, rs *fl
 	quorum := c.cfg.RoundRetries >= 0
 	tr := obs.DefaultTracer()
 	bSpan := tr.Span("broadcast", r, -1)
-	expected := make(map[int]*remote)
+	w := &window{rs: rs, expected: make(map[int]*remote), staged: make(map[int]*pendingUpdate)}
 	for i := range slots {
 		rem := slots[i].rem
 		if rem == nil {
@@ -935,15 +969,15 @@ func (c *Coordinator) attemptRound(r int, frame ckpt.Frame, slots []slot, rs *fl
 		}
 		select {
 		case rem.roundCh <- directive{round: r, frame: frame}:
-			expected[i] = rem
+			w.expected[i] = rem
 			c.core.Broadcast(rs, i)
 		default:
 			// The previous directive was never consumed — the worker has not
 			// pulled since; leave it out of this attempt.
 		}
 	}
-	bSpan.EndDetail(fmt.Sprintf("participants=%d", len(expected)))
-	if len(expected) == 0 {
+	bSpan.EndDetail(fmt.Sprintf("participants=%d", len(w.expected)))
+	if len(w.expected) == 0 {
 		if !quorum {
 			return false, true, fmt.Errorf("coord: round %d: no live workers", r)
 		}
@@ -956,46 +990,28 @@ func (c *Coordinator) attemptRound(r int, frame ckpt.Frame, slots []slot, rs *fl
 		defer t.Stop()
 		deadlineC = t.C
 	}
-	var livenessC <-chan time.Time
-	if c.cfg.UpdateTimeout > 0 {
-		period := c.cfg.UpdateTimeout / 4
-		if period < 10*time.Millisecond {
-			period = 10 * time.Millisecond
-		}
-		tk := time.NewTicker(period)
-		defer tk.Stop()
-		livenessC = tk.C
-	}
 
 	// Collect. Valid updates are STAGED, not committed: their acks are held
 	// until the fold decision, and slot state moves only on commit.
-	staged := make(map[int]*pendingUpdate)
-	contributed := 0 // staged updates + empty-shard participants
 	wantCodec := c.core.Compression()
 	// reject drops the worker behind a malformed or poisoned update and keeps
 	// the round alive with the rest of the fleet.
-	reject := func(e event) {
-		i := e.rem.index
+	reject := func(e event, why error) {
 		e.ackReply <- ackReply{status: AckRejected, drop: true}
-		slots[i].rem = nil
 		c.co.badUpdates.Inc()
-		c.co.dropped.Inc()
-		c.noteLive(slots)
-		delete(expected, i)
-		rs.Workers[i].Dropped = true
-		rs.Dropouts++
 		rs.Rejected++
+		c.retire(e.rem, fmt.Errorf("update rejected: %w", why), slots, w)
 	}
 collect:
-	for len(expected) > 0 {
+	for len(w.expected) > 0 {
 		select {
 		case e := <-c.events:
 			if e.kind != evUpdate {
-				c.handleMembership(e, slots, expected, rs)
+				c.handleMembership(e, slots, w)
 				continue
 			}
 			i := e.rem.index
-			if e.upd.round != r || expected[i] != e.rem {
+			if e.upd.round != r || w.expected[i] != e.rem {
 				// A straggler delivering a closed round, or a stale remote.
 				e.ackReply <- ackReply{status: AckLate}
 				continue
@@ -1004,8 +1020,8 @@ collect:
 				// An idle worker (empty shard) has nothing to contribute,
 				// mirroring the in-process engine's skip of empty updates.
 				// Nothing of it enters the fold, so the ack needs no staging.
-				delete(expected, i)
-				contributed++
+				delete(w.expected, i)
+				w.contributed++
 				e.ackReply <- ackReply{status: AckOK}
 				continue
 			}
@@ -1013,9 +1029,7 @@ collect:
 				// A worker shipping the wrong codec (or skipping the run's
 				// compression) is as malformed as a bad tensor shape: the
 				// accounting and the negotiated contract both break.
-				c.cfg.Logf("coord: dropping worker %s: update codec %q, run uses %q",
-					e.rem.name, e.upd.codec, wantCodec)
-				reject(e)
+				reject(e, fmt.Errorf("update codec %q, run uses %q", e.upd.codec, wantCodec))
 				continue
 			}
 			u := e.upd.stats
@@ -1027,39 +1041,30 @@ collect:
 			err := fleet.ValidateUpdate(c.core.Params(), u)
 			vSpan.End()
 			if err != nil {
-				c.cfg.Logf("coord: dropping worker %s: %v", e.rem.name, err)
-				reject(e)
+				reject(e, err)
 				continue
 			}
-			staged[i] = &pendingUpdate{rem: e.rem, upd: e.upd, update: u, blobBytes: e.blobBytes, ack: e.ackReply}
-			contributed++
-			delete(expected, i)
+			w.staged[i] = &pendingUpdate{rem: e.rem, upd: e.upd, update: u, blobBytes: e.blobBytes, ack: e.ackReply}
+			w.contributed++
+			delete(w.expected, i)
 		case <-deadlineC:
-			for i := range expected {
+			for i := range w.expected {
 				rs.Workers[i].Dropped = true
 				rs.Dropouts++
 				c.cfg.Logf("coord: round %d deadline: worker %s still outstanding, dropped from fold", r, slots[i].name)
 			}
 			break collect
-		case <-livenessC:
-			now := time.Now().UnixNano()
-			for _, rem := range expected {
-				if now-rem.lastSeen.Load() > int64(c.cfg.UpdateTimeout) {
-					c.cfg.Logf("coord: worker %s silent for %v, declaring dead", rem.name, c.cfg.UpdateTimeout)
-					rem.conn.Close() // the handler's Recv fails → death event
-				}
-			}
 		case <-c.quit:
 			// Handlers parked on their ack replies unblock via c.quit.
 			return false, false, ErrClosed
 		}
 	}
 
-	if quorum && contributed < c.cfg.MinWorkers {
+	if quorum && w.contributed < c.cfg.MinWorkers {
 		// Below quorum: fold nothing. The staged updates are discarded and
 		// their workers told to retry — they rewind to their pre-round
 		// optimizer state and retrain the identical round.
-		for _, p := range staged {
+		for _, p := range w.staged {
 			p.ack <- ackReply{status: AckRetry}
 		}
 		return false, false, nil
@@ -1071,7 +1076,7 @@ collect:
 	// state is therefore always the state the fold consumed.
 	updates := make([]*fleet.Update, len(slots))
 	encoded := make([]int64, len(slots))
-	for i, p := range staged {
+	for i, p := range w.staged {
 		updates[i], encoded[i] = &p.update, p.blobBytes
 	}
 	// The fold writes the tensors the last state save views: that save must
@@ -1085,7 +1090,7 @@ collect:
 		return false, false, err
 	}
 	for i := range slots {
-		p, ok := staged[i]
+		p, ok := w.staged[i]
 		if !ok {
 			continue
 		}
@@ -1112,7 +1117,7 @@ func (c *Coordinator) awaitQuorum(r int, slots []slot, needEvent bool) error {
 	for needEvent || liveCount(slots) < c.cfg.MinWorkers {
 		select {
 		case e := <-c.events:
-			c.handleMembership(e, slots, nil, nil)
+			c.handleMembership(e, slots, nil)
 			needEvent = false
 		case <-deadline.C:
 			return fmt.Errorf("coord: round %d: %d/%d workers after waiting %v to retry",

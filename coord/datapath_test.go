@@ -114,6 +114,7 @@ func runPath(t *testing.T, tr Transport, aggName, compression string) pathRun {
 		Workers: eqWorkers, Rounds: rounds, Samples: eqSamples, Seed: eqSeed,
 		Aggregator: aggName, Optimizer: "momentum", LR: 0.05,
 		Compression: compression, StateDir: stateDir,
+		Liveness: 1500 * time.Millisecond, // workers beat every 50 ms: heartbeats cross the wire too
 	}, testModel(eqSeed))
 	if err != nil {
 		t.Fatal(err)

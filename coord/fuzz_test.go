@@ -59,12 +59,11 @@ func protoSamples() []protoSample {
 	}
 	helloF := encodeHello(hello{
 		version: ProtocolVersion, name: "w0", device: "waggle", budgetBytes: 2_000_000_000,
-		aggregators: []string{"fedavg", "allreduce"}, strategies: []string{"storeall", "revolve"},
 		codecs: []string{"topk", "int8", "deflate"},
 	})
 	welcomeFresh := encodeWelcome(Assignment{
 		Index: 1, Workers: 3, Rounds: 4, LocalEpochs: 1, BatchSize: 2, Samples: 24,
-		Seed: 42, Aggregator: "fedavg", Optimizer: "sgd", LR: 0.05,
+		Seed: 42, Aggregator: "fedavg", Optimizer: "sgd", LR: 0.05, Heartbeat: time.Second,
 	})
 	welcomeState := encodeWelcome(Assignment{
 		Index: 2, Workers: 3, Rounds: 4, Seed: 42, Aggregator: "fedavg",

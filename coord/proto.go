@@ -22,7 +22,10 @@ import (
 // update block may carry a delta metric snapshot plus recent trace events
 // (see telemetry.go). A v2 worker is cleanly rejected at the handshake
 // with a versioned error message.
-const ProtocolVersion = 3
+// Version 4 moved liveness to the coordinator: the welcome carries the
+// heartbeat interval, and the hello dropped its aggregator and strategy
+// lists (every worker sent the same ones, and nothing read the strategies).
+const ProtocolVersion = 4
 
 // Message types. The checkpoint file format owns frame types 1..6; the wire
 // protocol starts at 16 so a protocol message can never be mistaken for a
@@ -88,11 +91,6 @@ type hello struct {
 	name        string
 	device      string
 	budgetBytes int64
-	// aggregators and strategies are the worker's supported aggregation
-	// modes and checkpoint strategies; the coordinator rejects a worker that
-	// cannot run the fleet's aggregator.
-	aggregators []string
-	strategies  []string
 	// codecs is the worker's supported update-compression codecs (names from
 	// compress.AllCodecs); the coordinator rejects a worker lacking a codec
 	// the run's compression spec requires.
@@ -105,8 +103,6 @@ func encodeHello(h hello) ckpt.Frame {
 	wire.PutString(&b, h.name)
 	wire.PutString(&b, h.device)
 	wire.PutInt64(&b, h.budgetBytes)
-	putStrings(&b, h.aggregators)
-	putStrings(&b, h.strategies)
 	putStrings(&b, h.codecs)
 	return ckpt.Frame{Type: msgHello, Payload: b.Bytes()}
 }
@@ -118,8 +114,6 @@ func parseHello(payload []byte) (hello, error) {
 	h.name = p.String("worker name")
 	h.device = p.String("device name")
 	h.budgetBytes = p.Int64("budget bytes")
-	h.aggregators = takeStrings(p, "aggregator")
-	h.strategies = takeStrings(p, "strategy")
 	h.codecs = takeStrings(p, "codec")
 	return h, p.Done()
 }
@@ -148,6 +142,10 @@ type Assignment struct {
 	// Compression is the run's canonical update-codec spec
 	// (compress.Spec.String()); empty means updates cross uncompressed.
 	Compression string
+	// Heartbeat is how often the worker beats while it computes between
+	// frames (Config.Liveness/30), so the coordinator's per-frame liveness
+	// limit never fires on a busy worker.
+	Heartbeat time.Duration
 	// State is the worker's recovered durable state when it is rejoining a
 	// slot it held before (optimizer slots, progress counters); nil on a
 	// fresh join.
@@ -167,6 +165,7 @@ func encodeWelcome(a Assignment) ckpt.Frame {
 	wire.PutString(&b, a.Optimizer)
 	wire.PutFloat64(&b, a.LR)
 	wire.PutString(&b, a.Compression)
+	wire.PutInt64(&b, int64(a.Heartbeat))
 	if a.State != nil {
 		wire.PutUint32(&b, 1)
 		st := ckpt.EncodeWorkerState(a.State)
@@ -192,6 +191,7 @@ func parseWelcome(payload []byte) (Assignment, error) {
 	a.Optimizer = p.String("optimizer")
 	a.LR = p.Float64("learning rate")
 	a.Compression = p.String("compression spec")
+	a.Heartbeat = time.Duration(p.Int64("heartbeat interval"))
 	if p.Uint32("state flag") != 0 {
 		n := p.Uint32("state length")
 		st := p.Take(int(n), "worker state")

@@ -18,8 +18,6 @@ func TestHelloRoundTrip(t *testing.T) {
 		name:        "w0-waggle",
 		device:      "waggle",
 		budgetBytes: 2_000_000_000,
-		aggregators: []string{"fedavg", "allreduce"},
-		strategies:  []string{"storeall", "revolve", "twolevel"},
 		codecs:      []string{"topk", "fp16", "int8", "deflate"},
 	}
 	f := encodeHello(h)
@@ -39,6 +37,7 @@ func TestWelcomeRoundTrip(t *testing.T) {
 	base := Assignment{
 		Index: 2, Workers: 5, Rounds: 10, LocalEpochs: 2, BatchSize: 8,
 		Samples: 640, Seed: 12345, Aggregator: "allreduce", Optimizer: "momentum", LR: 0.05,
+		Heartbeat: time.Second,
 	}
 	t.Run("fresh join", func(t *testing.T) {
 		got, err := parseWelcome(encodeWelcome(base).Payload)
@@ -164,7 +163,7 @@ func TestAckAndErrorRoundTrip(t *testing.T) {
 
 func TestTruncatedPayloadsRejected(t *testing.T) {
 	frames := []ckpt.Frame{
-		encodeHello(hello{version: 1, name: "w", aggregators: []string{"fedavg"}}),
+		encodeHello(hello{version: 1, name: "w", codecs: []string{"int8"}}),
 		encodeWelcome(Assignment{Index: 1, Workers: 3}),
 		encodeAck(ackMsg{round: 1, status: AckOK}),
 	}

@@ -41,7 +41,7 @@ func runStateWorkers(tr Transport, addr string, n int, seed uint64, samples int)
 // of 12 (an unmounted card: every later write fails). A coordinator that
 // cannot persist its state must fail the run at the following round boundary
 // with the ckpt error — not train on to round 12 and report it at the end —
-// and once the directory is back its manifest must name a checkpoint from
+// and once the directory is back its slot ring must hold a checkpoint from
 // which a restarted coordinator finishes byte-identical to a fault-free run.
 // Both coordinators must leave no goroutine behind.
 func TestFailedStateSaveFailsNextRound(t *testing.T) {
@@ -153,7 +153,7 @@ func TestFailedStateSaveFailsNextRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c2.StartRound() != s.Round {
-		t.Fatalf("restarted coordinator resumes at round %d, manifest says %d", c2.StartRound(), s.Round)
+		t.Fatalf("restarted coordinator resumes at round %d, newest intact slot says %d", c2.StartRound(), s.Round)
 	}
 	addr, err = c2.Start(tr, "")
 	if err != nil {
@@ -218,7 +218,7 @@ func TestStateSaveHoldsItsRoundsState(t *testing.T) {
 	for _, agg := range []string{"fedavg", "allreduce"} {
 		t.Run(agg, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "state")
-			reader, err := ckpt.Open(path) // opened before anything is written
+			reader, err := ckpt.Open(path) // a reader beside the writer: Open and Load write nothing
 			if err != nil {
 				t.Fatal(err)
 			}

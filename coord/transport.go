@@ -140,10 +140,10 @@ func (fc *frameConn) Close() error { return fc.c.Close() }
 
 // TCP is the real network transport: length-prefixed ckpt frames over a TCP
 // stream.
-type TCP struct {
-	// DialTimeout bounds connection establishment (default 10s).
-	DialTimeout time.Duration
-}
+type TCP struct{}
+
+// dialTimeout bounds TCP connection establishment.
+const dialTimeout = 10 * time.Second
 
 // Name implements Transport.
 func (t *TCP) Name() string { return "tcp" }
@@ -162,11 +162,7 @@ func (t *TCP) Listen(addr string) (Listener, error) {
 
 // Dial implements Transport.
 func (t *TCP) Dial(addr string) (Conn, error) {
-	timeout := t.DialTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	c, err := net.DialTimeout("tcp", addr, timeout)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("coord: dial %s: %w", addr, err)
 	}

@@ -30,16 +30,11 @@ type WorkerOptions struct {
 	// trains on shard a.Index of a.Workers (trainer.Shard), exactly as the
 	// in-process fleet would.
 	Dataset func(a Assignment) (trainer.Dataset, error)
-	// Optimizer overrides the local optimiser; nil constructs
-	// trainer.NewOptimizer(a.Optimizer, a.LR) from the assignment.
-	Optimizer func(a Assignment) (trainer.Optimizer, error)
 	// Codecs is the update-compression capability the worker advertises in
 	// its hello. Nil means every codec (compress.AllCodecs); an empty
 	// non-nil slice advertises none, so a coordinator running a lossy spec
 	// turns this worker away in the handshake.
 	Codecs []string
-	// Heartbeat is the liveness interval while training (default 1s).
-	Heartbeat time.Duration
 	// Retries is the reconnect budget: how many consecutive failed
 	// connection attempts the worker tolerates before giving up. The budget
 	// refills every time a handshake succeeds, so a long-lived worker on a
@@ -100,7 +95,8 @@ func isTransient(err error) bool {
 // coordinator signals completion, and returns the worker's summary. It is
 // the whole lifecycle of one edge worker process: capability handshake,
 // shard assignment, per-round pull → local train → update push, with
-// heartbeats during training and durable-state capture with every update.
+// heartbeats at the coordinator's interval whenever the worker computes
+// between frames, and durable-state capture with every update.
 //
 // Connection failures — a refused dial, a dropped conn mid-round, a
 // coordinator restart — do not kill the worker: it reconnects with
@@ -196,11 +192,6 @@ func RunWorker(t Transport, addr string, opts WorkerOptions) (*WorkerResult, err
 // fires once the handshake has been accepted.
 func runWorkerSession(t Transport, addr string, opts WorkerOptions, ship *obs.DeltaShipper,
 	logf func(string, ...any), res *WorkerResult, onWelcome func()) error {
-	heartbeat := opts.Heartbeat
-	if heartbeat <= 0 {
-		heartbeat = time.Second
-	}
-
 	conn, err := t.Dial(addr)
 	if err != nil {
 		return transientf("dialing coordinator: %w", err)
@@ -225,8 +216,6 @@ func runWorkerSession(t Transport, addr string, opts WorkerOptions, ship *obs.De
 		name:        opts.Spec.Name,
 		device:      opts.Spec.Device.Name,
 		budgetBytes: budget,
-		aggregators: []string{"fedavg", "allreduce"},
-		strategies:  []string{"storeall", "revolve", "twolevel"},
 		codecs:      codecs,
 	}))
 	if err != nil {
@@ -238,12 +227,6 @@ func runWorkerSession(t Transport, addr string, opts WorkerOptions, ship *obs.De
 	}
 	a, err := expectWelcome(f)
 	if err != nil {
-		if strings.Contains(err.Error(), "already connected") {
-			// The coordinator still holds our previous connection — it has
-			// not yet noticed it died. Liveness sweeping will reap it;
-			// reconnecting shortly reclaims the slot.
-			return &transientError{err}
-		}
 		if strings.Contains(err.Error(), "run complete") {
 			// We reconnected into a finished run (our final ack was lost in
 			// flight): the round we uploaded is folded and done. Exit the
@@ -258,16 +241,15 @@ func runWorkerSession(t Transport, addr string, opts WorkerOptions, ship *obs.De
 		opts.Spec.Name, a.Index, a.Workers, a.Aggregator, a.Optimizer, a.LR)
 	res.Assignment = a
 
+	// The coordinator waits on this worker's first pull from here on: beat
+	// while the dataset and the model replica are built.
+	stopBeat := startHeartbeat(conn, a.Heartbeat, ship, 0)
+	defer func() { stopBeat() }()
 	ds, err := opts.Dataset(a)
 	if err != nil {
 		return fmt.Errorf("coord: building dataset: %w", err)
 	}
-	var opt trainer.Optimizer
-	if opts.Optimizer != nil {
-		opt, err = opts.Optimizer(a)
-	} else {
-		opt, err = trainer.NewOptimizer(a.Optimizer, a.LR)
-	}
+	opt, err := trainer.NewOptimizer(a.Optimizer, a.LR)
 	if err != nil {
 		return err
 	}
@@ -309,6 +291,7 @@ func runWorkerSession(t Transport, addr string, opts WorkerOptions, ship *obs.De
 			opts.Spec.Name, a.State.Rounds, a.State.Samples)
 	}
 
+	stopBeat()
 	for {
 		if err := conn.Send(ckpt.Frame{Type: msgPull}); err != nil {
 			return transientf("coord: sending pull: %w", err)
@@ -349,12 +332,12 @@ func runWorkerSession(t Transport, addr string, opts WorkerOptions, ship *obs.De
 		// heartbeat carries a telemetry delta when shipping is enabled, so
 		// the coordinator's fleet view advances while the round is still
 		// training.
-		stop := startHeartbeat(conn, heartbeat, ship, round)
+		stopBeat = startHeartbeat(conn, a.Heartbeat, ship, round)
 		tstart := time.Now()
 		ltSpan := obs.DefaultTracer().Span("local-train", round, a.Index)
 		u, lerr := agg.Local(w, round)
 		ltSpan.End()
-		stop()
+		stopBeat()
 		if lerr != nil {
 			return fmt.Errorf("coord: round %d local computation: %w", round, lerr)
 		}
@@ -476,8 +459,12 @@ func expectWelcome(f ckpt.Frame) (Assignment, error) {
 // telemetry delta collected since the last shipment when shipping is
 // enabled (nil shipper → empty payloads, the "alive, no telemetry" form).
 // The stop function waits the sender out, so no heartbeat can interleave
-// with the update upload that follows.
+// with the frame that follows; calling it again is a no-op. A welcome that
+// sets no interval asks for no heartbeats.
 func startHeartbeat(conn Conn, every time.Duration, ship *obs.DeltaShipper, round int) (stop func()) {
+	if every <= 0 {
+		return func() {}
+	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -503,8 +490,11 @@ func startHeartbeat(conn Conn, every time.Duration, ship *obs.DeltaShipper, roun
 			}
 		}
 	}()
+	var once sync.Once
 	return func() {
-		close(done)
-		wg.Wait()
+		once.Do(func() {
+			close(done)
+			wg.Wait()
+		})
 	}
 }

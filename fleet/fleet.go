@@ -313,12 +313,6 @@ func (w *Worker) Close() error {
 	return err
 }
 
-// Progress reports the worker's durable progress counters: rounds whose fold
-// included this worker, and the samples behind those updates.
-func (w *Worker) Progress() (rounds, samples int64) {
-	return w.roundsDone, w.samplesDone
-}
-
 // AddProgress advances the worker's durable progress counters after its
 // update was folded into the global model.
 func (w *Worker) AddProgress(rounds, samples int64) {

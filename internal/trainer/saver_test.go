@@ -100,7 +100,7 @@ func waitGoroutines(t *testing.T, baseline int) {
 // TestSaveDurableBeforeStepKPlus2 pins the durability contract: whatever
 // EverySteps is, the checkpoint taken after step k is durable before step
 // k+2 starts — a second Dir on the same path, read from the Hook of every
-// step, never finds the manifest further behind than that.
+// step, never finds the newest intact slot further behind than that.
 func TestSaveDurableBeforeStepKPlus2(t *testing.T) {
 	ds := imageDataset(saverSamples)
 	for _, every := range []int{1, 3} {
@@ -245,7 +245,7 @@ func TestRealKillResume(t *testing.T) {
 // TestFailedSaveStopsTraining takes the checkpoint directory away mid-run (an
 // unmounted card: every later write fails) and asserts that TrainFrom fails
 // within one save interval with the ckpt error, that every span it started
-// has ended, and — the directory back — that the manifest still names a good
+// has ended, and — the directory back — that the slot ring still holds a good
 // checkpoint from which a resumed run finishes bit-identical.
 func TestFailedSaveStopsTraining(t *testing.T) {
 	if obs.DefaultTracer() != nil {
@@ -313,7 +313,7 @@ func TestFailedSaveStopsTraining(t *testing.T) {
 		t.Fatalf("no loadable checkpoint after the failed saves: %v", err)
 	}
 	if got := stepsOf(cur); got != 2 && got != 4 {
-		t.Fatalf("manifest names the state after step %d, want a save point that was published (2 or 4)", got)
+		t.Fatalf("newest intact slot holds the state after step %d, want a save point that was published (2 or 4)", got)
 	}
 	if _, err := resumed.TrainFrom(ds, cur, &CheckpointPlan{Dir: back, EverySteps: every}); err != nil {
 		t.Fatal(err)
@@ -426,7 +426,7 @@ func TestCheckpointHoldsItsStepsState(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				reader, err := ckpt.Open(path) // opened before anything is written
+				reader, err := ckpt.Open(path) // a reader beside the writer: Open and Load write nothing
 				if err != nil {
 					t.Fatal(err)
 				}
